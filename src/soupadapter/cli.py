@@ -20,7 +20,8 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import dataio, evalkit, heads, soup as soup_mod
-from .errors import DataError, NumericalError, SoupAdapterError
+from .errors import (ClassSetMismatch, DataError, NumericalError,
+                     SoupAdapterError)
 
 _OVERRIDE_TYPES = {
     "red": int, "lr": float, "weight_decay": float, "aug_strength": float,
@@ -36,6 +37,26 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve that
         raise UsageError(message)
+
+
+def _number(kind, low: float, inclusive: bool):
+    """argparse type: a finite ``kind`` above ``low`` (or equal, if
+    ``inclusive``), so a bad value is a usage error, not a traceback."""
+    bound = f">= {low:g}" if inclusive else f"> {low:g}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {'an integer' if kind is int else 'a number'}, "
+                f"got {text!r}")
+        if not np.isfinite(value) or value < low \
+                or (value == low and not inclusive):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, "
+                                             f"got {text!r}")
+        return value
+    return parse
 
 
 def parse_grid(text: str) -> list[float]:
@@ -249,8 +270,11 @@ def cmd_eval(args) -> int:
     id_set, _ = _load_with_manifest(args.embeddings)
     ood_sets = {}
     for path in args.ood or []:
-        emb, _ = _load_with_manifest(path)
-        ood_sets[Path(path).stem] = emb
+        stem = Path(path).stem
+        if stem in ood_sets:
+            raise UsageError(f"two --ood files share the stem {stem!r}; "
+                             f"report rows could not tell them apart")
+        ood_sets[stem], _ = _load_with_manifest(path)
 
     models = []
     if args.adapter:
@@ -262,6 +286,13 @@ def cmd_eval(args) -> int:
         components.append(params)
     if not models and not components:
         raise UsageError("need --adapter and/or --components to evaluate")
+    bank = None
+    if args.knn_bank:
+        bank, _ = _load_with_manifest(args.knn_bank)
+        if (bank.n_classes, bank.dim) != (head.n_classes, head.dim):
+            raise ClassSetMismatch(
+                f"KNN bank {args.knn_bank} has {bank.n_classes} classes and "
+                f"dim {bank.dim}; head has {head.n_classes} and {head.dim}")
 
     report = evalkit.EvalReport()
     if models:
@@ -271,8 +302,7 @@ def cmd_eval(args) -> int:
         sets = {"id": id_set, **ood_sets}
         report.extend(evalkit.component_average_report(components, head,
                                                        sets, grid))
-    if args.knn_bank:
-        bank, _ = _load_with_manifest(args.knn_bank)
+    if bank is not None:
         cfg = heads.KnnConfig(k=args.knn_k, temperature=args.knn_t)
         bank_feats = bank.unit_features(0)
         report.baselines.setdefault("id", {})["knn"] = evalkit.knn_accuracy(
@@ -330,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soup", help="merge components into one adapter")
     p.add_argument("--components", nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--trials", type=_number(int, 1, True), default=1000)
+    p.add_argument("--tolerance", type=_number(float, 0.0, True),
+                   default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_soup)
 
@@ -343,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", nargs="*", default=None)
     p.add_argument("--grid", default="0:1:0.1")
     p.add_argument("--knn-bank", default=None)
-    p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--knn-t", type=float, default=0.1)
+    p.add_argument("--knn-k", type=_number(int, 1, True), default=10)
+    p.add_argument("--knn-t", type=_number(float, 0.0, False), default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
     return parser

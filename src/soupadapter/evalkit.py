@@ -1,10 +1,19 @@
 """Accuracy sweeps over the residual ratio and robustness reporting.
 
 A report is a flat list of (model, split, r, accuracy) rows plus optional
-baseline accuracies per split (bare head, KNN). Adapter outputs do not
-depend on r, so a sweep computes them once per sample and re-blends for
-each grid point; the r = 0 row scores the unmodified embeddings and
-therefore reproduces the bare-head decisions exactly.
+baseline accuracies per split (bare head, KNN).
+
+Scoring is algebra rather than re-blending. The adapted feature
+normalize(x + r a) differs from x + r a by a positive per-row factor, which
+cannot move an argmax, so the decision at ratio r is argmax(P + r Q) with
+P = exp(s) X W^T the bare-head logits and Q = exp(s) A W^T. Folding the head
+into the adapter's output layer once (W W2 and W b2) gives
+Q = exp(s) (gelu(X W1^T + b1) (W W2)^T + W b2), so A is never formed. Each
+set is scored in one pass over blocks of EVAL_BLOCK_ROWS rows: every block
+computes X and P once, counts the bare-head hits from P, and then adds up
+every model's hits at every r. Memory is bounded by the block, not by the
+set; the r = 0 row is the bare-head count itself and so reproduces its
+decisions exactly.
 
 CSV layout: header "model,split,r,accuracy", one row per cell, '.' decimal
 separator, '\n' line endings. JSON mirrors the report fields and includes
@@ -15,15 +24,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import AdapterParams, adapter_forward, blend
+from .adapter import AdapterParams
 from .dataio import EmbeddingSet
-from .errors import ClassSetMismatch, IoFailure, LengthMismatch
-from .heads import ClassifierHead, KnnConfig, head_logits, knn_logits_batch
-from .soup import Soup, soup_forward
+from .errors import ClassSetMismatch, IoFailure, LengthMismatch, ShapeMismatch
+from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
+                    knn_logits_batch)
+from .numerics import gelu
+from .soup import Soup
 
 DEFAULT_GRID = tuple(round(0.1 * i, 12) for i in range(11))
 
@@ -64,49 +76,91 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _model_outputs(model, feats: np.ndarray) -> np.ndarray:
+# ------------------------------------------------------------ one-pass sweep
+
+def _blocks(emb: EmbeddingSet, split=None):
+    """(unit clean-view features, labels) of the set, EVAL_BLOCK_ROWS at a
+    time; ``split`` restricts it to those sample indices."""
+    rows = np.arange(emb.n) if split is None \
+        else np.asarray(split, dtype=np.int64)
+    if rows.size == 0:
+        raise LengthMismatch("cannot score an empty batch")
+    for start in range(0, rows.size, EVAL_BLOCK_ROWS):
+        idx = rows[start:start + EVAL_BLOCK_ROWS]
+        yield emb.unit_features(view=0, indices=idx), emb.labels[idx]
+
+
+def _fold(model, head: ClassifierHead) -> list[tuple]:
+    """(W1, b1, W W2, W b2) per component: the head folded into the output
+    layer, so residual logits need no D-wide adapter output."""
     if isinstance(model, Soup):
-        return soup_forward(model, feats)
-    if isinstance(model, AdapterParams):
-        return adapter_forward(model, feats)
-    raise TypeError(f"cannot evaluate a {type(model).__name__}")
+        components = model.components
+    elif isinstance(model, AdapterParams):
+        components = [model]
+    else:
+        raise TypeError(f"cannot evaluate a {type(model).__name__}")
+    if components[0].dim != head.dim:
+        raise ShapeMismatch(f"adapter dim {components[0].dim} != head dim "
+                            f"{head.dim}")
+    return [(c.W1, c.b1, head.weights @ c.W2, head.weights @ c.b2)
+            for c in components]
+
+
+def _residual_logits(folded: list[tuple], feats: np.ndarray,
+                     scale: float) -> np.ndarray:
+    """Q = exp(scale) A W^T, averaged over the components in order."""
+    total = None
+    for w1, b1, ww2, wb2 in folded:
+        q = gelu(feats @ w1.T + b1) @ ww2.T + wb2
+        total = q if total is None else total + q
+    return math.exp(scale) * (total / len(folded))
+
+
+def _sweep_set(folded_models, head: ClassifierHead, emb: EmbeddingSet,
+               grid, split=None) -> tuple[float, list[dict[float, float]]]:
+    """Bare-head accuracy and, per folded model, {r: accuracy} on one set."""
+    grid = [float(r) for r in grid]
+    n = 0
+    bare = 0
+    hits = np.zeros((len(folded_models), len(grid)), dtype=np.int64)
+    for feats, labels in _blocks(emb, split):
+        n += labels.size
+        p = head_logits(head, feats)
+        bare_block = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
+        bare += bare_block
+        for m, folded in enumerate(folded_models):
+            q = _residual_logits(folded, feats, head.scale)
+            for i, r in enumerate(grid):
+                hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
+                    np.argmax(p + r * q, axis=1) == labels)
+    return bare / n, [dict(zip(grid, (int(h) / n for h in row)))
+                      for row in hits]
 
 
 def ratio_sweep(model, head: ClassifierHead, emb: EmbeddingSet,
                 grid=DEFAULT_GRID, split=None) -> dict[float, float]:
-    """Accuracy of blend(x, model(x), r) under the head, for each r in grid.
+    """Accuracy of normalize(x + r model(x)) under the head, for each r.
 
     ``split`` restricts evaluation to those sample indices; evaluation
-    always uses the clean view. Model outputs are computed once and reused
-    across the whole grid.
+    always uses the clean view.
     """
-    feats = emb.unit_features(view=0, indices=split)
-    labels = emb.labels if split is None \
-        else emb.labels[np.asarray(split, dtype=np.int64)]
-    outputs = _model_outputs(model, feats)
-    result: dict[float, float] = {}
-    for r in grid:
-        blended = feats if r == 0.0 else blend(feats, outputs, r)
-        result[float(r)] = accuracy(head_logits(head, blended), labels)
-    return result
+    return _sweep_set([_fold(model, head)], head, emb, grid, split)[1][0]
 
 
 def head_accuracy(head: ClassifierHead, emb: EmbeddingSet, split=None) -> float:
-    feats = emb.unit_features(view=0, indices=split)
-    labels = emb.labels if split is None \
-        else emb.labels[np.asarray(split, dtype=np.int64)]
-    return accuracy(head_logits(head, feats), labels)
+    return _sweep_set([], head, emb, (), split)[0]
 
 
 def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
                  cfg: KnnConfig, emb: EmbeddingSet, num_classes: int,
                  split=None) -> float:
-    feats = emb.unit_features(view=0, indices=split)
-    labels = emb.labels if split is None \
-        else emb.labels[np.asarray(split, dtype=np.int64)]
-    logits = knn_logits_batch(bank_features, bank_labels, feats, cfg,
-                              num_classes)
-    return accuracy(logits, labels)
+    n = hits = 0
+    for feats, labels in _blocks(emb, split):
+        logits = knn_logits_batch(bank_features, bank_labels, feats, cfg,
+                                  num_classes)
+        n += labels.size
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+    return hits / n
 
 
 def _check_compatible(head: ClassifierHead, sets):
@@ -125,26 +179,27 @@ def robustness_report(models, head: ClassifierHead, id_set: EmbeddingSet,
                       grid=DEFAULT_GRID) -> EvalReport:
     """(ID, OOD) accuracy per model per residual ratio.
 
-    ``models`` is a list of (name, adapter-or-soup) pairs. The "ood" rows
-    hold the unweighted mean accuracy over the shifted sets at each r; the
-    bare-head accuracies land in the baselines, keyed by the head origin.
+    ``models`` is a list of (name, adapter-or-soup) pairs, all scored in one
+    pass per set. The "ood" rows hold the unweighted mean accuracy over the
+    shifted sets at each r; the bare-head accuracies land in the baselines,
+    keyed by the head origin.
     """
     _check_compatible(head, [("id", id_set), *ood_sets.items()])
+    folded = [_fold(model, head) for _, model in models]
+    id_bare, id_accs = _sweep_set(folded, head, id_set, grid)
+    ood = [_sweep_set(folded, head, emb, grid) for emb in ood_sets.values()]
     report = EvalReport()
-    for name, model in models:
-        id_accs = ratio_sweep(model, head, id_set, grid)
-        ood_accs = [ratio_sweep(model, head, emb, grid)
-                    for emb in ood_sets.values()]
+    for m, (name, _) in enumerate(models):
         for r in grid:
             r = float(r)
-            report.rows.append(SweepRow(name, "id", r, id_accs[r]))
-            if ood_accs:
-                mean_ood = float(np.mean([a[r] for a in ood_accs]))
+            report.rows.append(SweepRow(name, "id", r, id_accs[m][r]))
+            if ood:
+                mean_ood = float(np.mean([accs[m][r] for _, accs in ood]))
                 report.rows.append(SweepRow(name, "ood", r, mean_ood))
-    report.baselines["id"] = {head.origin: head_accuracy(head, id_set)}
-    if ood_sets:
+    report.baselines["id"] = {head.origin: id_bare}
+    if ood:
         report.baselines["ood"] = {head.origin: float(np.mean(
-            [head_accuracy(head, emb) for emb in ood_sets.values()]))}
+            [bare for bare, _ in ood]))}
     return report
 
 
@@ -155,13 +210,14 @@ def component_average_report(components, head: ClassifierHead,
 
     Rows are named component_<j>, component_mean, component_min and
     component_max; the mean row is the exact arithmetic mean of the
-    per-component rows.
+    per-component rows. All components are scored in one pass per set.
     """
     if not components:
         raise ValueError("need at least one component")
+    folded = [_fold(comp, head) for comp in components]
     report = EvalReport()
     for split, emb in sets.items():
-        per_comp = [ratio_sweep(comp, head, emb, grid) for comp in components]
+        _, per_comp = _sweep_set(folded, head, emb, grid)
         for j, accs in enumerate(per_comp):
             for r in grid:
                 report.rows.append(SweepRow(f"component_{j}", split,

@@ -32,6 +32,10 @@ ORIGIN_IMPORTED = "imported"
 
 _HEADER = struct.Struct("<4s3Id")
 
+# Query rows scored per matrix product, here and in evalkit: memory for
+# similarities and logits stays O(EVAL_BLOCK_ROWS x (bank or C)).
+EVAL_BLOCK_ROWS = 1024
+
 
 @dataclass
 class ClassifierHead:
@@ -131,25 +135,37 @@ def knn_logits(bank_features: np.ndarray, bank_labels: np.ndarray,
     adds exp(similarity / T) to its class logit. k is clamped to the bank
     size. Accumulation runs in rank order.
     """
-    bank_features = np.asarray(bank_features, dtype=np.float64)
-    bank_labels = np.asarray(bank_labels, dtype=np.int64)
-    if bank_features.shape[0] == 0:
-        raise EmptyBank("KNN bank is empty")
-    if num_classes is None:
-        num_classes = int(bank_labels.max()) + 1
-    sims = bank_features @ np.asarray(x, dtype=np.float64)
-    k = min(cfg.k, sims.size)
-    ranked = np.argsort(-sims, kind="stable")[:k]  # stable sort breaks ties low
-    logits = np.zeros(num_classes, dtype=np.float64)
-    for j in ranked:
-        logits[bank_labels[j]] += math.exp(sims[j] / cfg.temperature)
-    return logits
+    x = np.asarray(x, dtype=np.float64)
+    return knn_logits_batch(bank_features, bank_labels, x[np.newaxis, :],
+                            cfg, num_classes)[0]
+
+
+def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k largest entries ordered by (-sim, index).
+
+    argpartition picks an arbitrary subset among entries tied with the k-th
+    largest, so rows with such a tie at the cut take the stable full sort.
+    """
+    cut = sims.shape[1] - k
+    top = np.sort(np.argpartition(sims, cut, axis=1)[:, cut:], axis=1)
+    top_sims = np.take_along_axis(sims, top, axis=1)
+    top = np.take_along_axis(
+        top, np.argsort(-top_sims, axis=1, kind="stable"), axis=1)
+    kth = np.take_along_axis(sims, top[:, -1:], axis=1)
+    for b in np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k):
+        top[b] = np.argsort(-sims[b], kind="stable")[:k]
+    return top
 
 
 def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
                      xs: np.ndarray, cfg: KnnConfig,
                      num_classes: int | None = None) -> np.ndarray:
-    """knn_logits for every row of xs, vectorized over the bank scan."""
+    """knn_logits for every row of xs, EVAL_BLOCK_ROWS query rows at a time.
+
+    Neighbors come out in the order of a stable per-row argsort, and each
+    weight is math.exp of one selected similarity, so the votes equal a
+    row-by-row scan of the same similarities bit for bit.
+    """
     bank_features = np.asarray(bank_features, dtype=np.float64)
     bank_labels = np.asarray(bank_labels, dtype=np.int64)
     if bank_features.shape[0] == 0:
@@ -157,13 +173,19 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
     if num_classes is None:
         num_classes = int(bank_labels.max()) + 1
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    sims = xs @ bank_features.T  # (B, bank)
     k = min(cfg.k, bank_features.shape[0])
     out = np.zeros((xs.shape[0], num_classes), dtype=np.float64)
-    for b in range(xs.shape[0]):
-        ranked = np.argsort(-sims[b], kind="stable")[:k]
-        for j in ranked:
-            out[b, bank_labels[j]] += math.exp(sims[b, j] / cfg.temperature)
+    for start in range(0, xs.shape[0], EVAL_BLOCK_ROWS):
+        sims = xs[start:start + EVAL_BLOCK_ROWS] @ bank_features.T
+        top = _nearest(sims, k)
+        scaled = np.take_along_axis(sims, top, axis=1) / cfg.temperature
+        weights = np.fromiter(map(math.exp, scaled.ravel().tolist()),
+                              dtype=np.float64, count=scaled.size)
+        weights = weights.reshape(scaled.shape)
+        block = out[start:start + EVAL_BLOCK_ROWS]
+        rows = np.arange(block.shape[0])
+        for rank in range(k):
+            block[rows, bank_labels[top[:, rank]]] += weights[:, rank]
     return out
 
 

@@ -274,3 +274,67 @@ def test_eval_corrupt_head_exits_2(tmp_path, data_dir, train_dir):
                "--head", bad,
                "--components", train_dir / "component_0.sada",
                "--out", tmp_path / "x") == 2
+
+
+def test_eval_knn_bank_class_mismatch_exits_2_before_scoring(
+        tmp_path, data_dir, train_dir, capsys, monkeypatch):
+    from soupadapter import evalkit
+    assert run("synth", "--out", tmp_path / "wide", "--classes", "20",
+               "--per-class", "4", "--seed", "1") == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("scored before the bank was checked")
+    monkeypatch.setattr(evalkit, "component_average_report", never)
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--head", train_dir / "head.shed",
+               "--components", train_dir / "component_0.sada",
+               "--knn-bank", tmp_path / "wide" / "train.sadp",
+               "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "20 classes" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_eval_duplicate_ood_stems_exit_1(tmp_path, data_dir, train_dir,
+                                         capsys):
+    other = tmp_path / "copy"
+    other.mkdir()
+    for name in ("ood_test.sadp", "ood_test.sadp.json"):
+        (other / name).write_bytes((data_dir / name).read_bytes())
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--ood", data_dir / "ood_test.sadp", other / "ood_test.sadp",
+               "--head", train_dir / "head.shed",
+               "--components", train_dir / "component_0.sada",
+               "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'ood_test'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--knn-k", "0"),
+    ("eval", "--knn-k", "-3"),
+    ("eval", "--knn-k", "2.5"),
+    ("eval", "--knn-t", "0"),
+    ("eval", "--knn-t", "-0.1"),
+    ("eval", "--knn-t", "nan"),
+    ("eval", "--knn-t", "inf"),
+    ("soup", "--trials", "0"),
+    ("soup", "--tolerance", "-1e-4"),
+    ("soup", "--tolerance", "nan"),
+    ("soup", "--tolerance", "inf"),
+])
+def test_bad_numeric_flags_are_usage_errors(tmp_path, data_dir, train_dir,
+                                            capsys, command, flag, value):
+    comp = train_dir / "component_0.sada"
+    if command == "eval":
+        argv = ["eval", "--embeddings", data_dir / "id_test.sadp",
+                "--head", train_dir / "head.shed", "--components", comp,
+                "--knn-bank", train_dir / "fewshot.sadp"]
+    else:
+        argv = ["soup", "--components", comp]
+    assert run(*argv, f"{flag}={value}", "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from soupadapter.adapter import (AdapterParams, PROTOTYPE_HEAD, HyperConfig,
-                                 adapter_forward, sample_hyperconfig,
+                                 adapter_forward, blend, sample_hyperconfig,
                                  train_component)
-from soupadapter.dataio import generate_synthetic, sample_few_shot
+from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
 from soupadapter.errors import ClassSetMismatch, LengthMismatch
-from soupadapter.evalkit import (DEFAULT_GRID, EvalReport, SweepRow, accuracy,
+from soupadapter.evalkit import (DEFAULT_GRID, EVAL_BLOCK_ROWS, EvalReport,
+                                 SweepRow, _fold, _residual_logits, accuracy,
                                  component_average_report, head_accuracy,
                                  knn_accuracy, ratio_sweep, read_report,
                                  robustness_report, write_report)
 from soupadapter.heads import ClassifierHead, KnnConfig, build_prototypes, head_logits
+from soupadapter.numerics import row_norms
 from soupadapter.rng import stream
 from soupadapter.soup import Soup, reparameterize, soup_forward
 
@@ -129,6 +131,95 @@ def test_reparameterized_soup_decisions_match_componentwise(bench):
         a = np.argmax(head_logits(head, blend(feats, merged_out, r)), axis=1)
         b = np.argmax(head_logits(head, blend(feats, soup_out, r)), axis=1)
         assert np.array_equal(a, b)
+
+
+# ------------------------------------------- one-pass scorer vs re-blending
+
+def reference_sweep(model, head, emb, grid, split=None):
+    """Blend the adapter output in and re-score the head at every r."""
+    feats = emb.unit_features(view=0, indices=split)
+    labels = emb.labels if split is None \
+        else emb.labels[np.asarray(split, dtype=np.int64)]
+    outputs = soup_forward(model, feats) if isinstance(model, Soup) \
+        else adapter_forward(model, feats)
+    return {float(r): accuracy(head_logits(
+                head, feats if r == 0.0 else blend(feats, outputs, r)), labels)
+            for r in grid}
+
+
+@pytest.fixture(scope="module")
+def block_bench():
+    """A set one row longer than an evaluation block, with a fitted head
+    and models whose sweeps actually move with r."""
+    train, id_test, _ = generate_synthetic(10, 32, 103, 0.3, 0.3, seed=12)
+    assert id_test.n > EVAL_BLOCK_ROWS
+    sel = sample_few_shot(train, range(train.n), 8, seed=12)
+    clean = train.unit_features(0)
+    head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
+    models = [random_params(40, 32, 6, scale=0.2),
+              Soup([random_params(41 + j, 32, 3 + j, scale=0.2)
+                    for j in range(3)])]
+    return id_test, head, models
+
+
+@pytest.mark.parametrize("n", [1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS,
+                               EVAL_BLOCK_ROWS + 1])
+def test_one_pass_sweep_matches_reblending_at_block_boundaries(block_bench, n):
+    id_test, head, models = block_bench
+    whole = EmbeddingSet(features=id_test.features[:n],
+                         labels=id_test.labels[:n], n_classes=10)
+    # a split in scrambled order, drawn from the whole set
+    split = [int(i) for i in stream(n, "split").permutation(id_test.n)[:n]]
+    for model in models:
+        want = reference_sweep(model, head, whole, DEFAULT_GRID)
+        assert ratio_sweep(model, head, whole, DEFAULT_GRID) == want
+        want = reference_sweep(model, head, id_test, DEFAULT_GRID, split)
+        assert ratio_sweep(model, head, id_test, DEFAULT_GRID, split) == want
+    assert head_accuracy(head, id_test, split) == accuracy(
+        head_logits(head, id_test.unit_features(0, split)),
+        id_test.labels[split])
+    if n > 1:  # the sweeps above must not all be flat
+        assert len(set(want.values())) > 1
+
+
+def test_reports_match_reblending_per_model(block_bench):
+    id_test, head, models = block_bench
+    shifted = EmbeddingSet(features=id_test.features[::-1][:700],
+                           labels=id_test.labels[::-1][:700], n_classes=10)
+    report = robustness_report([("a", models[0]), ("s", models[1])], head,
+                               id_test, {"x": shifted, "y": id_test})
+    for name, model in (("a", models[0]), ("s", models[1])):
+        id_want = reference_sweep(model, head, id_test, DEFAULT_GRID)
+        x_want = reference_sweep(model, head, shifted, DEFAULT_GRID)
+        assert report.accuracies(name, "id") == id_want
+        assert report.accuracies(name, "ood") == {
+            r: float(np.mean([x_want[r], id_want[r]])) for r in id_want}
+    comps = models[1].components
+    report = component_average_report(comps, head, {"ood": shifted})
+    for j, comp in enumerate(comps):
+        assert report.accuracies(f"component_{j}", "ood") == \
+            reference_sweep(comp, head, shifted, DEFAULT_GRID)
+
+
+def test_residual_logits_are_unnormalized_blended_logits(block_bench):
+    id_test, head, models = block_bench
+    feats = id_test.unit_features(0)
+    p = head_logits(head, feats)
+    for model in models:
+        outputs = soup_forward(model, feats) if isinstance(model, Soup) \
+            else adapter_forward(model, feats)
+        q = _residual_logits(_fold(model, head), feats, head.scale)
+        for r in DEFAULT_GRID[1:]:
+            want = head_logits(head, blend(feats, outputs, r))
+            got = (p + r * q) / row_norms(feats + r * outputs)[:, None]
+            bound = 1e-9 * np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound)
+
+
+def test_empty_split_is_rejected(bench):
+    _, id_test, _, _, head = bench
+    with pytest.raises(LengthMismatch):
+        ratio_sweep(random_params(3, 32, 5), head, id_test, split=[])
 
 
 # ---------------------------------------------------------------- robustness

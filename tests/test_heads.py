@@ -6,8 +6,9 @@ import pytest
 
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
                                 EmptyClass, NormViolation)
-from soupadapter.heads import (DEFAULT_SCALE, ClassifierHead, KnnConfig,
-                               build_prototypes, build_prototypes_masked,
+from soupadapter.heads import (DEFAULT_SCALE, EVAL_BLOCK_ROWS, ClassifierHead,
+                               KnnConfig, build_prototypes,
+                               build_prototypes_masked,
                                export_head, head_logits, import_head,
                                knn_logits, knn_logits_batch)
 from soupadapter.rng import stream
@@ -218,6 +219,54 @@ def test_knn_batch_agrees_with_scalar():
     for i in range(4):
         single = knn_logits(bank, labels, xs[i], KnnConfig(k=5), num_classes=3)
         assert np.allclose(batch[i], single, atol=1e-15)
+
+
+def scalar_loop_knn(bank, labels, xs, cfg, num_classes):
+    """One stable argsort and one math.exp per neighbor, row by row."""
+    sims = xs @ bank.T
+    k = min(cfg.k, bank.shape[0])
+    out = np.zeros((xs.shape[0], num_classes))
+    for b in range(xs.shape[0]):
+        for j in np.argsort(-sims[b], kind="stable")[:k]:
+            out[b, labels[j]] += math.exp(sims[b, j] / cfg.temperature)
+    return out
+
+
+def duplicated_bank():
+    """Each axis vector five times in scrambled order, then six generic rows.
+
+    Dot products with an axis vector are exact, so copies tie bit for bit;
+    labels cycle, so which copy is picked changes the vote.
+    """
+    axes = np.eye(6)[[int(i) % 6 for i in stream(38, "o").permutation(30)]]
+    bank = np.vstack([axes, unit_rows(38, 6, 6)])
+    labels = np.arange(36) % 4
+    xs = np.vstack([unit_rows(40, 40, 6), np.eye(6)])
+    return bank, labels, xs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 35, 36, 37])
+def test_knn_batch_bit_equal_to_scalar_loop_on_duplicated_bank(k):
+    bank, labels, xs = duplicated_bank()
+    cfg = KnnConfig(k=k, temperature=0.1)
+    want = scalar_loop_knn(bank, labels, xs, cfg, 4)
+    assert np.array_equal(knn_logits_batch(bank, labels, xs, cfg, 4), want)
+    for i in (0, 40, 43):
+        assert np.array_equal(knn_logits(bank, labels, xs[i], cfg, 4),
+                              scalar_loop_knn(bank, labels, xs[i:i + 1],
+                                              cfg, 4)[0])
+
+
+def test_knn_batch_across_a_block_boundary():
+    bank, labels, _ = duplicated_bank()
+    xs = unit_rows(41, EVAL_BLOCK_ROWS + 1, 6)
+    cfg = KnnConfig(k=5, temperature=0.1)
+    got = knn_logits_batch(bank, labels, xs, cfg, 4)
+    want = scalar_loop_knn(bank, labels, xs, cfg, 4)
+    # the one-row tail block may take BLAS's matrix-vector kernel, whose
+    # dot products can round one ulp apart from the matrix product's
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(got[:EVAL_BLOCK_ROWS], want[:EVAL_BLOCK_ROWS])
 
 
 # ----------------------------------------------------------------- head file
