@@ -24,9 +24,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingSet, FewShotSelection
-from .errors import (BadMagic, CorruptLength, DegenerateVector, IoFailure,
-                     RedTooLarge, ShapeMismatch, VersionUnsupported)
+from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
+                     unpack_header)
+from .errors import (CorruptLength, DegenerateVector, NumericalError,
+                     RedTooLarge, ShapeMismatch)
 from .heads import DEFAULT_SCALE, ClassifierHead, _prototype_row, build_prototypes
 from .numerics import (OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
@@ -42,6 +43,7 @@ WEIGHT_DECAY_GRID = (1e-3, 1e-2, 5e-2)
 AUG_STRENGTH_GRID = (0.25, 0.5, 0.75, 1.0)
 LABEL_SMOOTHING = 0.1
 FEATURE_NOISE_SCALE = 0.02  # sigma = 0.02 * aug_strength for single-view sets
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # checkpoints store float32
 
 MASK = "mask"
 NO_MASK = "no-mask"
@@ -375,7 +377,7 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
         targets = classes[order]
         epoch_slots = slots[order]
         loss_sum = 0.0
-        for start in range(0, n_train, cfg.batch_size):
+        for step, start in enumerate(range(0, n_train, cfg.batch_size)):
             stop = min(start + cfg.batch_size, n_train)
             masked_rows = None
             if masked_table is not None:
@@ -385,9 +387,19 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                 params, x_epoch[start:stop], train_head.weights,
                 train_head.scale, targets[start:stop], label_smoothing,
                 cfg.train_r, masked_rows)
+            if not math.isfinite(batch_loss):
+                raise NumericalError(
+                    f"component seed {cfg.seed}: loss is {batch_loss} at "
+                    f"epoch {epoch} step {step}")
             adamw_step(param_dict, grads, state)
             loss_sum += batch_loss
         trace.append(loss_sum / n_train)
+    for name, arr in param_dict.items():
+        # a NaN fails this comparison too
+        if not np.all(np.abs(arr) <= FLOAT32_MAX):
+            raise NumericalError(
+                f"component seed {cfg.seed}: {name} is not finite in float32 "
+                f"after epoch {epoch} step {step}")
 
     record = TrainRecord(config=cfg,
                          final_loss=trace[-1] if trace else None,
@@ -398,36 +410,22 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
 
 # --------------------------------------------------------------- checkpoints
 
-def save_checkpoint(path, params: AdapterParams, scale: float, meta: dict):
-    """Write a checkpoint; meta lands in the JSON trailer (sorted keys)."""
+def checkpoint_bytes(params: AdapterParams, scale: float, meta: dict) -> bytes:
+    """A checkpoint file's bytes; meta lands in the JSON trailer (sorted keys)."""
     trailer = json.dumps(meta, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                  params.dim, params.hidden, float(scale)))
-            for arr in (params.W1, params.b1, params.W2, params.b2):
-                fh.write(arr.astype("<f4").tobytes())
-            fh.write(struct.pack("<I", len(trailer)))
-            fh.write(trailer)
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint: {exc}") from exc
+    return b"".join((
+        _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.dim,
+                     params.hidden, float(scale)),
+        *(arr.astype("<f4").tobytes()
+          for arr in (params.W1, params.b1, params.W2, params.b2)),
+        struct.pack("<I", len(trailer)), trailer))
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (AdapterParams, scale, meta dict)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise CorruptLength(f"file too short for header ({len(blob)} bytes)")
-    magic, version, dim, hidden, scale = _HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagic(f"expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise VersionUnsupported(f"checkpoint version {version} not supported")
+def parse_checkpoint(blob: bytes):
+    """Parse a checkpoint's bytes; returns (AdapterParams, scale, meta dict)."""
+    dim, hidden, scale = unpack_header(blob, _HEADER, CHECKPOINT_MAGIC,
+                                       CHECKPOINT_VERSION, "checkpoint")
     counts = (hidden * dim, hidden, dim * hidden, dim)
     body = 4 * sum(counts)
     if len(blob) < _HEADER.size + body + 4:
@@ -451,3 +449,13 @@ def load_checkpoint(path):
     params = AdapterParams(W1=arrays[0].reshape(hidden, dim), b1=arrays[1],
                            W2=arrays[2].reshape(dim, hidden), b2=arrays[3])
     return params, scale, meta
+
+
+def save_checkpoint(path, params: AdapterParams, scale: float, meta: dict):
+    """Write checkpoint_bytes to path atomically."""
+    atomic_write(path, checkpoint_bytes(params, scale, meta), "checkpoint")
+
+
+def load_checkpoint(path):
+    """Read a checkpoint file; returns (AdapterParams, scale, meta dict)."""
+    return parse_checkpoint(read_bytes(path, "checkpoint"))

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,14 +18,8 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import dataio, evalkit, heads, soup as soup_mod
-from .errors import (ClassSetMismatch, DataError, NumericalError,
+from .errors import (ClassSetMismatch, DataError, IoFailure, NumericalError,
                      SoupAdapterError)
-
-_OVERRIDE_TYPES = {
-    "red": int, "lr": float, "weight_decay": float, "aug_strength": float,
-    "seed": int, "epochs": int, "batch_size": int, "train_r": float,
-    "mask_strategy": str,
-}
 
 
 class UsageError(Exception):
@@ -39,10 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(kind, low: float, inclusive: bool):
+def _number(kind, low: float, inclusive: bool, high: float | None = None):
     """argparse type: a finite ``kind`` above ``low`` (or equal, if
-    ``inclusive``), so a bad value is a usage error, not a traceback."""
+    ``inclusive``) and at most ``high``, so a bad value is a usage error,
+    not a traceback."""
     bound = f">= {low:g}" if inclusive else f"> {low:g}"
+    if high is not None:
+        bound += f" and <= {high:g}"
 
     def parse(text: str):
         try:
@@ -52,11 +47,30 @@ def _number(kind, low: float, inclusive: bool):
                 f"expected {'an integer' if kind is int else 'a number'}, "
                 f"got {text!r}")
         if not np.isfinite(value) or value < low \
-                or (value == low and not inclusive):
+                or (value == low and not inclusive) \
+                or (high is not None and value > high):
             raise argparse.ArgumentTypeError(f"must be finite and {bound}, "
                                              f"got {text!r}")
         return value
     return parse
+
+
+def _mask_strategy(text: str) -> str:
+    if text not in (adapter_mod.MASK, adapter_mod.NO_MASK):
+        raise argparse.ArgumentTypeError(
+            f"must be {adapter_mod.MASK!r} or {adapter_mod.NO_MASK!r}, "
+            f"got {text!r}")
+    return text
+
+
+_OVERRIDE_TYPES = {
+    "red": _number(int, 1, True), "lr": _number(float, 0.0, False),
+    "weight_decay": _number(float, 0.0, True),
+    "aug_strength": _number(float, 0.0, True), "seed": int,
+    "epochs": _number(int, 1, True), "batch_size": _number(int, 1, True),
+    "train_r": _number(float, 0.0, True, high=1.0),
+    "mask_strategy": _mask_strategy,
+}
 
 
 def parse_grid(text: str) -> list[float]:
@@ -90,9 +104,18 @@ def _parse_overrides(pairs) -> dict:
             raise UsageError(f"unknown override key {key!r}")
         try:
             overrides[key] = _OVERRIDE_TYPES[key](value)
-        except ValueError:
-            raise UsageError(f"cannot parse override {pair!r}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"bad override {pair!r}: {exc}")
     return overrides
+
+
+def _out_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory: {exc}") from exc
+    return out
 
 
 def _load_with_manifest(path):
@@ -122,8 +145,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     train, id_test, ood_test = dataio.generate_synthetic(
         args.classes, args.dim, args.per_class, args.shift_angle,
         args.noise, args.seed)
@@ -142,6 +164,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    overrides = _parse_overrides(args.override)
     emb, manifest = _load_with_manifest(args.embeddings)
     if manifest is None:
         raise DataError(f"no manifest found next to {args.embeddings}")
@@ -158,7 +181,6 @@ def cmd_train(args) -> int:
         head = None
         head_mode = adapter_mod.PROTOTYPE_HEAD
 
-    overrides = _parse_overrides(args.override)
     overrides["epochs"] = args.epochs
     if "mask_strategy" not in overrides:
         overrides["mask_strategy"] = (
@@ -189,8 +211,7 @@ def cmd_train(args) -> int:
             print(f"component {j} failed: {exc}", file=sys.stderr)
         raise failures[0][1]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     # export the frozen head and the selected bank so evaluation can reuse them
     if head is None:
         clean = emb.unit_features(0)
@@ -211,12 +232,9 @@ def cmd_train(args) -> int:
         meta = {"kind": "component", "hyper": configs[j].to_dict(),
                 "record": record.to_dict()}
         adapter_mod.save_checkpoint(ckpt, params, head.scale, meta)
-        sidecar = out / f"component_{j}.json"
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump({"hyper": configs[j].to_dict(),
-                       "record": record.to_dict()},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dataio.atomic_write(out / f"component_{j}.json", dataio.json_bytes(
+            {"hyper": configs[j].to_dict(), "record": record.to_dict()}),
+            "sidecar")
         loss = record.final_loss
         print(f"wrote {ckpt} (H={params.hidden}, "
               f"final loss {loss if loss is None else f'{loss:.4f}'})")
@@ -224,41 +242,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_soup(args) -> int:
-    components = []
-    scales = []
-    checksums = []
-    dim = None
-    for path in args.components:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        checksums.append(hashlib.sha256(blob).hexdigest())
-        params, scale, _ = adapter_mod.load_checkpoint(path)
-        if dim is None:
-            dim = params.dim
-        elif params.dim != dim:
-            raise DataError(f"{path}: dim {params.dim} does not match first "
-                            f"component dim {dim}")
-        components.append(params)
-        scales.append(scale)
+    ensemble, scales, checksums = soup_mod.load_soup(args.components)
     if len(set(scales)) > 1:
         print(f"warning: components carry different logit scales {scales}; "
               f"using {scales[0]}", file=sys.stderr)
-
-    ensemble = soup_mod.Soup(components=components)
     merged = soup_mod.reparameterize(ensemble)
     meta = {"kind": "merged", "k": ensemble.k, "source_sha256": checksums}
 
-    # verify the artifact actually written to disk (32-bit round-trip path)
-    tmp = str(args.out) + ".tmp"
-    adapter_mod.save_checkpoint(tmp, merged, scales[0], meta)
-    try:
-        reloaded, _, _ = adapter_mod.load_checkpoint(tmp)
-        worst = soup_mod.verify_equivalence(ensemble, args.trials,
-                                            args.tolerance, merged=reloaded)
-    except Exception:
-        os.unlink(tmp)
-        raise
-    os.replace(tmp, args.out)
+    # verify the bytes about to be written (the 32-bit round-trip path)
+    blob = adapter_mod.checkpoint_bytes(merged, scales[0], meta)
+    reloaded, _, _ = adapter_mod.parse_checkpoint(blob)
+    worst = soup_mod.verify_equivalence(ensemble, args.trials,
+                                        args.tolerance, merged=reloaded)
+    dataio.atomic_write(args.out, blob, "checkpoint")
     print(f"wrote {args.out} (K={ensemble.k}, H={merged.hidden}, "
           f"worst deviation {worst:.3e} over {args.trials} probes)")
     return 0
@@ -347,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="train")
     p.add_argument("--head", default=None,
                    help="imported head file; omit to build prototypes")
-    p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--shots", type=_number(int, 1, True), required=True)
+    p.add_argument("--k", type=_number(int, 1, True), default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_number(int, 1, True), required=True)
     p.add_argument("--mask", choices=["auto", "mask", "no-mask"],
                    default="auto")
     p.add_argument("--override", action="append", metavar="KEY=VALUE")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_number(int, 1, True), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -15,19 +15,25 @@ Every view vector must be unit-norm within 1e-4 (32-bit storage slack);
 features are re-normalized in 64-bit when read back for computation. A
 manifest is a UTF-8 JSON file alongside the container with keys "dataset",
 "classes", "splits" and "model".
+
+Every artifact of the package is read by read_bytes and written by
+atomic_write, so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BadMagic, CorruptLength, InsufficientShots, IoFailure,
-                     NormViolation, VersionUnsupported)
+                     NonFiniteValue, NormViolation, VersionUnsupported)
 from .numerics import normalize_rows
 from .rng import stream
 
@@ -77,7 +83,7 @@ class EmbeddingSet:
 
     def validate_norms(self):
         norms = np.linalg.norm(self.features.astype(np.float64), axis=2)
-        bad = np.argwhere(np.abs(norms - 1.0) > NORM_TOLERANCE)
+        bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))  # or NaN
         if bad.size:
             i, v = bad[0]
             raise NormViolation(
@@ -125,35 +131,77 @@ class FewShotSelection:
                 for s, idx in enumerate(cls)]
 
 
+# ------------------------------------------------------------ file boundary
+
+def read_bytes(path, what: str) -> bytes:
+    """The whole file at path; an OSError becomes IoFailure naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what}: {exc}") from exc
+
+
+def atomic_write(path, data: bytes, what: str):
+    """Replace the file at path with data, or leave it as it was.
+
+    The temp file beside path is unique to this process and thread; a plain
+    open gives it the usual umask mode. There is no fsync.
+    """
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # already gone after the replace
+            os.unlink(tmp)
+
+
+def unpack_header(blob: bytes, header: struct.Struct, magic: bytes,
+                  version: int, what: str) -> list:
+    """The fields after magic and version of a binary header, checked.
+
+    Every integer field of the three formats' headers is a dimension and
+    must be positive; every float field is a logit scale and must be finite.
+    """
+    if len(blob) < header.size:
+        raise CorruptLength(f"{what} too short for header ({len(blob)} bytes)")
+    found, found_version, *fields = header.unpack_from(blob)
+    if found != magic:
+        raise BadMagic(f"expected {magic!r}, found {found!r}")
+    if found_version != version:
+        raise VersionUnsupported(f"{what} version {found_version} "
+                                 f"not supported")
+    if any(isinstance(f, int) and f < 1 for f in fields):
+        raise CorruptLength(f"{what} header dimensions must be positive")
+    if any(isinstance(f, float) and not math.isfinite(f) for f in fields):
+        raise NonFiniteValue(f"{what} header holds a non-finite scale")
+    return fields
+
+
+def json_bytes(doc) -> bytes:
+    """Indented, key-sorted JSON with a final newline, as UTF-8."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 # ----------------------------------------------------------------- container
 
 def write_container(emb: EmbeddingSet, path):
     n, v, d = emb.features.shape
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION,
-                                  d, n, v, emb.n_classes))
-            fh.write(emb.labels.astype("<u4").tobytes())
-            fh.write(emb.features.astype("<f4").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write container: {exc}") from exc
+    atomic_write(path, b"".join((
+        _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, d, n, v,
+                     emb.n_classes),
+        emb.labels.astype("<u4").tobytes(),
+        emb.features.astype("<f4").tobytes())), "container")
 
 
 def read_container(path) -> EmbeddingSet:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read container: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise CorruptLength(f"file too short for header ({len(blob)} bytes)")
-    magic, version, d, n, v, c = _HEADER.unpack_from(blob)
-    if magic != CONTAINER_MAGIC:
-        raise BadMagic(f"expected {CONTAINER_MAGIC!r}, found {magic!r}")
-    if version != CONTAINER_VERSION:
-        raise VersionUnsupported(f"container version {version} not supported")
-    if min(d, n, v, c) < 1:
-        raise CorruptLength("header dimensions must be positive")
+    blob = read_bytes(path, "container")
+    d, n, v, c = unpack_header(blob, _HEADER, CONTAINER_MAGIC,
+                               CONTAINER_VERSION, "container")
     expect = _HEADER.size + 4 * n + 4 * n * v * d
     if len(blob) != expect:
         raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
@@ -175,27 +223,33 @@ def manifest_path_for(container_path) -> str:
 
 
 def write_manifest(manifest: Manifest, path):
-    doc = {"dataset": manifest.dataset, "classes": manifest.classes,
-           "splits": manifest.splits, "model": manifest.model}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write manifest: {exc}") from exc
+    atomic_write(path, json_bytes({
+        "dataset": manifest.dataset, "classes": manifest.classes,
+        "splits": manifest.splits, "model": manifest.model}), "manifest")
+
+
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value)
 
 
 def read_manifest(path) -> Manifest:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptLength(f"manifest is not valid JSON: {exc}") from exc
-    return Manifest(dataset=doc["dataset"], classes=list(doc["classes"]),
-                    splits={k: list(v) for k, v in doc["splits"].items()},
-                    model=doc.get("model", ""))
+        doc = json.loads(read_bytes(path, "manifest").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptLength(f"manifest {path} is not UTF-8 JSON: {exc}") \
+            from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("dataset"), str)
+            and _is_list_of(doc.get("classes"), str)
+            and isinstance(doc.get("splits"), dict)
+            and all(_is_list_of(idx, int) for idx in doc["splits"].values())
+            and isinstance(doc.get("model", ""), str)):
+        raise CorruptLength(
+            f"manifest {path} needs a string 'dataset', a list of strings "
+            f"'classes', an object of index lists 'splits' and an optional "
+            f"string 'model'")
+    return Manifest(dataset=doc["dataset"], classes=doc["classes"],
+                    splits=doc["splits"], model=doc.get("model", ""))
 
 
 # ------------------------------------------------------------------ sampling

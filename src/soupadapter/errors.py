@@ -36,6 +36,10 @@ class NormViolation(DataError):
     pass
 
 
+class NonFiniteValue(DataError):
+    pass
+
+
 class InsufficientShots(DataError):
     def __init__(self, class_index: int, available: int):
         self.class_index = class_index

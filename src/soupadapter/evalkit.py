@@ -23,6 +23,7 @@ the baselines.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapter import AdapterParams
-from .dataio import EmbeddingSet
+from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
 from .errors import ClassSetMismatch, IoFailure, LengthMismatch, ShapeMismatch
 from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
                     knn_logits_batch)
@@ -237,52 +238,37 @@ def component_average_report(components, head: ClassifierHead,
 
 def write_report(report: EvalReport, path, format: str):
     if format == "csv":
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["model", "split", "r", "accuracy"])
-                for row in report.rows:
-                    writer.writerow([row.model, row.split,
-                                     repr(row.r), repr(row.accuracy)])
-        except OSError as exc:
-            raise IoFailure(f"cannot write report: {exc}") from exc
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["model", "split", "r", "accuracy"])
+        for row in report.rows:
+            writer.writerow([row.model, row.split,
+                             repr(row.r), repr(row.accuracy)])
+        data = buf.getvalue().encode("utf-8")
     elif format == "json":
-        doc = {"rows": [{"model": row.model, "split": row.split,
-                         "r": row.r, "accuracy": row.accuracy}
-                        for row in report.rows],
-               "baselines": report.baselines}
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write report: {exc}") from exc
+        data = json_bytes({"rows": [{"model": row.model, "split": row.split,
+                                     "r": row.r, "accuracy": row.accuracy}
+                                    for row in report.rows],
+                           "baselines": report.baselines})
     else:
         raise ValueError(f"unknown report format {format!r}")
+    atomic_write(path, data, "report")
 
 
 def read_report(path, format: str) -> EvalReport:
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown report format {format!r}")
+    text = read_bytes(path, "report").decode("utf-8")
     if format == "csv":
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                if header != ["model", "split", "r", "accuracy"]:
-                    raise IoFailure(f"unexpected CSV header: {header}")
-                rows = [SweepRow(m, s, float(r), float(a))
-                        for m, s, r, a in reader]
-        except OSError as exc:
-            raise IoFailure(f"cannot read report: {exc}") from exc
-        return EvalReport(rows=rows)
-    if format == "json":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise IoFailure(f"cannot read report: {exc}") from exc
-        rows = [SweepRow(d["model"], d["split"], float(d["r"]),
-                         float(d["accuracy"])) for d in doc["rows"]]
-        return EvalReport(rows=rows, baselines={
-            split: dict(entries)
-            for split, entries in doc.get("baselines", {}).items()})
-    raise ValueError(f"unknown report format {format!r}")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader)
+        if header != ["model", "split", "r", "accuracy"]:
+            raise IoFailure(f"unexpected CSV header: {header}")
+        return EvalReport(rows=[SweepRow(m, s, float(r), float(a))
+                                for m, s, r, a in reader])
+    doc = json.loads(text)
+    rows = [SweepRow(d["model"], d["split"], float(d["r"]),
+                     float(d["accuracy"])) for d in doc["rows"]]
+    return EvalReport(rows=rows, baselines={
+        split: dict(entries)
+        for split, entries in doc.get("baselines", {}).items()})

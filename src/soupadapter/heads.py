@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagic, CorruptLength, DegenerateVector, EmptyBank,
-                     EmptyClass, IoFailure, NormViolation, VersionUnsupported)
+from .dataio import atomic_write, read_bytes, unpack_header
+from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
+                     NormViolation)
 from .numerics import DEGENERATE_NORM, normalize_rows
 
 HEAD_MAGIC = b"SHED"
@@ -192,36 +193,23 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
 # ----------------------------------------------------------------- head file
 
 def export_head(head: ClassifierHead, path):
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(HEAD_MAGIC, HEAD_VERSION, head.n_classes,
-                                  head.dim, float(head.scale)))
-            fh.write(head.weights.astype("<f4").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write head file: {exc}") from exc
+    atomic_write(path, _HEADER.pack(HEAD_MAGIC, HEAD_VERSION, head.n_classes,
+                                    head.dim, float(head.scale))
+                 + head.weights.astype("<f4").tobytes(), "head file")
 
 
 def import_head(path) -> ClassifierHead:
     """Read a head file; rows are re-normalized in 64-bit on the way in."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read head file: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise CorruptLength(f"file too short for header ({len(blob)} bytes)")
-    magic, version, c, d, scale = _HEADER.unpack_from(blob)
-    if magic != HEAD_MAGIC:
-        raise BadMagic(f"expected {HEAD_MAGIC!r}, found {magic!r}")
-    if version != HEAD_VERSION:
-        raise VersionUnsupported(f"head version {version} not supported")
+    blob = read_bytes(path, "head file")
+    c, d, scale = unpack_header(blob, _HEADER, HEAD_MAGIC, HEAD_VERSION,
+                                "head file")
     expect = _HEADER.size + 4 * c * d
     if len(blob) != expect:
         raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size) \
         .reshape(c, d).astype(np.float64)
     norms = np.linalg.norm(rows, axis=1)
-    bad = np.argwhere(np.abs(norms - 1.0) > NORM_TOLERANCE)
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))  # or NaN
     if bad.size:
         i = int(bad[0][0])
         raise NormViolation(f"head row {i} has norm {norms[i]:.6f}, "

@@ -12,11 +12,13 @@ point accuracy, which verify_equivalence checks on random probes.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import AdapterParams, adapter_forward, load_checkpoint
+from .adapter import AdapterParams, adapter_forward, parse_checkpoint
+from .dataio import read_bytes
 from .errors import DimensionMismatch, EquivalenceViolation, ShapeMismatch
 from .rng import stream
 
@@ -99,17 +101,27 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     return worst
 
 
-def soup_from_checkpoints(paths) -> Soup:
-    """Load components in the given order; order only affects float summation."""
-    components = []
-    dim = None
+def load_soup(paths) -> tuple[Soup, list[float], list[str]]:
+    """Read each checkpoint once, in the given order.
+
+    Returns the soup, each component's logit scale and the sha256 of the
+    bytes each component was parsed from. Order only affects float
+    summation.
+    """
+    components, scales, digests = [], [], []
     for path in paths:
-        params, _, _ = load_checkpoint(path)
-        if dim is None:
-            dim = params.dim
-        elif params.dim != dim:
+        blob = read_bytes(path, "checkpoint")
+        params, scale, _ = parse_checkpoint(blob)
+        if components and params.dim != components[0].dim:
             raise DimensionMismatch(
                 f"{path}: dim {params.dim} does not match first component "
-                f"dim {dim}")
+                f"dim {components[0].dim}")
         components.append(params)
-    return Soup(components=components)
+        scales.append(scale)
+        digests.append(hashlib.sha256(blob).hexdigest())
+    return Soup(components=components), scales, digests
+
+
+def soup_from_checkpoints(paths) -> Soup:
+    """Load components in the given order; order only affects float summation."""
+    return load_soup(paths)[0]

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -338,3 +339,119 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path, data_dir, train_dir,
     assert err.startswith("usage error:") and flag in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------- exit-code contract
+
+def test_soup_missing_component_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.sada"
+    assert run("soup", "--components", missing,
+               "--out", tmp_path / "x.sada") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(missing) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_soup_failing_verification_leaves_existing_out_untouched(
+        tmp_path, train_dir):
+    out = tmp_path / "merged.sada"
+    out.write_bytes(b"an earlier merge")
+    comps = [train_dir / f"component_{j}.sada" for j in range(2)]
+    assert run("soup", "--components", *comps, "--tolerance", "0",
+               "--out", out) == 3
+    assert out.read_bytes() == b"an earlier merge"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("case", ["missing-classes", "not-utf8"])
+def test_bad_manifest_exits_2(tmp_path, data_dir, capsys, case):
+    container = tmp_path / "train.sadp"
+    container.write_bytes((data_dir / "train.sadp").read_bytes())
+    manifest = tmp_path / "train.sadp.json"
+    if case == "missing-classes":
+        doc = json.loads((data_dir / "train.sadp.json").read_text())
+        del doc["classes"]
+        manifest.write_text(json.dumps(doc))
+    else:
+        manifest.write_bytes(b'{"dataset": "\xff"}')
+    assert run("info", "--embeddings", container) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "manifest" in err
+
+
+def test_eval_head_with_nan_scale_exits_2(tmp_path, data_dir, train_dir,
+                                          capsys):
+    bad = tmp_path / "nan.shed"
+    blob = bytearray((train_dir / "head.shed").read_bytes())
+    blob[16:24] = struct.pack("<d", float("nan"))
+    bad.write_bytes(bytes(blob))
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--head", bad, "--components", train_dir / "component_0.sada",
+               "--out", tmp_path / "x") == 2
+    assert "scale" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_soup_component_with_inf_scale_exits_2(tmp_path, train_dir, capsys):
+    bad = tmp_path / "inf.sada"
+    blob = bytearray((train_dir / "component_0.sada").read_bytes())
+    blob[16:24] = struct.pack("<d", float("inf"))
+    bad.write_bytes(bytes(blob))
+    assert run("soup", "--components", train_dir / "component_1.sada", bad,
+               "--out", tmp_path / "m.sada") == 2
+    assert "scale" in capsys.readouterr().err
+    assert not (tmp_path / "m.sada").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--k", "0"),
+    ("--shots", "0"),
+    ("--epochs", "-1"),
+    ("--jobs", "0"),
+    ("--override", "batch_size=0"),
+    ("--override", "red=0"),
+    ("--override", "lr=0"),
+    ("--override", "lr=nan"),
+    ("--override", "lr=inf"),
+    ("--override", "weight_decay=-0.01"),
+    ("--override", "aug_strength=-1"),
+    ("--override", "train_r=1.5"),
+    ("--override", "train_r=-0.1"),
+    ("--override", "mask_strategy=zzz"),
+])
+def test_train_bad_values_are_usage_errors(tmp_path, data_dir, capsys, flag,
+                                           value):
+    argv = {"--shots": "4", "--k": "1", "--epochs": "1", flag: value}
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               *[a for kv in argv.items() for a in kv],
+               "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lr", ["1e300", "1e30"])
+def test_train_going_non_finite_exits_3_without_writing(tmp_path, data_dir,
+                                                        capsys, lr):
+    # 1e300 turns a batch loss into NaN; 1e30 keeps every loss finite but
+    # leaves weights that float32 checkpoints cannot hold
+    out = tmp_path / "run"
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "4", "--k", "1", "--epochs", "2",
+               "--override", f"lr={lr}", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: component seed" in err
+    assert "epoch" in err and "step" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_unwritable_out_exits_2(tmp_path, data_dir, capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_bytes(b"")
+    argv = ["synth", "--per-class", "4"] if command == "synth" else [
+        "train", "--embeddings", data_dir / "train.sadp", "--shots", "2",
+        "--k", "1", "--epochs", "1"]
+    assert run(*argv, "--out", blocker / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "output directory" in err

@@ -1,0 +1,183 @@
+"""The shared file boundary: mutated binary files and interrupted writes.
+
+Every reader must either load a mutated file or raise a DataError subclass;
+every writer must leave the previous file intact when a write fails.
+"""
+
+import errno
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from soupadapter import dataio
+from soupadapter.adapter import AdapterParams, load_checkpoint, save_checkpoint
+from soupadapter.dataio import (EmbeddingSet, Manifest, read_container,
+                                write_container, write_manifest)
+from soupadapter.errors import DataError, IoFailure, NormViolation
+from soupadapter.evalkit import EvalReport, SweepRow, write_report
+from soupadapter.heads import ClassifierHead, export_head, import_head
+from soupadapter.rng import stream
+
+# bounded and reproducible, so the suite's run time stays flat
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def unit_rows(seed, n, d):
+    rows = stream(seed, "fileio").normal_array(n * d).reshape(n, d)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def small_set() -> EmbeddingSet:
+    return EmbeddingSet(
+        features=unit_rows(0, 6 * 2, 5).astype(np.float32).reshape(6, 2, 5),
+        labels=np.array([0, 1, 2, 0, 1, 2]), n_classes=3)
+
+
+def small_head() -> ClassifierHead:
+    return ClassifierHead(weights=unit_rows(1, 3, 5), scale=1.5)
+
+
+def small_params() -> AdapterParams:
+    rng = stream(0, "fileio.params")
+    return AdapterParams(W1=rng.normal_array(10).reshape(2, 5),
+                         b1=rng.normal_array(2),
+                         W2=rng.normal_array(10).reshape(5, 2),
+                         b2=rng.normal_array(5))
+
+
+# name: (header layout after magic and version, writer, reader)
+FORMATS = {
+    "sadp": ("<IIII", lambda p: write_container(small_set(), p),
+             read_container),
+    "shed": ("<IId", lambda p: export_head(small_head(), p), import_head),
+    "sada": ("<IId", lambda p: save_checkpoint(p, small_params(), 1.5,
+                                               {"kind": "test"}),
+             load_checkpoint),
+}
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The bytes of one valid file per format."""
+    out = tmp_path_factory.mktemp("valid")
+    blobs = {}
+    for name, (_, write, _) in FORMATS.items():
+        write(out / f"x.{name}")
+        blobs[name] = (out / f"x.{name}").read_bytes()
+    return blobs
+
+
+def load_or_data_error(tmp_path, name, blob):
+    path = tmp_path / f"mutant.{name}"
+    path.write_bytes(blob)
+    try:
+        FORMATS[name][2](path)
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@FUZZ
+@given(data=st.data())
+def test_truncated_files_load_or_raise_data_error(tmp_path, valid, name,
+                                                  data):
+    blob = valid[name]
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    load_or_data_error(tmp_path, name, blob[:cut])
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@FUZZ
+@given(data=st.data())
+def test_bit_flipped_files_load_or_raise_data_error(tmp_path, valid, name,
+                                                    data):
+    blob = bytearray(valid[name])
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                  min_size=1, max_size=8)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    load_or_data_error(tmp_path, name, bytes(blob))
+
+
+_U32 = st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1))
+_F64 = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                st.floats(allow_nan=True, allow_infinity=True))
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_headers_load_or_raise_data_error(tmp_path, valid, name,
+                                                 data):
+    layout = struct.Struct(FORMATS[name][0])
+    blob = valid[name]
+    # each field keeps its value or takes a fuzzed one, so later checks
+    # are reached too
+    fields = [data.draw(st.one_of(st.just(value),
+                                  _U32 if code == "I" else _F64))
+              for code, value in zip(layout.format[1:],
+                                     layout.unpack_from(blob, 8))]
+    load_or_data_error(tmp_path, name, blob[:8] + layout.pack(*fields)
+                       + blob[8 + layout.size:])
+
+
+@pytest.mark.parametrize("name", ["sadp", "shed"])
+def test_nan_vector_is_a_norm_violation(tmp_path, valid, name):
+    blob = bytearray(valid[name])
+    blob[-4:] = struct.pack("<f", float("nan"))
+    path = tmp_path / f"nan.{name}"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NormViolation):
+        FORMATS[name][2](path)
+
+
+# ---------------------------------------------------------------- writers
+
+class _DiskFull:
+    """A file that takes half of what is written, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+WRITERS = {
+    **{name: write for name, (_, write, _) in FORMATS.items()},
+    "manifest": lambda p: write_manifest(Manifest("d", ["a"], {}), p),
+    "report": lambda p: write_report(
+        EvalReport(rows=[SweepRow("soup", "id", 0.0, 0.5)]), p, "json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch,
+                                                     name):
+    path = tmp_path / f"artifact.{name}"
+    path.write_bytes(b"previous contents")
+    real_open = open
+    monkeypatch.setattr(dataio, "open",
+                        lambda p, mode: _DiskFull(real_open(p, mode)),
+                        raising=False)
+    with pytest.raises(IoFailure, match="No space left"):
+        WRITERS[name](path)
+    assert path.read_bytes() == b"previous contents"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_into_missing_directory_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure):
+        write_container(small_set(), tmp_path / "missing" / "x.sadp")
+    assert list(tmp_path.iterdir()) == []
