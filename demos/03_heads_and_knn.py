@@ -16,18 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from soupadapter import (KnnConfig, build_prototypes, build_prototypes_masked,
-                         export_head, generate_synthetic, head_logits,
-                         import_head, knn_logits, sample_few_shot)
+from soupadapter import (KnnConfig, export_head, generate_synthetic,
+                         head_logits, import_head, knn_logits,
+                         leave_one_out_prototypes, sample_few_shot,
+                         selection_prototypes)
 
 train, id_test, _ = generate_synthetic(n_classes=5, dim=16, per_class=40,
                                        shift_angle=0.0, noise=0.25, seed=3)
 selection = sample_few_shot(train, range(train.n), n_shot=8, seed=3)
-clean = train.unit_features(0)
-prompts = [clean[selection.indices[c]] for c in range(5)]
 
 # ---------------------------------------------------------------- prototypes
-head = build_prototypes(prompts)
+head, prompts = selection_prototypes(train, selection)
 x = id_test.unit_features(0)[0]
 logits = head_logits(head, x)
 print("prototype head rows are unit vectors:",
@@ -37,10 +36,10 @@ print(f"prediction: class {int(np.argmax(logits))} "
       f"(true class {int(id_test.labels[0])})")
 
 # ------------------------------------------------------------------- masking
-masked = build_prototypes_masked(prompts, excluded=(0, 2))
-changed = np.linalg.norm(masked.weights - head.weights, axis=1)
-print("\nmasking sample 2 of class 0 changes only row 0:",
-      np.round(changed, 4))
+table = leave_one_out_prototypes(prompts)
+moved = np.linalg.norm(table[0] - head.weights[0], axis=1)
+print(f"\nclass 0 without each of its {len(moved)} samples moves its "
+      f"prototype by: {np.round(moved, 4)}")
 
 # ----------------------------------------------------------------------- knn
 bank_idx = [i for cls in selection.indices for i in cls]

@@ -18,12 +18,13 @@ from .evalkit import (EvalReport, SweepRow, accuracy,
                       component_average_report, knn_accuracy, ratio_sweep,
                       read_report, robustness_report, write_report)
 from .heads import (ClassifierHead, KnnConfig, build_prototypes,
-                    build_prototypes_masked, export_head, head_logits,
-                    import_head, knn_logits)
-from .numerics import (OptimState, adamw_step, cross_entropy_label_smoothing,
+                    export_head, head_logits, import_head, knn_logits,
+                    leave_one_out_prototypes, selection_prototypes)
+from .numerics import (OptimState, adamw_step,
+                       cross_entropy_label_smoothing_batch,
                        finite_difference_check, gelu, gelu_grad,
                        normalize_rows, softmax)
-from .soup import (Soup, reparameterize, soup_forward, soup_from_checkpoints,
+from .soup import (Soup, load_soup, reparameterize, soup_forward,
                    verify_equivalence)
 
 __version__ = "0.1.0"

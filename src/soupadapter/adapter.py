@@ -28,7 +28,8 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
                      unpack_header)
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch)
-from .heads import DEFAULT_SCALE, ClassifierHead, _prototype_row, build_prototypes
+from .heads import (DEFAULT_SCALE, ClassifierHead, leave_one_out_prototypes,
+                    selection_prototypes)
 from .numerics import (OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
                        normalize_rows, row_norms)
@@ -117,10 +118,6 @@ class HyperConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "HyperConfig":
-        return cls(**doc)
-
 
 @dataclass
 class TrainRecord:
@@ -165,73 +162,56 @@ def blend(x: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
 
 # ---------------------------------------------------------- loss + gradients
 
-def _blended_logits(params: AdapterParams, x_batch: np.ndarray,
-                    head_w: np.ndarray, scale: float, r: float,
-                    masked_rows: np.ndarray | None,
-                    targets: np.ndarray | None):
-    """Forward pass caching every intermediate the backward pass needs."""
-    z = x_batch @ params.W1.T + params.b1
+def adapter_backward(params: AdapterParams, x: np.ndarray,
+                     head: ClassifierHead, target, eps: float, r: float,
+                     masked_rows: np.ndarray | None = None):
+    """Label-smoothed CE of the blended head logits and its exact gradients.
+
+    x is one unit vector or rows of them, target an int or one class per
+    row. masked_rows, if given, replace each row's target-class head row
+    (a leave-one-out prototype) in its target logit. Differentiates
+    through the head logits, the normalization f = u / |u| (Jacobian
+    (I - f f^T) / |u|) and the two-layer MLP; the head itself is frozen.
+    Returns (sum of per-sample losses, gradients of the batch-mean loss).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != params.dim:
+        raise ShapeMismatch(f"expected a vector or rows of dim {params.dim}")
+    xs = np.atleast_2d(x)
+    n_batch = xs.shape[0]
+    targets = np.asarray(target, dtype=np.int64).reshape(-1)
+    if targets.shape != (n_batch,):
+        raise ShapeMismatch(f"expected {n_batch} targets, got {targets.size}")
+    head_w, escale = head.weights, math.exp(head.scale)
+    z = xs @ params.W1.T + params.b1
     hidden = gelu(z)
-    a = hidden @ params.W2.T + params.b2
-    if r == 0.0:
-        u, norms, f = x_batch, np.ones(x_batch.shape[0]), x_batch
-    else:
-        u = x_batch + r * a
+    f = xs
+    if r != 0.0:
+        u = xs + r * (hidden @ params.W2.T + params.b2)
         norms = row_norms(u)
         if np.any(norms < 1e-12):
             raise DegenerateVector("residual sum collapsed to zero")
         f = u / norms[:, np.newaxis]
-    logits = math.exp(scale) * (f @ head_w.T)
+    logits = escale * (f @ head_w.T)
+    b = np.arange(n_batch)
     if masked_rows is not None:
-        b = np.arange(x_batch.shape[0])
-        logits[b, targets] = math.exp(scale) * np.einsum(
-            "bd,bd->b", f, masked_rows)
-    return z, hidden, a, norms, f, logits
-
-
-def _batch_loss_and_grads(params: AdapterParams, x_batch: np.ndarray,
-                          head_w: np.ndarray, scale: float,
-                          targets: np.ndarray, eps: float, r: float,
-                          masked_rows: np.ndarray | None = None):
-    """Mean label-smoothed CE over the batch and its adapter gradients.
-
-    Differentiates through the head logits, the normalization of
-    f = u / |u| (Jacobian (I - f f^T) / |u|) and the two-layer MLP. The
-    head itself is frozen. Returns (sum of per-sample losses, grads).
-    """
-    n_batch = x_batch.shape[0]
-    z, hidden, a, norms, f, logits = _blended_logits(
-        params, x_batch, head_w, scale, r, masked_rows, targets)
+        masked_rows = np.atleast_2d(masked_rows)
+        logits[b, targets] = escale * np.einsum("bd,bd->b", f, masked_rows)
     losses, dlogits = cross_entropy_label_smoothing_batch(logits, targets, eps)
-    g = dlogits / n_batch  # gradient of the batch-mean loss
     if r == 0.0:
-        zeros = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-        return float(losses.sum()), zeros
-    df = math.exp(scale) * (g @ head_w)
+        return float(losses.sum()), {k: np.zeros_like(v)
+                                     for k, v in params.as_dict().items()}
+    g = dlogits / n_batch  # gradient of the batch-mean loss
+    df = escale * (g @ head_w)
     if masked_rows is not None:
-        b = np.arange(n_batch)
-        df += math.exp(scale) * g[b, targets, np.newaxis] \
+        df += escale * g[b, targets, np.newaxis] \
             * (masked_rows - head_w[targets])
     du = (df - f * np.sum(f * df, axis=1, keepdims=True)) / norms[:, np.newaxis]
     da = r * du
-    dhidden = da @ params.W2
-    dz = gelu_grad(z) * dhidden
-    grads = {"W1": dz.T @ x_batch, "b1": dz.sum(axis=0),
+    dz = gelu_grad(z) * (da @ params.W2)
+    grads = {"W1": dz.T @ xs, "b1": dz.sum(axis=0),
              "W2": da.T @ hidden, "b2": da.sum(axis=0)}
     return float(losses.sum()), grads
-
-
-def adapter_backward(params: AdapterParams, x: np.ndarray,
-                     head: ClassifierHead, target: int, eps: float,
-                     r: float):
-    """Loss and exact gradients of one sample's blended classification loss."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.dim,):
-        raise ShapeMismatch(f"expected a vector of dim {params.dim}")
-    loss, grads = _batch_loss_and_grads(
-        params, x[np.newaxis, :], head.weights, head.scale,
-        np.asarray([target]), eps, r)
-    return loss, grads
 
 
 # ------------------------------------------------------------ configuration
@@ -338,21 +318,14 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
 
     masked_table = None
     if head_mode == PROTOTYPE_HEAD:
-        clean = sel_views[:, 0, :]
-        prompts = [clean[classes == c] for c in range(emb.n_classes)]
-        train_head = build_prototypes(prompts, scale=scale)
+        train_head, prompts = selection_prototypes(emb, selection, scale)
         if cfg.mask_strategy == MASK:
             if selection.n_shot == 1:
                 warnings.warn("mask strategy with a single shot falls back "
                               "to unmasked prototypes", RuntimeWarning,
                               stacklevel=2)
             else:
-                masked_table = np.empty(
-                    (emb.n_classes, selection.n_shot, emb.dim))
-                for c in range(emb.n_classes):
-                    for slot in range(selection.n_shot):
-                        masked_table[c, slot] = _prototype_row(
-                            prompts[c], skip=slot)
+                masked_table = np.stack(leave_one_out_prototypes(prompts))
     elif head_mode == IMPORTED_HEAD:
         if head is None:
             raise ValueError("imported-head mode requires a head")
@@ -370,30 +343,34 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     state = OptimState.init(param_dict, lr=cfg.lr,
                             weight_decay=cfg.weight_decay)
     trace: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = stream(cfg.seed, "shuffle", epoch).permutation(n_train)
-        aug_rng = stream(cfg.seed, "aug", epoch)
-        x_epoch = _augmented_epoch(sel_views, order, cfg.aug_strength, aug_rng)
-        targets = classes[order]
-        epoch_slots = slots[order]
-        loss_sum = 0.0
-        for step, start in enumerate(range(0, n_train, cfg.batch_size)):
-            stop = min(start + cfg.batch_size, n_train)
-            masked_rows = None
-            if masked_table is not None:
-                masked_rows = masked_table[targets[start:stop],
-                                           epoch_slots[start:stop]]
-            batch_loss, grads = _batch_loss_and_grads(
-                params, x_epoch[start:stop], train_head.weights,
-                train_head.scale, targets[start:stop], label_smoothing,
-                cfg.train_r, masked_rows)
-            if not math.isfinite(batch_loss):
-                raise NumericalError(
-                    f"component seed {cfg.seed}: loss is {batch_loss} at "
-                    f"epoch {epoch} step {step}")
-            adamw_step(param_dict, grads, state)
-            loss_sum += batch_loss
-        trace.append(loss_sum / n_train)
+    # diverging steps overflow on the way; the finiteness checks below,
+    # not numpy warnings, report it
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = stream(cfg.seed, "shuffle", epoch).permutation(n_train)
+            aug_rng = stream(cfg.seed, "aug", epoch)
+            x_epoch = _augmented_epoch(sel_views, order, cfg.aug_strength,
+                                       aug_rng)
+            targets = classes[order]
+            epoch_slots = slots[order]
+            loss_sum = 0.0
+            for step, start in enumerate(range(0, n_train, cfg.batch_size)):
+                stop = min(start + cfg.batch_size, n_train)
+                masked_rows = None
+                if masked_table is not None:
+                    masked_rows = masked_table[targets[start:stop],
+                                               epoch_slots[start:stop]]
+                batch_loss, grads = adapter_backward(
+                    params, x_epoch[start:stop], train_head,
+                    targets[start:stop], label_smoothing, cfg.train_r,
+                    masked_rows)
+                if not math.isfinite(batch_loss):
+                    raise NumericalError(
+                        f"component seed {cfg.seed}: loss is {batch_loss} "
+                        f"at epoch {epoch} step {step}")
+                adamw_step(param_dict, grads, state)
+                loss_sum += batch_loss
+            trace.append(loss_sum / n_train)
     for name, arr in param_dict.items():
         # a NaN fails this comparison too
         if not np.all(np.abs(arr) <= FLOAT32_MAX):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -165,6 +166,19 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     overrides = _parse_overrides(args.override)
+    fresh = not os.path.exists(args.out)
+    out = _out_dir(args.out)
+    try:
+        _train_into(out, args, overrides)
+    except BaseException:
+        if fresh:  # leave no empty run directory behind
+            with contextlib.suppress(OSError):  # not empty: keep it
+                out.rmdir()
+        raise
+    return 0
+
+
+def _train_into(out: Path, args, overrides: dict):
     emb, manifest = _load_with_manifest(args.embeddings)
     if manifest is None:
         raise DataError(f"no manifest found next to {args.embeddings}")
@@ -211,13 +225,9 @@ def cmd_train(args) -> int:
             print(f"component {j} failed: {exc}", file=sys.stderr)
         raise failures[0][1]
 
-    out = _out_dir(args.out)
     # export the frozen head and the selected bank so evaluation can reuse them
     if head is None:
-        clean = emb.unit_features(0)
-        prompts = [clean[selection.indices[c]]
-                   for c in range(emb.n_classes)]
-        head = heads.build_prototypes(prompts)
+        head, _ = heads.selection_prototypes(emb, selection)
         heads.export_head(head, out / "head.shed")
         print(f"wrote {out / 'head.shed'}")
     sel_idx = np.asarray([t[0] for t in selection.flat()], dtype=np.int64)
@@ -238,7 +248,6 @@ def cmd_train(args) -> int:
         loss = record.final_loss
         print(f"wrote {ckpt} (H={params.hidden}, "
               f"final loss {loss if loss is None else f'{loss:.4f}'})")
-    return 0
 
 
 def cmd_soup(args) -> int:
@@ -273,13 +282,11 @@ def cmd_eval(args) -> int:
         ood_sets[stem], _ = _load_with_manifest(path)
 
     models = []
-    if args.adapter:
-        merged, _, _ = adapter_mod.load_checkpoint(args.adapter)
-        models.append(("soup", merged))
-    components = []
-    for path in args.components or []:
-        params, _, _ = adapter_mod.load_checkpoint(path)
-        components.append(params)
+    if args.adapter:  # a merged adapter is a soup of one
+        models.append(("soup",
+                       soup_mod.load_soup([args.adapter])[0].components[0]))
+    components = (soup_mod.load_soup(args.components)[0].components
+                  if args.components else [])
     if not models and not components:
         raise UsageError("need --adapter and/or --components to evaluate")
     bank = None

@@ -32,7 +32,8 @@ import numpy as np
 
 from .adapter import AdapterParams
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
-from .errors import ClassSetMismatch, IoFailure, LengthMismatch, ShapeMismatch
+from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
+                     LengthMismatch, ShapeMismatch)
 from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
                     knn_logits_batch)
 from .numerics import gelu
@@ -256,19 +257,25 @@ def write_report(report: EvalReport, path, format: str):
 
 
 def read_report(path, format: str) -> EvalReport:
+    """Read a report written by write_report. A row or document that does
+    not parse is CorruptLength naming the file."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown report format {format!r}")
-    text = read_bytes(path, "report").decode("utf-8")
-    if format == "csv":
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader)
-        if header != ["model", "split", "r", "accuracy"]:
-            raise IoFailure(f"unexpected CSV header: {header}")
-        return EvalReport(rows=[SweepRow(m, s, float(r), float(a))
-                                for m, s, r, a in reader])
-    doc = json.loads(text)
-    rows = [SweepRow(d["model"], d["split"], float(d["r"]),
-                     float(d["accuracy"])) for d in doc["rows"]]
-    return EvalReport(rows=rows, baselines={
-        split: dict(entries)
-        for split, entries in doc.get("baselines", {}).items()})
+    blob = read_bytes(path, "report")
+    try:
+        text = blob.decode("utf-8")
+        if format == "csv":
+            reader = csv.reader(io.StringIO(text, newline=""))
+            header = next(reader, None)
+            if header != ["model", "split", "r", "accuracy"]:
+                raise IoFailure(f"unexpected CSV header: {header}")
+            return EvalReport(rows=[SweepRow(m, s, float(r), float(a))
+                                    for m, s, r, a in reader])
+        doc = json.loads(text)
+        rows = [SweepRow(d["model"], d["split"], float(d["r"]),
+                         float(d["accuracy"])) for d in doc["rows"]]
+        return EvalReport(rows=rows, baselines={
+            split: dict(entries)
+            for split, entries in doc.get("baselines", {}).items()})
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise CorruptLength(f"malformed report {path}: {exc!r}") from exc

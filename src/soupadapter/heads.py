@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import atomic_write, read_bytes, unpack_header
+from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
+                     unpack_header)
 from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
                      NormViolation)
 from .numerics import DEGENERATE_NORM, normalize_rows
@@ -99,23 +100,38 @@ def build_prototypes(prompts, scale: float = DEFAULT_SCALE) -> ClassifierHead:
                           origin=ORIGIN_PROTOTYPE)
 
 
-def build_prototypes_masked(prompts, excluded: tuple[int, int],
-                            scale: float = DEFAULT_SCALE) -> ClassifierHead:
-    """Like build_prototypes, but one prompt is left out of its class sum.
+def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
+    """Every class's prototype rows with one prompt left out of its sum.
 
-    ``excluded`` is (class index, prompt index). A single-prompt class
-    falls back to its unmasked prototype with a warning, since leaving its
-    only prompt out would erase the class entirely.
+    Row [c][s] is class c's normalized prompt sum without prompt s, summed
+    in ascending order like build_prototypes. A single-prompt class keeps
+    its unmasked row with a warning, since leaving its only prompt out
+    would erase the class entirely.
     """
-    head = build_prototypes(prompts, scale=scale)
-    c, j = excluded
-    cls_prompts = np.atleast_2d(np.asarray(prompts[c], dtype=np.float64))
-    if cls_prompts.shape[0] == 1:
-        warnings.warn(f"class {c} has a single prompt; keeping it unmasked",
-                      RuntimeWarning, stacklevel=2)
-        return head
-    head.weights[c] = _prototype_row(cls_prompts, skip=j)
-    return head
+    table = []
+    for c, cls_prompts in enumerate(prompts):
+        cls_prompts = np.atleast_2d(np.asarray(cls_prompts, dtype=np.float64))
+        if cls_prompts.size == 0:
+            raise EmptyClass(f"class {c} has no prompt embeddings")
+        n = cls_prompts.shape[0]
+        if n == 1:
+            warnings.warn(f"class {c} has a single prompt; keeping it unmasked",
+                          RuntimeWarning, stacklevel=2)
+        table.append(np.stack([_prototype_row(cls_prompts,
+                                              skip=s if n > 1 else -1)
+                               for s in range(n)]))
+    return table
+
+
+def selection_prototypes(emb: EmbeddingSet, selection: FewShotSelection,
+                         scale: float = DEFAULT_SCALE):
+    """The prototype head of a few-shot selection, and its prompts.
+
+    Each class's prompts are its selected clean (view 0) unit embeddings
+    in slot order. Returns (ClassifierHead, prompts).
+    """
+    prompts = [emb.unit_features(0, indices=cls) for cls in selection.indices]
+    return build_prototypes(prompts, scale=scale), prompts
 
 
 # -------------------------------------------------------------------- logits

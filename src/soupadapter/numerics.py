@@ -72,29 +72,23 @@ def smoothed_targets(num_classes: int, targets: np.ndarray, eps: float) -> np.nd
     return q
 
 
-def cross_entropy_label_smoothing(logits, target: int, eps: float):
-    """Label-smoothed cross entropy and its gradient w.r.t. the logits.
+def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,
+                                        eps: float):
+    """Per-row label-smoothed cross entropy and its gradient w.r.t. the logits.
 
-    loss = -sum_i q_i * log softmax(logits)_i with q_target = 1 - eps + eps/m
-    and q_other = eps/m; the gradient is softmax(logits) - q.
+    loss_b = -sum_i q_bi * log softmax(logits_b)_i with q_target =
+    1 - eps + eps/m and q_other = eps/m; the gradient is
+    softmax(logits_b) - q_b. eps must lie in [0, 1) and every target in
+    [0, m). Returns per-sample losses (B,) and gradients (B, m).
     """
     logits = np.asarray(logits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
     m = logits.shape[-1]
     if not 0 <= eps < 1:
         raise ValueError("label smoothing must be in [0, 1)")
-    if not 0 <= target < m:
+    if np.any((targets < 0) | (targets >= m)):
         raise ValueError("target class out of range")
-    q = smoothed_targets(m, target, eps)[0]
-    loss = -float(np.dot(q, log_softmax(logits)))
-    grad = softmax(logits) - q
-    return loss, grad
-
-
-def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,
-                                        eps: float):
-    """Batched variant: per-sample losses (B,) and gradients (B, m)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    q = smoothed_targets(logits.shape[-1], targets, eps)
+    q = smoothed_targets(m, targets, eps)
     losses = -np.sum(q * log_softmax(logits), axis=-1)
     grads = softmax(logits) - q
     return losses, grads

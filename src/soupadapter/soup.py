@@ -19,7 +19,8 @@ import numpy as np
 
 from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes
-from .errors import DimensionMismatch, EquivalenceViolation, ShapeMismatch
+from .errors import (DataError, DimensionMismatch, EquivalenceViolation,
+                     ShapeMismatch)
 from .rng import stream
 
 
@@ -106,12 +107,16 @@ def load_soup(paths) -> tuple[Soup, list[float], list[str]]:
 
     Returns the soup, each component's logit scale and the sha256 of the
     bytes each component was parsed from. Order only affects float
-    summation.
+    summation. A file that does not parse is named in the error.
     """
     components, scales, digests = [], [], []
     for path in paths:
         blob = read_bytes(path, "checkpoint")
-        params, scale, _ = parse_checkpoint(blob)
+        try:
+            params, scale, _ = parse_checkpoint(blob)
+        except DataError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
         if components and params.dim != components[0].dim:
             raise DimensionMismatch(
                 f"{path}: dim {params.dim} does not match first component "
@@ -120,8 +125,3 @@ def load_soup(paths) -> tuple[Soup, list[float], list[str]]:
         scales.append(scale)
         digests.append(hashlib.sha256(blob).hexdigest())
     return Soup(components=components), scales, digests
-
-
-def soup_from_checkpoints(paths) -> Soup:
-    """Load components in the given order; order only affects float summation."""
-    return load_soup(paths)[0]

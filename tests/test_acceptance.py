@@ -21,8 +21,8 @@ from soupadapter.dataio import (generate_synthetic, read_container,
                                 sample_few_shot, write_container)
 from soupadapter.evalkit import (DEFAULT_GRID, head_accuracy, ratio_sweep)
 from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
-                               build_prototypes_masked, export_head,
-                               head_logits, import_head, knn_logits)
+                               export_head, head_logits, import_head,
+                               knn_logits, leave_one_out_prototypes)
 from soupadapter.numerics import finite_difference_check
 from soupadapter.rng import Stream, stream
 from soupadapter.soup import Soup, reparameterize, soup_forward, verify_equivalence
@@ -162,17 +162,19 @@ def test_criterion_5_masked_prototypes_leave_one_out():
                    for i in range(c)]
         cls = rng.randbelow(c)
         j = rng.randbelow(prompts[cls].shape[0])
-        masked = build_prototypes_masked(prompts, excluded=(cls, j))
+        table = leave_one_out_prototypes(prompts)
         remaining = [p.copy() for p in prompts]
         remaining[cls] = np.delete(remaining[cls], j, axis=0)
         oracle = build_prototypes(remaining)
-        assert np.max(np.abs(masked.weights[cls] - oracle.weights[cls])) \
-            <= 1e-12
+        assert np.max(np.abs(table[cls][j] - oracle.weights[cls])) <= 1e-12
         for other in range(c):
-            if other != cls:
-                base = build_prototypes(prompts)
-                assert np.array_equal(masked.weights[other],
-                                      base.weights[other])
+            # every row of every class leaves out one prompt of that class
+            # and reads no other class
+            for s in range(prompts[other].shape[0]):
+                alone = build_prototypes(
+                    [np.delete(prompts[other], s, axis=0)])
+                assert np.max(np.abs(table[other][s] - alone.weights[0])) \
+                    <= 1e-12
     print("ACCEPTANCE 5 PASS: masked prototypes equal the leave-one-out "
           "construction within 1e-12 on 20 random instances")
 

@@ -154,6 +154,64 @@ def test_backward_matches_finite_differences():
         assert err < 1e-4
 
 
+def batch_instance(seed, b=5, d=6, h=3, c=4):
+    """Rows, targets and leave-one-out-like masked rows for a batch."""
+    params = random_params(seed, d, h)
+    xs = unit_rows(seed + 1000, b, d)
+    head = ClassifierHead(weights=unit_rows(seed + 2000, c, d), scale=1.0)
+    rng = stream(seed, "targets")
+    targets = np.array([rng.randbelow(c) for _ in range(b)])
+    masked = unit_rows(seed + 3000, b, d)
+    return params, xs, head, targets, masked
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0])
+def test_masked_batch_backward_matches_finite_differences(r):
+    for seed in range(4):
+        params, xs, head, targets, masked = batch_instance(seed)
+
+        def loss_fn(pd):
+            loss, grads = adapter_backward(AdapterParams(**pd), xs, head,
+                                           targets, 0.1, r, masked)
+            # the loss is a sum over rows, the gradients are of the mean
+            return loss / xs.shape[0], grads
+
+        err = finite_difference_check(loss_fn, params.as_dict(),
+                                      sample_size=60, seed=seed)
+        assert err <= 1e-4
+
+
+def test_batch_backward_sums_losses_and_averages_row_gradients():
+    params, xs, head, targets, masked = batch_instance(21)
+    loss, grads = adapter_backward(params, xs, head, targets, 0.1, 0.7, masked)
+    rows = [adapter_backward(params, xs[i], head, int(targets[i]), 0.1, 0.7,
+                             masked[i]) for i in range(xs.shape[0])]
+    assert loss == pytest.approx(sum(l for l, _ in rows), abs=1e-12)
+    for key, g in grads.items():
+        mean = sum(gr[key] for _, gr in rows) / xs.shape[0]
+        assert np.allclose(g, mean, atol=1e-12)
+
+
+def test_masked_rows_equal_to_the_head_rows_change_nothing():
+    # only the target logit reads the masked row, so handing in the head's
+    # own target rows must reproduce the unmasked loss and gradients
+    params, xs, head, targets, _ = batch_instance(22)
+    loss, grads = adapter_backward(params, xs, head, targets, 0.1, 0.6)
+    loss_m, grads_m = adapter_backward(params, xs, head, targets, 0.1, 0.6,
+                                       head.weights[targets])
+    assert loss_m == pytest.approx(loss, abs=1e-12)
+    for key in grads:
+        assert np.allclose(grads_m[key], grads[key], atol=1e-12)
+
+
+def test_backward_rejects_mismatched_targets():
+    params, xs, head, targets, _ = batch_instance(23)
+    with pytest.raises(ShapeMismatch):
+        adapter_backward(params, xs, head, targets[:-1], 0.1, 0.5)
+    with pytest.raises(ShapeMismatch):
+        adapter_backward(params, xs[:, :-1], head, targets, 0.1, 0.5)
+
+
 def test_backward_b2_gradient_equals_gradient_of_output():
     # da/db2 = I, so the b2 gradient must equal dL/da; check against
     # finite differences of the loss as a function of the raw output a.

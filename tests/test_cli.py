@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from soupadapter import adapter
 from soupadapter.adapter import adapter_forward, load_checkpoint
 from soupadapter.cli import main, parse_grid
 from soupadapter.dataio import read_container
@@ -446,7 +447,12 @@ def test_train_going_non_finite_exits_3_without_writing(tmp_path, data_dir,
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])
-def test_unwritable_out_exits_2(tmp_path, data_dir, capsys, command):
+def test_unwritable_out_exits_2(tmp_path, data_dir, capsys, monkeypatch,
+                                command):
+    def never(*args, **kwargs):
+        raise AssertionError("trained before creating --out")
+
+    monkeypatch.setattr(adapter, "train_component", never)
     blocker = tmp_path / "a-file"
     blocker.write_bytes(b"")
     argv = ["synth", "--per-class", "4"] if command == "synth" else [
@@ -455,3 +461,37 @@ def test_unwritable_out_exits_2(tmp_path, data_dir, capsys, command):
     assert run(*argv, "--out", blocker / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "output directory" in err
+
+
+@pytest.mark.parametrize("flag", ["soup", "eval --components",
+                                  "eval --adapter"])
+def test_corrupt_checkpoint_is_named(tmp_path, data_dir, train_dir, capsys,
+                                     flag):
+    comps = []
+    for j in range(3):
+        comp = tmp_path / f"component_{j}.sada"
+        comp.write_bytes((train_dir / f"component_{j}.sada").read_bytes())
+        comps.append(comp)
+    comps[1].write_bytes(b"XXXX" + comps[1].read_bytes()[4:])
+    if flag == "soup":
+        argv = ["soup", "--components", *comps, "--out", tmp_path / "m.sada"]
+    else:
+        models = ["--components", *comps] if flag == "eval --components" \
+            else ["--adapter", comps[1]]
+        argv = ["eval", "--embeddings", data_dir / "id_test.sadp",
+                "--head", train_dir / "head.shed", *models,
+                "--out", tmp_path / "report"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "component_1.sada" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        [c.name for c in comps]
+
+
+def test_failed_train_keeps_an_existing_out(tmp_path, data_dir):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "4", "--k", "1", "--epochs", "2",
+               "--override", "lr=1e300", "--out", out) == 3
+    assert out.is_dir() and list(out.iterdir()) == []

@@ -5,7 +5,8 @@ from soupadapter.adapter import (AdapterParams, PROTOTYPE_HEAD, HyperConfig,
                                  adapter_forward, blend, sample_hyperconfig,
                                  train_component)
 from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
-from soupadapter.errors import ClassSetMismatch, LengthMismatch
+from soupadapter.errors import (ClassSetMismatch, CorruptLength,
+                                LengthMismatch)
 from soupadapter.evalkit import (DEFAULT_GRID, EVAL_BLOCK_ROWS, EvalReport,
                                  SweepRow, _fold, _residual_logits, accuracy,
                                  component_average_report, head_accuracy,
@@ -343,6 +344,19 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "r.json"
     write_report(report, path, "json")
     assert read_report(path, "json") == report
+
+
+@pytest.mark.parametrize("format,text", [
+    ("json", '{"rows": [{"model": "soup", "split": "id", "r": 0.0}]}'),
+    ("json", '{"rows": [{"model": "soup", "split": "id", "r": "half", '
+             '"accuracy": 0.5}]}'),
+    ("csv", "model,split,r,accuracy\nsoup,id,0.0\n"),
+], ids=["json-missing-key", "json-non-numeric-r", "csv-three-fields"])
+def test_malformed_report_is_corrupt_length(tmp_path, format, text):
+    path = tmp_path / f"r.{format}"
+    path.write_text(text)
+    with pytest.raises(CorruptLength, match="r\\." + format):
+        read_report(path, format)
 
 
 def test_unknown_format_rejected(tmp_path):

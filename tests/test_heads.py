@@ -7,10 +7,9 @@ import pytest
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
                                 EmptyClass, NormViolation)
 from soupadapter.heads import (DEFAULT_SCALE, EVAL_BLOCK_ROWS, ClassifierHead,
-                               KnnConfig, build_prototypes,
-                               build_prototypes_masked,
-                               export_head, head_logits, import_head,
-                               knn_logits, knn_logits_batch)
+                               KnnConfig, build_prototypes, export_head,
+                               head_logits, import_head, knn_logits,
+                               knn_logits_batch, leave_one_out_prototypes)
 from soupadapter.rng import stream
 
 
@@ -42,8 +41,9 @@ def test_cancelling_prompts_are_degenerate():
 
 
 def test_empty_class():
-    with pytest.raises(EmptyClass):
-        build_prototypes([np.zeros((0, 4)), unit_rows(3, 2, 4)])
+    for builder in (build_prototypes, leave_one_out_prototypes):
+        with pytest.raises(EmptyClass):
+            builder([np.zeros((0, 4)), unit_rows(3, 2, 4)])
 
 
 def test_prototype_order_within_class_is_stable():
@@ -64,36 +64,39 @@ def test_all_constructor_rows_are_unit_norm():
 def test_masking_one_of_two_identical_prompts_keeps_the_row():
     p = unit_rows(8, 1, 4)[0]
     head = build_prototypes([np.stack([p, p]), unit_rows(9, 2, 4)])
-    masked = build_prototypes_masked([np.stack([p, p]), unit_rows(9, 2, 4)],
-                                     excluded=(0, 1))
-    assert np.allclose(masked.weights[0], head.weights[0], atol=1e-15)
+    table = leave_one_out_prototypes([np.stack([p, p]), unit_rows(9, 2, 4)])
+    assert np.allclose(table[0][1], head.weights[0], atol=1e-15)
 
 
 def test_masked_equals_leave_one_out_construction():
     prompts = [unit_rows(10, 4, 6), unit_rows(11, 5, 6), unit_rows(12, 3, 6)]
+    table = leave_one_out_prototypes(prompts)
+    assert [t.shape for t in table] == [(4, 6), (5, 6), (3, 6)]
     for c, j in [(0, 2), (1, 0), (2, 1)]:
-        masked = build_prototypes_masked(prompts, excluded=(c, j))
         remaining = [p.copy() for p in prompts]
         remaining[c] = np.delete(remaining[c], j, axis=0)
         oracle = build_prototypes(remaining)
-        assert np.array_equal(masked.weights[c], oracle.weights[c])
+        assert np.array_equal(table[c][j], oracle.weights[c])
 
 
 def test_masking_never_touches_other_classes():
     prompts = [unit_rows(13, 4, 6), unit_rows(14, 4, 6), unit_rows(15, 4, 6)]
     base = build_prototypes(prompts)
-    masked = build_prototypes_masked(prompts, excluded=(1, 3))
-    assert np.array_equal(masked.weights[0], base.weights[0])
-    assert np.array_equal(masked.weights[2], base.weights[2])
-    assert not np.array_equal(masked.weights[1], base.weights[1])
+    table = leave_one_out_prototypes(prompts)
+    changed = [p.copy() for p in prompts]
+    changed[1] = unit_rows(99, 4, 6)
+    moved = leave_one_out_prototypes(changed)
+    assert np.array_equal(moved[0], table[0])
+    assert np.array_equal(moved[2], table[2])
+    assert not np.array_equal(table[1][3], base.weights[1])
 
 
 def test_single_prompt_class_falls_back_with_warning():
     prompts = [unit_rows(16, 1, 4), unit_rows(17, 2, 4)]
     base = build_prototypes(prompts)
     with pytest.warns(RuntimeWarning):
-        masked = build_prototypes_masked(prompts, excluded=(0, 0))
-    assert np.array_equal(masked.weights, base.weights)
+        table = leave_one_out_prototypes(prompts)
+    assert np.array_equal(table[0], base.weights[:1])
 
 
 # -------------------------------------------------------------------- logits

@@ -5,7 +5,6 @@ import pytest
 
 from soupadapter.errors import DegenerateVector, ShapeMismatch
 from soupadapter.numerics import (OptimState, adamw_step,
-                                  cross_entropy_label_smoothing,
                                   cross_entropy_label_smoothing_batch,
                                   finite_difference_check, gelu, gelu_grad,
                                   normalize_rows, softmax)
@@ -87,27 +86,34 @@ def test_softmax_sums_to_one():
 
 # ----------------------------------------------------------- cross entropy
 
+def ce_one(logits, target, eps):
+    """Loss and gradient of one sample, through a one-row batch."""
+    losses, grads = cross_entropy_label_smoothing_batch(
+        np.asarray(logits)[np.newaxis, :], np.array([target]), eps)
+    return float(losses[0]), grads[0]
+
+
 def test_ce_uniform_prediction_gives_log2():
     for eps in (0.0, 0.1, 0.5):
-        loss, _ = cross_entropy_label_smoothing(np.zeros(2), 0, eps)
+        loss, _ = ce_one(np.zeros(2), 0, eps)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_ce_confident_correct_is_near_zero():
-    loss, _ = cross_entropy_label_smoothing(np.array([100.0, 0.0]), 0, 0.0)
+    loss, _ = ce_one(np.array([100.0, 0.0]), 0, 0.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ce_smoothed_value_from_direct_formula():
     # hand evaluation of -sum q_i log softmax_i for m=3, logits (1,0,0),
     # target 0, eps=0.1 (frozen from the two-sum oracle)
-    loss, _ = cross_entropy_label_smoothing(np.array([1.0, 0.0, 0.0]), 0, 0.1)
+    loss, _ = ce_one(np.array([1.0, 0.0, 0.0]), 0, 0.1)
     assert loss == pytest.approx(0.6181113805987176, abs=1e-12)
 
 
 def test_ce_gradient_is_softmax_minus_q():
     z = stream(4, "ce").normal_array(5)
-    loss, grad = cross_entropy_label_smoothing(z, 2, 0.1)
+    loss, grad = ce_one(z, 2, 0.1)
     q = np.full(5, 0.1 / 5)
     q[2] += 0.9
     assert np.allclose(grad, softmax(z) - q, atol=1e-14)
@@ -120,7 +126,7 @@ def test_ce_gradient_matches_finite_differences():
         z = rng.normal_array(10) * 2
 
         def loss_fn(params):
-            loss, grad = cross_entropy_label_smoothing(params["z"], 3, 0.1)
+            loss, grad = ce_one(params["z"], 3, 0.1)
             return loss, {"z": grad}
 
         err = finite_difference_check(loss_fn, {"z": z.copy()}, seed=trial)
@@ -128,21 +134,42 @@ def test_ce_gradient_matches_finite_differences():
 
 
 def test_ce_batch_matches_single():
+    # each row of a batch against -q . log softmax and softmax - q for
+    # that row alone
     rng = stream(6, "ce")
     logits = rng.normal_array(12).reshape(3, 4)
     targets = np.array([0, 3, 1])
     losses, grads = cross_entropy_label_smoothing_batch(logits, targets, 0.1)
     for i in range(3):
-        loss_i, grad_i = cross_entropy_label_smoothing(logits[i], targets[i], 0.1)
+        q = np.full(4, 0.1 / 4)
+        q[targets[i]] += 0.9
+        p = softmax(logits[i])
+        assert losses[i] == pytest.approx(-float(q @ np.log(p)), abs=1e-14)
+        assert np.allclose(grads[i], p - q, atol=1e-14)
+        loss_i, grad_i = ce_one(logits[i], targets[i], 0.1)
         assert losses[i] == pytest.approx(loss_i, abs=1e-14)
         assert np.allclose(grads[i], grad_i, atol=1e-14)
 
 
 def test_ce_validates_inputs():
     with pytest.raises(ValueError):
-        cross_entropy_label_smoothing(np.zeros(3), 0, 1.0)
+        ce_one(np.zeros(3), 0, 1.0)
     with pytest.raises(ValueError):
-        cross_entropy_label_smoothing(np.zeros(3), 3, 0.1)
+        ce_one(np.zeros(3), 3, 0.1)
+
+
+@pytest.mark.parametrize("targets", [[0, -1], [0, 3]])
+def test_ce_batch_rejects_targets_outside_the_classes(targets):
+    with pytest.raises(ValueError, match="target class out of range"):
+        cross_entropy_label_smoothing_batch(np.zeros((2, 3)),
+                                            np.array(targets), 0.1)
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5, float("nan")])
+def test_ce_batch_rejects_smoothing_outside_0_1(eps):
+    with pytest.raises(ValueError, match="label smoothing"):
+        cross_entropy_label_smoothing_batch(np.zeros((2, 3)),
+                                            np.array([0, 1]), eps)
 
 
 # ------------------------------------------------------------------- adamw

@@ -5,8 +5,8 @@ from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  init_adapter, save_checkpoint)
 from soupadapter.errors import DimensionMismatch, EquivalenceViolation
 from soupadapter.rng import Stream, stream
-from soupadapter.soup import (Soup, reparameterize, soup_forward,
-                              soup_from_checkpoints, verify_equivalence)
+from soupadapter.soup import (Soup, load_soup, reparameterize, soup_forward,
+                              verify_equivalence)
 
 
 def random_params(seed, d, h, scale=0.4):
@@ -145,10 +145,10 @@ def test_verify_equivalence_after_32bit_round_trip(tmp_path):
         path = tmp_path / f"c{j}.sada"
         save_checkpoint(path, comp, 1.0, {})
         paths.append(path)
-    loaded = soup_from_checkpoints(paths)
+    loaded = load_soup(paths)[0]
     merged_path = tmp_path / "m.sada"
     save_checkpoint(merged_path, reparameterize(loaded), 1.0, {})
-    merged = soup_from_checkpoints([merged_path]).components[0]
+    merged = load_soup([merged_path])[0].components[0]
     dev = verify_equivalence(loaded, trials=500, tolerance=1e-4, merged=merged)
     assert dev <= 1e-4
 
@@ -160,22 +160,22 @@ def test_verify_equivalence_validates_trials():
 
 # ----------------------------------------------------------------- from files
 
-def test_soup_from_checkpoints_loads_in_order(tmp_path):
+def test_load_soup_loads_in_order(tmp_path):
     paths = []
     for j in range(8):
         p = init_adapter(16, 2 + j, seed=j)
         path = tmp_path / f"c{j}.sada"
         save_checkpoint(path, p, 1.0, {})
         paths.append(path)
-    s = soup_from_checkpoints(paths)
+    s = load_soup(paths)[0]
     assert s.k == 8
     assert [c.hidden for c in s.components] == [16 // (2 + j) for j in range(8)]
 
 
-def test_soup_from_checkpoints_mixed_dims_name_the_file(tmp_path):
+def test_load_soup_mixed_dims_name_the_file(tmp_path):
     a = tmp_path / "a.sada"
     b = tmp_path / "bad.sada"
     save_checkpoint(a, random_params(26, 8, 2), 1.0, {})
     save_checkpoint(b, random_params(27, 12, 2), 1.0, {})
     with pytest.raises(DimensionMismatch, match="bad.sada"):
-        soup_from_checkpoints([a, b])
+        load_soup([a, b])
