@@ -19,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from soupadapter import (Soup, build_prototypes, generate_synthetic,
+from soupadapter import (Soup, generate_synthetic, leave_one_out_prototypes,
                          load_checkpoint, reparameterize, sample_few_shot,
-                         sample_hyperconfig, save_checkpoint, soup_forward,
-                         train_component, verify_equivalence)
-from soupadapter.adapter import PROTOTYPE_HEAD, adapter_forward
+                         sample_hyperconfig, save_checkpoint,
+                         selection_prototypes, soup_forward, train_component,
+                         verify_equivalence)
+from soupadapter.adapter import adapter_forward
 
 K = 8
 SEED = 0
@@ -33,8 +34,10 @@ SEED = 0
 train, id_test, _ = generate_synthetic(n_classes=10, dim=32, per_class=100,
                                        shift_angle=0.3, noise=0.3, seed=SEED)
 selection = sample_few_shot(train, range(train.n), n_shot=16, seed=SEED)
-clean = train.unit_features(0)
-head = build_prototypes([clean[selection.indices[c]] for c in range(10)])
+# one frozen prototype head for every component, and the leave-one-out
+# table that keeps each sample out of its own class row while training
+head, prompts = selection_prototypes(train, selection)
+table = np.stack(leave_one_out_prototypes(prompts))
 print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
       f"{train.n_classes} classes, {selection.n_shot} shots per class")
 
@@ -44,7 +47,7 @@ print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
 components = []
 for j in range(K):
     cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"})
-    params, record = train_component(train, selection, PROTOTYPE_HEAD, cfg)
+    params, record = train_component(train, selection, head, cfg, table)
     components.append(params)
     print(f"  component {j}: red={cfg.red} lr={cfg.lr:g} wd={cfg.weight_decay:g} "
           f"H={params.hidden} final loss {record.final_loss:.3f} "

@@ -12,11 +12,11 @@ Run: python demos/02_residual_ratio_robustness.py
 
 import numpy as np
 
-from soupadapter import (EvalReport, Soup, build_prototypes,
-                         component_average_report, generate_synthetic,
+from soupadapter import (EvalReport, Soup, component_average_report,
+                         generate_synthetic, leave_one_out_prototypes,
                          robustness_report, sample_few_shot,
-                         sample_hyperconfig, train_component, write_report)
-from soupadapter.adapter import PROTOTYPE_HEAD
+                         sample_hyperconfig, selection_prototypes,
+                         train_component, write_report)
 from soupadapter.evalkit import DEFAULT_GRID
 
 SEED = 1
@@ -26,13 +26,13 @@ train, id_test, ood_test = generate_synthetic(n_classes=10, dim=32,
                                               per_class=100, shift_angle=0.3,
                                               noise=0.3, seed=SEED)
 selection = sample_few_shot(train, range(train.n), n_shot=16, seed=SEED)
-clean = train.unit_features(0)
-head = build_prototypes([clean[selection.indices[c]] for c in range(10)])
+head, prompts = selection_prototypes(train, selection)
+table = np.stack(leave_one_out_prototypes(prompts))
 
 components = []
 for j in range(K):
     cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"})
-    components.append(train_component(train, selection, PROTOTYPE_HEAD, cfg)[0])
+    components.append(train_component(train, selection, head, cfg, table)[0])
 
 report = EvalReport()
 report.extend(robustness_report([("soup", Soup(components))], head, id_test,
@@ -41,8 +41,8 @@ report.extend(component_average_report(components, head,
                                        {"id": id_test, "ood": ood_test},
                                        grid=DEFAULT_GRID))
 
-print(f"bare-head baseline: id={report.baselines['id']['prototype']:.3f} "
-      f"ood={report.baselines['ood']['prototype']:.3f}\n")
+print(f"bare-head baseline: id={report.baselines['id']['head']:.3f} "
+      f"ood={report.baselines['ood']['head']:.3f}\n")
 print("   r   soup id  soup ood   mean-component id  mean-component ood")
 soup_id = report.accuracies("soup", "id")
 soup_ood = report.accuracies("soup", "ood")

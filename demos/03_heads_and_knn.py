@@ -54,5 +54,5 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "head.shed"
     export_head(head, path)
     back = import_head(path)
-    print(f"\nhead file round-trip: origin={back.origin!r}, "
+    print(f"\nhead file round-trip: scale {back.scale:.4f}, "
           f"max row delta {np.max(np.abs(back.weights - head.weights)):.1e}")

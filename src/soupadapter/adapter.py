@@ -19,7 +19,6 @@ import json
 import math
 import struct
 import time
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,8 +27,7 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
                      unpack_header)
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch)
-from .heads import (DEFAULT_SCALE, ClassifierHead, leave_one_out_prototypes,
-                    selection_prototypes)
+from .heads import ClassifierHead
 from .numerics import (OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
                        normalize_rows, row_norms)
@@ -48,8 +46,6 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)  # checkpoints store float32
 
 MASK = "mask"
 NO_MASK = "no-mask"
-PROTOTYPE_HEAD = "prototype-head"
-IMPORTED_HEAD = "imported-head"
 
 _HEADER = struct.Struct("<4s3Id")
 
@@ -113,7 +109,7 @@ class HyperConfig:
     epochs: int
     batch_size: int = 32
     train_r: float = 1.0
-    mask_strategy: str = NO_MASK
+    mask_strategy: str = NO_MASK  # recorded; train_component's table masks
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -292,19 +288,23 @@ def _augmented_epoch(sel_views: np.ndarray, order: np.ndarray,
 
 
 def train_component(emb: EmbeddingSet, selection: FewShotSelection,
-                    head_mode: str, cfg: HyperConfig,
-                    head: ClassifierHead | None = None,
-                    label_smoothing: float = LABEL_SMOOTHING,
-                    scale: float = DEFAULT_SCALE):
+                    head: ClassifierHead, cfg: HyperConfig,
+                    masked_table: np.ndarray | None = None):
     """Train one adapter component against a frozen head.
 
-    head_mode "prototype-head" builds class prototypes (at logit ``scale``)
-    from the selection's own clean embeddings, masked per sample when
-    cfg.mask_strategy is "mask"; "imported-head" scores against the
-    supplied head. Embeddings and head are never updated. Returns
-    (AdapterParams, TrainRecord).
+    masked_table, if given, is the (C, n_shot, D) stack of
+    heads.leave_one_out_prototypes over the selection's prompts: each
+    sample then scores its own class against the row that leaves it
+    out. Embeddings, head and table are only read, so components may
+    share them across threads. Returns (AdapterParams, TrainRecord).
     """
     started = time.perf_counter()
+    if head.dim != emb.dim:
+        raise ShapeMismatch("head dimension does not match the embeddings")
+    expect = (head.n_classes, selection.n_shot, emb.dim)
+    if masked_table is not None and masked_table.shape != expect:
+        raise ShapeMismatch(f"masked table has shape {masked_table.shape}, "
+                            f"expected {expect}")
     flat = selection.flat()
     sel_idx = np.asarray([t[0] for t in flat], dtype=np.int64)
     classes = np.asarray([t[1] for t in flat], dtype=np.int64)
@@ -315,28 +315,6 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     sel_views = normalize_rows(
         emb.features[sel_idx].astype(np.float64).reshape(-1, emb.dim)
     ).reshape(n_train, emb.views, emb.dim)
-
-    masked_table = None
-    if head_mode == PROTOTYPE_HEAD:
-        train_head, prompts = selection_prototypes(emb, selection, scale)
-        if cfg.mask_strategy == MASK:
-            if selection.n_shot == 1:
-                warnings.warn("mask strategy with a single shot falls back "
-                              "to unmasked prototypes", RuntimeWarning,
-                              stacklevel=2)
-            else:
-                masked_table = np.stack(leave_one_out_prototypes(prompts))
-    elif head_mode == IMPORTED_HEAD:
-        if head is None:
-            raise ValueError("imported-head mode requires a head")
-        if cfg.mask_strategy == MASK:
-            warnings.warn("mask strategy only applies to prototype heads; "
-                          "ignoring", RuntimeWarning, stacklevel=2)
-        train_head = head
-    else:
-        raise ValueError(f"unknown head mode {head_mode!r}")
-    if train_head.dim != emb.dim:
-        raise ShapeMismatch("head dimension does not match the embeddings")
 
     params = init_adapter(emb.dim, cfg.red, cfg.seed)
     param_dict = params.as_dict()
@@ -361,8 +339,8 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                     masked_rows = masked_table[targets[start:stop],
                                                epoch_slots[start:stop]]
                 batch_loss, grads = adapter_backward(
-                    params, x_epoch[start:stop], train_head,
-                    targets[start:stop], label_smoothing, cfg.train_r,
+                    params, x_epoch[start:stop], head,
+                    targets[start:stop], LABEL_SMOOTHING, cfg.train_r,
                     masked_rows)
                 if not math.isfinite(batch_loss):
                     raise NumericalError(

@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(kind, low: float, inclusive: bool, high: float | None = None):
+def _number(kind, low: float = -math.inf, inclusive: bool = True,
+            high: float = math.inf):
     """argparse type: a finite ``kind`` above ``low`` (or equal, if
     ``inclusive``) and at most ``high``, so a bad value is a usage error,
     not a traceback."""
-    bound = f">= {low:g}" if inclusive else f"> {low:g}"
-    if high is not None:
-        bound += f" and <= {high:g}"
+    need = ["finite"]
+    if low > -math.inf:
+        need.append(f"{'>=' if inclusive else '>'} {low:g}")
+    if high < math.inf:
+        need.append(f"<= {high:g}")
 
     def parse(text: str):
         try:
@@ -47,21 +52,13 @@ def _number(kind, low: float, inclusive: bool, high: float | None = None):
             raise argparse.ArgumentTypeError(
                 f"expected {'an integer' if kind is int else 'a number'}, "
                 f"got {text!r}")
-        if not np.isfinite(value) or value < low \
-                or (value == low and not inclusive) \
-                or (high is not None and value > high):
-            raise argparse.ArgumentTypeError(f"must be finite and {bound}, "
-                                             f"got {text!r}")
+        # an int is always finite, and np.isfinite cannot take a huge one
+        if (kind is float and not math.isfinite(value)) or value < low \
+                or (value == low and not inclusive) or value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be {' and '.join(need)}, got {text!r}")
         return value
     return parse
-
-
-def _mask_strategy(text: str) -> str:
-    if text not in (adapter_mod.MASK, adapter_mod.NO_MASK):
-        raise argparse.ArgumentTypeError(
-            f"must be {adapter_mod.MASK!r} or {adapter_mod.NO_MASK!r}, "
-            f"got {text!r}")
-    return text
 
 
 _OVERRIDE_TYPES = {
@@ -70,7 +67,6 @@ _OVERRIDE_TYPES = {
     "aug_strength": _number(float, 0.0, True), "seed": int,
     "epochs": _number(int, 1, True), "batch_size": _number(int, 1, True),
     "train_r": _number(float, 0.0, True, high=1.0),
-    "mask_strategy": _mask_strategy,
 }
 
 
@@ -188,28 +184,30 @@ def _train_into(out: Path, args, overrides: dict):
     selection = dataio.sample_few_shot(emb, manifest.splits[args.split],
                                        args.shots, args.seed)
 
+    # one frozen head (and leave-one-out table) for every component
+    masked_table = None
     if args.head:
         head = heads.import_head(args.head)
-        head_mode = adapter_mod.IMPORTED_HEAD
+        evalkit.check_compatible(head, [(args.embeddings, emb)])
+        mask = adapter_mod.NO_MASK  # only prototype heads have prompts
     else:
-        head = None
-        head_mode = adapter_mod.PROTOTYPE_HEAD
+        head, prompts = heads.selection_prototypes(emb, selection)
+        mask = (adapter_mod.mask_strategy_for_shots(args.shots)
+                if args.mask == "auto" else args.mask)
+        if mask == adapter_mod.MASK and args.shots == 1:
+            warnings.warn("mask strategy with a single shot falls back to "
+                          "unmasked prototypes", RuntimeWarning)
+        elif mask == adapter_mod.MASK:
+            masked_table = np.stack(heads.leave_one_out_prototypes(prompts))
 
-    overrides["epochs"] = args.epochs
-    if "mask_strategy" not in overrides:
-        overrides["mask_strategy"] = (
-            adapter_mod.mask_strategy_for_shots(args.shots)
-            if args.mask == "auto" else args.mask)
-    if head_mode == adapter_mod.IMPORTED_HEAD:
-        overrides["mask_strategy"] = adapter_mod.NO_MASK
-
+    overrides.update(epochs=args.epochs, mask_strategy=mask)
     configs = [adapter_mod.sample_hyperconfig(args.seed, j, overrides)
                for j in range(args.k)]
 
     def run(j):
         try:
-            return adapter_mod.train_component(emb, selection, head_mode,
-                                               configs[j], head=head)
+            return adapter_mod.train_component(emb, selection, head,
+                                               configs[j], masked_table)
         except Exception as exc:  # collected so every failure gets listed
             return exc
 
@@ -226,8 +224,7 @@ def _train_into(out: Path, args, overrides: dict):
         raise failures[0][1]
 
     # export the frozen head and the selected bank so evaluation can reuse them
-    if head is None:
-        head, _ = heads.selection_prototypes(emb, selection)
+    if not args.head:
         heads.export_head(head, out / "head.shed")
         print(f"wrote {out / 'head.shed'}")
     sel_idx = np.asarray([t[0] for t in selection.flat()], dtype=np.int64)
@@ -337,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--per-class", type=int, default=100)
-    p.add_argument("--shift-angle", type=float, default=0.3)
-    p.add_argument("--noise", type=float, default=0.3)
+    p.add_argument("--classes", type=_number(int, 2, True), default=10)
+    p.add_argument("--dim", type=_number(int, 2, True), default=32)
+    p.add_argument("--per-class", type=_number(int, 1, True), default=100)
+    p.add_argument("--shift-angle", type=_number(float), default=0.3)
+    p.add_argument("--noise", type=_number(float, 0.0, True), default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

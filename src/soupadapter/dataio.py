@@ -190,6 +190,9 @@ def json_bytes(doc) -> bytes:
 # ----------------------------------------------------------------- container
 
 def write_container(emb: EmbeddingSet, path):
+    """Write emb atomically; refuses (NormViolation) what read_container
+    would refuse, so no unreadable container is ever written."""
+    emb.validate_norms()
     n, v, d = emb.features.shape
     atomic_write(path, b"".join((
         _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, d, n, v,

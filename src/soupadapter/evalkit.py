@@ -165,7 +165,9 @@ def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
     return hits / n
 
 
-def _check_compatible(head: ClassifierHead, sets):
+def check_compatible(head: ClassifierHead, sets):
+    """Refuse (ClassSetMismatch) any (name, set) whose class count or dim
+    differs from the head's."""
     for name, emb in sets:
         if emb.n_classes != head.n_classes:
             raise ClassSetMismatch(
@@ -183,10 +185,10 @@ def robustness_report(models, head: ClassifierHead, id_set: EmbeddingSet,
 
     ``models`` is a list of (name, adapter-or-soup) pairs, all scored in one
     pass per set. The "ood" rows hold the unweighted mean accuracy over the
-    shifted sets at each r; the bare-head accuracies land in the baselines,
-    keyed by the head origin.
+    shifted sets at each r; the bare-head accuracies land in the baselines
+    under "head".
     """
-    _check_compatible(head, [("id", id_set), *ood_sets.items()])
+    check_compatible(head, [("id", id_set), *ood_sets.items()])
     folded = [_fold(model, head) for _, model in models]
     id_bare, id_accs = _sweep_set(folded, head, id_set, grid)
     ood = [_sweep_set(folded, head, emb, grid) for emb in ood_sets.values()]
@@ -198,9 +200,9 @@ def robustness_report(models, head: ClassifierHead, id_set: EmbeddingSet,
             if ood:
                 mean_ood = float(np.mean([accs[m][r] for _, accs in ood]))
                 report.rows.append(SweepRow(name, "ood", r, mean_ood))
-    report.baselines["id"] = {head.origin: id_bare}
+    report.baselines["id"] = {"head": id_bare}
     if ood:
-        report.baselines["ood"] = {head.origin: float(np.mean(
+        report.baselines["ood"] = {"head": float(np.mean(
             [bare for bare, _ in ood]))}
     return report
 

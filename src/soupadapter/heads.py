@@ -29,9 +29,6 @@ HEAD_VERSION = 1
 DEFAULT_SCALE = math.log(100.0)
 NORM_TOLERANCE = 1e-4
 
-ORIGIN_PROTOTYPE = "prototype"
-ORIGIN_IMPORTED = "imported"
-
 _HEADER = struct.Struct("<4s3Id")
 
 # Query rows scored per matrix product, here and in evalkit: memory for
@@ -43,7 +40,6 @@ EVAL_BLOCK_ROWS = 1024
 class ClassifierHead:
     weights: np.ndarray  # (C, D) float64, unit-norm rows
     scale: float = DEFAULT_SCALE
-    origin: str = ORIGIN_PROTOTYPE
 
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -96,8 +92,7 @@ def build_prototypes(prompts, scale: float = DEFAULT_SCALE) -> ClassifierHead:
         if cls_prompts.size == 0:
             raise EmptyClass(f"class {c} has no prompt embeddings")
         rows.append(_prototype_row(np.atleast_2d(cls_prompts)))
-    return ClassifierHead(weights=np.stack(rows), scale=scale,
-                          origin=ORIGIN_PROTOTYPE)
+    return ClassifierHead(weights=np.stack(rows), scale=scale)
 
 
 def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
@@ -230,5 +225,4 @@ def import_head(path) -> ClassifierHead:
         i = int(bad[0][0])
         raise NormViolation(f"head row {i} has norm {norms[i]:.6f}, "
                             f"expected 1 within {NORM_TOLERANCE:g}")
-    return ClassifierHead(weights=normalize_rows(rows), scale=scale,
-                          origin=ORIGIN_IMPORTED)
+    return ClassifierHead(weights=normalize_rows(rows), scale=scale)

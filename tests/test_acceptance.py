@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from soupadapter.adapter import (PROTOTYPE_HEAD, adapter_backward,
+from soupadapter.adapter import (adapter_backward,
                                  adapter_forward, blend, init_adapter,
                                  load_checkpoint, sample_hyperconfig,
                                  save_checkpoint, train_component,
@@ -22,7 +22,8 @@ from soupadapter.dataio import (generate_synthetic, read_container,
 from soupadapter.evalkit import (DEFAULT_GRID, head_accuracy, ratio_sweep)
 from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
                                export_head, head_logits, import_head,
-                               knn_logits, leave_one_out_prototypes)
+                               knn_logits, leave_one_out_prototypes,
+                               selection_prototypes)
 from soupadapter.numerics import finite_difference_check
 from soupadapter.rng import Stream, stream
 from soupadapter.soup import Soup, reparameterize, soup_forward, verify_equivalence
@@ -215,13 +216,13 @@ def test_criterion_7_synthetic_soup_benefit():
         train, id_test, ood_test = generate_synthetic(10, 32, 100, 0.3, 0.3,
                                                       seed=seed)
         sel = sample_few_shot(train, range(train.n), 16, seed=seed)
-        clean = train.unit_features(0)
-        head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
+        head, prompts = selection_prototypes(train, sel)
+        table = np.stack(leave_one_out_prototypes(prompts))
         comps = []
         for j in range(8):
             cfg = sample_hyperconfig(seed, j, {"epochs": 50,
                                                "mask_strategy": "mask"})
-            params, _ = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+            params, _ = train_component(train, sel, head, cfg, table)
             comps.append(params)
         soup = Soup(components=comps)
         s_id = ratio_sweep(soup, head, id_test, GRID)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from soupadapter.adapter import (AUG_STRENGTH_GRID, IMPORTED_HEAD, LR_GRID,
-                                 MASK, NO_MASK, PROTOTYPE_HEAD,
+from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
                                  WEIGHT_DECAY_GRID, AdapterParams,
                                  HyperConfig, adapter_backward,
                                  adapter_forward, blend, init_adapter,
@@ -15,7 +14,8 @@ from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
 from soupadapter.errors import (BadMagic, CorruptLength, DegenerateVector,
                                 RedTooLarge, ShapeMismatch)
 from soupadapter.evalkit import head_accuracy, ratio_sweep
-from soupadapter.heads import ClassifierHead, build_prototypes
+from soupadapter.heads import (ClassifierHead, build_prototypes,
+                               leave_one_out_prototypes, selection_prototypes)
 from soupadapter.numerics import finite_difference_check, gelu
 from soupadapter.rng import stream
 
@@ -334,11 +334,21 @@ def synthetic_task(seed=11, n_classes=6, dim=16, per_class=20):
     return train, id_test, sel
 
 
+def train_on_prototypes(emb, sel, cfg):
+    """train_component against the selection's prototype head, masked
+    when cfg.mask_strategy says so, as the CLI trains it."""
+    head, prompts = selection_prototypes(emb, sel)
+    table = None
+    if cfg.mask_strategy == MASK:
+        table = np.stack(leave_one_out_prototypes(prompts))
+    return train_component(emb, sel, head, cfg, table)
+
+
 def test_zero_epochs_returns_the_initialization():
     train, _, sel = synthetic_task()
     cfg = HyperConfig(red=4, lr=1e-3, weight_decay=1e-3, aug_strength=0.5,
                       seed=3, epochs=0)
-    params, record = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+    params, record = train_on_prototypes(train, sel, cfg)
     init = init_adapter(train.dim, cfg.red, cfg.seed)
     assert np.array_equal(params.W1, init.W1)
     assert np.array_equal(params.W2, init.W2)
@@ -349,8 +359,8 @@ def test_training_is_bit_deterministic():
     train, _, sel = synthetic_task()
     cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-2, aug_strength=0.75,
                       seed=21, epochs=4, mask_strategy=MASK)
-    p1, r1 = train_component(train, sel, PROTOTYPE_HEAD, cfg)
-    p2, r2 = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+    p1, r1 = train_on_prototypes(train, sel, cfg)
+    p2, r2 = train_on_prototypes(train, sel, cfg)
     for k in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(p1.as_dict()[k], p2.as_dict()[k])
     assert r1.loss_trace == r2.loss_trace
@@ -360,7 +370,7 @@ def test_loss_trace_is_finite_and_has_one_entry_per_epoch():
     train, _, sel = synthetic_task()
     cfg = HyperConfig(red=3, lr=2e-3, weight_decay=1e-3, aug_strength=1.0,
                       seed=4, epochs=6)
-    _, record = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+    _, record = train_on_prototypes(train, sel, cfg)
     assert len(record.loss_trace) == 6
     assert all(np.isfinite(v) for v in record.loss_trace)
     assert record.final_loss == record.loss_trace[-1]
@@ -371,33 +381,39 @@ def test_training_reduces_the_loss():
     train, _, sel = synthetic_task()
     cfg = HyperConfig(red=2, lr=2e-3, weight_decay=1e-3, aug_strength=0.25,
                       seed=5, epochs=100)
-    _, record = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+    _, record = train_on_prototypes(train, sel, cfg)
     assert record.loss_trace[-1] < 0.5 * record.loss_trace[0]
 
 
-def test_mask_strategy_changes_training():
+def test_masked_table_changes_training():
     train, _, sel = synthetic_task()
-    base = dict(red=4, lr=2e-3, weight_decay=1e-3, aug_strength=0.5, seed=6,
-                epochs=3)
-    p_mask, _ = train_component(train, sel, PROTOTYPE_HEAD,
-                                HyperConfig(**base, mask_strategy=MASK))
-    p_plain, _ = train_component(train, sel, PROTOTYPE_HEAD,
-                                 HyperConfig(**base, mask_strategy=NO_MASK))
+    cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-3, aug_strength=0.5,
+                      seed=6, epochs=3)
+    head, prompts = selection_prototypes(train, sel)
+    table = np.stack(leave_one_out_prototypes(prompts))
+    p_mask, _ = train_component(train, sel, head, cfg, table)
+    p_plain, _ = train_component(train, sel, head, cfg)
     assert not np.array_equal(p_mask.W1, p_plain.W1)
 
 
-def test_imported_head_mode_trains_and_ignores_mask():
+def test_trains_against_the_given_head():
     train, _, sel = synthetic_task()
     head = ClassifierHead(weights=unit_rows(40, train.n_classes, train.dim),
                           scale=2.0)
     cfg = HyperConfig(red=4, lr=1e-3, weight_decay=1e-3, aug_strength=0.5,
-                      seed=7, epochs=2, mask_strategy=MASK)
-    with pytest.warns(RuntimeWarning, match="prototype"):
-        params, record = train_component(train, sel, IMPORTED_HEAD, cfg,
-                                         head=head)
+                      seed=7, epochs=2)
+    before = head.weights.copy()
+    params, record = train_component(train, sel, head, cfg)
     assert len(record.loss_trace) == 2
-    with pytest.raises(ValueError):
-        train_component(train, sel, IMPORTED_HEAD, cfg)
+    assert np.array_equal(head.weights, before)  # the head stays frozen
+    proto, _ = train_on_prototypes(train, sel, cfg)
+    assert not np.array_equal(params.W1, proto.W1)
+    wide = ClassifierHead(unit_rows(41, train.n_classes, 2 * train.dim))
+    with pytest.raises(ShapeMismatch):
+        train_component(train, sel, wide, cfg)
+    with pytest.raises(ShapeMismatch):  # table for a different shot count
+        train_component(train, sel, head, cfg,
+                        np.zeros((train.n_classes, 2, train.dim)))
 
 
 def test_multi_view_training_uses_the_views():
@@ -411,10 +427,10 @@ def test_multi_view_training_uses_the_views():
                        n_classes=3)
     sel = sample_few_shot(emb, range(12), 4, seed=1)
     common = dict(red=2, lr=1e-3, weight_decay=1e-3, seed=8, epochs=3)
-    p_hot, _ = train_component(emb, sel, PROTOTYPE_HEAD,
-                               HyperConfig(aug_strength=1.0, **common))
-    p_cold, _ = train_component(emb, sel, PROTOTYPE_HEAD,
-                                HyperConfig(aug_strength=0.0, **common))
+    p_hot, _ = train_on_prototypes(emb, sel,
+                                   HyperConfig(aug_strength=1.0, **common))
+    p_cold, _ = train_on_prototypes(emb, sel,
+                                    HyperConfig(aug_strength=0.0, **common))
     # aug_strength 0 never leaves the clean view, 1.0 does
     assert not np.array_equal(p_hot.W1, p_cold.W1)
 
@@ -426,7 +442,7 @@ def test_trained_component_beats_prototype_head_on_training_data():
                              for c in range(train.n_classes)])
     cfg = HyperConfig(red=2, lr=2e-3, weight_decay=1e-3, aug_strength=0.25,
                       seed=9, epochs=40, mask_strategy=NO_MASK)
-    params, _ = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+    params, _ = train_on_prototypes(train, sel, cfg)
     flat = [i for cls in sel.indices for i in cls]
     sweep = ratio_sweep(params, head, train, grid=[1.0], split=flat)
     baseline = head_accuracy(head, train, split=flat)
@@ -447,7 +463,7 @@ def test_trained_component_beats_prototype_baseline_at_full_ratio():
     clean = train.unit_features(0)
     head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
     cfg = sample_hyperconfig(5, 0, {"epochs": 50, "mask_strategy": MASK})
-    params, _ = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+    params, _ = train_on_prototypes(train, sel, cfg)
     sweep = ratio_sweep(params, head, id_test, grid=[1.0])
     assert sweep[1.0] > head_accuracy(head, id_test)
 

@@ -54,6 +54,27 @@ def test_synth_writes_valid_containers(data_dir):
         assert (data_dir / f"{name}.sadp.json").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--classes", "1"),
+    ("--classes", "0"),
+    ("--classes", "-1" + "0" * 30),
+    ("--dim", "1"),
+    ("--per-class", "0"),
+    ("--shift-angle", "inf"),
+    ("--shift-angle", "nan"),
+    ("--noise", "-1"),
+    ("--noise", "nan"),
+    ("--noise", "inf"),
+])
+def test_synth_bad_values_are_usage_errors(tmp_path, capsys, flag, value):
+    assert run("synth", "--out", tmp_path / "data", "--per-class", "4",
+               f"{flag}={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("synth", "--out", a, "--per-class", "10", "--seed", "5") == 0
@@ -176,6 +197,56 @@ def test_train_with_imported_head(tmp_path, data_dir, train_dir):
     assert not (out / "head.shed").exists()  # head came from a file
 
 
+def test_train_head_with_other_class_count_exits_2(tmp_path, data_dir,
+                                                   capsys):
+    assert run("synth", "--out", tmp_path / "five", "--classes", "5",
+               "--per-class", "4", "--seed", "2") == 0
+    assert run("train", "--embeddings", tmp_path / "five" / "train.sadp",
+               "--shots", "2", "--k", "1", "--epochs", "1",
+               "--out", tmp_path / "five-run") == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--head", tmp_path / "five-run" / "head.shed", "--shots", "2",
+               "--k", "2", "--epochs", "1", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "head has 5" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_builds_the_head_and_table_once(tmp_path, data_dir,
+                                              monkeypatch):
+    from soupadapter import heads
+    calls = {"build_prototypes": 0, "leave_one_out_prototypes": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(heads, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(heads, name, counted)
+    out = tmp_path / "run"
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "4", "--k", "3", "--epochs", "1", "--mask", "mask",
+               "--out", out) == 0
+    assert calls == {"build_prototypes": 1, "leave_one_out_prototypes": 1}
+    assert all(json.loads((out / f"component_{j}.json").read_text())
+               ["hyper"]["mask_strategy"] == "mask" for j in range(3))
+
+
+def test_train_mask_at_one_shot_warns_and_trains_unmasked(tmp_path,
+                                                          data_dir):
+    argv = ["train", "--embeddings", data_dir / "train.sadp", "--shots", "1",
+            "--k", "1", "--epochs", "2"]
+    with pytest.warns(RuntimeWarning, match="single shot"):
+        assert run(*argv, "--mask", "mask", "--out", tmp_path / "m") == 0
+    assert run(*argv, "--mask", "no-mask", "--out", tmp_path / "n") == 0
+    masked, _, meta = load_checkpoint(tmp_path / "m" / "component_0.sada")
+    plain, _, _ = load_checkpoint(tmp_path / "n" / "component_0.sada")
+    assert meta["hyper"]["mask_strategy"] == "mask"
+    assert all(np.array_equal(masked.as_dict()[k], plain.as_dict()[k])
+               for k in ("W1", "b1", "W2", "b2"))
+
+
 # ---------------------------------------------------------------------- soup
 
 def test_soup_merges_and_verifies(tmp_path, train_dir):
@@ -240,7 +311,7 @@ def test_eval_full_report(tmp_path, data_dir, train_dir):
                if r["model"] == "soup" and r["split"] == "id"]
     assert len(soup_id) == 11
     assert "knn" in doc["baselines"]["id"]
-    assert "imported" in doc["baselines"]["id"]  # heads read from files
+    assert set(doc["baselines"]["id"]) == {"head", "knn"}
     csv_lines = (out.parent / "report.csv").read_text().strip().split("\n")
     # soup rows: 2 splits x 11; components: 6 models x 2 sets x 11
     assert len(csv_lines) == 1 + 2 * 11 + 6 * 2 * 11
@@ -322,6 +393,7 @@ def test_eval_duplicate_ood_stems_exit_1(tmp_path, data_dir, train_dir,
     ("eval", "--knn-t", "nan"),
     ("eval", "--knn-t", "inf"),
     ("soup", "--trials", "0"),
+    ("soup", "--trials", "-1" + "0" * 30),  # beyond int64
     ("soup", "--tolerance", "-1e-4"),
     ("soup", "--tolerance", "nan"),
     ("soup", "--tolerance", "inf"),
@@ -419,6 +491,7 @@ def test_soup_component_with_inf_scale_exits_2(tmp_path, train_dir, capsys):
     ("--override", "train_r=1.5"),
     ("--override", "train_r=-0.1"),
     ("--override", "mask_strategy=zzz"),
+    ("--override", "mask_strategy=mask"),  # --mask is the only mask knob
 ])
 def test_train_bad_values_are_usage_errors(tmp_path, data_dir, capsys, flag,
                                            value):

@@ -89,16 +89,23 @@ def test_label_out_of_range(tmp_path):
 
 def test_norm_violation_names_the_sample(tmp_path):
     emb = random_set(n=8)
+    path = tmp_path / "x.sadp"
+    write_container(emb, path)
     feats = emb.features.copy()
     feats[3, 0] *= 0.5
-    bad = EmbeddingSet.__new__(EmbeddingSet)  # skip validation to write bad data
-    bad.features = feats
-    bad.labels = emb.labels
-    bad.n_classes = emb.n_classes
-    path = tmp_path / "x.sadp"
-    write_container(bad, path)
+    body = feats.astype("<f4").tobytes()  # the features end the file
+    path.write_bytes(path.read_bytes()[:-len(body)] + body)
     with pytest.raises(NormViolation, match="sample 3"):
         read_container(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.5])
+def test_write_refuses_what_read_refuses(tmp_path, value):
+    emb = random_set(n=8)
+    emb.features[5, 0] *= value  # NaN features or a short row
+    with pytest.raises(NormViolation, match="sample 5"):
+        write_container(emb, tmp_path / "x.sadp")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_file_is_io_failure(tmp_path):

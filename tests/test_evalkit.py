@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from soupadapter.adapter import (AdapterParams, PROTOTYPE_HEAD, HyperConfig,
-                                 adapter_forward, blend, sample_hyperconfig,
-                                 train_component)
+from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
+                                 sample_hyperconfig, train_component)
 from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
 from soupadapter.errors import (ClassSetMismatch, CorruptLength,
                                 LengthMismatch)
@@ -12,7 +11,9 @@ from soupadapter.evalkit import (DEFAULT_GRID, EVAL_BLOCK_ROWS, EvalReport,
                                  component_average_report, head_accuracy,
                                  knn_accuracy, ratio_sweep, read_report,
                                  robustness_report, write_report)
-from soupadapter.heads import ClassifierHead, KnnConfig, build_prototypes, head_logits
+from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
+                               head_logits, leave_one_out_prototypes,
+                               selection_prototypes)
 from soupadapter.numerics import row_norms
 from soupadapter.rng import stream
 from soupadapter.soup import Soup, reparameterize, soup_forward
@@ -110,12 +111,12 @@ def test_trained_soup_beats_its_r_zero_point():
     # over 1000 test samples; every seed in 0..4 also clears it)
     train, id_test, _ = generate_synthetic(10, 32, 100, 0.3, 0.3, seed=1)
     sel = sample_few_shot(train, range(train.n), 16, seed=1)
-    clean = train.unit_features(0)
-    head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
+    head, prompts = selection_prototypes(train, sel)
+    table = np.stack(leave_one_out_prototypes(prompts))
     comps = []
     for j in range(8):
         cfg = sample_hyperconfig(1, j, {"epochs": 50, "mask_strategy": "mask"})
-        params, _ = train_component(train, sel, PROTOTYPE_HEAD, cfg)
+        params, _ = train_component(train, sel, head, cfg, table)
         comps.append(params)
     sweep = ratio_sweep(Soup(comps), head, id_test, grid=DEFAULT_GRID)
     assert max(sweep.values()) > sweep[0.0]
@@ -254,9 +255,8 @@ def test_robustness_baselines_present(bench):
     _, id_test, ood_test, _, head = bench
     report = robustness_report([("m", random_params(7, 32, 4))], head,
                                id_test, {"shift": ood_test}, grid=[0.0])
-    assert "prototype" in report.baselines["id"]
-    assert report.baselines["id"]["prototype"] == head_accuracy(head, id_test)
-    assert "prototype" in report.baselines["ood"]
+    assert report.baselines["id"] == {"head": head_accuracy(head, id_test)}
+    assert report.baselines["ood"] == {"head": head_accuracy(head, ood_test)}
 
 
 def test_class_set_mismatch(bench):

@@ -25,7 +25,6 @@ def test_single_prompt_rows_equal_the_prompts():
     head = build_prototypes(prompts)
     assert np.allclose(head.weights[0], prompts[0][0], atol=1e-12)
     assert np.allclose(head.weights[1], prompts[1][0], atol=1e-12)
-    assert head.origin == "prototype"
     assert head.scale == DEFAULT_SCALE
 
 
@@ -279,7 +278,6 @@ def test_export_import_round_trip(tmp_path):
     path = tmp_path / "h.shed"
     export_head(head, path)
     back = import_head(path)
-    assert back.origin == "imported"
     assert back.scale == 2.2
     assert np.max(np.abs(back.weights - head.weights)) < 1e-7
     assert np.allclose(np.linalg.norm(back.weights, axis=1), 1.0, atol=1e-12)
