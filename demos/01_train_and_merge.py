@@ -46,7 +46,8 @@ print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
 # documented grids; only `epochs` has no grid and must be pinned.
 components = []
 for j in range(K):
-    cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"})
+    cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"},
+                             dim=train.dim)
     params, record = train_component(train, selection, head, cfg, table)
     components.append(params)
     print(f"  component {j}: red={cfg.red} lr={cfg.lr:g} wd={cfg.weight_decay:g} "

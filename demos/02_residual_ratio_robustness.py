@@ -4,17 +4,17 @@ The residual ratio r interpolates between the frozen embedding (r=0) and
 the adapted feature (r=1): f = normalize(x + r * a). This demo trains an
 ensemble, then sweeps r from 0 to 1 in 0.1 steps on an in-distribution
 test set and on a label-preserving shifted set, printing the (ID, OOD)
-curve for the merged ensemble next to the mean over its components. The
-ensemble curve is flatter: it depends less on getting r exactly right.
+curve for the merged ensemble next to the mean over its components; both
+are scored together in one report, with the same splits. The ensemble
+curve is flatter: it depends less on getting r exactly right.
 
 Run: python demos/02_residual_ratio_robustness.py
 """
 
 import numpy as np
 
-from soupadapter import (EvalReport, Soup, component_average_report,
-                         generate_synthetic, leave_one_out_prototypes,
-                         robustness_report, sample_few_shot,
+from soupadapter import (Soup, generate_synthetic, leave_one_out_prototypes,
+                         reparameterize, robustness_report, sample_few_shot,
                          sample_hyperconfig, selection_prototypes,
                          train_component, write_report)
 from soupadapter.evalkit import DEFAULT_GRID
@@ -31,15 +31,15 @@ table = np.stack(leave_one_out_prototypes(prompts))
 
 components = []
 for j in range(K):
-    cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"})
+    cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"},
+                             dim=train.dim)
     components.append(train_component(train, selection, head, cfg, table)[0])
 
-report = EvalReport()
-report.extend(robustness_report([("soup", Soup(components))], head, id_test,
-                                {"shifted": ood_test}, grid=DEFAULT_GRID))
-report.extend(component_average_report(components, head,
-                                       {"id": id_test, "ood": ood_test},
-                                       grid=DEFAULT_GRID))
+# the merged adapter and its components, scored from one hidden layer; the
+# "ood" rows are the mean over the shifted sets (here the one "shifted")
+report = robustness_report(reparameterize(Soup(components)), components,
+                           head, id_test, {"shifted": ood_test},
+                           grid=DEFAULT_GRID)
 
 print(f"bare-head baseline: id={report.baselines['id']['head']:.3f} "
       f"ood={report.baselines['ood']['head']:.3f}\n")

@@ -213,19 +213,23 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
 # ------------------------------------------------------------ configuration
 
 def sample_hyperconfig(base_seed: int, component_index: int,
-                       overrides: dict | None = None) -> HyperConfig:
+                       overrides: dict | None = None, *,
+                       dim: int) -> HyperConfig:
     """Draw one component's hyperparameters from the documented grids.
 
     All fields are drawn (in a fixed order: red, lr, weight decay,
     augmentation strength, seed) from the stream
     (base_seed, "hyper", component_index); overrides then pin individual
-    fields, so pinning one field never changes the others. ``epochs`` has
-    no grid and must be supplied via overrides.
+    fields, so pinning one field never changes the others. ``red`` is
+    drawn from RED_MIN..min(RED_MAX, dim), so from dim >= RED_MIN on every
+    drawn adapter has a hidden unit. ``epochs`` has no grid and must be
+    supplied via overrides.
     """
     overrides = dict(overrides or {})
     rng = stream(base_seed, "hyper", component_index)
+    red_max = max(RED_MIN, min(RED_MAX, dim))
     drawn = {
-        "red": RED_MIN + rng.randbelow(RED_MAX - RED_MIN + 1),
+        "red": RED_MIN + rng.randbelow(red_max - RED_MIN + 1),
         "lr": rng.choice(LR_GRID),
         "weight_decay": rng.choice(WEIGHT_DECAY_GRID),
         "aug_strength": rng.choice(AUG_STRENGTH_GRID),
@@ -401,6 +405,8 @@ def parse_checkpoint(blob: bytes):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptLength(f"checkpoint trailer is not valid JSON: {exc}") \
             from exc
+    if not isinstance(meta, dict):
+        raise CorruptLength("checkpoint trailer is not a JSON object")
     params = AdapterParams(W1=arrays[0].reshape(hidden, dim), b1=arrays[1],
                            W2=arrays[2].reshape(dim, hidden), b2=arrays[3])
     return params, scale, meta

@@ -14,7 +14,6 @@ import contextlib
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import adapter as adapter_mod
 from . import dataio, evalkit, heads, soup as soup_mod
 from .errors import (ClassSetMismatch, DataError, IoFailure, NumericalError,
-                     SoupAdapterError)
+                     SoupAdapterError, SoupMismatch)
 
 
 class UsageError(Exception):
@@ -65,7 +64,7 @@ _OVERRIDE_TYPES = {
     "red": _number(int, 1, True), "lr": _number(float, 0.0, False),
     "weight_decay": _number(float, 0.0, True),
     "aug_strength": _number(float, 0.0, True), "seed": int,
-    "epochs": _number(int, 1, True), "batch_size": _number(int, 1, True),
+    "batch_size": _number(int, 1, True),
     "train_r": _number(float, 0.0, True, high=1.0),
 }
 
@@ -128,16 +127,32 @@ def _load_with_manifest(path):
 # ------------------------------------------------------------------ commands
 
 def cmd_info(args) -> int:
-    emb, manifest = _load_with_manifest(args.embeddings)
-    print(f"dim: {emb.dim}")
-    print(f"samples: {emb.n}")
-    print(f"views: {emb.views}")
-    print(f"classes: {emb.n_classes}")
-    print("norm-check: ok")
-    if manifest is not None:
-        print(f"dataset: {manifest.dataset}")
-        print(f"model: {manifest.model}")
-        print(f"splits: {', '.join(sorted(manifest.splits))}")
+    """Describe a container, head file or checkpoint, told apart by magic."""
+    path = args.embeddings
+    magic = dataio.read_bytes(path, "file")[:4]
+    if magic == heads.HEAD_MAGIC:
+        head = heads.import_head(path)
+        fields = {"format": "head", "classes": head.n_classes,
+                  "dim": head.dim, "scale": head.scale}
+    elif magic == adapter_mod.CHECKPOINT_MAGIC:
+        params, scale, meta = adapter_mod.load_checkpoint(path)
+        fields = {"format": "checkpoint", "dim": params.dim,
+                  "hidden": params.hidden, "scale": scale}
+        for key, value in sorted(meta.items()):  # lists are left out
+            nested = value.items() if isinstance(value, dict) \
+                else [(None, value)]
+            fields.update((f"{key}.{sub}" if sub else key, v)
+                          for sub, v in sorted(nested)
+                          if not isinstance(v, list))
+    else:
+        emb, manifest = _load_with_manifest(path)
+        fields = {"dim": emb.dim, "samples": emb.n, "views": emb.views,
+                  "classes": emb.n_classes, "norm-check": "ok"}
+        if manifest is not None:
+            fields.update(dataset=manifest.dataset, model=manifest.model,
+                          splits=", ".join(sorted(manifest.splits)))
+    for key, value in fields.items():
+        print(f"{key}: {value}")
     return 0
 
 
@@ -195,13 +210,14 @@ def _train_into(out: Path, args, overrides: dict):
         mask = (adapter_mod.mask_strategy_for_shots(args.shots)
                 if args.mask == "auto" else args.mask)
         if mask == adapter_mod.MASK and args.shots == 1:
-            warnings.warn("mask strategy with a single shot falls back to "
-                          "unmasked prototypes", RuntimeWarning)
+            print("warning: mask strategy with a single shot falls back to "
+                  "unmasked prototypes", file=sys.stderr)
         elif mask == adapter_mod.MASK:
             masked_table = np.stack(heads.leave_one_out_prototypes(prompts))
 
     overrides.update(epochs=args.epochs, mask_strategy=mask)
-    configs = [adapter_mod.sample_hyperconfig(args.seed, j, overrides)
+    configs = [adapter_mod.sample_hyperconfig(args.seed, j, overrides,
+                                              dim=emb.dim)
                for j in range(args.k)]
 
     def run(j):
@@ -239,9 +255,6 @@ def _train_into(out: Path, args, overrides: dict):
         meta = {"kind": "component", "hyper": configs[j].to_dict(),
                 "record": record.to_dict()}
         adapter_mod.save_checkpoint(ckpt, params, head.scale, meta)
-        dataio.atomic_write(out / f"component_{j}.json", dataio.json_bytes(
-            {"hyper": configs[j].to_dict(), "record": record.to_dict()}),
-            "sidecar")
         loss = record.final_loss
         print(f"wrote {ckpt} (H={params.hidden}, "
               f"final loss {loss if loss is None else f'{loss:.4f}'})")
@@ -273,18 +286,16 @@ def cmd_eval(args) -> int:
     ood_sets = {}
     for path in args.ood or []:
         stem = Path(path).stem
-        if stem in ood_sets:
-            raise UsageError(f"two --ood files share the stem {stem!r}; "
-                             f"report rows could not tell them apart")
+        if stem in ("id", "ood", *ood_sets):
+            raise UsageError(f"--ood stem {stem!r} repeats a report split; "
+                             f"rows could not tell them apart")
         ood_sets[stem], _ = _load_with_manifest(path)
 
-    models = []
-    if args.adapter:  # a merged adapter is a soup of one
-        models.append(("soup",
-                       soup_mod.load_soup([args.adapter])[0].components[0]))
+    adapter = (soup_mod.load_soup([args.adapter])[0].components[0]
+               if args.adapter else None)
     components = (soup_mod.load_soup(args.components)[0].components
                   if args.components else [])
-    if not models and not components:
+    if adapter is None and not components:
         raise UsageError("need --adapter and/or --components to evaluate")
     bank = None
     if args.knn_bank:
@@ -294,14 +305,12 @@ def cmd_eval(args) -> int:
                 f"KNN bank {args.knn_bank} has {bank.n_classes} classes and "
                 f"dim {bank.dim}; head has {head.n_classes} and {head.dim}")
 
-    report = evalkit.EvalReport()
-    if models:
-        report.extend(evalkit.robustness_report(models, head, id_set,
-                                                ood_sets, grid))
-    if components:
-        sets = {"id": id_set, **ood_sets}
-        report.extend(evalkit.component_average_report(components, head,
-                                                       sets, grid))
+    try:
+        report = evalkit.robustness_report(adapter, components, head, id_set,
+                                           ood_sets, grid)
+    except SoupMismatch as exc:
+        exc.args = (f"{args.adapter} is not the soup of --components: {exc}",)
+        raise
     if bank is not None:
         cfg = heads.KnnConfig(k=args.knn_k, temperature=args.knn_t)
         bank_feats = bank.unit_features(0)
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "over frozen embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="inspect an embedding container")
+    p = sub.add_parser("info", help="inspect a container, head or checkpoint")
     p.add_argument("--embeddings", required=True)
     p.set_defaults(func=cmd_info)
 

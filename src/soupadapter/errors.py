@@ -77,6 +77,10 @@ class RedTooLarge(DataError):
     pass
 
 
+class SoupMismatch(DataError):
+    pass
+
+
 class IoFailure(DataError):
     pass
 

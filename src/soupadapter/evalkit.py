@@ -8,12 +8,13 @@ normalize(x + r a) differs from x + r a by a positive per-row factor, which
 cannot move an argmax, so the decision at ratio r is argmax(P + r Q) with
 P = exp(s) X W^T the bare-head logits and Q = exp(s) A W^T. Folding the head
 into the adapter's output layer once (W W2 and W b2) gives
-Q = exp(s) (gelu(X W1^T + b1) (W W2)^T + W b2), so A is never formed. Each
-set is scored in one pass over blocks of EVAL_BLOCK_ROWS rows: every block
-computes X and P once, counts the bare-head hits from P, and then adds up
-every model's hits at every r. Memory is bounded by the block, not by the
-set; the r = 0 row is the bare-head count itself and so reproduces its
-decisions exactly.
+Q = exp(s) (gelu(X W1^T + b1) (W W2)^T + W b2), so A is never formed. A
+merged W1 stacks the components' rows, so one hidden layer serves the soup
+(every column) and component j (its slice). Each set is scored in one pass
+over blocks of EVAL_BLOCK_ROWS rows: every block computes X, P and the
+hidden layer once, then counts each model's hits at every r in turn.
+Memory is bounded by the block, not by the set; the r = 0 row is the
+bare-head count itself and so reproduces its decisions exactly.
 
 CSV layout: header "model,split,r,accuracy", one row per cell, '.' decimal
 separator, '\n' line endings. JSON mirrors the report fields and includes
@@ -30,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import AdapterParams
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
 from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
-                     LengthMismatch, ShapeMismatch)
+                     LengthMismatch, ShapeMismatch, SoupMismatch)
 from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
                     knn_logits_batch)
 from .numerics import gelu
@@ -54,11 +54,6 @@ class SweepRow:
 class EvalReport:
     rows: list[SweepRow] = field(default_factory=list)
     baselines: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def extend(self, other: "EvalReport"):
-        self.rows.extend(other.rows)
-        for split, entries in other.baselines.items():
-            self.baselines.setdefault(split, {}).update(entries)
 
     def accuracies(self, model: str, split: str) -> dict[float, float]:
         return {row.r: row.accuracy for row in self.rows
@@ -92,49 +87,52 @@ def _blocks(emb: EmbeddingSet, split=None):
         yield emb.unit_features(view=0, indices=idx), emb.labels[idx]
 
 
-def _fold(model, head: ClassifierHead) -> list[tuple]:
-    """(W1, b1, W W2, W b2) per component: the head folded into the output
+def _fold(components, head: ClassifierHead):
+    """The components' stacked first layer (W1, b1) and, per component,
+    (its hidden columns, W W2, W b2): the head folded into the output
     layer, so residual logits need no D-wide adapter output."""
-    if isinstance(model, Soup):
-        components = model.components
-    elif isinstance(model, AdapterParams):
-        components = [model]
-    else:
-        raise TypeError(f"cannot evaluate a {type(model).__name__}")
     if components[0].dim != head.dim:
         raise ShapeMismatch(f"adapter dim {components[0].dim} != head dim "
                             f"{head.dim}")
-    return [(c.W1, c.b1, head.weights @ c.W2, head.weights @ c.b2)
-            for c in components]
+    ends = np.cumsum([c.hidden for c in components]).tolist()
+    layer = (np.vstack([c.W1 for c in components]),
+             np.concatenate([c.b1 for c in components]))
+    return layer, [(slice(end - c.hidden, end), head.weights @ c.W2,
+                    head.weights @ c.b2)
+                   for c, end in zip(components, ends)]
 
 
-def _residual_logits(folded: list[tuple], feats: np.ndarray,
+def _residual_logits(outputs: list[tuple], hidden: np.ndarray,
                      scale: float) -> np.ndarray:
-    """Q = exp(scale) A W^T, averaged over the components in order."""
+    """Q = exp(scale) A W^T, averaged over the folded outputs in order."""
     total = None
-    for w1, b1, ww2, wb2 in folded:
-        q = gelu(feats @ w1.T + b1) @ ww2.T + wb2
+    for cols, ww2, wb2 in outputs:
+        q = hidden[:, cols] @ ww2.T + wb2
         total = q if total is None else total + q
-    return math.exp(scale) * (total / len(folded))
+    return math.exp(scale) * (total / len(outputs))
 
 
-def _sweep_set(folded_models, head: ClassifierHead, emb: EmbeddingSet,
+def _sweep_set(layer, models, head: ClassifierHead, emb: EmbeddingSet,
                grid, split=None) -> tuple[float, list[dict[float, float]]]:
-    """Bare-head accuracy and, per folded model, {r: accuracy} on one set."""
+    """Bare-head accuracy and, per model (a list of _fold outputs whose Q
+    is averaged), {r: accuracy} on one set; ``layer`` is the (W1, b1)
+    whose hidden layer every model reads its columns from."""
     grid = [float(r) for r in grid]
     n = 0
     bare = 0
-    hits = np.zeros((len(folded_models), len(grid)), dtype=np.int64)
+    hits = np.zeros((len(models), len(grid)), dtype=np.int64)
     for feats, labels in _blocks(emb, split):
         n += labels.size
         p = head_logits(head, feats)
         bare_block = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
         bare += bare_block
-        for m, folded in enumerate(folded_models):
-            q = _residual_logits(folded, feats, head.scale)
+        hidden = gelu(feats @ layer[0].T + layer[1]) if models else None
+        for m, outputs in enumerate(models):
+            q = _residual_logits(outputs, hidden, head.scale)
             for i, r in enumerate(grid):
                 hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
                     np.argmax(p + r * q, axis=1) == labels)
+        del hidden  # before the next block's gelu temporaries
     return bare / n, [dict(zip(grid, (int(h) / n for h in row)))
                       for row in hits]
 
@@ -143,14 +141,17 @@ def ratio_sweep(model, head: ClassifierHead, emb: EmbeddingSet,
                 grid=DEFAULT_GRID, split=None) -> dict[float, float]:
     """Accuracy of normalize(x + r model(x)) under the head, for each r.
 
+    ``model`` is an adapter or a Soup (whose outputs are averaged).
     ``split`` restricts evaluation to those sample indices; evaluation
     always uses the clean view.
     """
-    return _sweep_set([_fold(model, head)], head, emb, grid, split)[1][0]
+    layer, outputs = _fold(
+        model.components if isinstance(model, Soup) else [model], head)
+    return _sweep_set(layer, [outputs], head, emb, grid, split)[1][0]
 
 
 def head_accuracy(head: ClassifierHead, emb: EmbeddingSet, split=None) -> float:
-    return _sweep_set([], head, emb, (), split)[0]
+    return _sweep_set(None, [], head, emb, (), split)[0]
 
 
 def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
@@ -178,63 +179,66 @@ def check_compatible(head: ClassifierHead, sets):
                 f"set '{name}' has dim {emb.dim}, head has {head.dim}")
 
 
-def robustness_report(models, head: ClassifierHead, id_set: EmbeddingSet,
-                      ood_sets: dict[str, EmbeddingSet],
+def robustness_report(adapter, components, head: ClassifierHead,
+                      id_set: EmbeddingSet, ood_sets: dict[str, EmbeddingSet],
                       grid=DEFAULT_GRID) -> EvalReport:
-    """(ID, OOD) accuracy per model per residual ratio.
+    """Accuracy per model, split and residual ratio, one pass per set.
 
-    ``models`` is a list of (name, adapter-or-soup) pairs, all scored in one
-    pass per set. The "ood" rows hold the unweighted mean accuracy over the
-    shifted sets at each r; the bare-head accuracies land in the baselines
-    under "head".
+    ``adapter`` (merged, or None) gives the "soup" rows; ``components``
+    (possibly empty) give component_<j> rows and their component_mean,
+    _min and _max. Each model gets "id", one split per OOD stem and "ood",
+    the unweighted mean over the stems. With both, the adapter's W1 and b1
+    must be the row-stack of the components' (SoupMismatch otherwise).
+    The bare-head accuracies land in the baselines under "head".
     """
+    if adapter is None and not components:
+        raise ValueError("need an adapter or at least one component")
+    if {"id", "ood"} & set(ood_sets):
+        raise ValueError("an OOD set may not be named 'id' or 'ood'")
     check_compatible(head, [("id", id_set), *ood_sets.items()])
-    folded = [_fold(model, head) for _, model in models]
-    id_bare, id_accs = _sweep_set(folded, head, id_set, grid)
-    ood = [_sweep_set(folded, head, emb, grid) for emb in ood_sets.values()]
-    report = EvalReport()
-    for m, (name, _) in enumerate(models):
-        for r in grid:
-            r = float(r)
-            report.rows.append(SweepRow(name, "id", r, id_accs[m][r]))
-            if ood:
-                mean_ood = float(np.mean([accs[m][r] for _, accs in ood]))
-                report.rows.append(SweepRow(name, "ood", r, mean_ood))
-    report.baselines["id"] = {"head": id_bare}
-    if ood:
+    names, models = [], []
+    if adapter is not None:
+        layer, outputs = _fold([adapter], head)
+        names, models = ["soup"], [outputs]
+    if components:
+        stacked, outputs = _fold(components, head)
+        if adapter is not None and not all(
+                np.array_equal(a, b) for a, b in zip(layer, stacked)):
+            raise SoupMismatch("W1/b1 are not the components' row-stack")
+        layer = stacked  # the adapter's, bit for bit, if there is one
+        names += [f"component_{j}" for j in range(len(components))]
+        models += [[out] for out in outputs]
+
+    grid = [float(r) for r in grid]
+    scored = {split: _sweep_set(layer, models, head, emb, grid)
+              for split, emb in {"id": id_set, **ood_sets}.items()}
+    table = {name: {split: accs[m] for split, (_, accs) in scored.items()}
+             for m, name in enumerate(names)}
+    report = EvalReport(baselines={"id": {"head": scored["id"][0]}})
+    if ood_sets:
         report.baselines["ood"] = {"head": float(np.mean(
-            [bare for bare, _ in ood]))}
+            [scored[s][0] for s in ood_sets]))}
+        for per_split in table.values():
+            per_split["ood"] = {r: float(np.mean([per_split[s][r]
+                                                  for s in ood_sets]))
+                                for r in grid}
+    if components:
+        per_comp = [table[f"component_{j}"] for j in range(len(components))]
+        for name, reduce in (("mean", np.mean), ("min", min), ("max", max)):
+            table[f"component_{name}"] = {
+                split: {r: float(reduce([c[split][r] for c in per_comp]))
+                        for r in grid} for split in per_comp[0]}
+    report.rows = [
+        SweepRow(name, split, r, accs[r]) for name, per_split in table.items()
+        for split, accs in per_split.items() for r in grid]
     return report
 
 
-def component_average_report(components, head: ClassifierHead,
-                             sets: dict[str, EmbeddingSet],
+def component_average_report(components, head, id_set, ood_sets,
                              grid=DEFAULT_GRID) -> EvalReport:
-    """Every component evaluated independently, plus mean/min/max rows.
-
-    Rows are named component_<j>, component_mean, component_min and
-    component_max; the mean row is the exact arithmetic mean of the
-    per-component rows. All components are scored in one pass per set.
-    """
-    if not components:
-        raise ValueError("need at least one component")
-    folded = [_fold(comp, head) for comp in components]
-    report = EvalReport()
-    for split, emb in sets.items():
-        _, per_comp = _sweep_set(folded, head, emb, grid)
-        for j, accs in enumerate(per_comp):
-            for r in grid:
-                report.rows.append(SweepRow(f"component_{j}", split,
-                                            float(r), accs[float(r)]))
-        for r in grid:
-            values = [accs[float(r)] for accs in per_comp]
-            report.rows.append(SweepRow("component_mean", split, float(r),
-                                        float(np.mean(values))))
-            report.rows.append(SweepRow("component_min", split, float(r),
-                                        float(min(values))))
-            report.rows.append(SweepRow("component_max", split, float(r),
-                                        float(max(values))))
-    return report
+    """robustness_report of the components alone. Kept as a name because
+    the benchmark's tracer (perfbench/tracer.py TARGETS) times it."""
+    return robustness_report(None, components, head, id_set, ood_sets, grid)
 
 
 # ----------------------------------------------------------------- report IO

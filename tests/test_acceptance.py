@@ -221,7 +221,8 @@ def test_criterion_7_synthetic_soup_benefit():
         comps = []
         for j in range(8):
             cfg = sample_hyperconfig(seed, j, {"epochs": 50,
-                                               "mask_strategy": "mask"})
+                                               "mask_strategy": "mask"},
+                                     dim=train.dim)
             params, _ = train_component(train, sel, head, cfg, table)
             comps.append(params)
         soup = Soup(components=comps)
@@ -254,7 +255,7 @@ def test_criterion_7_synthetic_soup_benefit():
 def test_criterion_8_hyperparameter_sampler_conformance():
     reds, lrs, wds, ss = [], [], [], []
     for j in range(10000):
-        cfg = sample_hyperconfig(2024, j, {"epochs": 1})
+        cfg = sample_hyperconfig(2024, j, {"epochs": 1}, dim=32)
         reds.append(cfg.red)
         lrs.append(cfg.lr)
         wds.append(cfg.weight_decay)

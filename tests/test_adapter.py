@@ -261,8 +261,8 @@ def test_backward_loss_matches_forward_path():
 # ------------------------------------------------------------ hyperconfigs
 
 def test_hyperconfig_sampling_is_deterministic():
-    a = sample_hyperconfig(7, 3, {"epochs": 10})
-    b = sample_hyperconfig(7, 3, {"epochs": 10})
+    a = sample_hyperconfig(7, 3, {"epochs": 10}, dim=32)
+    b = sample_hyperconfig(7, 3, {"epochs": 10}, dim=32)
     assert a == b
     assert a.batch_size == 32 and a.train_r == 1.0
 
@@ -270,7 +270,7 @@ def test_hyperconfig_sampling_is_deterministic():
 def test_hyperconfig_fields_come_from_the_grids():
     seen_red = set()
     for j in range(300):
-        cfg = sample_hyperconfig(1, j, {"epochs": 5})
+        cfg = sample_hyperconfig(1, j, {"epochs": 5}, dim=32)
         assert 2 <= cfg.red <= 10
         assert cfg.lr in LR_GRID
         assert cfg.weight_decay in WEIGHT_DECAY_GRID
@@ -279,9 +279,16 @@ def test_hyperconfig_fields_come_from_the_grids():
     assert seen_red == set(range(2, 11))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 9])
+def test_hyperconfig_red_stays_within_the_dim(dim):
+    reds = {sample_hyperconfig(1, j, {"epochs": 5}, dim=dim).red
+            for j in range(200)}
+    assert reds == set(range(2, dim + 1))
+
+
 def test_hyperconfig_override_pins_only_that_field():
-    base = sample_hyperconfig(9, 0, {"epochs": 5})
-    pinned = sample_hyperconfig(9, 0, {"epochs": 5, "lr": 1e-3})
+    base = sample_hyperconfig(9, 0, {"epochs": 5}, dim=32)
+    pinned = sample_hyperconfig(9, 0, {"epochs": 5, "lr": 1e-3}, dim=32)
     assert pinned.lr == 1e-3
     assert pinned.red == base.red
     assert pinned.weight_decay == base.weight_decay
@@ -291,9 +298,9 @@ def test_hyperconfig_override_pins_only_that_field():
 
 def test_hyperconfig_requires_epochs_and_known_keys():
     with pytest.raises(ValueError, match="epochs"):
-        sample_hyperconfig(0, 0)
+        sample_hyperconfig(0, 0, dim=32)
     with pytest.raises(ValueError, match="unknown"):
-        sample_hyperconfig(0, 0, {"epochs": 5, "momentum": 0.9})
+        sample_hyperconfig(0, 0, {"epochs": 5, "momentum": 0.9}, dim=32)
 
 
 def test_mask_defaults_by_shots():
@@ -462,7 +469,8 @@ def test_trained_component_beats_prototype_baseline_at_full_ratio():
     sel = sample_few_shot(train, range(train.n), 16, seed=5)
     clean = train.unit_features(0)
     head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
-    cfg = sample_hyperconfig(5, 0, {"epochs": 50, "mask_strategy": MASK})
+    cfg = sample_hyperconfig(5, 0, {"epochs": 50, "mask_strategy": MASK},
+                             dim=train.dim)
     params, _ = train_on_prototypes(train, sel, cfg)
     sweep = ratio_sweep(params, head, id_test, grid=[1.0])
     assert sweep[1.0] > head_accuracy(head, id_test)
@@ -504,4 +512,7 @@ def test_checkpoint_corruption_errors(tmp_path):
         load_checkpoint(bad)
     bad.write_bytes(blob + b"!")
     with pytest.raises(CorruptLength):
+        load_checkpoint(bad)
+    save_checkpoint(bad, params, 1.0, [])  # a trailer that is not an object
+    with pytest.raises(CorruptLength, match="object"):
         load_checkpoint(bad)

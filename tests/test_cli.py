@@ -120,6 +120,28 @@ def test_info_bad_magic_exits_2(data_dir, tmp_path):
     assert run("info", "--embeddings", bad) == 2
 
 
+def test_info_reads_heads_and_checkpoints_by_magic(tmp_path, train_dir,
+                                                   capsys):
+    assert run("info", "--embeddings", train_dir / "head.shed") == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "format: head", "classes: 10", "dim: 32"]
+    comp = train_dir / "component_0.sada"
+    params, _, meta = load_checkpoint(comp)
+    assert run("info", "--embeddings", comp) == 0
+    out = capsys.readouterr().out
+    assert f"hidden: {params.hidden}" in out and "kind: component" in out
+    assert f"hyper.red: {meta['hyper']['red']}" in out
+    assert f"record.final_loss: {meta['record']['final_loss']}" in out
+    assert "loss_trace" not in out
+    merged = tmp_path / "merged.sada"
+    assert run("soup", "--components", comp, train_dir / "component_1.sada",
+               "--out", merged) == 0
+    capsys.readouterr()
+    assert run("info", "--embeddings", merged) == 0
+    out = capsys.readouterr().out
+    assert "kind: merged" in out and "k: 2" in out
+
+
 def test_missing_flag_exits_1(capsys):
     assert run("info") == 1
     assert "usage error" in capsys.readouterr().err
@@ -129,8 +151,10 @@ def test_missing_flag_exits_1(capsys):
 
 def test_train_writes_expected_files(train_dir):
     for j in range(3):
-        assert (train_dir / f"component_{j}.sada").exists()
-        assert (train_dir / f"component_{j}.json").exists()
+        _, _, meta = load_checkpoint(train_dir / f"component_{j}.sada")
+        assert meta["kind"] == "component"
+        assert set(meta) == {"kind", "hyper", "record"}
+        assert not (train_dir / f"component_{j}.json").exists()  # no sidecar
     assert (train_dir / "head.shed").exists()
     assert (train_dir / "fewshot.sadp").exists()
     bank = read_container(train_dir / "fewshot.sadp")
@@ -144,8 +168,8 @@ def test_train_is_byte_deterministic(tmp_path, data_dir):
                    "--shots", "4", "--k", "2", "--epochs", "3",
                    "--seed", "9", "--jobs", "1" if out is a else "2",
                    "--out", out) == 0
-    for name in ("component_0.sada", "component_1.sada", "component_0.json",
-                 "head.shed", "fewshot.sadp"):
+    for name in ("component_0.sada", "component_1.sada", "head.shed",
+                 "fewshot.sadp"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -155,7 +179,7 @@ def test_train_override_is_recorded(tmp_path, data_dir):
                "--shots", "4", "--k", "2", "--epochs", "2",
                "--override", "lr=1e-3", "--out", out) == 0
     for j in range(2):
-        doc = json.loads((out / f"component_{j}.json").read_text())
+        _, _, doc = load_checkpoint(out / f"component_{j}.sada")
         assert doc["hyper"]["lr"] == 1e-3
         assert doc["hyper"]["epochs"] == 2
         assert doc["hyper"]["mask_strategy"] == "no-mask"  # 4-shot auto
@@ -229,22 +253,39 @@ def test_train_builds_the_head_and_table_once(tmp_path, data_dir,
                "--shots", "4", "--k", "3", "--epochs", "1", "--mask", "mask",
                "--out", out) == 0
     assert calls == {"build_prototypes": 1, "leave_one_out_prototypes": 1}
-    assert all(json.loads((out / f"component_{j}.json").read_text())
+    assert all(load_checkpoint(out / f"component_{j}.sada")[2]
                ["hyper"]["mask_strategy"] == "mask" for j in range(3))
 
 
 def test_train_mask_at_one_shot_warns_and_trains_unmasked(tmp_path,
-                                                          data_dir):
+                                                          data_dir, capsys):
     argv = ["train", "--embeddings", data_dir / "train.sadp", "--shots", "1",
             "--k", "1", "--epochs", "2"]
-    with pytest.warns(RuntimeWarning, match="single shot"):
-        assert run(*argv, "--mask", "mask", "--out", tmp_path / "m") == 0
+    assert run(*argv, "--mask", "mask", "--out", tmp_path / "m") == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: mask strategy with a single shot")
+    assert len(err.splitlines()) == 1  # no source path or line
     assert run(*argv, "--mask", "no-mask", "--out", tmp_path / "n") == 0
     masked, _, meta = load_checkpoint(tmp_path / "m" / "component_0.sada")
     plain, _, _ = load_checkpoint(tmp_path / "n" / "component_0.sada")
     assert meta["hyper"]["mask_strategy"] == "mask"
     assert all(np.array_equal(masked.as_dict()[k], plain.as_dict()[k])
                for k in ("W1", "b1", "W2", "b2"))
+
+
+def test_train_on_two_dim_embeddings(tmp_path, capsys):
+    data, out = tmp_path / "d2", tmp_path / "run"
+    assert run("synth", "--out", data, "--classes", "2", "--dim", "2",
+               "--per-class", "4") == 0
+    argv = ["train", "--embeddings", data / "train.sadp", "--shots", "2",
+            "--k", "2", "--epochs", "1"]
+    assert run(*argv, "--out", out) == 0
+    for j in range(2):  # red is drawn from 2..min(10, D)
+        params, _, meta = load_checkpoint(out / f"component_{j}.sada")
+        assert meta["hyper"]["red"] == 2 and params.hidden == 1
+    capsys.readouterr()
+    assert run(*argv, "--override", "red=3", "--out", tmp_path / "bad") == 2
+    assert "floor(2 / 3) < 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- soup
@@ -304,17 +345,16 @@ def test_eval_full_report(tmp_path, data_dir, train_dir):
                "--knn-bank", train_dir / "fewshot.sadp",
                "--grid", "0:1:0.1", "--out", out) == 0
     doc = json.loads((out.parent / "report.json").read_text())
-    models = {row["model"] for row in doc["rows"]}
-    assert models == {"soup", "component_0", "component_1", "component_2",
-                      "component_mean", "component_min", "component_max"}
-    soup_id = [r for r in doc["rows"]
-               if r["model"] == "soup" and r["split"] == "id"]
-    assert len(soup_id) == 11
+    models = ["soup", "component_0", "component_1", "component_2",
+              "component_mean", "component_min", "component_max"]
+    # every model: id, the OOD stem and the OOD mean, 11 ratios each
+    assert [(row["model"], row["split"]) for row in doc["rows"]] == [
+        (m, s) for m in models for s in ("id", "ood_test", "ood")
+        for _ in range(11)]
     assert "knn" in doc["baselines"]["id"]
     assert set(doc["baselines"]["id"]) == {"head", "knn"}
     csv_lines = (out.parent / "report.csv").read_text().strip().split("\n")
-    # soup rows: 2 splits x 11; components: 6 models x 2 sets x 11
-    assert len(csv_lines) == 1 + 2 * 11 + 6 * 2 * 11
+    assert len(csv_lines) == 1 + 7 * 3 * 11
 
 
 def test_eval_single_point_grid(tmp_path, data_dir, train_dir):
@@ -357,7 +397,7 @@ def test_eval_knn_bank_class_mismatch_exits_2_before_scoring(
 
     def never(*args, **kwargs):
         raise AssertionError("scored before the bank was checked")
-    monkeypatch.setattr(evalkit, "component_average_report", never)
+    monkeypatch.setattr(evalkit, "robustness_report", never)
     assert run("eval", "--embeddings", data_dir / "id_test.sadp",
                "--head", train_dir / "head.shed",
                "--components", train_dir / "component_0.sada",
@@ -381,6 +421,39 @@ def test_eval_duplicate_ood_stems_exit_1(tmp_path, data_dir, train_dir,
                "--out", tmp_path / "x") == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "'ood_test'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["subset", "reordered"])
+def test_eval_adapter_not_the_soup_of_components_exits_2(
+        tmp_path, data_dir, train_dir, capsys, case):
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    merged = tmp_path / "merged.sada"
+    soup_of = comps[:2] if case == "subset" else comps[::-1]
+    assert run("soup", "--components", *soup_of, "--out", merged) == 0
+    capsys.readouterr()
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--head", train_dir / "head.shed", "--adapter", merged,
+               "--components", *comps, "--out", tmp_path / "report") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(merged) in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["merged.sada"]
+
+
+@pytest.mark.parametrize("stem", ["id", "ood"])
+def test_eval_ood_stem_naming_a_split_exits_1(tmp_path, data_dir, train_dir,
+                                              capsys, stem):
+    for suffix in (".sadp", ".sadp.json"):
+        (tmp_path / f"{stem}{suffix}").write_bytes(
+            (data_dir / f"ood_test{suffix}").read_bytes())
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--ood", tmp_path / f"{stem}.sadp",
+               "--head", train_dir / "head.shed",
+               "--components", train_dir / "component_0.sada",
+               "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"'{stem}'" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -492,6 +565,7 @@ def test_soup_component_with_inf_scale_exits_2(tmp_path, train_dir, capsys):
     ("--override", "train_r=-0.1"),
     ("--override", "mask_strategy=zzz"),
     ("--override", "mask_strategy=mask"),  # --mask is the only mask knob
+    ("--override", "epochs=2"),  # --epochs is the only epochs knob
 ])
 def test_train_bad_values_are_usage_errors(tmp_path, data_dir, capsys, flag,
                                            value):

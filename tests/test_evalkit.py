@@ -5,7 +5,7 @@ from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  sample_hyperconfig, train_component)
 from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
 from soupadapter.errors import (ClassSetMismatch, CorruptLength,
-                                LengthMismatch)
+                                LengthMismatch, SoupMismatch)
 from soupadapter.evalkit import (DEFAULT_GRID, EVAL_BLOCK_ROWS, EvalReport,
                                  SweepRow, _fold, _residual_logits, accuracy,
                                  component_average_report, head_accuracy,
@@ -14,7 +14,7 @@ from soupadapter.evalkit import (DEFAULT_GRID, EVAL_BLOCK_ROWS, EvalReport,
 from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
                                head_logits, leave_one_out_prototypes,
                                selection_prototypes)
-from soupadapter.numerics import row_norms
+from soupadapter.numerics import gelu, row_norms
 from soupadapter.rng import stream
 from soupadapter.soup import Soup, reparameterize, soup_forward
 
@@ -115,7 +115,8 @@ def test_trained_soup_beats_its_r_zero_point():
     table = np.stack(leave_one_out_prototypes(prompts))
     comps = []
     for j in range(8):
-        cfg = sample_hyperconfig(1, j, {"epochs": 50, "mask_strategy": "mask"})
+        cfg = sample_hyperconfig(1, j, {"epochs": 50, "mask_strategy": "mask"},
+                                 dim=train.dim)
         params, _ = train_component(train, sel, head, cfg, table)
         comps.append(params)
     sweep = ratio_sweep(Soup(comps), head, id_test, grid=DEFAULT_GRID)
@@ -188,19 +189,52 @@ def test_reports_match_reblending_per_model(block_bench):
     id_test, head, models = block_bench
     shifted = EmbeddingSet(features=id_test.features[::-1][:700],
                            labels=id_test.labels[::-1][:700], n_classes=10)
-    report = robustness_report([("a", models[0]), ("s", models[1])], head,
-                               id_test, {"x": shifted, "y": id_test})
-    for name, model in (("a", models[0]), ("s", models[1])):
-        id_want = reference_sweep(model, head, id_test, DEFAULT_GRID)
-        x_want = reference_sweep(model, head, shifted, DEFAULT_GRID)
-        assert report.accuracies(name, "id") == id_want
-        assert report.accuracies(name, "ood") == {
-            r: float(np.mean([x_want[r], id_want[r]])) for r in id_want}
+    sets = {"id": id_test, "x": shifted, "y": id_test}
     comps = models[1].components
-    report = component_average_report(comps, head, {"ood": shifted})
-    for j, comp in enumerate(comps):
-        assert report.accuracies(f"component_{j}", "ood") == \
-            reference_sweep(comp, head, shifted, DEFAULT_GRID)
+    merged = reparameterize(models[1])
+    report = robustness_report(merged, comps, head, id_test,
+                               {"x": shifted, "y": id_test})
+    want = {name: {split: reference_sweep(model, head, emb, DEFAULT_GRID)
+                   for split, emb in sets.items()}
+            for name, model in [("soup", merged),
+                                *((f"component_{j}", c)
+                                  for j, c in enumerate(comps))]}
+    for per_split in want.values():
+        per_split["ood"] = {r: float(np.mean([per_split["x"][r],
+                                              per_split["y"][r]]))
+                            for r in DEFAULT_GRID}
+    per_comp = [want[f"component_{j}"] for j in range(len(comps))]
+    for name, reduce in (("mean", np.mean), ("min", min), ("max", max)):
+        want[f"component_{name}"] = {
+            split: {r: float(reduce([c[split][r] for c in per_comp]))
+                    for r in DEFAULT_GRID} for split in per_comp[0]}
+    assert [(row.model, row.split) for row in report.rows] == [
+        (name, split) for name, per_split in want.items()
+        for split in per_split for _ in DEFAULT_GRID]
+    for name, per_split in want.items():
+        for split, accs in per_split.items():
+            assert report.accuracies(name, split) == accs, (name, split)
+
+    # every model's r = 0 row is the bare head's accuracy on that split
+    bare = {split: head_accuracy(head, emb) for split, emb in sets.items()}
+    bare["ood"] = report.baselines["ood"]["head"]
+    assert report.baselines["id"]["head"] == bare["id"]
+    assert bare["ood"] == float(np.mean([bare["x"], bare["y"]]))
+    for name in want:
+        for split, acc in bare.items():
+            got = report.accuracies(name, split)[0.0]
+            if name == "component_mean":  # a float mean of K equal values
+                assert abs(got - acc) <= 1e-15
+            else:
+                assert got == acc, (name, split)
+
+
+def test_report_refuses_an_adapter_that_is_not_the_soup(block_bench):
+    id_test, head, models = block_bench
+    comps = models[1].components
+    for adapter in (models[0], reparameterize(Soup(comps[::-1]))):
+        with pytest.raises(SoupMismatch):
+            robustness_report(adapter, comps, head, id_test, {})
 
 
 def test_residual_logits_are_unnormalized_blended_logits(block_bench):
@@ -210,7 +244,10 @@ def test_residual_logits_are_unnormalized_blended_logits(block_bench):
     for model in models:
         outputs = soup_forward(model, feats) if isinstance(model, Soup) \
             else adapter_forward(model, feats)
-        q = _residual_logits(_fold(model, head), feats, head.scale)
+        comps = model.components if isinstance(model, Soup) else [model]
+        layer, folded = _fold(comps, head)
+        q = _residual_logits(folded, gelu(feats @ layer[0].T + layer[1]),
+                             head.scale)
         for r in DEFAULT_GRID[1:]:
             want = head_logits(head, blend(feats, outputs, r))
             got = (p + r * q) / row_norms(feats + r * outputs)[:, None]
@@ -229,20 +266,19 @@ def test_empty_split_is_rejected(bench):
 def test_ood_equal_to_id_duplicates_the_column(bench):
     _, id_test, _, _, head = bench
     model = random_params(5, 32, 4)
-    report = robustness_report([("m", model)], head, id_test,
+    report = robustness_report(model, [], head, id_test,
                                {"same": id_test}, grid=[0.0, 0.5])
-    id_rows = report.accuracies("m", "id")
-    ood_rows = report.accuracies("m", "ood")
-    assert id_rows == ood_rows
+    id_rows = report.accuracies("soup", "id")
+    assert report.accuracies("soup", "same") == id_rows
+    assert report.accuracies("soup", "ood") == id_rows
 
 
 def test_single_point_grid_gives_one_curve_point(bench):
     _, id_test, ood_test, _, head = bench
     model = random_params(6, 32, 4)
-    report = robustness_report([("m", model)], head, id_test,
+    report = robustness_report(model, [], head, id_test,
                                {"shift": ood_test}, grid=[0.4])
-    assert len(report.rows) == 2
-    assert {row.split for row in report.rows} == {"id", "ood"}
+    assert [row.split for row in report.rows] == ["id", "shift", "ood"]
 
 
 def test_shifted_set_hurts_prototype_head_at_r_zero(bench):
@@ -253,7 +289,7 @@ def test_shifted_set_hurts_prototype_head_at_r_zero(bench):
 
 def test_robustness_baselines_present(bench):
     _, id_test, ood_test, _, head = bench
-    report = robustness_report([("m", random_params(7, 32, 4))], head,
+    report = robustness_report(random_params(7, 32, 4), [], head,
                                id_test, {"shift": ood_test}, grid=[0.0])
     assert report.baselines["id"] == {"head": head_accuracy(head, id_test)}
     assert report.baselines["ood"] == {"head": head_accuracy(head, ood_test)}
@@ -263,7 +299,7 @@ def test_class_set_mismatch(bench):
     _, id_test, _, _, head = bench
     other = generate_synthetic(4, 32, 10, 0.0, 0.2, seed=9)[1]
     with pytest.raises(ClassSetMismatch):
-        robustness_report([("m", random_params(8, 32, 4))], head, id_test,
+        robustness_report(random_params(8, 32, 4), [], head, id_test,
                           {"bad": other}, grid=[0.0])
 
 
@@ -281,7 +317,7 @@ def test_knn_accuracy_runs(bench):
 def test_component_average_single_component(bench):
     _, id_test, _, _, head = bench
     comp = random_params(9, 32, 4)
-    report = component_average_report([comp], head, {"id": id_test},
+    report = component_average_report([comp], head, id_test, {},
                                       grid=[0.0, 1.0])
     for r in (0.0, 1.0):
         vals = {report.accuracies(m, "id")[r]
@@ -294,7 +330,7 @@ def test_component_average_identical_components_zero_spread(bench):
     _, id_test, _, _, head = bench
     comp = random_params(10, 32, 4)
     report = component_average_report([comp, comp, comp], head,
-                                      {"id": id_test}, grid=[0.5])
+                                      id_test, {}, grid=[0.5])
     assert report.accuracies("component_min", "id")[0.5] \
         == report.accuracies("component_max", "id")[0.5]
 
@@ -302,7 +338,7 @@ def test_component_average_identical_components_zero_spread(bench):
 def test_component_mean_is_exact_arithmetic_mean(bench):
     _, id_test, _, _, head = bench
     comps = [random_params(20 + j, 32, 3) for j in range(4)]
-    report = component_average_report(comps, head, {"id": id_test},
+    report = component_average_report(comps, head, id_test, {},
                                       grid=[0.0, 0.7])
     for r in (0.0, 0.7):
         per = [report.accuracies(f"component_{j}", "id")[r] for j in range(4)]
