@@ -30,7 +30,7 @@ from .errors import (CorruptLength, DegenerateVector, NumericalError,
 from .heads import ClassifierHead
 from .numerics import (OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
-                       normalize_rows, row_norms)
+                       normal_cdf, normalize_rows, row_norms)
 from .rng import stream
 
 CHECKPOINT_MAGIC = b"SADA"
@@ -180,7 +180,8 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
         raise ShapeMismatch(f"expected {n_batch} targets, got {targets.size}")
     head_w, escale = head.weights, math.exp(head.scale)
     z = xs @ params.W1.T + params.b1
-    hidden = gelu(z)
+    cdf = normal_cdf(z)  # one erf for gelu and gelu_grad
+    hidden = gelu(z, cdf)
     f = xs
     if r != 0.0:
         u = xs + r * (hidden @ params.W2.T + params.b2)
@@ -204,7 +205,7 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
             * (masked_rows - head_w[targets])
     du = (df - f * np.sum(f * df, axis=1, keepdims=True)) / norms[:, np.newaxis]
     da = r * du
-    dz = gelu_grad(z) * (da @ params.W2)
+    dz = gelu_grad(z, cdf) * (da @ params.W2)
     grads = {"W1": dz.T @ xs, "b1": dz.sum(axis=0),
              "W2": da.T @ hidden, "b2": da.sum(axis=0)}
     return float(losses.sum()), grads

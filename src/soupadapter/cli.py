@@ -257,7 +257,8 @@ def _train_into(out: Path, args, overrides: dict):
         adapter_mod.save_checkpoint(ckpt, params, head.scale, meta)
         loss = record.final_loss
         print(f"wrote {ckpt} (H={params.hidden}, "
-              f"final loss {loss if loss is None else f'{loss:.4f}'})")
+              f"final loss {loss if loss is None else f'{loss:.4f}'}, "
+              f"trained in {record.wall_time:.2f}s)")
 
 
 def cmd_soup(args) -> int:

@@ -113,11 +113,11 @@ def _residual_logits(outputs: list[tuple], hidden: np.ndarray,
 
 
 def _sweep_set(layer, models, head: ClassifierHead, emb: EmbeddingSet,
-               grid, split=None) -> tuple[float, list[dict[float, float]]]:
-    """Bare-head accuracy and, per model (a list of _fold outputs whose Q
-    is averaged), {r: accuracy} on one set; ``layer`` is the (W1, b1)
-    whose hidden layer every model reads its columns from."""
-    grid = [float(r) for r in grid]
+               grid, split=None) -> tuple[int, int, np.ndarray]:
+    """Row count, bare-head hits and, per model (a list of _fold outputs
+    whose Q is averaged), its hits at each r of the grid on one set;
+    ``layer`` is the (W1, b1) whose hidden layer every model reads its
+    columns from."""
     n = 0
     bare = 0
     hits = np.zeros((len(models), len(grid)), dtype=np.int64)
@@ -133,8 +133,12 @@ def _sweep_set(layer, models, head: ClassifierHead, emb: EmbeddingSet,
                 hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
                     np.argmax(p + r * q, axis=1) == labels)
         del hidden  # before the next block's gelu temporaries
-    return bare / n, [dict(zip(grid, (int(h) / n for h in row)))
-                      for row in hits]
+    return n, bare, hits
+
+
+def _cells(grid, hits, n: int) -> dict[float, float]:
+    """{r: accuracy} from integer hit counts out of n rows."""
+    return {float(r): int(h) / n for r, h in zip(grid, hits)}
 
 
 def ratio_sweep(model, head: ClassifierHead, emb: EmbeddingSet,
@@ -147,11 +151,13 @@ def ratio_sweep(model, head: ClassifierHead, emb: EmbeddingSet,
     """
     layer, outputs = _fold(
         model.components if isinstance(model, Soup) else [model], head)
-    return _sweep_set(layer, [outputs], head, emb, grid, split)[1][0]
+    n, _, hits = _sweep_set(layer, [outputs], head, emb, grid, split)
+    return _cells(grid, hits[0], n)
 
 
 def head_accuracy(head: ClassifierHead, emb: EmbeddingSet, split=None) -> float:
-    return _sweep_set(None, [], head, emb, (), split)[0]
+    n, bare, _ = _sweep_set(None, [], head, emb, (), split)
+    return bare / n
 
 
 def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
@@ -187,9 +193,12 @@ def robustness_report(adapter, components, head: ClassifierHead,
     ``adapter`` (merged, or None) gives the "soup" rows; ``components``
     (possibly empty) give component_<j> rows and their component_mean,
     _min and _max. Each model gets "id", one split per OOD stem and "ood",
-    the unweighted mean over the stems. With both, the adapter's W1 and b1
-    must be the row-stack of the components' (SoupMismatch otherwise).
-    The bare-head accuracies land in the baselines under "head".
+    the unweighted mean over the stems. A component_mean cell of a set is
+    the components' summed hits over K n, so at r = 0 it is the bare
+    head's accuracy bit for bit; its "ood" is the stems' mean of those.
+    With both, the adapter's W1 and b1 must be the row-stack of the
+    components' (SoupMismatch otherwise). The bare-head accuracies land in
+    the baselines under "head".
     """
     if adapter is None and not components:
         raise ValueError("need an adapter or at least one component")
@@ -212,19 +221,26 @@ def robustness_report(adapter, components, head: ClassifierHead,
     grid = [float(r) for r in grid]
     scored = {split: _sweep_set(layer, models, head, emb, grid)
               for split, emb in {"id": id_set, **ood_sets}.items()}
-    table = {name: {split: accs[m] for split, (_, accs) in scored.items()}
+    table = {name: {split: _cells(grid, hits[m], n)
+                    for split, (n, _, hits) in scored.items()}
              for m, name in enumerate(names)}
-    report = EvalReport(baselines={"id": {"head": scored["id"][0]}})
+    if components:
+        k = len(components)
+        table["component_mean"] = {
+            split: _cells(grid, hits[-k:].sum(axis=0), k * n)
+            for split, (n, _, hits) in scored.items()}
+    bare = {split: b / n for split, (n, b, _) in scored.items()}
+    report = EvalReport(baselines={"id": {"head": bare["id"]}})
     if ood_sets:
         report.baselines["ood"] = {"head": float(np.mean(
-            [scored[s][0] for s in ood_sets]))}
+            [bare[s] for s in ood_sets]))}
         for per_split in table.values():
             per_split["ood"] = {r: float(np.mean([per_split[s][r]
                                                   for s in ood_sets]))
                                 for r in grid}
     if components:
         per_comp = [table[f"component_{j}"] for j in range(len(components))]
-        for name, reduce in (("mean", np.mean), ("min", min), ("max", max)):
+        for name, reduce in (("min", min), ("max", max)):
             table[f"component_{name}"] = {
                 split: {r: float(reduce([c[split][r] for c in per_comp]))
                         for r in grid} for split in per_comp[0]}

@@ -3,6 +3,17 @@
 Everything here runs in 64-bit floats; 32-bit only appears at file
 boundaries. The GELU is the exact erf form, not the tanh approximation,
 so that ensemble merging does not inherit an approximation constant.
+
+``erf`` is a numpy port of the double-precision kernel of Cephes
+``ndtr.c``, the one ``scipy.special.erf`` runs, and matches it bit for bit
+(tests/test_numerics.py checks that against scipy). For |x| <= 1 it is the
+odd rational x T(x^2) / U(x^2), vectorized. For 1 < |x| < 8 it is
+1 - exp(-x^2) P(|x|) / Q(|x|) with the sign of x, where exp comes from libm
+(``math.exp``) element by element: numpy's SIMD exp differs from libm's in
+the last bit for some arguments, and that branch is rare (hidden
+pre-activations rarely leave |x| <= sqrt(2)). From |x| >= 8 on, where Cephes
+switches to a second rational and later to exactly 1, erfc(|x|) < 1e-28
+so 1 - erfc rounds to 1 either way, and erf returns +-1. NaN passes through.
 """
 
 from __future__ import annotations
@@ -11,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DegenerateVector, ShapeMismatch
 from .rng import Stream, derive_seed
@@ -21,17 +31,98 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEGENERATE_NORM = 1e-12
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| <= 1 ...
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)  # monic: the leading 1 is implicit
+# ... and erfc(a) = exp(-a^2) P(a) / Q(a) on 1 < a < 8
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)  # monic
+_ERF_SATURATES = 8.0
 
-def gelu(x):
-    """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Horner's rule in Cephes' operation order, in place after one alloc."""
+    p = x * coef[0]
+    for c in coef[1:-1]:
+        p += c
+        p *= x
+    p += coef[-1]
+    return p
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """_polevl with an implicit leading coefficient of 1."""
+    p = x + coef[0]
+    for c in coef[1:]:
+        p *= x
+        p += c
+    return p
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """erf(x) = x T(x^2) / U(x^2) for |x| <= 1."""
+    z = x * x
+    y = _polevl(z, _ERF_T)
+    y *= x
+    y /= _p1evl(z, _ERF_U)
+    return y
+
+
+def _erfc_mid(a: np.ndarray) -> np.ndarray:
+    """erfc(a) = exp(-a^2) P(a) / Q(a) for 1 < a < 8, exp from libm."""
+    y = np.array([math.exp(-(t * t)) for t in a.tolist()], dtype=np.float64)
+    y *= _polevl(a, _ERFC_P)
+    y /= _p1evl(a, _ERFC_Q)
+    return y
+
+
+def erf(x):
+    """The error function, bit-equal to scipy.special.erf on float64."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    flat = x.reshape(-1)
+    big = np.abs(flat) > 1.0  # False for NaN, which the rational passes on
+    if not big.any():
+        return _erf_small(flat).reshape(x.shape)
+    out = _erf_small(np.where(big, 0.0, flat))  # no inf in the rational
+    a = np.abs(flat[big])
+    tail = np.ones_like(a)  # 1 - erfc(a) rounds to 1 from a = 8 on
+    mid = a < _ERF_SATURATES
+    tail[mid] -= _erfc_mid(a[mid])
+    out[big] = np.copysign(tail, flat[big])
+    return out.reshape(x.shape)
 
 
-def gelu_grad(x):
-    """Derivative of the exact GELU: Phi(x) + x * phi(x)."""
+def normal_cdf(x):
+    """Standard normal CDF: 0.5 * (1 + erf(x / sqrt(2)))."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return 0.5 * (1.0 + erf(x / _SQRT2))
+
+
+def gelu(x, cdf=None):
+    """Exact GELU: x * Phi(x). Pass ``cdf = normal_cdf(x)`` to reuse an
+    erf already computed (the halving is exact, so either way the bits
+    equal 0.5 * x * (1 + erf(x / sqrt(2))))."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * (normal_cdf(x) if cdf is None else cdf)
+
+
+def gelu_grad(x, cdf=None):
+    """Derivative of the exact GELU: Phi(x) + x * phi(x); ``cdf`` as in
+    gelu."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = normal_cdf(x) if cdf is None else cdf
+    return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

@@ -136,7 +136,16 @@ class Stream:
                 return g / norm
 
     def unit_vectors(self, count: int, dim: int) -> np.ndarray:
-        return np.stack([self.unit_vector(dim) for _ in range(count)])
+        """``count`` uniform points on the unit sphere, as rows.
+
+        All rows come from one normal_array draw; a row whose norm is
+        degenerate is redrawn with unit_vector after the block.
+        """
+        g = self.normal_array(count * dim).reshape(count, dim)
+        norms = np.linalg.norm(g, axis=1)
+        for i in np.flatnonzero(norms <= 1e-12):
+            g[i], norms[i] = self.unit_vector(dim), 1.0
+        return g / norms[:, np.newaxis]
 
 
 def stream(base_seed: int, tag: str, index: int = 0) -> Stream:

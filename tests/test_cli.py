@@ -1,5 +1,10 @@
 import json
+import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +164,30 @@ def test_train_writes_expected_files(train_dir):
     assert (train_dir / "fewshot.sadp").exists()
     bank = read_container(train_dir / "fewshot.sadp")
     assert bank.n == 8 * 10
+
+
+def test_train_prints_each_component_wall_time(tmp_path, data_dir, capsys):
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "2", "--k", "2", "--epochs", "1",
+               "--out", tmp_path) == 0
+    out = capsys.readouterr().out
+    for j in range(2):
+        assert re.search(rf"wrote \S*component_{j}\.sada \(H=\d+, final loss "
+                         rf"\S+, trained in \d+\.\d\ds\)", out), out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, soupadapter.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_train_is_byte_deterministic(tmp_path, data_dir):

@@ -1,14 +1,54 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from soupadapter.errors import DegenerateVector, ShapeMismatch
 from soupadapter.numerics import (OptimState, adamw_step,
-                                  cross_entropy_label_smoothing_batch,
+                                  cross_entropy_label_smoothing_batch, erf,
                                   finite_difference_check, gelu, gelu_grad,
-                                  normalize_rows, softmax)
+                                  normal_cdf, normalize_rows, softmax)
 from soupadapter.rng import stream
+
+
+# -------------------------------------------------------------------- erf
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return got.shape == want.shape and bool(np.all(np.isnan(got) == nan)) \
+        and np.array_equal(got[~nan].view(np.uint64),
+                           want[~nan].view(np.uint64))
+
+
+def test_erf_gelu_and_gelu_grad_match_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")  # the oracle only
+    rng = stream(8, "erf")
+    sweep = np.concatenate([rng.random_array(200_000) * 80.0 - 40.0,
+                            rng.random_array(100_000) * 3.0 - 1.5])
+    sub = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                      -np.nextafter(1.0, 2.0), 8.0, -8.0,
+                      np.nextafter(8.0, 0.0), sub, -sub, 3e-310, -3e-310,
+                      np.inf, -np.inf, 1e300, -1e300, np.nan])
+    xs = np.concatenate([edges, sweep])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_bits(erf(xs), special.erf(xs))
+        for x in edges:  # scalar inputs
+            assert _same_bits(erf(x), special.erf(x))
+        assert _same_bits(erf(xs.reshape(-1, 6)),
+                          special.erf(xs).reshape(-1, 6))
+        cdf = 0.5 * (1.0 + special.erf(sweep / math.sqrt(2.0)))
+        want_gelu = 0.5 * sweep * (1.0 + special.erf(sweep / math.sqrt(2.0)))
+        want_grad = cdf + sweep * np.exp(-0.5 * sweep * sweep) \
+            * (1.0 / math.sqrt(2.0 * math.pi))
+        assert _same_bits(gelu(sweep), want_gelu)
+        assert _same_bits(gelu_grad(sweep), want_grad)
+        shared = normal_cdf(sweep)  # adapter_backward's one erf
+        assert _same_bits(gelu(sweep, shared), want_gelu)
+        assert _same_bits(gelu_grad(sweep, shared), want_grad)
 
 
 # ------------------------------------------------------------------- gelu

@@ -80,3 +80,17 @@ def test_normal_moments():
 def test_unit_vectors():
     vs = stream(2, "unit").unit_vectors(10, 6)
     assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
+
+
+def test_unit_vectors_redraw_a_degenerate_row():
+    class ZeroSecondRow(Stream):
+        def normal_array(self, n):
+            g = super().normal_array(n)
+            if n > 3:  # the (4, 3) block, not the redraw
+                g[3:6] = 0.0
+            return g
+
+    vs = ZeroSecondRow(5).unit_vectors(4, 3)
+    assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
+    plain = Stream(5).unit_vectors(4, 3)
+    assert np.array_equal(vs[[0, 2, 3]], plain[[0, 2, 3]])
