@@ -20,8 +20,8 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import dataio, evalkit, heads, soup as soup_mod
-from .errors import (ClassSetMismatch, DataError, IoFailure, NumericalError,
-                     SoupAdapterError, SoupMismatch)
+from .errors import (DataError, IoFailure, NumericalError, SoupAdapterError,
+                     SoupMismatch)
 
 
 class UsageError(Exception):
@@ -68,25 +68,35 @@ _OVERRIDE_TYPES = {
     "train_r": _number(float, 0.0, True, high=1.0),
 }
 
+MAX_GRID_POINTS = 1001
+
 
 def parse_grid(text: str) -> list[float]:
-    """Parse "start:end:step" into an ascending grid within [0, 1]."""
+    """Parse "start:end:step" into a strictly ascending grid of at most
+    MAX_GRID_POINTS points within [0, 1], each rounded to 12 decimals."""
     try:
         start_s, end_s, step_s = text.split(":")
         start, end, step = float(start_s), float(end_s), float(step_s)
     except ValueError:
         raise UsageError(f"grid must look like start:end:step, got {text!r}")
-    if not (np.isfinite(start) and np.isfinite(end) and np.isfinite(step)):
+    if not all(map(math.isfinite, (start, end, step))):
         raise UsageError("grid bounds must be finite")
     if start == end:
         grid = [round(start, 12)]
     else:
         if step <= 0 or end < start:
             raise UsageError("grid needs end >= start and a positive step")
-        count = int(np.floor((end - start) / step + 1e-9)) + 1
+        span = (end - start) / step + 1e-9  # inf when step is tiny
+        if not span < MAX_GRID_POINTS:
+            raise UsageError(f"grid {text!r} has more than "
+                             f"{MAX_GRID_POINTS} points")
+        count = math.floor(span) + 1
         grid = [round(start + i * step, 12) for i in range(count)]
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise UsageError("grid values must stay within [0, 1]")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise UsageError(f"grid {text!r} repeats points after rounding to "
+                         f"12 decimals")
     return grid
 
 
@@ -177,6 +187,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     overrides = _parse_overrides(args.override)
+    if args.head and args.mask == adapter_mod.MASK:
+        raise UsageError("--mask mask needs prototype prompts; an imported "
+                         "--head has none (use auto or no-mask)")
     fresh = not os.path.exists(args.out)
     out = _out_dir(args.out)
     try:
@@ -298,31 +311,18 @@ def cmd_eval(args) -> int:
                   if args.components else [])
     if adapter is None and not components:
         raise UsageError("need --adapter and/or --components to evaluate")
-    bank = None
+    knn = None
     if args.knn_bank:
         bank, _ = _load_with_manifest(args.knn_bank)
-        if (bank.n_classes, bank.dim) != (head.n_classes, head.dim):
-            raise ClassSetMismatch(
-                f"KNN bank {args.knn_bank} has {bank.n_classes} classes and "
-                f"dim {bank.dim}; head has {head.n_classes} and {head.dim}")
+        evalkit.check_compatible(head, [(args.knn_bank, bank)])
+        knn = (bank, heads.KnnConfig(k=args.knn_k, temperature=args.knn_t))
 
     try:
         report = evalkit.robustness_report(adapter, components, head, id_set,
-                                           ood_sets, grid)
+                                           ood_sets, grid, knn)
     except SoupMismatch as exc:
         exc.args = (f"{args.adapter} is not the soup of --components: {exc}",)
         raise
-    if bank is not None:
-        cfg = heads.KnnConfig(k=args.knn_k, temperature=args.knn_t)
-        bank_feats = bank.unit_features(0)
-        report.baselines.setdefault("id", {})["knn"] = evalkit.knn_accuracy(
-            bank_feats, bank.labels, cfg, id_set, head.n_classes)
-        if ood_sets:
-            report.baselines.setdefault("ood", {})["knn"] = float(np.mean(
-                [evalkit.knn_accuracy(bank_feats, bank.labels, cfg, emb,
-                                      head.n_classes)
-                 for emb in ood_sets.values()]))
-
     evalkit.write_report(report, str(args.out) + ".csv", "csv")
     evalkit.write_report(report, str(args.out) + ".json", "json")
     print(f"wrote {args.out}.csv and {args.out}.json "

@@ -1,7 +1,8 @@
 """Accuracy sweeps over the residual ratio and robustness reporting.
 
-A report is a flat list of (model, split, r, accuracy) rows plus optional
-baseline accuracies per split (bare head, KNN).
+robustness_report is the only report builder: a flat list of (model, split,
+r, accuracy) rows plus baseline accuracies (bare head, KNN) per split.
+ratio_sweep and head_accuracy are views of it.
 
 Scoring is algebra rather than re-blending. The adapted feature
 normalize(x + r a) differs from x + r a by a positive per-row factor, which
@@ -14,7 +15,8 @@ merged W1 stacks the components' rows, so one hidden layer serves the soup
 over blocks of EVAL_BLOCK_ROWS rows: every block computes X, P and the
 hidden layer once, then counts each model's hits at every r in turn.
 Memory is bounded by the block, not by the set; the r = 0 row is the
-bare-head count itself and so reproduces its decisions exactly.
+bare-head count itself and so reproduces its decisions exactly. KNN votes
+are counted per set after the model sweeps, with the folded layers gone.
 
 CSV layout: header "model,split,r,accuracy", one row per cell, '.' decimal
 separator, '\n' line endings. JSON mirrors the report fields and includes
@@ -37,7 +39,7 @@ from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
 from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
                     knn_logits_batch)
 from .numerics import gelu
-from .soup import Soup
+from .soup import Soup, reparameterize
 
 DEFAULT_GRID = tuple(round(0.1 * i, 12) for i in range(11))
 
@@ -75,15 +77,10 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 # ------------------------------------------------------------ one-pass sweep
 
-def _blocks(emb: EmbeddingSet, split=None):
-    """(unit clean-view features, labels) of the set, EVAL_BLOCK_ROWS at a
-    time; ``split`` restricts it to those sample indices."""
-    rows = np.arange(emb.n) if split is None \
-        else np.asarray(split, dtype=np.int64)
-    if rows.size == 0:
-        raise LengthMismatch("cannot score an empty batch")
-    for start in range(0, rows.size, EVAL_BLOCK_ROWS):
-        idx = rows[start:start + EVAL_BLOCK_ROWS]
+def _blocks(emb: EmbeddingSet):
+    """(unit clean-view features, labels), EVAL_BLOCK_ROWS rows at a time."""
+    for start in range(0, emb.n, EVAL_BLOCK_ROWS):
+        idx = np.arange(start, min(start + EVAL_BLOCK_ROWS, emb.n))
         yield emb.unit_features(view=0, indices=idx), emb.labels[idx]
 
 
@@ -102,33 +99,28 @@ def _fold(components, head: ClassifierHead):
                    for c, end in zip(components, ends)]
 
 
-def _residual_logits(outputs: list[tuple], hidden: np.ndarray,
+def _residual_logits(output: tuple, hidden: np.ndarray,
                      scale: float) -> np.ndarray:
-    """Q = exp(scale) A W^T, averaged over the folded outputs in order."""
-    total = None
-    for cols, ww2, wb2 in outputs:
-        q = hidden[:, cols] @ ww2.T + wb2
-        total = q if total is None else total + q
-    return math.exp(scale) * (total / len(outputs))
+    """Q = exp(scale) A W^T of one folded output of _fold."""
+    cols, ww2, wb2 = output
+    return math.exp(scale) * (hidden[:, cols] @ ww2.T + wb2)
 
 
 def _sweep_set(layer, models, head: ClassifierHead, emb: EmbeddingSet,
-               grid, split=None) -> tuple[int, int, np.ndarray]:
-    """Row count, bare-head hits and, per model (a list of _fold outputs
-    whose Q is averaged), its hits at each r of the grid on one set;
-    ``layer`` is the (W1, b1) whose hidden layer every model reads its
-    columns from."""
-    n = 0
-    bare = 0
+               grid) -> tuple[int, int, np.ndarray]:
+    """Row count, bare-head hits and, per model (one folded output of
+    _fold), its hits at each r of the grid on one set; ``layer`` is the
+    (W1, b1) whose hidden layer every model reads its columns from."""
+    n = bare = 0
     hits = np.zeros((len(models), len(grid)), dtype=np.int64)
-    for feats, labels in _blocks(emb, split):
+    for feats, labels in _blocks(emb):
         n += labels.size
         p = head_logits(head, feats)
         bare_block = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
         bare += bare_block
         hidden = gelu(feats @ layer[0].T + layer[1]) if models else None
-        for m, outputs in enumerate(models):
-            q = _residual_logits(outputs, hidden, head.scale)
+        for m, output in enumerate(models):
+            q = _residual_logits(output, hidden, head.scale)
             for i, r in enumerate(grid):
                 hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
                     np.argmax(p + r * q, axis=1) == labels)
@@ -141,30 +133,46 @@ def _cells(grid, hits, n: int) -> dict[float, float]:
     return {float(r): int(h) / n for r, h in zip(grid, hits)}
 
 
+def _score_models(adapter, components, head: ClassifierHead, sets, grid):
+    """Model names and, per set, _sweep_set's counts. The folded layer and
+    outputs live only here, so they are released before any KNN pass."""
+    names, models, layer = [], [], None
+    if adapter is not None:
+        layer, models = _fold([adapter], head)
+        names = ["soup"]
+    if components:
+        stacked, outputs = _fold(components, head)
+        if adapter is not None and not all(
+                np.array_equal(a, b) for a, b in zip(layer, stacked)):
+            raise SoupMismatch("W1/b1 are not the components' row-stack")
+        layer = stacked  # the adapter's, bit for bit, if there is one
+        names += [f"component_{j}" for j in range(len(components))]
+        models += outputs
+    return names, {split: _sweep_set(layer, models, head, emb, grid)
+                   for split, emb in sets.items()}
+
+
 def ratio_sweep(model, head: ClassifierHead, emb: EmbeddingSet,
-                grid=DEFAULT_GRID, split=None) -> dict[float, float]:
-    """Accuracy of normalize(x + r model(x)) under the head, for each r.
-
-    ``model`` is an adapter or a Soup (whose outputs are averaged).
-    ``split`` restricts evaluation to those sample indices; evaluation
-    always uses the clean view.
-    """
-    layer, outputs = _fold(
-        model.components if isinstance(model, Soup) else [model], head)
-    n, _, hits = _sweep_set(layer, [outputs], head, emb, grid, split)
-    return _cells(grid, hits[0], n)
+                grid=DEFAULT_GRID) -> dict[float, float]:
+    """Accuracy of normalize(x + r model(x)) under the head, for each r:
+    the "soup" id row of robustness_report. A Soup is scored as its merged
+    adapter, the way eval scores it."""
+    adapter = reparameterize(model) if isinstance(model, Soup) else model
+    return robustness_report(adapter, [], head, emb, {},
+                             grid).accuracies("soup", "id")
 
 
-def head_accuracy(head: ClassifierHead, emb: EmbeddingSet, split=None) -> float:
-    n, bare, _ = _sweep_set(None, [], head, emb, (), split)
-    return bare / n
+def head_accuracy(head: ClassifierHead, emb: EmbeddingSet) -> float:
+    """The bare head's accuracy: robustness_report's "id" baseline."""
+    return robustness_report(None, [], head, emb, {}, ()).baselines["id"][
+        "head"]
 
 
 def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
-                 cfg: KnnConfig, emb: EmbeddingSet, num_classes: int,
-                 split=None) -> float:
+                 cfg: KnnConfig, emb: EmbeddingSet, num_classes: int) -> float:
+    """Top-1 accuracy of KNN voting over the bank on the set's clean view."""
     n = hits = 0
-    for feats, labels in _blocks(emb, split):
+    for feats, labels in _blocks(emb):
         logits = knn_logits_batch(bank_features, bank_labels, feats, cfg,
                                   num_classes)
         n += labels.size
@@ -176,51 +184,36 @@ def check_compatible(head: ClassifierHead, sets):
     """Refuse (ClassSetMismatch) any (name, set) whose class count or dim
     differs from the head's."""
     for name, emb in sets:
-        if emb.n_classes != head.n_classes:
+        if (emb.n_classes, emb.dim) != (head.n_classes, head.dim):
             raise ClassSetMismatch(
-                f"set '{name}' has {emb.n_classes} classes, head has "
-                f"{head.n_classes}")
-        if emb.dim != head.dim:
-            raise ClassSetMismatch(
-                f"set '{name}' has dim {emb.dim}, head has {head.dim}")
+                f"set '{name}' has {emb.n_classes} classes and dim {emb.dim}, "
+                f"head has {head.n_classes} and {head.dim}")
 
 
 def robustness_report(adapter, components, head: ClassifierHead,
                       id_set: EmbeddingSet, ood_sets: dict[str, EmbeddingSet],
-                      grid=DEFAULT_GRID) -> EvalReport:
+                      grid=DEFAULT_GRID, knn=None) -> EvalReport:
     """Accuracy per model, split and residual ratio, one pass per set.
 
     ``adapter`` (merged, or None) gives the "soup" rows; ``components``
     (possibly empty) give component_<j> rows and their component_mean,
-    _min and _max. Each model gets "id", one split per OOD stem and "ood",
-    the unweighted mean over the stems. A component_mean cell of a set is
-    the components' summed hits over K n, so at r = 0 it is the bare
-    head's accuracy bit for bit; its "ood" is the stems' mean of those.
-    With both, the adapter's W1 and b1 must be the row-stack of the
-    components' (SoupMismatch otherwise). The bare-head accuracies land in
-    the baselines under "head".
+    _min and _max; with neither, only the baselines. With both, the
+    adapter's W1 and b1 must be the row-stack of the components'
+    (SoupMismatch otherwise). Each model gets "id", one split per OOD stem
+    and "ood", the unweighted mean over the stems. A component_mean cell
+    of a set is the components' summed hits over K n, so at r = 0 it is
+    the bare head's accuracy bit for bit. The "id" and "ood" baselines
+    hold the bare head under "head" and, if ``knn`` is a (bank
+    EmbeddingSet, KnnConfig), KNN voting under "knn", scored per set with
+    knn_accuracy after the model sweeps.
     """
-    if adapter is None and not components:
-        raise ValueError("need an adapter or at least one component")
     if {"id", "ood"} & set(ood_sets):
         raise ValueError("an OOD set may not be named 'id' or 'ood'")
-    check_compatible(head, [("id", id_set), *ood_sets.items()])
-    names, models = [], []
-    if adapter is not None:
-        layer, outputs = _fold([adapter], head)
-        names, models = ["soup"], [outputs]
-    if components:
-        stacked, outputs = _fold(components, head)
-        if adapter is not None and not all(
-                np.array_equal(a, b) for a, b in zip(layer, stacked)):
-            raise SoupMismatch("W1/b1 are not the components' row-stack")
-        layer = stacked  # the adapter's, bit for bit, if there is one
-        names += [f"component_{j}" for j in range(len(components))]
-        models += [[out] for out in outputs]
-
+    sets = {"id": id_set, **ood_sets}
+    check_compatible(head, [*sets.items(),
+                            *([("knn bank", knn[0])] if knn else [])])
     grid = [float(r) for r in grid]
-    scored = {split: _sweep_set(layer, models, head, emb, grid)
-              for split, emb in {"id": id_set, **ood_sets}.items()}
+    names, scored = _score_models(adapter, components, head, sets, grid)
     table = {name: {split: _cells(grid, hits[m], n)
                     for split, (n, _, hits) in scored.items()}
              for m, name in enumerate(names)}
@@ -229,25 +222,30 @@ def robustness_report(adapter, components, head: ClassifierHead,
         table["component_mean"] = {
             split: _cells(grid, hits[-k:].sum(axis=0), k * n)
             for split, (n, _, hits) in scored.items()}
-    bare = {split: b / n for split, (n, b, _) in scored.items()}
-    report = EvalReport(baselines={"id": {"head": bare["id"]}})
-    if ood_sets:
-        report.baselines["ood"] = {"head": float(np.mean(
-            [bare[s] for s in ood_sets]))}
-        for per_split in table.values():
-            per_split["ood"] = {r: float(np.mean([per_split[s][r]
-                                                  for s in ood_sets]))
-                                for r in grid}
+    baselines = {split: {"head": b / n} for split, (n, b, _) in scored.items()}
+    if knn is not None:
+        bank, cfg = knn
+        bank_feats = bank.unit_features(0)
+        for split, emb in sets.items():
+            baselines[split]["knn"] = knn_accuracy(
+                bank_feats, bank.labels, cfg, emb, head.n_classes)
+    if ood_sets:  # baselines and every model share one {split: {key: acc}}
+        for per_split in (baselines, *table.values()):
+            per_split["ood"] = {
+                key: float(np.mean([per_split[s][key] for s in ood_sets]))
+                for key in per_split["id"]}
     if components:
         per_comp = [table[f"component_{j}"] for j in range(len(components))]
         for name, reduce in (("min", min), ("max", max)):
             table[f"component_{name}"] = {
                 split: {r: float(reduce([c[split][r] for c in per_comp]))
                         for r in grid} for split in per_comp[0]}
-    report.rows = [
-        SweepRow(name, split, r, accs[r]) for name, per_split in table.items()
-        for split, accs in per_split.items() for r in grid]
-    return report
+    rows = [SweepRow(name, split, r, accs[r])
+            for name, per_split in table.items()
+            for split, accs in per_split.items() for r in grid]
+    return EvalReport(rows=rows, baselines={
+        split: baselines[split] for split in ("id", "ood")
+        if split in baselines})
 
 
 def component_average_report(components, head, id_set, ood_sets,

@@ -450,9 +450,11 @@ def test_trained_component_beats_prototype_head_on_training_data():
     cfg = HyperConfig(red=2, lr=2e-3, weight_decay=1e-3, aug_strength=0.25,
                       seed=9, epochs=40, mask_strategy=NO_MASK)
     params, _ = train_on_prototypes(train, sel, cfg)
-    flat = [i for cls in sel.indices for i in cls]
-    sweep = ratio_sweep(params, head, train, grid=[1.0], split=flat)
-    baseline = head_accuracy(head, train, split=flat)
+    flat = np.asarray([i for cls in sel.indices for i in cls])
+    shots = EmbeddingSet(features=train.features[flat],
+                         labels=train.labels[flat], n_classes=train.n_classes)
+    sweep = ratio_sweep(params, head, shots, grid=[1.0])
+    baseline = head_accuracy(head, shots)
     assert sweep[1.0] > baseline or sweep[1.0] == 1.0
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import struct
@@ -8,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soupadapter import adapter
 from soupadapter.adapter import adapter_forward, load_checkpoint
-from soupadapter.cli import main, parse_grid
+from soupadapter.cli import UsageError, main, parse_grid
 from soupadapter.dataio import read_container
 from soupadapter.rng import stream
 
@@ -48,6 +50,32 @@ def test_parse_grid():
         parse_grid("0:2:0.5")
     with pytest.raises(Exception):
         parse_grid("nope")
+
+
+# subnormals, infinities, NaN and steps near the rounding grain, next to
+# plain draws and draws within [0, 1]
+_GRID_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.1, 1e-3, 1e-9, 1e-12, 1e-13,
+                     1e-320, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+    st.floats(0.0, 1.0), st.floats(1e-4, 1.0), st.floats())
+
+
+# spans of 1-1000 steps, with steps down to below the rounding grain
+_GRID_SPAN = st.tuples(st.floats(0.0, 1.0), st.integers(1, 1000),
+                       st.floats(1e-16, 1e-2)).map(
+    lambda t: (t[0], t[0] + t[1] * t[2], t[2]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(_GRID_PART, _GRID_PART, _GRID_PART), _GRID_SPAN))
+def test_parse_grid_gives_a_bounded_ascending_grid_or_a_usage_error(parts):
+    try:
+        grid = parse_grid(":".join(map(repr, parts)))
+    except UsageError:
+        return
+    assert 1 <= len(grid) <= 1001
+    assert all(0.0 <= r <= 1.0 for r in grid)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 # ---------------------------------------------------------------- info/synth
@@ -250,6 +278,22 @@ def test_train_with_imported_head(tmp_path, data_dir, train_dir):
     assert not (out / "head.shed").exists()  # head came from a file
 
 
+def test_train_imported_head_with_mask_exits_1(tmp_path, data_dir,
+                                               train_dir, capsys):
+    argv = ["train", "--embeddings", data_dir / "train.sadp",
+            "--head", train_dir / "head.shed", "--shots", "4", "--k", "1",
+            "--epochs", "1"]
+    assert run(*argv, "--mask", "mask", "--out", tmp_path / "m") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--mask" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
+    for mask in ("auto", "no-mask"):  # an imported head trains unmasked
+        assert run(*argv, "--mask", mask, "--out", tmp_path / mask) == 0
+        _, _, meta = load_checkpoint(tmp_path / mask / "component_0.sada")
+        assert meta["hyper"]["mask_strategy"] == "no-mask"
+
+
 def test_train_head_with_other_class_count_exits_2(tmp_path, data_dir,
                                                    capsys):
     assert run("synth", "--out", tmp_path / "five", "--classes", "5",
@@ -402,11 +446,20 @@ def test_eval_without_models_exits_1(tmp_path, data_dir, train_dir):
                "--out", tmp_path / "x") == 1
 
 
-def test_eval_bad_grid_exits_1(tmp_path, data_dir, train_dir):
+@pytest.mark.parametrize("grid", [
+    "1:0:-1",
+    "0:1:1e-320",     # the point count overflows to inf
+    "0:1:1e-9",       # a billion points
+    "0:1e-12:1e-13",  # 11 points, 2 distinct after rounding
+])
+def test_eval_bad_grid_exits_1(tmp_path, data_dir, train_dir, capsys, grid):
     assert run("eval", "--embeddings", data_dir / "id_test.sadp",
                "--head", train_dir / "head.shed",
                "--components", train_dir / "component_0.sada",
-               "--grid", "1:0:-1", "--out", tmp_path / "x") == 1
+               "--grid", grid, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_eval_corrupt_head_exits_2(tmp_path, data_dir, train_dir):

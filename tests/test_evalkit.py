@@ -33,6 +33,13 @@ def random_params(seed, d, h, scale=0.4):
         b2=rng.normal_array(d) * 0.1)
 
 
+def subset(emb, indices):
+    """The rows of ``emb`` at ``indices``, in that order, as a set."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return EmbeddingSet(features=emb.features[idx],
+                        labels=emb.labels[idx], n_classes=emb.n_classes)
+
+
 @pytest.fixture(scope="module")
 def bench():
     train, id_test, ood_test = generate_synthetic(10, 32, 40, 0.3, 0.3, seed=11)
@@ -100,8 +107,8 @@ def test_sweep_uses_requested_split(bench):
     _, id_test, _, _, head = bench
     model = random_params(4, 32, 3)
     full = ratio_sweep(model, head, id_test, grid=[0.0])
-    half = ratio_sweep(model, head, id_test, grid=[0.0],
-                       split=list(range(id_test.n // 2)))
+    half = ratio_sweep(model, head, subset(id_test, range(id_test.n // 2)),
+                       grid=[0.0])
     assert 0 <= half[0.0] <= 1
     assert full[0.0] != half[0.0] or id_test.n < 4
 
@@ -138,15 +145,14 @@ def test_reparameterized_soup_decisions_match_componentwise(bench):
 
 # ------------------------------------------- one-pass scorer vs re-blending
 
-def reference_sweep(model, head, emb, grid, split=None):
+def reference_sweep(model, head, emb, grid):
     """Blend the adapter output in and re-score the head at every r."""
-    feats = emb.unit_features(view=0, indices=split)
-    labels = emb.labels if split is None \
-        else emb.labels[np.asarray(split, dtype=np.int64)]
+    feats = emb.unit_features(view=0)
     outputs = soup_forward(model, feats) if isinstance(model, Soup) \
         else adapter_forward(model, feats)
     return {float(r): accuracy(head_logits(
-                head, feats if r == 0.0 else blend(feats, outputs, r)), labels)
+                head, feats if r == 0.0 else blend(feats, outputs, r)),
+                emb.labels)
             for r in grid}
 
 
@@ -176,9 +182,11 @@ def test_one_pass_sweep_matches_reblending_at_block_boundaries(block_bench, n):
     for model in models:
         want = reference_sweep(model, head, whole, DEFAULT_GRID)
         assert ratio_sweep(model, head, whole, DEFAULT_GRID) == want
-        want = reference_sweep(model, head, id_test, DEFAULT_GRID, split)
-        assert ratio_sweep(model, head, id_test, DEFAULT_GRID, split) == want
-    assert head_accuracy(head, id_test, split) == accuracy(
+        want = reference_sweep(model, head, subset(id_test, split),
+                               DEFAULT_GRID)
+        assert ratio_sweep(model, head, subset(id_test, split),
+                           DEFAULT_GRID) == want
+    assert head_accuracy(head, subset(id_test, split)) == accuracy(
         head_logits(head, id_test.unit_features(0, split)),
         id_test.labels[split])
     if n > 1:  # the sweeps above must not all be flat
@@ -245,24 +253,22 @@ def test_residual_logits_are_unnormalized_blended_logits(block_bench):
     id_test, head, models = block_bench
     feats = id_test.unit_features(0)
     p = head_logits(head, feats)
-    for model in models:
-        outputs = soup_forward(model, feats) if isinstance(model, Soup) \
-            else adapter_forward(model, feats)
-        comps = model.components if isinstance(model, Soup) else [model]
-        layer, folded = _fold(comps, head)
-        q = _residual_logits(folded, gelu(feats @ layer[0].T + layer[1]),
-                             head.scale)
-        for r in DEFAULT_GRID[1:]:
-            want = head_logits(head, blend(feats, outputs, r))
-            got = (p + r * q) / row_norms(feats + r * outputs)[:, None]
-            bound = 1e-9 * np.max(np.abs(want), axis=1, keepdims=True)
-            assert np.all(np.abs(got - want) <= bound)
-
-
-def test_empty_split_is_rejected(bench):
-    _, id_test, _, _, head = bench
-    with pytest.raises(LengthMismatch):
-        ratio_sweep(random_params(3, 32, 5), head, id_test, split=[])
+    single, soup = models
+    merged = reparameterize(soup)
+    # one folded output per model: the merged soup over its own layer, and
+    # each component over its slice of the stacked layer
+    for adapters in ([single], [merged], soup.components):
+        layer, folded = _fold(adapters, head)
+        hidden = gelu(feats @ layer[0].T + layer[1])
+        assert len(folded) == len(adapters)
+        for output, params in zip(folded, adapters):
+            q = _residual_logits(output, hidden, head.scale)
+            outputs = adapter_forward(params, feats)
+            for r in DEFAULT_GRID[1:]:
+                want = head_logits(head, blend(feats, outputs, r))
+                got = (p + r * q) / row_norms(feats + r * outputs)[:, None]
+                bound = 1e-9 * np.max(np.abs(want), axis=1, keepdims=True)
+                assert np.all(np.abs(got - want) <= bound)
 
 
 # ---------------------------------------------------------------- robustness
@@ -305,6 +311,45 @@ def test_class_set_mismatch(bench):
     with pytest.raises(ClassSetMismatch):
         robustness_report(random_params(8, 32, 4), [], head, id_test,
                           {"bad": other}, grid=[0.0])
+
+
+def test_report_knn_baselines_are_knn_accuracy_per_set(bench):
+    train, id_test, ood_test, sel, head = bench
+    bank = subset(train, [i for cls in sel.indices for i in cls])
+    cfg = KnnConfig(k=5, temperature=0.2)
+    stems = {"shift": ood_test,
+             "half": subset(id_test, range(0, id_test.n, 2))}
+    report = robustness_report(random_params(7, 32, 4), [], head, id_test,
+                               stems, grid=[0.0, 1.0], knn=(bank, cfg))
+    per_set = {split: knn_accuracy(bank.unit_features(0), bank.labels, cfg,
+                                   emb, 10)
+               for split, emb in {"id": id_test, **stems}.items()}
+    assert len(set(per_set.values())) == 3  # the sets really differ
+    assert report.baselines["id"]["knn"] == per_set["id"]
+    assert report.baselines["ood"]["knn"] == float(np.mean(
+        [per_set["shift"], per_set["half"]]))
+    assert report.baselines["ood"]["head"] == float(np.mean(
+        [head_accuracy(head, emb) for emb in stems.values()]))
+    assert set(report.baselines) == {"id", "ood"}
+    assert list(report.baselines["id"]) == ["head", "knn"]
+
+
+def test_report_refuses_a_knn_bank_of_other_classes(bench):
+    _, id_test, _, _, head = bench
+    other = generate_synthetic(4, 32, 10, 0.0, 0.2, seed=9)[1]
+    with pytest.raises(ClassSetMismatch, match="knn bank"):
+        robustness_report(random_params(8, 32, 4), [], head, id_test, {},
+                          grid=[0.0], knn=(other, KnnConfig()))
+
+
+def test_head_only_report_holds_baselines_alone(bench):
+    _, id_test, ood_test, _, head = bench
+    report = robustness_report(None, [], head, id_test, {"shift": ood_test})
+    assert report.rows == []
+    assert report.baselines == {
+        split: {"head": accuracy(head_logits(head, emb.unit_features(0)),
+                                 emb.labels)}
+        for split, emb in (("id", id_test), ("ood", ood_test))}
 
 
 def test_knn_accuracy_runs(bench):
