@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adapter as adapter_mod
-from . import dataio, evalkit, heads, soup as soup_mod
+from . import dataio, evalkit, heads, numerics, soup as soup_mod
 from .errors import (DataError, IoFailure, NumericalError, SoupAdapterError,
                      SoupMismatch)
 
@@ -240,12 +240,15 @@ def _train_into(out: Path, args, overrides: dict):
         except Exception as exc:  # collected so every failure gets listed
             return exc
 
+    # a step's products are too small to split: one BLAS thread each
     jobs = args.jobs or args.k
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(args.k)))
-    else:
-        results = [run(j) for j in range(args.k)]
+    with numerics.single_blas_thread():
+        if jobs > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) \
+                    as pool:
+                results = list(pool.map(run, range(args.k)))
+        else:
+            results = [run(j) for j in range(args.k)]
     failures = [(j, r) for j, r in enumerate(results) if isinstance(r, Exception)]
     if failures:
         for j, exc in failures:

@@ -14,12 +14,21 @@ the last bit for some arguments, and that branch is rare (hidden
 pre-activations rarely leave |x| <= sqrt(2)). From |x| >= 8 on, where Cephes
 switches to a second rational and later to exactly 1, erfc(|x|) < 1e-28
 so 1 - erfc rounds to 1 either way, and erf returns +-1. NaN passes through.
+
+``single_blas_thread`` caps the OpenBLAS that numpy loaded at one thread
+for a block of code, through ctypes: the products of a training step are
+too small for a second BLAS thread to save any wall time, and it doubles
+their CPU time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -246,6 +255,57 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p -= state.lr * (state.m[k] / bc1) / (np.sqrt(state.v[k] / bc2)
                                               + state.epsilon)
     return params, state
+
+
+# ------------------------------------------------------------- BLAS threads
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS that numpy loaded,
+    or None where none is found.
+
+    Looks in the directories a numpy wheel keeps its libraries in
+    (numpy.libs beside the package, or numpy/.dylibs); opening a library
+    that is already loaded returns the loaded one. The symbols carry the
+    wheel's prefix and suffix, for example scipy_openblas_get_num_threads64_.
+    """
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", "_64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the count.
+
+    The count is process-wide, so every thread's products inside the
+    block run on the calling thread alone; enter it from one thread at a
+    time. Where numpy's OpenBLAS is not found, this does nothing.
+    """
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    get, put = found
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 # ------------------------------------------------------------ gradient check

@@ -7,6 +7,12 @@ Independent streams are derived from a base seed, a short purpose tag, and
 an integer index via :func:`derive_seed`, so adding a consumer never shifts
 the draws of an existing one. All arithmetic is mod 2**64, which behaves
 identically on every platform.
+
+Bulk draws compute the outputs they need as one numpy block and walk it as
+Python ints (``Stream.walk``), so a draw with a data-dependent number of
+outputs, such as rejection sampling, still costs no Python-level mixing.
+They advance the counter by exactly the outputs they use, so every stream
+ends where the scalar draws (``next_u64``, ``randbelow``) would leave it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ _FNV_PRIME = 0x100000001B3
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
+
+_WALK_BLOCK = 1 << 12   # most outputs one Stream.walk refill computes
+_PAIR_BLOCK = 1 << 13   # Box-Muller pairs normal_array makes at a time
 
 
 def mix64(z: int) -> int:
@@ -53,9 +62,29 @@ def derive_seed(base_seed: int, tag: str, index: int = 0) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """mix64 on a uint64 array, in place; returns the array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_A)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_B)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def uniform(u: int) -> float:
+    """The double in [0, 1) with 53 random bits that random() makes of u."""
+    return (u >> 11) * _INV_2_53
+
+
+def below(draw, n: int) -> int:
+    """Unbiased uniform integer in [0, n) from the 64-bit outputs of
+    ``draw()``, by masked rejection: mask to the bit length of n - 1 and
+    draw again while the result is n or more (n = 1 takes one draw)."""
+    mask = (1 << (n - 1).bit_length()) - 1
+    while True:
+        r = draw() & mask
+        if r < n:
+            return r
 
 
 class Stream:
@@ -74,16 +103,38 @@ class Stream:
         self._count += 1
         return mix64((self._seed + self._count * GOLDEN) & MASK64)
 
+    def _outputs(self, start: int, n: int) -> np.ndarray:
+        """Outputs start + 1 .. start + n; the counter does not move."""
+        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(self._seed)
+        return _mix64_np(z)
+
     def next_u64_array(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        out = self._outputs(self._count, n)
         self._count += n
-        return _mix64_np(np.uint64(self._seed) + idx * np.uint64(GOLDEN))
+        return out
+
+    def walk(self, block: int):
+        """The stream's next outputs as Python ints, for ``next()``.
+
+        They are computed in numpy ``block`` at a time (at most
+        _WALK_BLOCK), and each output taken advances the counter by one,
+        so after k outputs the stream stands where k next_u64 calls would
+        leave it. Draw nothing else from the stream while a walk is in
+        use: its block was computed from the counter of its last refill.
+        """
+        block = max(1, min(block, _WALK_BLOCK))
+        while True:
+            for value in self._outputs(self._count, block).tolist():
+                self._count += 1
+                yield value
 
     # ------------------------------------------------------------- doubles
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        return uniform(self.next_u64())
 
     def random_array(self, n: int) -> np.ndarray:
         return (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
@@ -94,37 +145,52 @@ class Stream:
         """Unbiased uniform integer in [0, n) via masked rejection."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        mask = (1 << (n - 1).bit_length()) - 1 if n > 1 else 0
-        while True:
-            r = self.next_u64() & mask
-            if r < n:
-                return r
+        return below(self.next_u64, n)
 
     def choice(self, seq):
         return seq[self.randbelow(len(seq))]
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n): for i = n-1 .. 1, swap
+        a[i] with a[randbelow(i + 1)], the draws walked in bulk."""
         a = list(range(n))
+        draw = self.walk(n + n // 2).__next__  # ~1.39 n outputs on average
         for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            j = below(draw, i + 1)
             a[i], a[j] = a[j], a[i]
         return np.asarray(a, dtype=np.int64)
 
     # ------------------------------------------------------------- gaussians
 
     def normal_array(self, n: int) -> np.ndarray:
-        """Standard normals via the trigonometric Box-Muller transform."""
+        """Standard normals via the trigonometric Box-Muller transform.
+
+        Of the 2m = 2 ceil(n / 2) outputs drawn, pair i takes its radius
+        from output i and its angle from output m + i. The pairs are made
+        _PAIR_BLOCK at a time in place, with the same operations as one
+        whole-array pass, so the values do not depend on the blocking.
+        """
         m = (n + 1) // 2
-        u = self.next_u64_array(2 * m)
-        # u1 in (0, 1] so log() is finite; u2 in [0, 1)
-        u1 = ((u[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (u[m:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        rad = np.sqrt(-2.0 * np.log(u1))
-        ang = _TWO_PI * u2
+        start = self._count
+        self._count += 2 * m
         out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = rad * np.cos(ang)
-        out[1::2] = rad * np.sin(ang)
+        for lo in range(0, m, _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, m)
+            # u1 in (0, 1] so log() is finite; u2 in [0, 1)
+            rad = (self._outputs(start + lo, hi - lo)
+                   >> np.uint64(11)).astype(np.float64)
+            rad += 1.0
+            rad *= _INV_2_53
+            np.log(rad, out=rad)
+            rad *= -2.0
+            np.sqrt(rad, out=rad)
+            ang = (self._outputs(start + m + lo, hi - lo)
+                   >> np.uint64(11)).astype(np.float64)
+            ang *= _INV_2_53
+            ang *= _TWO_PI
+            np.multiply(rad, np.cos(ang), out=out[2 * lo:2 * hi:2])
+            np.multiply(rad, np.sin(ang, out=ang),
+                        out=out[2 * lo + 1:2 * hi:2])
         return out[:n]
 
     def unit_vector(self, dim: int) -> np.ndarray:

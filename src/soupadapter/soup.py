@@ -21,6 +21,7 @@ from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes
 from .errors import (DataError, DimensionMismatch, EquivalenceViolation,
                      ShapeMismatch)
+from .heads import EVAL_BLOCK_ROWS
 from .rng import stream
 
 
@@ -81,9 +82,12 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     """Compare ensemble and merged forward passes on seeded random probes.
 
     Returns the worst absolute deviation over `trials` random unit inputs;
-    raises EquivalenceViolation if it exceeds the tolerance. Passing a
-    pre-built (for example, serialized and reloaded) merged adapter checks
-    that artifact instead of a freshly merged one.
+    raises EquivalenceViolation, with the probe's index among all trials,
+    if it exceeds the tolerance. The probes are drawn and scored
+    EVAL_BLOCK_ROWS at a time, one block after another from the same
+    stream, so memory does not grow with `trials`. Passing a pre-built
+    (for example, serialized and reloaded) merged adapter checks that
+    artifact instead of a freshly merged one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -92,11 +96,17 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     if merged.dim != soup.dim:
         raise DimensionMismatch("merged adapter dimension differs from soup")
     rng = stream(seed, "equiv")
-    probes = rng.unit_vectors(trials, soup.dim)
-    deviation = np.abs(adapter_forward(merged, probes)
-                       - soup_forward(soup, probes)).max(axis=1)
-    worst_idx = int(np.argmax(deviation))
-    worst = float(deviation[worst_idx])
+    maxima, where = [], []  # each block's worst deviation and probe
+    for start in range(0, trials, EVAL_BLOCK_ROWS):
+        probes = rng.unit_vectors(min(EVAL_BLOCK_ROWS, trials - start),
+                                  soup.dim)
+        deviation = np.abs(adapter_forward(merged, probes)
+                           - soup_forward(soup, probes)).max(axis=1)
+        i = int(np.argmax(deviation))
+        maxima.append(deviation[i])
+        where.append(start + i)
+    block = int(np.argmax(maxima))  # as one argmax over every probe
+    worst, worst_idx = float(maxima[block]), where[block]
     if worst > tolerance:
         raise EquivalenceViolation(worst, worst_idx)
     return worst

@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from soupadapter import adapter
 from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
                                  WEIGHT_DECAY_GRID, AdapterParams,
                                  HyperConfig, adapter_backward,
-                                 adapter_forward, blend, init_adapter,
+                                 adapter_forward, blend, checkpoint_bytes,
+                                 init_adapter,
                                  load_checkpoint, mask_strategy_for_shots,
                                  sample_hyperconfig, save_checkpoint,
                                  train_component)
@@ -371,6 +374,45 @@ def test_training_is_bit_deterministic():
     for k in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(p1.as_dict()[k], p2.as_dict()[k])
     assert r1.loss_trace == r2.loss_trace
+
+
+def checkpoint_digest(params, record, head):
+    """sha256 of the checkpoint train writes for this component."""
+    meta = {"kind": "component", "hyper": record.config.to_dict(),
+            "record": record.to_dict()}
+    return hashlib.sha256(checkpoint_bytes(params, head.scale,
+                                           meta)).hexdigest()
+
+
+# Golden digests, recorded before the bulk draws and the helper thread
+# replaced the scalar draws: any change to the training arithmetic, the
+# random draws or the checkpoint bytes shows here.
+@pytest.mark.parametrize("ahead_min", [adapter.NOISE_AHEAD_MIN, 0])
+def test_masked_single_view_checkpoint_bytes_are_pinned(monkeypatch,
+                                                        ahead_min):
+    monkeypatch.setattr(adapter, "NOISE_AHEAD_MIN", ahead_min)  # 0: helper
+    train, _, _ = generate_synthetic(4, 16, 12, 0.3, 0.3, seed=2)
+    sel = sample_few_shot(train, range(train.n), 10, seed=2)
+    head, prompts = selection_prototypes(train, sel)
+    table = np.stack(leave_one_out_prototypes(prompts))
+    cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-2, aug_strength=0.75,
+                      seed=21, epochs=3, mask_strategy=MASK)
+    params, record = train_component(train, sel, head, cfg, table)
+    assert checkpoint_digest(params, record, head) == (
+        "b6e00cf8b9bd6d91024ffe1dd3e8ae26d109e6c065964fa97558e4be439f2042")
+
+
+def test_three_view_imported_head_checkpoint_bytes_are_pinned():
+    views = np.stack([unit_rows(41 + v, 15, 8) for v in range(3)], axis=1)
+    emb = EmbeddingSet(features=views.astype(np.float32),
+                       labels=np.repeat(np.arange(3), 5), n_classes=3)
+    sel = sample_few_shot(emb, range(15), 4, seed=1)
+    head = ClassifierHead(weights=unit_rows(40, 3, 8), scale=2.0)
+    cfg = HyperConfig(red=2, lr=1e-3, weight_decay=1e-3, aug_strength=1.0,
+                      seed=8, epochs=3)
+    params, record = train_component(emb, sel, head, cfg)
+    assert checkpoint_digest(params, record, head) == (
+        "51eec014a28e65b141fb1b4410a4026aa94461e7a1b84d7d903f583086bacc13")
 
 
 def test_loss_trace_is_finite_and_has_one_entry_per_epoch():

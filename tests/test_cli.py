@@ -5,13 +5,14 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soupadapter import adapter
+from soupadapter import adapter, numerics
 from soupadapter.adapter import adapter_forward, load_checkpoint
 from soupadapter.cli import UsageError, main, parse_grid
 from soupadapter.dataio import read_container
@@ -228,6 +229,72 @@ def test_train_is_byte_deterministic(tmp_path, data_dir):
     for name in ("component_0.sada", "component_1.sada", "head.shed",
                  "fewshot.sadp"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.skipif(numerics._openblas_threads() is None,
+                    reason="numpy's OpenBLAS was not found: nothing to cap")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_train_runs_blas_on_one_thread_and_restores_the_count(
+        tmp_path, data_dir, monkeypatch, jobs):
+    get_threads, set_threads = numerics._openblas_threads()
+    seen = []
+    train = adapter.train_component
+
+    def recording(*args):
+        seen.append(get_threads())
+        return train(*args)
+
+    monkeypatch.setattr(adapter, "train_component", recording)
+    before = get_threads()
+    set_threads(3)  # a count the cap must give back, whatever the host
+    try:
+        assert run("train", "--embeddings", data_dir / "train.sadp",
+                   "--shots", "2", "--k", "2", "--epochs", "1",
+                   "--jobs", jobs, "--out", tmp_path) == 0
+        assert seen == [1, 1]
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
+
+
+def test_threads_and_noise_helpers_leave_the_bytes_alone(tmp_path, data_dir,
+                                                          monkeypatch):
+    # 4 training threads, each with a noise helper, switching every 10 us:
+    # the bytes must match those of one thread without helpers
+    runs = {}
+    for jobs in ("1", "4"):
+        if jobs == "4":
+            monkeypatch.setattr(adapter, "NOISE_AHEAD_MIN", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run("train", "--embeddings", data_dir / "train.sadp",
+                       "--shots", "4", "--k", "4", "--epochs", "3",
+                       "--jobs", jobs, "--out", tmp_path / jobs) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        runs[jobs] = [(tmp_path / jobs / f"component_{j}.sada").read_bytes()
+                      for j in range(4)]
+    assert runs["1"] == runs["4"]
+
+
+def test_failed_train_joins_every_thread(tmp_path, data_dir, monkeypatch):
+    helpers = []
+    blocks = adapter._noise_blocks
+
+    def recording(seed, size, epochs, helper=None):
+        helpers.append(helper)
+        return blocks(seed, size, epochs, helper)
+
+    # draw every noise block ahead, however small the set
+    monkeypatch.setattr(adapter, "NOISE_AHEAD_MIN", 0)
+    monkeypatch.setattr(adapter, "_noise_blocks", recording)
+    before = threading.active_count()
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "4", "--k", "2", "--epochs", "3", "--jobs", "2",
+               "--override", "lr=1e300", "--out", tmp_path / "run") == 3
+    assert len(helpers) == 2 and None not in helpers
+    assert threading.active_count() == before
 
 
 def test_train_override_is_recorded(tmp_path, data_dir):

@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from soupadapter import numerics
 from soupadapter.errors import DegenerateVector, ShapeMismatch
 from soupadapter.numerics import (OptimState, adamw_step,
                                   cross_entropy_label_smoothing_batch, erf,
                                   finite_difference_check, gelu, gelu_grad,
-                                  normal_cdf, normalize_rows, softmax)
+                                  normal_cdf, normalize_rows,
+                                  single_blas_thread, softmax)
 from soupadapter.rng import stream
 
 
@@ -303,3 +305,32 @@ def test_fd_check_samples_large_parameter_sets():
 
     err = finite_difference_check(loss_fn, {"w": big}, sample_size=50)
     assert err < 1e-6
+
+
+# ------------------------------------------------------------ BLAS threads
+
+@pytest.mark.skipif(numerics._openblas_threads() is None,
+                    reason="numpy's OpenBLAS was not found: nothing to cap")
+def test_single_blas_thread_caps_and_restores_even_on_error():
+    get_threads, set_threads = numerics._openblas_threads()
+    before = get_threads()
+    set_threads(3)
+    try:
+        with single_blas_thread():
+            assert get_threads() == 1
+            with single_blas_thread():  # nested: the outer count survives
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == 3
+        with pytest.raises(KeyError):
+            with single_blas_thread():
+                raise KeyError("boom")
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
+
+
+def test_single_blas_thread_does_nothing_without_openblas(monkeypatch):
+    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
+    with single_blas_thread():
+        assert np.array_equal(np.eye(3) @ np.ones(3), np.ones(3))

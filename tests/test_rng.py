@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from soupadapter.rng import Stream, derive_seed, fnv1a64, mix64, stream
+from soupadapter import rng as rng_mod
+from soupadapter.rng import (_PAIR_BLOCK, MASK64, Stream, below, derive_seed,
+                             fnv1a64, mix64, stream, uniform)
 
 
 def test_scalar_and_vector_draws_agree():
@@ -94,3 +99,114 @@ def test_unit_vectors_redraw_a_degenerate_row():
     assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
     plain = Stream(5).unit_vectors(4, 3)
     assert np.array_equal(vs[[0, 2, 3]], plain[[0, 2, 3]])
+
+
+# ------------------------------------------- bulk draws against scalar code
+# The references are the scalar implementations the bulk draws replaced:
+# each must give the same values and leave the counter where they left it.
+
+def scalar_randbelow(rng, n):
+    mask = (1 << (n - 1).bit_length()) - 1 if n > 1 else 0
+    while True:
+        r = rng.next_u64() & mask
+        if r < n:
+            return r
+
+
+def scalar_permutation(rng, n):
+    a = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = scalar_randbelow(rng, i + 1)
+        a[i], a[j] = a[j], a[i]
+    return np.asarray(a, dtype=np.int64)
+
+
+def whole_normal_array(rng, n):
+    m = (n + 1) // 2
+    u = rng.next_u64_array(2 * m)
+    u1 = ((u[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (u[m:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    rad = np.sqrt(-2.0 * np.log(u1))
+    ang = 2.0 * math.pi * u2
+    out = np.empty(2 * m, dtype=np.float64)
+    out[0::2] = rad * np.cos(ang)
+    out[1::2] = rad * np.sin(ang)
+    return out[:n]
+
+
+def scalar_view_picks(rng, n, v, aug_strength):
+    picks = []
+    for _ in range(n):
+        pick = 0
+        if (rng.next_u64() >> 11) * 2.0 ** -53 < 0.5 * aug_strength:
+            pick = 1 + scalar_randbelow(rng, v - 1)
+        picks.append(pick)
+    return picks
+
+
+def bulk_view_picks(rng, n, v, aug_strength):
+    # the walk _augmented_epoch makes, picks only
+    draw = rng.walk(2 * n).__next__
+    return [1 + below(draw, v - 1) if uniform(draw()) < 0.5 * aug_strength
+            else 0 for _ in range(n)]
+
+
+_SEEDS = st.integers(0, MASK64)
+_SIZES = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 2000))
+_BULK = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@_BULK
+@given(_SEEDS, _SIZES)
+def test_permutation_matches_scalar_fisher_yates(seed, n):
+    bulk, scalar = Stream(seed), Stream(seed)
+    assert np.array_equal(bulk.permutation(n), scalar_permutation(scalar, n))
+    assert bulk._count == scalar._count
+
+
+@_BULK
+@given(_SEEDS, _SIZES)
+def test_normal_array_matches_the_whole_array_pass(seed, n):
+    bulk, whole = Stream(seed), Stream(seed)
+    assert np.array_equal(bulk.normal_array(n), whole_normal_array(whole, n))
+    assert bulk._count == whole._count
+
+
+def test_normal_array_blocks_do_not_change_the_values():
+    n = 2 * (2 * _PAIR_BLOCK) + 3  # two whole blocks and a short one
+    bulk, whole = Stream(11), Stream(11)
+    assert np.array_equal(bulk.normal_array(n), whole_normal_array(whole, n))
+    assert bulk._count == whole._count
+
+
+@_BULK
+@given(_SEEDS, _SIZES, st.sampled_from([2, 3, 4]),
+       st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_view_picks_match_the_scalar_loop(seed, n, v, aug_strength):
+    # v = 2 draws randbelow(1), whose mask is 0
+    bulk, scalar = Stream(seed), Stream(seed)
+    assert bulk_view_picks(bulk, n, v, aug_strength) \
+        == scalar_view_picks(scalar, n, v, aug_strength)
+    assert bulk._count == scalar._count
+
+
+def test_walks_past_their_block_without_a_gap(monkeypatch):
+    monkeypatch.setattr(rng_mod, "_WALK_BLOCK", 5)
+    walked, scalar = Stream(4), Stream(4)
+    draw = walked.walk(100).__next__
+    assert [draw() for _ in range(12)] == [scalar.next_u64()
+                                          for _ in range(12)]
+    assert walked._count == scalar._count == 12
+    for n, v in ((37, 4), (64, 3), (9, 2)):
+        bulk, scalar = Stream(n), Stream(n)
+        assert np.array_equal(bulk.permutation(n),
+                              scalar_permutation(scalar, n))
+        assert bulk_view_picks(bulk, n, v, 1.0) \
+            == scalar_view_picks(scalar, n, v, 1.0)
+        assert bulk._count == scalar._count
+
+
+def test_an_untaken_walk_draws_nothing():
+    s = Stream(8)
+    s.walk(10)
+    assert s._count == 0 and s.next_u64() == Stream(8).next_u64()

@@ -153,6 +153,44 @@ def test_verify_equivalence_after_32bit_round_trip(tmp_path):
     assert dev <= 1e-4
 
 
+def probe_deviations(soup, merged, sizes):
+    """Per-probe deviations over blocks of the given sizes, drawn one after
+    another from the stream verify_equivalence uses."""
+    rng = stream(0, "equiv")
+    blocks = [rng.unit_vectors(n, soup.dim) for n in sizes]
+    probes = np.vstack(blocks)
+    return np.abs(adapter_forward(merged, probes)
+                  - soup_forward(soup, probes)).max(axis=1)
+
+
+def test_verify_equivalence_up_to_one_block_keeps_its_probes():
+    s = random_soup(26, 3, 16)
+    merged = reparameterize(s)
+    want = probe_deviations(s, merged, [1000]).max()
+    assert verify_equivalence(s, 1000, 1e-4, merged=merged) == want
+
+
+def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
+    s = random_soup(27, 3, 12)
+    merged = reparameterize(s)
+    merged.W2[0, 0] += 0.05
+    deviation = probe_deviations(s, merged, [1024, 1024, 952])
+    sizes = []
+    draw = Stream.unit_vectors
+
+    def recording(self, count, dim):
+        sizes.append(count)
+        return draw(self, count, dim)
+
+    monkeypatch.setattr(Stream, "unit_vectors", recording)
+    with pytest.raises(EquivalenceViolation) as info:
+        verify_equivalence(s, trials=3000, tolerance=1e-10, merged=merged)
+    assert sizes == [1024, 1024, 952]
+    assert info.value.worst == deviation.max()
+    assert info.value.input_index == int(np.argmax(deviation)) >= 1024
+    assert verify_equivalence(s, 3000, 1.0, merged=merged) == deviation.max()
+
+
 def test_verify_equivalence_validates_trials():
     with pytest.raises(ValueError):
         verify_equivalence(random_soup(25, 2, 8), trials=0, tolerance=1e-4)
