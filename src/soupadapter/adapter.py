@@ -29,7 +29,7 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch)
 from .heads import ClassifierHead
-from .numerics import (OptimState, adamw_step,
+from .numerics import (DEGENERATE_NORM, OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
                        normal_cdf, normalize_rows, row_norms)
 from .rng import below, stream, uniform
@@ -49,7 +49,6 @@ FEATURE_NOISE_SCALE = 0.02  # sigma = 0.02 * aug_strength for single-view sets
 # 512 and 512 x 128, and cost 10% at 160 x 32, where passing the
 # interpreter lock back and forth outweighs a 0.2 ms draw.
 NOISE_AHEAD_MIN = 1 << 18
-FLOAT32_MAX = float(np.finfo(np.float32).max)  # checkpoints store float32
 
 MASK = "mask"
 NO_MASK = "no-mask"
@@ -193,7 +192,7 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
     if r != 0.0:
         u = xs + r * (hidden @ params.W2.T + params.b2)
         norms = row_norms(u)
-        if np.any(norms < 1e-12):
+        if np.any(norms < DEGENERATE_NORM):
             raise DegenerateVector("residual sum collapsed to zero")
         f = u / norms[:, np.newaxis]
     logits = escale * (f @ head_w.T)
@@ -340,10 +339,8 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     slots = np.asarray([t[2] for t in flat], dtype=np.int64)
     n_train = sel_idx.size
 
-    # all views of the selected samples, re-normalized in 64-bit
-    sel_views = normalize_rows(
-        emb.features[sel_idx].astype(np.float64).reshape(-1, emb.dim)
-    ).reshape(n_train, emb.views, emb.dim)
+    sel_views = np.stack([emb.unit_features(v, indices=sel_idx)
+                          for v in range(emb.views)], axis=1)
 
     params = init_adapter(emb.dim, cfg.red, cfg.seed)
     param_dict = params.as_dict()
@@ -391,8 +388,7 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                 loss_sum += batch_loss
             trace.append(loss_sum / n_train)
     for name, arr in param_dict.items():
-        # a NaN fails this comparison too
-        if not np.all(np.abs(arr) <= FLOAT32_MAX):
+        if not finite_in_float32(arr):
             raise NumericalError(
                 f"component seed {cfg.seed}: {name} is not finite in float32 "
                 f"after epoch {epoch} step {step}")
@@ -406,8 +402,23 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
 
 # --------------------------------------------------------------- checkpoints
 
+def finite_in_float32(arr: np.ndarray) -> bool:
+    """Whether arr is finite once cast to the float32 a checkpoint stores;
+    a NaN, or a value that overflows to inf, is not."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(arr.astype(np.float32)).all())
+
+
 def checkpoint_bytes(params: AdapterParams, scale: float, meta: dict) -> bytes:
-    """A checkpoint file's bytes; meta lands in the JSON trailer (sorted keys)."""
+    """A checkpoint file's bytes; meta lands in the JSON trailer (sorted keys).
+
+    Refuses (NumericalError) weights that are not finite in float32, which
+    parse_checkpoint would refuse, so no unreadable checkpoint is made.
+    """
+    for name, arr in params.as_dict().items():
+        if not finite_in_float32(arr):
+            raise NumericalError(f"checkpoint weights {name} are not finite "
+                                 f"in float32")
     trailer = json.dumps(meta, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     return b"".join((

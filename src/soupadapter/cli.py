@@ -69,6 +69,9 @@ _OVERRIDE_TYPES = {
 }
 
 MAX_GRID_POINTS = 1001
+# synth holds its three sets in memory at once; a set of this many float32
+# values (classes x per-class x dim) is 512 MiB, about 40 times paper512's.
+MAX_SYNTH_VALUES = 1 << 27
 
 
 def parse_grid(text: str) -> list[float]:
@@ -124,6 +127,13 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _load_with_manifest(path):
     emb = dataio.read_container(path)
     manifest_path = dataio.manifest_path_for(path)
@@ -167,6 +177,10 @@ def cmd_info(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    values = args.classes * args.per_class * args.dim
+    if values > MAX_SYNTH_VALUES:
+        raise UsageError(f"--classes x --per-class x --dim is {values} values "
+                         f"per set; at most {MAX_SYNTH_VALUES} are allowed")
     out = _out_dir(args.out)
     train, id_test, ood_test = dataio.generate_synthetic(
         args.classes, args.dim, args.per_class, args.shift_angle,
@@ -241,7 +255,7 @@ def _train_into(out: Path, args, overrides: dict):
             return exc
 
     # a step's products are too small to split: one BLAS thread each
-    jobs = args.jobs or args.k
+    jobs = args.jobs or min(args.k, _usable_cores())
     with numerics.single_blas_thread():
         if jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) \

@@ -12,9 +12,10 @@ Container format (binary, little-endian):
     features N x V x D float32, row-major (sample, then view, then dim)
 
 Every view vector must be unit-norm within 1e-4 (32-bit storage slack);
-features are re-normalized in 64-bit when read back for computation. A
-manifest is a UTF-8 JSON file alongside the container with keys "dataset",
-"classes", "splits" and "model".
+features are re-normalized in 64-bit when read back for computation.
+check_unit_norms is that rule for containers and head files, applied by
+their writers and readers alike. A manifest is a UTF-8 JSON file alongside
+the container with keys "dataset", "classes", "splits" and "model".
 
 Every artifact of the package is read by read_bytes and written by
 atomic_write, so a reader never sees a half-written file.
@@ -82,13 +83,7 @@ class EmbeddingSet:
         return self.features.shape[2]
 
     def validate_norms(self):
-        norms = np.linalg.norm(self.features.astype(np.float64), axis=2)
-        bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))  # or NaN
-        if bad.size:
-            i, v = bad[0]
-            raise NormViolation(
-                f"sample {i} view {v} has norm {norms[i, v]:.6f}, "
-                f"expected 1 within {NORM_TOLERANCE:g}")
+        check_unit_norms(self.features, "sample {} view {}")
 
     def unit_features(self, view: int = 0, indices=None) -> np.ndarray:
         """Float64 features of one view, re-normalized to exact unit norm."""
@@ -132,6 +127,17 @@ class FewShotSelection:
 
 
 # ------------------------------------------------------------ file boundary
+
+def check_unit_norms(rows: np.ndarray, where: str):
+    """Raise NormViolation unless every vector along the last axis has norm
+    1 within NORM_TOLERANCE; ``where`` formats the first bad vector's index."""
+    norms = np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=-1)
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
+    if bad.size:
+        at = tuple(bad[0])
+        raise NormViolation(f"{where.format(*at)} has norm {norms[at]:.6f}, "
+                            f"expected 1 within {NORM_TOLERANCE:g}")
+
 
 def read_bytes(path, what: str) -> bytes:
     """The whole file at path; an OSError becomes IoFailure naming it."""

@@ -85,18 +85,15 @@ def _blocks(emb: EmbeddingSet):
 
 
 def _fold(components, head: ClassifierHead):
-    """The components' stacked first layer (W1, b1) and, per component,
-    (its hidden columns, W W2, W b2): the head folded into the output
-    layer, so residual logits need no D-wide adapter output."""
+    """Per component, (its hidden columns in the components' row-stacked
+    first layer, W W2, W b2): the head folded into the output layer, so
+    residual logits need no D-wide adapter output."""
     if components[0].dim != head.dim:
         raise ShapeMismatch(f"adapter dim {components[0].dim} != head dim "
                             f"{head.dim}")
     ends = np.cumsum([c.hidden for c in components]).tolist()
-    layer = (np.vstack([c.W1 for c in components]),
-             np.concatenate([c.b1 for c in components]))
-    return layer, [(slice(end - c.hidden, end), head.weights @ c.W2,
-                    head.weights @ c.b2)
-                   for c, end in zip(components, ends)]
+    return [(slice(end - c.hidden, end), head.weights @ c.W2,
+             head.weights @ c.b2) for c, end in zip(components, ends)]
 
 
 def _residual_logits(output: tuple, hidden: np.ndarray,
@@ -134,18 +131,24 @@ def _cells(grid, hits, n: int) -> dict[float, float]:
 
 
 def _score_models(adapter, components, head: ClassifierHead, sets, grid):
-    """Model names and, per set, _sweep_set's counts. The folded layer and
-    outputs live only here, so they are released before any KNN pass."""
+    """Model names and, per set, _sweep_set's counts. The first layer is
+    the adapter's own (W1, b1) where there is an adapter, else the
+    components' row-stack. The folded outputs live only here, so they are
+    released before any KNN pass."""
     names, models, layer = [], [], None
     if adapter is not None:
-        layer, models = _fold([adapter], head)
-        names = ["soup"]
+        names, models = ["soup"], _fold([adapter], head)
+        layer = (adapter.W1, adapter.b1)
     if components:
-        stacked, outputs = _fold(components, head)
-        if adapter is not None and not all(
-                np.array_equal(a, b) for a, b in zip(layer, stacked)):
+        outputs = _fold(components, head)
+        if adapter is None:
+            layer = (np.vstack([c.W1 for c in components]),
+                     np.concatenate([c.b1 for c in components]))
+        elif adapter.hidden != outputs[-1][0].stop or not all(
+                np.array_equal(adapter.W1[cols], c.W1)
+                and np.array_equal(adapter.b1[cols], c.b1)
+                for (cols, _, _), c in zip(outputs, components)):
             raise SoupMismatch("W1/b1 are not the components' row-stack")
-        layer = stacked  # the adapter's, bit for bit, if there is one
         names += [f"component_{j}" for j in range(len(components))]
         models += outputs
     return names, {split: _sweep_set(layer, models, head, emb, grid)

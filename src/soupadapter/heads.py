@@ -2,11 +2,14 @@
 
 A head is a C x D matrix of unit-norm class rows plus a logit scale;
 logits for a unit feature f are exp(scale) * (W @ f), so the temperature
-is 1 / exp(scale) and the argmax never depends on it. Default scale is
-ln(100), the conventional operating point for cosine-similarity heads.
+is 1 / exp(scale) and the argmax never depends on it. Prototype heads use
+DEFAULT_SCALE = ln(100), the conventional operating point for
+cosine-similarity heads; an imported head brings its own scale.
 
 Head file format (binary, little-endian): magic b"SHED", version u32=1,
 C u32, D u32, scale float64, rows C x D float32 (unit-norm within 1e-4).
+export_head and import_head apply the same dataio.check_unit_norms to the
+float32 rows, so a head that export_head writes always imports.
 """
 
 from __future__ import annotations
@@ -18,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
-                     unpack_header)
-from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
-                     NormViolation)
+from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
+                     check_unit_norms, read_bytes, unpack_header)
+from .errors import CorruptLength, DegenerateVector, EmptyBank, EmptyClass
 from .numerics import DEGENERATE_NORM, normalize_rows
 
 HEAD_MAGIC = b"SHED"
 HEAD_VERSION = 1
 DEFAULT_SCALE = math.log(100.0)
-NORM_TOLERANCE = 1e-4
 
 _HEADER = struct.Struct("<4s3Id")
 
@@ -81,7 +82,7 @@ def _prototype_row(prompts: np.ndarray, skip: int = -1) -> np.ndarray:
     return total / norm
 
 
-def build_prototypes(prompts, scale: float = DEFAULT_SCALE) -> ClassifierHead:
+def build_prototypes(prompts) -> ClassifierHead:
     """Head whose class rows are normalized sums of per-class prompt vectors.
 
     ``prompts`` is one array (or list) of D-dim embeddings per class.
@@ -92,7 +93,7 @@ def build_prototypes(prompts, scale: float = DEFAULT_SCALE) -> ClassifierHead:
         if cls_prompts.size == 0:
             raise EmptyClass(f"class {c} has no prompt embeddings")
         rows.append(_prototype_row(np.atleast_2d(cls_prompts)))
-    return ClassifierHead(weights=np.stack(rows), scale=scale)
+    return ClassifierHead(weights=np.stack(rows))
 
 
 def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
@@ -118,15 +119,14 @@ def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
     return table
 
 
-def selection_prototypes(emb: EmbeddingSet, selection: FewShotSelection,
-                         scale: float = DEFAULT_SCALE):
+def selection_prototypes(emb: EmbeddingSet, selection: FewShotSelection):
     """The prototype head of a few-shot selection, and its prompts.
 
     Each class's prompts are its selected clean (view 0) unit embeddings
     in slot order. Returns (ClassifierHead, prompts).
     """
     prompts = [emb.unit_features(0, indices=cls) for cls in selection.indices]
-    return build_prototypes(prompts, scale=scale), prompts
+    return build_prototypes(prompts), prompts
 
 
 # -------------------------------------------------------------------- logits
@@ -204,9 +204,15 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
 # ----------------------------------------------------------------- head file
 
 def export_head(head: ClassifierHead, path):
+    """Write a head file atomically; refuses (NormViolation), before
+    anything is written, rows whose float32 values import_head would
+    refuse."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check
+        rows = head.weights.astype("<f4")
+    check_unit_norms(rows, "head row {}")
     atomic_write(path, _HEADER.pack(HEAD_MAGIC, HEAD_VERSION, head.n_classes,
                                     head.dim, float(head.scale))
-                 + head.weights.astype("<f4").tobytes(), "head file")
+                 + rows.tobytes(), "head file")
 
 
 def import_head(path) -> ClassifierHead:
@@ -219,10 +225,5 @@ def import_head(path) -> ClassifierHead:
         raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size) \
         .reshape(c, d).astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
-    bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))  # or NaN
-    if bad.size:
-        i = int(bad[0][0])
-        raise NormViolation(f"head row {i} has norm {norms[i]:.6f}, "
-                            f"expected 1 within {NORM_TOLERANCE:g}")
+    check_unit_norms(rows, "head row {}")
     return ClassifierHead(weights=normalize_rows(rows), scale=scale)

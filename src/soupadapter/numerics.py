@@ -15,6 +15,10 @@ pre-activations rarely leave |x| <= sqrt(2)). From |x| >= 8 on, where Cephes
 switches to a second rational and later to exactly 1, erfc(|x|) < 1e-28
 so 1 - erfc rounds to 1 either way, and erf returns +-1. NaN passes through.
 
+A vector with norm below DEGENERATE_NORM has no direction, wherever the
+package normalizes. AdamW runs with the fixed beta1 = 0.9, beta2 = 0.999 and
+epsilon = 1e-8; only the learning rate and weight decay vary.
+
 ``single_blas_thread`` caps the OpenBLAS that numpy loaded at one thread
 for a block of code, through ctypes: the products of a training step are
 too small for a second BLAS thread to save any wall time, and it doubles
@@ -33,12 +37,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateVector, ShapeMismatch
-from .rng import Stream, derive_seed
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEGENERATE_NORM = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| <= 1 ...
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
@@ -141,7 +145,7 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm.
 
-    Raises DegenerateVector if any row norm falls below 1e-12.
+    Raises DegenerateVector if any row norm falls below DEGENERATE_NORM.
     """
     m = np.asarray(m, dtype=np.float64)
     norms = row_norms(m)
@@ -209,22 +213,13 @@ class OptimState:
     lr: float
     weight_decay: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie strictly between 0 and 1")
-        if self.step < 0:
-            raise ValueError("step must be nonnegative")
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray], lr: float, weight_decay: float,
-             **kwargs) -> "OptimState":
+    def init(cls, params: dict[str, np.ndarray], lr: float,
+             weight_decay: float) -> "OptimState":
         m = {k: np.zeros_like(p, dtype=np.float64) for k, p in params.items()}
         v = {k: np.zeros_like(p, dtype=np.float64) for k, p in params.items()}
-        return cls(m=m, v=v, lr=lr, weight_decay=weight_decay, **kwargs)
+        return cls(m=m, v=v, lr=lr, weight_decay=weight_decay)
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -232,7 +227,8 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One AdamW update with decoupled weight decay and bias correction.
 
     Parameters are first scaled by (1 - lr * weight_decay), then moved by
-    the bias-corrected Adam step. Arrays are updated in place.
+    the bias-corrected Adam step with the fixed ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPSILON. Arrays are updated in place.
     """
     if set(params) != set(grads):
         raise ShapeMismatch(f"parameter/gradient keys differ: "
@@ -242,18 +238,18 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise ShapeMismatch(f"shape mismatch for '{k}'")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for k, p in params.items():
         g = grads[k]
         if state.weight_decay != 0.0:
             p *= 1.0 - state.lr * state.weight_decay
-        state.m[k] *= state.beta1
-        state.m[k] += (1.0 - state.beta1) * g
-        state.v[k] *= state.beta2
-        state.v[k] += (1.0 - state.beta2) * g * g
+        state.m[k] *= ADAM_BETA1
+        state.m[k] += (1.0 - ADAM_BETA1) * g
+        state.v[k] *= ADAM_BETA2
+        state.v[k] += (1.0 - ADAM_BETA2) * g * g
         p -= state.lr * (state.m[k] / bc1) / (np.sqrt(state.v[k] / bc2)
-                                              + state.epsilon)
+                                              + ADAM_EPSILON)
     return params, state
 
 
@@ -322,6 +318,8 @@ def finite_difference_check(loss_and_grad, params: dict[str, np.ndarray], *,
     coordinates whose true gradient sits below the finite-difference noise
     level (cancellation is ~eps * |loss| / step) from dominating the report.
     """
+    from .rng import Stream, derive_seed  # rng imports this module
+
     _, grads = loss_and_grad(params)
     coords = [(k, i) for k in sorted(params) for i in range(params[k].size)]
     if len(coords) > sample_size:

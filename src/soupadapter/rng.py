@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .numerics import DEGENERATE_NORM
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -198,7 +200,7 @@ class Stream:
         while True:
             g = self.normal_array(dim)
             norm = float(np.linalg.norm(g))
-            if norm > 1e-12:
+            if norm >= DEGENERATE_NORM:
                 return g / norm
 
     def unit_vectors(self, count: int, dim: int) -> np.ndarray:
@@ -209,7 +211,7 @@ class Stream:
         """
         g = self.normal_array(count * dim).reshape(count, dim)
         norms = np.linalg.norm(g, axis=1)
-        for i in np.flatnonzero(norms <= 1e-12):
+        for i in np.flatnonzero(norms < DEGENERATE_NORM):
             g[i], norms[i] = self.unit_vector(dim), 1.0
         return g / norms[:, np.newaxis]
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soupadapter import adapter, numerics
+from soupadapter import adapter, cli, numerics
 from soupadapter.adapter import adapter_forward, load_checkpoint
 from soupadapter.cli import UsageError, main, parse_grid
 from soupadapter.dataio import read_container
@@ -107,6 +108,40 @@ def test_synth_bad_values_are_usage_errors(tmp_path, capsys, flag, value):
     assert err.startswith("usage error:") and flag in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [
+    ("100000", "100000", "100000"),  # once killed by the kernel, no message
+    ("2", "2", str(2**25 + 1)),  # one set 4 values over the bound
+])
+def test_synth_refuses_sets_above_the_size_bound(tmp_path, capsys,
+                                                 monkeypatch, shape):
+    def never(*args):
+        raise AssertionError("generated a set above the bound")
+
+    monkeypatch.setattr(cli.dataio, "generate_synthetic", never)
+    classes, dim, per_class = shape
+    assert run("synth", "--out", tmp_path / "data", "--classes", classes,
+               "--dim", dim, "--per-class", per_class) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(cli.MAX_SYNTH_VALUES) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_size_bound_admits_a_set_of_exactly_the_bound(tmp_path,
+                                                            monkeypatch):
+    # the generator is stubbed, so no set of that size is ever made
+    class Reached(Exception):
+        pass
+
+    def stub(classes, dim, per_class, *args):
+        raise Reached(classes * dim * per_class)
+
+    monkeypatch.setattr(cli.dataio, "generate_synthetic", stub)
+    with pytest.raises(Reached) as got:
+        run("synth", "--out", tmp_path / "data", "--classes", "2",
+            "--dim", "2", "--per-class", str(2**25))
+    assert got.value.args == (cli.MAX_SYNTH_VALUES,) == (2**27,)
 
 
 def test_synth_is_byte_deterministic(tmp_path):
@@ -255,6 +290,28 @@ def test_train_runs_blas_on_one_thread_and_restores_the_count(
         assert get_threads() == 3
     finally:
         set_threads(before)
+
+
+# every component also opens a one-thread noise helper, so K = 3 makes
+# three executors of width 1 besides the pool, if there is one
+@pytest.mark.parametrize("cores,widths", [(2, [1, 1, 1, 2]), (1, [1, 1, 1])])
+def test_train_default_jobs_is_the_usable_cores_at_most_k(
+        tmp_path, data_dir, monkeypatch, cores, widths):
+    made = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(executor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "2", "--k", "3", "--epochs", "1",
+               "--out", tmp_path) == 0
+    assert sorted(made) == widths  # one core trains in process, no pool
 
 
 def test_threads_and_noise_helpers_leave_the_bytes_alone(tmp_path, data_dir,

@@ -258,8 +258,9 @@ def test_residual_logits_are_unnormalized_blended_logits(block_bench):
     # one folded output per model: the merged soup over its own layer, and
     # each component over its slice of the stacked layer
     for adapters in ([single], [merged], soup.components):
-        layer, folded = _fold(adapters, head)
-        hidden = gelu(feats @ layer[0].T + layer[1])
+        folded = _fold(adapters, head)
+        hidden = gelu(feats @ np.vstack([a.W1 for a in adapters]).T
+                      + np.concatenate([a.b1 for a in adapters]))
         assert len(folded) == len(adapters)
         for output, params in zip(folded, adapters):
             q = _residual_logits(output, hidden, head.scale)

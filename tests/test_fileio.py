@@ -6,17 +6,19 @@ every writer must leave the previous file intact when a write fails.
 
 import errno
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from soupadapter import dataio
+from soupadapter import adapter, dataio, heads
 from soupadapter.adapter import AdapterParams, load_checkpoint, save_checkpoint
 from soupadapter.dataio import (EmbeddingSet, Manifest, read_container,
                                 write_container, write_manifest)
-from soupadapter.errors import DataError, IoFailure, NormViolation
+from soupadapter.errors import (DataError, IoFailure, NormViolation,
+                                NumericalError)
 from soupadapter.evalkit import EvalReport, SweepRow, write_report
 from soupadapter.heads import ClassifierHead, export_head, import_head
 from soupadapter.rng import stream
@@ -133,6 +135,105 @@ def test_nan_vector_is_a_norm_violation(tmp_path, valid, name):
     path.write_bytes(bytes(blob))
     with pytest.raises(NormViolation):
         FORMATS[name][2](path)
+
+
+# ------------------------------------------- writers refuse what readers do
+
+def _f32_near(target):
+    """float32 values within 4 ulps of target, as Python floats."""
+    x = np.float32(target)
+    return st.integers(-4, 4).map(lambda k: float(x + k * np.spacing(x)))
+
+
+# row scales either side of the unit-norm tolerance, NaN rows and others
+_ROW_SCALE = st.one_of(_f32_near(1 + 1e-4), _f32_near(1 - 1e-4),
+                       st.just(1.0), st.just(math.nan),
+                       st.floats(0.5, 1.5))
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TIE = _F32_MAX + 2.0**103  # halfway to 2^128: the cast rounds to inf
+# finite float64 weights around the float32 maximum, either sign
+_WEIGHT = st.one_of(
+    st.sampled_from([_F32_MAX, _F32_TIE, float(np.nextafter(_F32_TIE, 0.0)),
+                     float(np.nextafter(_F32_TIE, math.inf)), 1e39]),
+    st.floats(3.0e38, 3.5e38), st.floats(-3.5e38, -3.0e38),
+    st.floats(-1e40, 1e40))
+
+
+def _writer_agrees_with_reader(tmp_path, write, read, module, check,
+                               unchecked):
+    """write refuses exactly when read refuses the bytes the same write
+    makes with ``module.check`` replaced by ``unchecked``; a refused write
+    leaves no file."""
+    checked, raw = tmp_path / "checked", tmp_path / "raw"
+    checked.unlink(missing_ok=True)
+    try:
+        write(checked)
+        wrote = True
+    except (NormViolation, NumericalError):
+        wrote = False
+        assert not checked.exists()
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+        patch.setattr(module, check, unchecked)
+        write(raw)
+    try:
+        read(raw)
+        readable = True
+    except DataError:
+        readable = False
+    assert wrote == readable
+    if wrote:
+        assert checked.read_bytes() == raw.read_bytes()
+
+
+@FUZZ
+@given(at=st.integers(0, 11), scale=_ROW_SCALE)
+def test_container_writer_refuses_what_the_reader_refuses(tmp_path, at,
+                                                          scale):
+    emb = small_set()
+    emb.features.reshape(12, 5)[at] *= np.float32(scale)
+    _writer_agrees_with_reader(tmp_path, lambda p: write_container(emb, p),
+                               read_container, dataio, "check_unit_norms",
+                               lambda rows, where: None)
+
+
+@FUZZ
+@given(at=st.integers(0, 2), scale=_ROW_SCALE)
+def test_head_writer_refuses_what_the_reader_refuses(tmp_path, at, scale):
+    head = small_head()
+    head.weights[at] *= scale
+    _writer_agrees_with_reader(tmp_path, lambda p: export_head(head, p),
+                               import_head, heads, "check_unit_norms",
+                               lambda rows, where: None)
+
+
+@FUZZ
+@given(name=st.sampled_from(["W1", "b1", "W2", "b2"]), at=st.integers(0, 9),
+       value=_WEIGHT)
+def test_checkpoint_writer_refuses_what_the_reader_refuses(tmp_path, name,
+                                                           at, value):
+    params = small_params()
+    arr = params.as_dict()[name].reshape(-1)
+    arr[at % arr.size] = value
+    _writer_agrees_with_reader(
+        tmp_path, lambda p: save_checkpoint(p, params, 1.5, {"kind": "t"}),
+        load_checkpoint, adapter, "finite_in_float32", lambda arr: True)
+
+
+@pytest.mark.parametrize("write,error,message", [
+    # each wrote a file that its reader then refused
+    (lambda p: export_head(ClassifierHead([[2.0, 0.0], [0.0, 1.0]]), p),
+     NormViolation, "head row 0 has norm 2.000000, expected 1 within 0.0001"),
+    (lambda p: export_head(ClassifierHead([[1.0, 0.0], [math.nan, 1.0]]), p),
+     NormViolation, "head row 1 has norm nan"),
+    (lambda p: save_checkpoint(p, AdapterParams(
+        W1=[[1e39, 0.0]], b1=[0.0], W2=[[0.0], [0.0]], b2=[0.0, 0.0]),
+        1.5, {}), NumericalError, "W1 are not finite in float32"),
+])
+def test_writers_refuse_before_any_file_exists(tmp_path, write, error,
+                                               message):
+    with pytest.raises(error, match=re.escape(message)):
+        write(tmp_path / "out")  # RuntimeWarnings are errors in this suite
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- writers

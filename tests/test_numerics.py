@@ -262,11 +262,6 @@ def test_adamw_shape_mismatch():
         adamw_step(params, {"v": np.zeros(3)}, state)
 
 
-def test_optim_state_validates_betas():
-    with pytest.raises(ValueError):
-        OptimState.init({"w": np.zeros(1)}, lr=0.1, weight_decay=0.0, beta1=1.0)
-
-
 # ---------------------------------------------------------- gradient check
 
 def test_fd_check_linear_loss_is_exact():
