@@ -147,8 +147,16 @@ def adapter_forward(params: AdapterParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.dim:
         raise ShapeMismatch(f"input dim {x.shape[-1]} != adapter dim {params.dim}")
-    hidden = gelu(x @ params.W1.T + params.b1)
-    return hidden @ params.W2.T + params.b2
+    out = hidden_layer(params.W1, params.b1, x) @ params.W2.T
+    out += params.b2
+    return out
+
+
+def hidden_layer(w1: np.ndarray, b1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """gelu(x @ w1.T + b1), built in the product's own array."""
+    hidden = x @ w1.T
+    hidden += b1
+    return gelu(hidden, out=hidden)
 
 
 def blend(x: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
@@ -361,10 +369,11 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
             if emb.views > 1:
                 x_epoch = _view_epoch(sel_views, order, cfg.aug_strength,
                                       stream(cfg.seed, "aug", epoch))
-            elif noise_size:
-                x_epoch = normalize_rows(
-                    sel_views[order, 0] + sigma
-                    * next(noise).reshape(n_train, emb.dim))
+            elif noise_size:  # the fresh noise block becomes the epoch
+                x_epoch = next(noise).reshape(n_train, emb.dim)
+                x_epoch *= sigma
+                x_epoch += sel_views[order, 0]
+                normalize_rows(x_epoch, out=x_epoch)
             else:
                 x_epoch = sel_views[order, 0]
             targets = classes[order]
@@ -462,7 +471,7 @@ def parse_checkpoint(blob: bytes):
 
 def save_checkpoint(path, params: AdapterParams, scale: float, meta: dict):
     """Write checkpoint_bytes to path atomically."""
-    atomic_write(path, checkpoint_bytes(params, scale, meta), "checkpoint")
+    atomic_write(path, (checkpoint_bytes(params, scale, meta),), "checkpoint")
 
 
 def load_checkpoint(path):

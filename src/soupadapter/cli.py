@@ -127,6 +127,19 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _distinct_components(paths) -> list:
+    """--components paths, refusing (usage error) any that names a file
+    given before, which would weight that component twice."""
+    seen = set()
+    for path in paths:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise UsageError(f"--components names {path!r} more than once; "
+                             f"give each file once")
+        seen.add(key)
+    return paths
+
+
 def _usable_cores() -> int:
     """CPUs this process may run on: its affinity set, else all of them."""
     if hasattr(os, "sched_getaffinity"):
@@ -292,7 +305,8 @@ def _train_into(out: Path, args, overrides: dict):
 
 
 def cmd_soup(args) -> int:
-    ensemble, scales, checksums = soup_mod.load_soup(args.components)
+    ensemble, scales, checksums = soup_mod.load_soup(
+        _distinct_components(args.components))
     if len(set(scales)) > 1:
         print(f"warning: components carry different logit scales {scales}; "
               f"using {scales[0]}", file=sys.stderr)
@@ -304,7 +318,7 @@ def cmd_soup(args) -> int:
     reloaded, _, _ = adapter_mod.parse_checkpoint(blob)
     worst = soup_mod.verify_equivalence(ensemble, args.trials,
                                         args.tolerance, merged=reloaded)
-    dataio.atomic_write(args.out, blob, "checkpoint")
+    dataio.atomic_write(args.out, (blob,), "checkpoint")
     print(f"wrote {args.out} (K={ensemble.k}, H={merged.hidden}, "
           f"worst deviation {worst:.3e} over {args.trials} probes)")
     return 0
@@ -312,6 +326,7 @@ def cmd_soup(args) -> int:
 
 def cmd_eval(args) -> int:
     grid = parse_grid(args.grid)
+    component_paths = _distinct_components(args.components or [])
     head = heads.import_head(args.head)
     id_set, _ = _load_with_manifest(args.embeddings)
     ood_sets = {}
@@ -324,8 +339,8 @@ def cmd_eval(args) -> int:
 
     adapter = (soup_mod.load_soup([args.adapter])[0].components[0]
                if args.adapter else None)
-    components = (soup_mod.load_soup(args.components)[0].components
-                  if args.components else [])
+    components = (soup_mod.load_soup(component_paths)[0].components
+                  if component_paths else [])
     if adapter is None and not components:
         raise UsageError("need --adapter and/or --components to evaluate")
     knn = None
@@ -401,8 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", nargs="*", default=None)
     p.add_argument("--grid", default="0:1:0.1")
     p.add_argument("--knn-bank", default=None)
-    p.add_argument("--knn-k", type=_number(int, 1, True), default=10)
-    p.add_argument("--knn-t", type=_number(float, 0.0, False), default=0.1)
+    p.add_argument("--knn-k", type=_number(int, 1, True), default=10,
+                   help="neighbors that vote; a k above the bank size uses "
+                        "the whole bank")
+    p.add_argument("--knn-t", type=_number(float, heads.KNN_T_MIN, True),
+                   default=0.1,
+                   help="vote temperature; at least 1 / (ln(float64 max) "
+                        "- 1), about 0.00141, so that exp(similarity / T) "
+                        "stays finite even where a similarity rounds a "
+                        "little above 1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
     return parser

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (BadMagic, CorruptLength, InsufficientShots, IoFailure,
                      NonFiniteValue, NormViolation, VersionUnsupported)
-from .numerics import normalize_rows
+from .numerics import CHUNK_VALUES, normalize_rows
 from .rng import stream
 
 CONTAINER_MAGIC = b"SADP"
@@ -89,7 +89,8 @@ class EmbeddingSet:
         """Float64 features of one view, re-normalized to exact unit norm."""
         feats = self.features[:, view, :] if indices is None \
             else self.features[np.asarray(indices, dtype=np.int64), view, :]
-        return normalize_rows(feats.astype(np.float64))
+        feats = feats.astype(np.float64)
+        return normalize_rows(feats, out=feats)
 
 
 @dataclass
@@ -130,13 +131,20 @@ class FewShotSelection:
 
 def check_unit_norms(rows: np.ndarray, where: str):
     """Raise NormViolation unless every vector along the last axis has norm
-    1 within NORM_TOLERANCE; ``where`` formats the first bad vector's index."""
-    norms = np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=-1)
-    bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
-    if bad.size:
-        at = tuple(bad[0])
-        raise NormViolation(f"{where.format(*at)} has norm {norms[at]:.6f}, "
-                            f"expected 1 within {NORM_TOLERANCE:g}")
+    1 within NORM_TOLERANCE; ``where`` formats the first bad vector's index.
+    The norms are taken in float64 CHUNK_VALUES values at a time."""
+    rows = np.asarray(rows)
+    flat = rows.reshape(-1, rows.shape[-1])
+    step = max(1, CHUNK_VALUES // max(1, rows.shape[-1]))
+    for start in range(0, flat.shape[0], step):
+        norms = np.linalg.norm(flat[start:start + step].astype(np.float64),
+                               axis=-1)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
+        if bad.size:
+            at = np.unravel_index(start + bad[0], rows.shape[:-1])
+            raise NormViolation(f"{where.format(*at)} has norm "
+                                f"{norms[bad[0]]:.6f}, expected 1 within "
+                                f"{NORM_TOLERANCE:g}")
 
 
 def read_bytes(path, what: str) -> bytes:
@@ -148,8 +156,9 @@ def read_bytes(path, what: str) -> bytes:
         raise IoFailure(f"cannot read {what}: {exc}") from exc
 
 
-def atomic_write(path, data: bytes, what: str):
-    """Replace the file at path with data, or leave it as it was.
+def atomic_write(path, parts, what: str):
+    """Replace the file at path with the bytes-like parts written in order,
+    or leave it as it was.
 
     The temp file beside path is unique to this process and thread; a plain
     open gives it the usual umask mode. There is no fsync.
@@ -157,7 +166,8 @@ def atomic_write(path, data: bytes, what: str):
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
@@ -200,11 +210,11 @@ def write_container(emb: EmbeddingSet, path):
     would refuse, so no unreadable container is ever written."""
     emb.validate_norms()
     n, v, d = emb.features.shape
-    atomic_write(path, b"".join((
+    atomic_write(path, (
         _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, d, n, v,
                      emb.n_classes),
-        emb.labels.astype("<u4").tobytes(),
-        emb.features.astype("<f4").tobytes())), "container")
+        emb.labels.astype("<u4"),
+        emb.features.astype("<f4", copy=False)), "container")
 
 
 def read_container(path) -> EmbeddingSet:
@@ -232,9 +242,9 @@ def manifest_path_for(container_path) -> str:
 
 
 def write_manifest(manifest: Manifest, path):
-    atomic_write(path, json_bytes({
+    atomic_write(path, (json_bytes({
         "dataset": manifest.dataset, "classes": manifest.classes,
-        "splits": manifest.splits, "model": manifest.model}), "manifest")
+        "splits": manifest.splits, "model": manifest.model}),), "manifest")
 
 
 def _is_list_of(value, kind) -> bool:

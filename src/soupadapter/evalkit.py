@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adapter import hidden_layer
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
 from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
                      LengthMismatch, ShapeMismatch, SoupMismatch)
 from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
                     knn_logits_batch)
-from .numerics import gelu
 from .soup import Soup, reparameterize
 
 DEFAULT_GRID = tuple(round(0.1 * i, 12) for i in range(11))
@@ -115,13 +115,13 @@ def _sweep_set(layer, models, head: ClassifierHead, emb: EmbeddingSet,
         p = head_logits(head, feats)
         bare_block = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
         bare += bare_block
-        hidden = gelu(feats @ layer[0].T + layer[1]) if models else None
+        hidden = hidden_layer(*layer, feats) if models else None
         for m, output in enumerate(models):
             q = _residual_logits(output, hidden, head.scale)
             for i, r in enumerate(grid):
                 hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
                     np.argmax(p + r * q, axis=1) == labels)
-        del hidden  # before the next block's gelu temporaries
+        del hidden  # before the next block's product
     return n, bare, hits
 
 
@@ -276,7 +276,7 @@ def write_report(report: EvalReport, path, format: str):
                            "baselines": report.baselines})
     else:
         raise ValueError(f"unknown report format {format!r}")
-    atomic_write(path, data, "report")
+    atomic_write(path, (data,), "report")
 
 
 def read_report(path, format: str) -> EvalReport:

@@ -23,14 +23,22 @@ import numpy as np
 
 from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
                      check_unit_norms, read_bytes, unpack_header)
-from .errors import CorruptLength, DegenerateVector, EmptyBank, EmptyClass
-from .numerics import DEGENERATE_NORM, normalize_rows
+from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
+                     NumericalError)
+from .numerics import CHUNK_VALUES, DEGENERATE_NORM, normalize_rows
 
 HEAD_MAGIC = b"SHED"
 HEAD_VERSION = 1
 DEFAULT_SCALE = math.log(100.0)
 
 _HEADER = struct.Struct("<4s3Id")
+
+# The smallest temperature accepted for KNN votes exp(similarity / T). The
+# similarity of unit vectors is at most 1 in exact arithmetic, but a float64
+# dot product of a unit row with itself can round a few ulps above 1, and at
+# 1 / ln(float64 max) that already overflows. One unit of headroom in the
+# exponent keeps every vote finite for similarities up to 1 + 1 / 708.8.
+KNN_T_MIN = 1.0 / (math.log(np.finfo(np.float64).max) - 1.0)
 
 # Query rows scored per matrix product, here and in evalkit: memory for
 # similarities and logits stays O(EVAL_BLOCK_ROWS x (bank or C)).
@@ -176,7 +184,9 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
 
     Neighbors come out in the order of a stable per-row argsort, and each
     weight is math.exp of one selected similarity, so the votes equal a
-    row-by-row scan of the same similarities bit for bit.
+    row-by-row scan of the same similarities bit for bit. Each block's
+    neighbors are selected over row sub-blocks of about CHUNK_VALUES
+    similarities. A weight that overflows float64 raises NumericalError.
     """
     bank_features = np.asarray(bank_features, dtype=np.float64)
     bank_labels = np.asarray(bank_labels, dtype=np.int64)
@@ -186,13 +196,21 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
         num_classes = int(bank_labels.max()) + 1
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     k = min(cfg.k, bank_features.shape[0])
+    sub = max(1, CHUNK_VALUES // bank_features.shape[0])
     out = np.zeros((xs.shape[0], num_classes), dtype=np.float64)
     for start in range(0, xs.shape[0], EVAL_BLOCK_ROWS):
         sims = xs[start:start + EVAL_BLOCK_ROWS] @ bank_features.T
-        top = _nearest(sims, k)
+        top = np.concatenate([_nearest(sims[lo:lo + sub], k)
+                              for lo in range(0, sims.shape[0], sub)])
         scaled = np.take_along_axis(sims, top, axis=1) / cfg.temperature
-        weights = np.fromiter(map(math.exp, scaled.ravel().tolist()),
-                              dtype=np.float64, count=scaled.size)
+        del sims  # before the next block's product
+        try:
+            weights = np.fromiter(map(math.exp, scaled.ravel().tolist()),
+                                  dtype=np.float64, count=scaled.size)
+        except OverflowError:
+            raise NumericalError(
+                f"KNN weight exp(similarity / T) overflows at temperature "
+                f"{cfg.temperature:g}") from None
         weights = weights.reshape(scaled.shape)
         block = out[start:start + EVAL_BLOCK_ROWS]
         rows = np.arange(block.shape[0])
@@ -210,9 +228,9 @@ def export_head(head: ClassifierHead, path):
     with np.errstate(over="ignore"):  # an overflow to inf fails the check
         rows = head.weights.astype("<f4")
     check_unit_norms(rows, "head row {}")
-    atomic_write(path, _HEADER.pack(HEAD_MAGIC, HEAD_VERSION, head.n_classes,
-                                    head.dim, float(head.scale))
-                 + rows.tobytes(), "head file")
+    atomic_write(path, (_HEADER.pack(HEAD_MAGIC, HEAD_VERSION, head.n_classes,
+                                     head.dim, float(head.scale)), rows),
+                 "head file")
 
 
 def import_head(path) -> ClassifierHead:

@@ -15,6 +15,13 @@ pre-activations rarely leave |x| <= sqrt(2)). From |x| >= 8 on, where Cephes
 switches to a second rational and later to exactly 1, erfc(|x|) < 1e-28
 so 1 - erfc rounds to 1 either way, and erf returns +-1. NaN passes through.
 
+``erf``, ``normal_cdf`` and ``gelu`` run over flat chunks of CHUNK_VALUES
+values (256 KiB of float64), so each temporary of the polynomial pass is
+one chunk, whatever the input's size; an input that small is one chunk.
+The operations are elementwise, so the bits do not depend on the
+chunking. ``gelu`` and ``normalize_rows`` take an ``out=`` that may be the
+input itself.
+
 A vector with norm below DEGENERATE_NORM has no direction, wherever the
 package normalizes. AdamW runs with the fixed beta1 = 0.9, beta2 = 0.999 and
 epsilon = 1e-8; only the learning rate and weight decay vary.
@@ -42,6 +49,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEGENERATE_NORM = 1e-12
+CHUNK_VALUES = 1 << 15
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| <= 1 ...
@@ -100,34 +108,70 @@ def _erfc_mid(a: np.ndarray) -> np.ndarray:
     return y
 
 
-def erf(x):
-    """The error function, bit-equal to scipy.special.erf on float64."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    big = np.abs(flat) > 1.0  # False for NaN, which the rational passes on
+def _erf_chunk(x: np.ndarray) -> np.ndarray:
+    """erf of one flat float64 chunk, as a new array."""
+    big = np.abs(x) > 1.0  # False for NaN, which the rational passes on
     if not big.any():
-        return _erf_small(flat).reshape(x.shape)
-    out = _erf_small(np.where(big, 0.0, flat))  # no inf in the rational
-    a = np.abs(flat[big])
+        return _erf_small(x)
+    out = _erf_small(np.where(big, 0.0, x))  # no inf in the rational
+    a = np.abs(x[big])
     tail = np.ones_like(a)  # 1 - erfc(a) rounds to 1 from a = 8 on
     mid = a < _ERF_SATURATES
     tail[mid] -= _erfc_mid(a[mid])
-    out[big] = np.copysign(tail, flat[big])
-    return out.reshape(x.shape)
+    out[big] = np.copysign(tail, x[big])
+    return out
+
+
+def _cdf_chunk(x: np.ndarray) -> np.ndarray:
+    y = _erf_chunk(x / _SQRT2)
+    y += 1.0
+    y *= 0.5
+    return y
+
+
+def _gelu_chunk(x: np.ndarray) -> np.ndarray:
+    y = _cdf_chunk(x)
+    y *= x
+    return y
+
+
+def _chunked(chunk_fn, x, out=None) -> np.ndarray:
+    """out = chunk_fn(x) over flat chunks of CHUNK_VALUES values, so the
+    temporaries of chunk_fn stay O(CHUNK_VALUES) whatever x's size. out,
+    if given, is a C-contiguous float64 array of x's shape and may be x."""
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64 \
+            or not out.flags.c_contiguous:
+        raise ShapeMismatch("out must be a C-contiguous float64 array of "
+                            "the input's shape")
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, CHUNK_VALUES):
+        stop = start + CHUNK_VALUES
+        flat_out[start:stop] = chunk_fn(flat_x[start:stop])
+    return out
+
+
+def erf(x):
+    """The error function, bit-equal to scipy.special.erf on float64."""
+    return _chunked(_erf_chunk, x)
 
 
 def normal_cdf(x):
     """Standard normal CDF: 0.5 * (1 + erf(x / sqrt(2)))."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + erf(x / _SQRT2))
+    return _chunked(_cdf_chunk, x)
 
 
-def gelu(x, cdf=None):
+def gelu(x, cdf=None, out=None):
     """Exact GELU: x * Phi(x). Pass ``cdf = normal_cdf(x)`` to reuse an
     erf already computed (the halving is exact, so either way the bits
-    equal 0.5 * x * (1 + erf(x / sqrt(2))))."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * (normal_cdf(x) if cdf is None else cdf)
+    equal 0.5 * x * (1 + erf(x / sqrt(2)))). Without ``cdf``, ``out``, a
+    C-contiguous float64 array of x's shape, receives the result and may
+    be x itself."""
+    if cdf is not None:
+        return np.asarray(x, dtype=np.float64) * cdf
+    return _chunked(_gelu_chunk, x, out)
 
 
 def gelu_grad(x, cdf=None):
@@ -142,8 +186,9 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(m, dtype=np.float64) ** 2, axis=-1))
 
 
-def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm.
+def normalize_rows(m: np.ndarray, out=None) -> np.ndarray:
+    """Scale each row to unit Euclidean norm; ``out``, if given, receives
+    the rows and may be m itself.
 
     Raises DegenerateVector if any row norm falls below DEGENERATE_NORM.
     """
@@ -152,7 +197,7 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     if np.any(norms < DEGENERATE_NORM):
         bad = int(np.argmin(norms)) if m.ndim > 1 else 0
         raise DegenerateVector(f"row {bad} has norm below {DEGENERATE_NORM:g}")
-    return m / norms[..., np.newaxis]
+    return np.divide(m, norms[..., np.newaxis], out=out)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -53,8 +53,9 @@ def soup_forward(soup: Soup, x: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the component outputs, summed in component order."""
     total = adapter_forward(soup.components[0], x)
     for comp in soup.components[1:]:
-        total = total + adapter_forward(comp, x)
-    return total / soup.k
+        total += adapter_forward(comp, x)
+    total /= soup.k
+    return total
 
 
 def reparameterize(soup: Soup) -> AdapterParams:

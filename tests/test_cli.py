@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soupadapter import adapter, cli, numerics
+from soupadapter import adapter, cli, heads, numerics
 from soupadapter.adapter import adapter_forward, load_checkpoint
 from soupadapter.cli import UsageError, main, parse_grid
 from soupadapter.dataio import read_container
@@ -663,6 +663,53 @@ def test_eval_ood_stem_naming_a_split_exits_1(tmp_path, data_dir, train_dir,
     assert not (tmp_path / "x.csv").exists()
 
 
+def _eval_argv(data_dir, train_dir, out, *extra, comps=None):
+    comps = comps or [train_dir / f"component_{j}.sada" for j in range(3)]
+    return ["eval", "--embeddings", data_dir / "id_test.sadp",
+            "--head", train_dir / "head.shed", "--components", *comps,
+            "--knn-bank", train_dir / "fewshot.sadp", *extra, "--out", out]
+
+
+def test_eval_scores_at_the_smallest_accepted_knn_temperature(
+        tmp_path, data_dir, train_dir, capsys):
+    smallest = heads.KNN_T_MIN
+    below = math.nextafter(smallest, 0.0)
+    assert run(*_eval_argv(data_dir, train_dir, tmp_path / "r",
+                           "--knn-t", repr(smallest))) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert 0.0 < doc["baselines"]["id"]["knn"] <= 1.0
+    assert run(*_eval_argv(data_dir, train_dir, tmp_path / "s",
+                           "--knn-t", repr(below))) == 1
+    assert "--knn-t" in capsys.readouterr().err
+
+
+def test_eval_knn_k_above_the_bank_equals_the_whole_bank(tmp_path, data_dir,
+                                                         train_dir):
+    rows = read_container(train_dir / "fewshot.sadp").n
+    for name, k in (("all", rows), ("huge", 100000)):
+        assert run(*_eval_argv(data_dir, train_dir, tmp_path / name,
+                               "--knn-k", k)) == 0
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"all.{ext}").read_bytes() \
+            == (tmp_path / f"huge.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["soup", "eval"])
+def test_repeated_component_path_is_a_usage_error(tmp_path, data_dir,
+                                                  train_dir, capsys, command):
+    comp = train_dir / "component_1.sada"
+    again = train_dir / "." / "component_1.sada"  # the same file
+    comps = [train_dir / "component_0.sada", comp, again]
+    argv = (["soup", "--components", *comps, "--out", tmp_path / "m.sada"]
+            if command == "soup" else
+            _eval_argv(data_dir, train_dir, tmp_path / "r", comps=comps))
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(again) in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("eval", "--knn-k", "0"),
     ("eval", "--knn-k", "-3"),
@@ -671,6 +718,8 @@ def test_eval_ood_stem_naming_a_split_exits_1(tmp_path, data_dir, train_dir,
     ("eval", "--knn-t", "-0.1"),
     ("eval", "--knn-t", "nan"),
     ("eval", "--knn-t", "inf"),
+    ("eval", "--knn-t", "1e-3"),  # exp(1 / T) overflows float64
+    ("eval", "--knn-t", "1e-5"),
     ("soup", "--trials", "0"),
     ("soup", "--trials", "-1" + "0" * 30),  # beyond int64
     ("soup", "--tolerance", "-1e-4"),

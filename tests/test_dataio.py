@@ -3,7 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from soupadapter.dataio import (EmbeddingSet, Manifest, generate_synthetic,
+from soupadapter import dataio
+from soupadapter.dataio import (EmbeddingSet, Manifest, check_unit_norms,
+                                generate_synthetic,
                                 manifest_path_for, read_container,
                                 read_manifest, sample_few_shot,
                                 write_container, write_manifest)
@@ -106,6 +108,45 @@ def test_write_refuses_what_read_refuses(tmp_path, value):
     with pytest.raises(NormViolation, match="sample 5"):
         write_container(emb, tmp_path / "x.sadp")
     assert list(tmp_path.iterdir()) == []
+
+
+def _whole_array_norm_message(rows, where):
+    """The unchunked check's message for the first bad vector, or None."""
+    norms = np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=-1)
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= dataio.NORM_TOLERANCE))
+    if not bad.size:
+        return None
+    at = tuple(bad[0])
+    return (f"{where.format(*at)} has norm {norms[at]:.6f}, expected 1 "
+            f"within {dataio.NORM_TOLERANCE:g}")
+
+
+@pytest.mark.parametrize("first_bad", [5, 6, 7, 11, 12])
+def test_chunked_norm_check_names_the_first_bad_vector(monkeypatch,
+                                                       first_bad):
+    # 6 vectors of D = 4 per chunk: flat vectors 5 | 6 and 11 | 12 straddle
+    # chunk boundaries
+    monkeypatch.setattr(dataio, "CHUNK_VALUES", 24)
+    feats = random_set(n=10, v=2, d=4).features
+    flat = feats.reshape(-1, 4)
+    flat[first_bad] *= 1.01
+    flat[first_bad + 3] = np.nan  # a later bad vector is not the one named
+    want = _whole_array_norm_message(feats, "sample {} view {}")
+    with pytest.raises(NormViolation) as caught:
+        check_unit_norms(feats, "sample {} view {}")
+    assert str(caught.value) == want
+    assert f"sample {first_bad // 2} view {first_bad % 2} " in want
+
+
+def test_container_read_and_write_hold_the_file_and_a_few_chunks(
+        tmp_path, traced_peak):
+    emb = random_set(n=2048, v=2, d=64)  # 1 MiB of features, 4 chunks
+    path = tmp_path / "x.sadp"
+    chunk_bytes = 8 * dataio.CHUNK_VALUES
+    assert traced_peak(lambda: write_container(emb, path)) \
+        < 3 * chunk_bytes < emb.features.nbytes
+    size = path.stat().st_size
+    assert traced_peak(lambda: read_container(path)) < size + 3 * chunk_bytes
 
 
 def test_missing_file_is_io_failure(tmp_path):

@@ -448,3 +448,22 @@ def test_malformed_report_is_corrupt_length(tmp_path, format, text):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_report(EvalReport(), tmp_path / "x", "yaml")
+
+
+# -------------------------------------------------------------------- memory
+
+def test_report_memory_does_not_grow_with_the_set(traced_peak):
+    d, c = 32, 10
+    components = [random_params(90 + j, d, 12 + j) for j in range(3)]
+    adapter = reparameterize(Soup(components))
+    head = ClassifierHead(weights=unit_rows(93, c, d))
+    bank = EmbeddingSet(features=unit_rows(94, 80, d)[:, None, :],
+                        labels=np.arange(80) % c, n_classes=c)
+    peaks = []
+    for blocks in (2, 8):
+        n = blocks * EVAL_BLOCK_ROWS
+        emb = EmbeddingSet(features=unit_rows(95, n, d)[:, None, :],
+                           labels=np.arange(n) % c, n_classes=c)
+        peaks.append(traced_peak(lambda: robustness_report(
+            adapter, components, head, emb, {}, knn=(bank, KnnConfig()))))
+    assert peaks[1] <= peaks[0] + 64 * 1024

@@ -4,12 +4,15 @@ import struct
 import numpy as np
 import pytest
 
+from soupadapter import heads
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
-                                EmptyClass, NormViolation)
-from soupadapter.heads import (DEFAULT_SCALE, EVAL_BLOCK_ROWS, ClassifierHead,
-                               KnnConfig, build_prototypes, export_head,
+                                EmptyClass, NormViolation, NumericalError)
+from soupadapter.heads import (DEFAULT_SCALE, EVAL_BLOCK_ROWS, KNN_T_MIN,
+                               ClassifierHead, KnnConfig, build_prototypes,
+                               export_head,
                                head_logits, import_head, knn_logits,
                                knn_logits_batch, leave_one_out_prototypes)
+from soupadapter.numerics import normalize_rows
 from soupadapter.rng import stream
 
 
@@ -259,6 +262,18 @@ def test_knn_batch_bit_equal_to_scalar_loop_on_duplicated_bank(k):
                                               cfg, 4)[0])
 
 
+@pytest.mark.parametrize("sub_block_rows", [1, 3])
+def test_knn_batch_selects_over_sub_blocks_bit_for_bit(monkeypatch,
+                                                       sub_block_rows):
+    bank, labels, xs = duplicated_bank()
+    # neighbors selected over sub-blocks of this many query rows
+    monkeypatch.setattr(heads, "CHUNK_VALUES", sub_block_rows * bank.shape[0])
+    for k in (1, 3, 7, 36, 37):
+        cfg = KnnConfig(k=k, temperature=0.1)
+        assert np.array_equal(knn_logits_batch(bank, labels, xs, cfg, 4),
+                              scalar_loop_knn(bank, labels, xs, cfg, 4))
+
+
 def test_knn_batch_across_a_block_boundary():
     bank, labels, _ = duplicated_bank()
     xs = unit_rows(41, EVAL_BLOCK_ROWS + 1, 6)
@@ -269,6 +284,44 @@ def test_knn_batch_across_a_block_boundary():
     # dot products can round one ulp apart from the matrix product's
     assert np.allclose(got, want, rtol=1e-12, atol=0)
     assert np.array_equal(got[:EVAL_BLOCK_ROWS], want[:EVAL_BLOCK_ROWS])
+
+
+def test_knn_weight_overflow_is_a_numerical_error():
+    x = unit_rows(42, 1, 4)[0]
+    bank = np.vstack([unit_rows(43, 3, 4), x])
+    labels = np.array([0, 1, 0, 1])
+    at_one = 1.0 / math.log(np.finfo(np.float64).max)  # exp(1 / T) = max
+    for t in (math.nextafter(at_one, 0.0), 1e-3, 1e-5):
+        with pytest.raises(NumericalError, match="overflows at temperature"):
+            knn_logits(bank, labels, x, KnnConfig(k=2, temperature=t))
+
+
+def test_knn_scores_a_bank_row_at_the_smallest_temperature():
+    bank = normalize_rows(stream(46, "rows").normal_array(400 * 64)
+                          .reshape(400, 64))
+    labels = np.arange(400) % 3
+    # a row's similarity to itself as the one-query product computes it
+    self_sims = [(bank[i:i + 1] @ bank.T)[0, i] for i in range(400)]
+    i = int(np.argmax(self_sims))
+    assert self_sims[i] > 1.0  # rounds above 1, which overflows at at_one
+    at_one = 1.0 / math.log(np.finfo(np.float64).max)
+    with pytest.raises(NumericalError):
+        knn_logits(bank, labels, bank[i], KnnConfig(k=1, temperature=at_one))
+    got = knn_logits(bank, labels, bank[i],
+                     KnnConfig(k=1, temperature=KNN_T_MIN))
+    assert np.isfinite(got).all() and int(np.argmax(got)) == labels[i]
+
+
+def test_knn_batch_memory_does_not_grow_with_the_query_count(traced_peak):
+    bank = unit_rows(44, 300, 16)
+    labels = np.arange(300) % 5
+    cfg = KnnConfig(k=10)
+    extra = []  # peak beyond the returned (queries, classes) logits
+    for blocks in (2, 8):
+        xs = unit_rows(45, blocks * EVAL_BLOCK_ROWS, 16)
+        extra.append(traced_peak(lambda: knn_logits_batch(
+            bank, labels, xs, cfg, 5)) - xs.shape[0] * 5 * 8)
+    assert extra[1] <= extra[0] + 64 * 1024
 
 
 # ----------------------------------------------------------------- head file

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soupadapter import numerics
 from soupadapter.errors import DegenerateVector, ShapeMismatch
@@ -53,6 +54,74 @@ def test_erf_gelu_and_gelu_grad_match_scipy_bit_for_bit():
         assert _same_bits(gelu_grad(sweep, shared), want_grad)
 
 
+# ------------------------------------------------------------ chunking
+
+def _whole_array_formulas(x):
+    """erf, normal_cdf and gelu unchunked, with scipy's erf over the whole
+    array."""
+    special = pytest.importorskip("scipy.special")
+    cdf = 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        return special.erf(x), cdf, x * cdf
+
+
+_EDGES = [0.0, -0.0, 1.0, -1.5, 1.4142135623730951, 1.4142135623730954,
+          3.0, -11.3, 8.0 * math.sqrt(2.0), 40.0, np.nan, np.inf, -np.inf]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(-12.0, 12.0),
+                                 st.sampled_from(_EDGES)),
+                       min_size=1, max_size=120),
+       chunk=st.integers(1, 50), alias=st.booleans())
+def test_chunked_cdf_and_gelu_equal_the_whole_array_formulas(values, chunk,
+                                                              alias):
+    x = np.array(values)
+    want_erf, want_cdf, want_gelu = _whole_array_formulas(x)
+    saved = numerics.CHUNK_VALUES
+    numerics.CHUNK_VALUES = chunk  # many chunk boundaries in a short array
+    try:
+        assert _same_bits(erf(x), want_erf)
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(normal_cdf(x), want_cdf)
+            got = x.copy()
+            got = gelu(got, out=got) if alias else gelu(got)
+            assert _same_bits(got, want_gelu)
+    finally:
+        numerics.CHUNK_VALUES = saved
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, numerics.CHUNK_VALUES + 3])
+def test_gelu_across_the_real_chunk_size(extra):
+    n = numerics.CHUNK_VALUES + extra
+    x = stream(5, "chunk").normal_array(n) * 3.0  # plenty beyond sqrt(2)
+    x[::977] = np.nan
+    _, want_cdf, want_gelu = _whole_array_formulas(x)
+    assert _same_bits(normal_cdf(x), want_cdf)
+    assert _same_bits(gelu(x.reshape(1, n)), want_gelu.reshape(1, n))
+    assert _same_bits(gelu(x, out=x), want_gelu)
+
+
+def test_gelu_in_place_holds_a_fixed_number_of_chunks(traced_peak):
+    chunk = numerics.CHUNK_VALUES
+    peaks = []
+    for chunks in (2, 8):
+        # about 30% of each chunk takes erf's libm branch, which holds its
+        # values as a list of Python floats
+        x = np.tile(np.linspace(-2.5, 2.5, chunk), chunks)
+        peaks.append(traced_peak(lambda: gelu(x, out=x)))
+    assert peaks[1] <= peaks[0] + 64 * 1024
+    assert peaks[1] < 10 * 8 * chunk
+
+
+def test_out_must_be_a_contiguous_float64_array_of_the_shape():
+    x = np.zeros((4, 6))
+    for out in (np.zeros((6, 4)), np.zeros((4, 6), np.float32),
+                np.zeros((4, 12))[:, ::2]):
+        with pytest.raises(ShapeMismatch):
+            gelu(x, out=out)
+
+
 # ------------------------------------------------------------------- gelu
 
 def test_gelu_fixed_points():
@@ -92,6 +161,16 @@ def test_normalize_rows_unit_row_unchanged():
 def test_normalize_rows_zero_raises():
     with pytest.raises(DegenerateVector):
         normalize_rows(np.array([[0.0, 0.0]]))
+
+
+def test_normalize_rows_in_place_keeps_the_bits_and_the_check():
+    m = stream(2, "norm").normal_array(60).reshape(10, 6) * 3
+    want = normalize_rows(m)
+    assert normalize_rows(m, out=m) is m
+    assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+    m[4] = 0.0
+    with pytest.raises(DegenerateVector, match="row 4 has norm below 1e-12"):
+        normalize_rows(m, out=m)
 
 
 def test_normalize_rows_idempotent():

@@ -191,6 +191,17 @@ def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
     assert verify_equivalence(s, 3000, 1.0, merged=merged) == deviation.max()
 
 
+def test_verify_equivalence_memory_does_not_grow_with_the_trials(
+        traced_peak):
+    s = random_soup(28, 3, 32)
+    merged = reparameterize(s)
+    peaks = []
+    for blocks in (2, 8):
+        peaks.append(traced_peak(lambda: verify_equivalence(
+            s, blocks * 1024, 1e-4, merged=merged)))
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
 def test_verify_equivalence_validates_trials():
     with pytest.raises(ValueError):
         verify_equivalence(random_soup(25, 2, 8), trials=0, tolerance=1e-4)
