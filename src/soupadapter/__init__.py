@@ -11,9 +11,10 @@ from .adapter import (AdapterParams, HyperConfig, TrainRecord,
                       adapter_backward, adapter_forward, blend,
                       init_adapter, load_checkpoint, mask_strategy_for_shots,
                       sample_hyperconfig, save_checkpoint, train_component)
-from .dataio import (EmbeddingSet, FewShotSelection, Manifest,
-                     generate_synthetic, read_container, read_manifest,
-                     sample_few_shot, write_container, write_manifest)
+from .dataio import (ContainerReader, EmbeddingSet, FewShotSelection,
+                     Manifest, generate_synthetic, read_container,
+                     read_manifest, sample_few_shot, write_container,
+                     write_manifest)
 from .evalkit import (EvalReport, SweepRow, accuracy,
                       component_average_report, knn_accuracy, ratio_sweep,
                       read_report, robustness_report, write_report)

@@ -152,9 +152,11 @@ def adapter_forward(params: AdapterParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hidden_layer(w1: np.ndarray, b1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """gelu(x @ w1.T + b1), built in the product's own array."""
-    hidden = x @ w1.T
+def hidden_layer(w1: np.ndarray, b1: np.ndarray, x: np.ndarray,
+                 out=None) -> np.ndarray:
+    """gelu(x @ w1.T + b1), built in ``out``, a C-contiguous float64
+    (rows, H) array, or else in the product's own array."""
+    hidden = np.matmul(x, w1.T, out=out)
     hidden += b1
     return gelu(hidden, out=hidden)
 

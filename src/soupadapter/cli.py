@@ -147,14 +147,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _load_with_manifest(path):
-    emb = dataio.read_container(path)
-    manifest_path = dataio.manifest_path_for(path)
-    manifest = None
-    if os.path.exists(manifest_path):
-        manifest = dataio.read_manifest(manifest_path)
-        manifest.validate_against(emb)
-    return emb, manifest
+@contextlib.contextmanager
+def _open_with_manifest(path):
+    """An open dataio.ContainerReader of path and its manifest, or None if
+    it has none, checked against each other; the reader closes on exit."""
+    with dataio.ContainerReader(path) as reader:
+        manifest_path = dataio.manifest_path_for(path)
+        manifest = None
+        if os.path.exists(manifest_path):
+            manifest = dataio.read_manifest(manifest_path)
+            manifest.validate_against(reader)
+        yield reader, manifest
 
 
 # ------------------------------------------------------------------ commands
@@ -162,7 +165,7 @@ def _load_with_manifest(path):
 def cmd_info(args) -> int:
     """Describe a container, head file or checkpoint, told apart by magic."""
     path = args.embeddings
-    magic = dataio.read_bytes(path, "file")[:4]
+    magic = dataio.read_bytes(path, "file", 4)
     if magic == heads.HEAD_MAGIC:
         head = heads.import_head(path)
         fields = {"format": "head", "classes": head.n_classes,
@@ -178,7 +181,9 @@ def cmd_info(args) -> int:
                           for sub, v in sorted(nested)
                           if not isinstance(v, list))
     else:
-        emb, manifest = _load_with_manifest(path)
+        with _open_with_manifest(path) as (emb, manifest):
+            for _ in emb.blocks(dataio.BLOCK_ROWS):  # the norm check
+                pass
         fields = {"dim": emb.dim, "samples": emb.n, "views": emb.views,
                   "classes": emb.n_classes, "norm-check": "ok"}
         if manifest is not None:
@@ -229,15 +234,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_selection(args):
+    """The few-shot selection of --split and a set of just its samples, in
+    the selection's flat order, with the selection renumbered to match.
+    The container is read once, and every sample's norm is checked,
+    selected or not."""
+    with _open_with_manifest(args.embeddings) as (source, manifest):
+        if manifest is None:
+            raise DataError(f"no manifest found next to {args.embeddings}")
+        if args.split not in manifest.splits:
+            raise DataError(f"split {args.split!r} not in manifest "
+                            f"(have {sorted(manifest.splits)})")
+        selection = dataio.sample_few_shot(source, manifest.splits[args.split],
+                                           args.shots, args.seed)
+        emb = source.read([idx for idx, _, _ in selection.flat()])
+    return emb, selection.compacted()
+
+
 def _train_into(out: Path, args, overrides: dict):
-    emb, manifest = _load_with_manifest(args.embeddings)
-    if manifest is None:
-        raise DataError(f"no manifest found next to {args.embeddings}")
-    if args.split not in manifest.splits:
-        raise DataError(f"split {args.split!r} not in manifest "
-                        f"(have {sorted(manifest.splits)})")
-    selection = dataio.sample_few_shot(emb, manifest.splits[args.split],
-                                       args.shots, args.seed)
+    emb, selection = _read_selection(args)
 
     # one frozen head (and leave-one-out table) for every component
     masked_table = None
@@ -254,6 +269,7 @@ def _train_into(out: Path, args, overrides: dict):
                   "unmasked prototypes", file=sys.stderr)
         elif mask == adapter_mod.MASK:
             masked_table = np.stack(heads.leave_one_out_prototypes(prompts))
+        del prompts  # only the head and the table are read from here on
 
     overrides.update(epochs=args.epochs, mask_strategy=mask)
     configs = [adapter_mod.sample_hyperconfig(args.seed, j, overrides,
@@ -286,10 +302,8 @@ def _train_into(out: Path, args, overrides: dict):
     if not args.head:
         heads.export_head(head, out / "head.shed")
         print(f"wrote {out / 'head.shed'}")
-    sel_idx = np.asarray([t[0] for t in selection.flat()], dtype=np.int64)
-    bank = dataio.EmbeddingSet(features=emb.features[sel_idx][:, :1, :],
-                               labels=emb.labels[sel_idx],
-                               n_classes=emb.n_classes)
+    bank = dataio.EmbeddingSet(features=emb.features[:, :1, :],
+                               labels=emb.labels, n_classes=emb.n_classes)
     dataio.write_container(bank, out / "fewshot.sadp")
     print(f"wrote {out / 'fewshot.sadp'} ({bank.n} samples)")
 
@@ -328,33 +342,37 @@ def cmd_eval(args) -> int:
     grid = parse_grid(args.grid)
     component_paths = _distinct_components(args.components or [])
     head = heads.import_head(args.head)
-    id_set, _ = _load_with_manifest(args.embeddings)
-    ood_sets = {}
-    for path in args.ood or []:
-        stem = Path(path).stem
-        if stem in ("id", "ood", *ood_sets):
-            raise UsageError(f"--ood stem {stem!r} repeats a report split; "
-                             f"rows could not tell them apart")
-        ood_sets[stem], _ = _load_with_manifest(path)
+    # every set stays open and is read block by block while it is scored
+    with contextlib.ExitStack() as files:
+        id_set, _ = files.enter_context(_open_with_manifest(args.embeddings))
+        ood_sets = {}
+        for path in args.ood or []:
+            stem = Path(path).stem
+            if stem in ("id", "ood", *ood_sets):
+                raise UsageError(f"--ood stem {stem!r} repeats a report "
+                                 f"split; rows could not tell them apart")
+            ood_sets[stem], _ = files.enter_context(_open_with_manifest(path))
 
-    adapter = (soup_mod.load_soup([args.adapter])[0].components[0]
-               if args.adapter else None)
-    components = (soup_mod.load_soup(component_paths)[0].components
-                  if component_paths else [])
-    if adapter is None and not components:
-        raise UsageError("need --adapter and/or --components to evaluate")
-    knn = None
-    if args.knn_bank:
-        bank, _ = _load_with_manifest(args.knn_bank)
-        evalkit.check_compatible(head, [(args.knn_bank, bank)])
-        knn = (bank, heads.KnnConfig(k=args.knn_k, temperature=args.knn_t))
+        adapter = (soup_mod.load_soup([args.adapter])[0].components[0]
+                   if args.adapter else None)
+        components = (soup_mod.load_soup(component_paths)[0].components
+                      if component_paths else [])
+        if adapter is None and not components:
+            raise UsageError("need --adapter and/or --components to evaluate")
+        knn = None
+        if args.knn_bank:
+            bank, _ = files.enter_context(_open_with_manifest(args.knn_bank))
+            evalkit.check_compatible(head, [(args.knn_bank, bank)])
+            knn = (bank, heads.KnnConfig(k=args.knn_k,
+                                         temperature=args.knn_t))
 
-    try:
-        report = evalkit.robustness_report(adapter, components, head, id_set,
-                                           ood_sets, grid, knn)
-    except SoupMismatch as exc:
-        exc.args = (f"{args.adapter} is not the soup of --components: {exc}",)
-        raise
+        try:
+            report = evalkit.robustness_report(adapter, components, head,
+                                               id_set, ood_sets, grid, knn)
+        except SoupMismatch as exc:
+            exc.args = (f"{args.adapter} is not the soup of --components: "
+                        f"{exc}",)
+            raise
     evalkit.write_report(report, str(args.out) + ".csv", "csv")
     evalkit.write_report(report, str(args.out) + ".json", "json")
     print(f"wrote {args.out}.csv and {args.out}.json "

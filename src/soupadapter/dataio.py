@@ -17,13 +17,21 @@ check_unit_norms is that rule for containers and head files, applied by
 their writers and readers alike. A manifest is a UTF-8 JSON file alongside
 the container with keys "dataset", "classes", "splits" and "model".
 
-Every artifact of the package is read by read_bytes and written by
-atomic_write, so a reader never sees a half-written file.
+ContainerReader is the one parser of the container format. Opening one
+checks the header, the file length and the labels; its features are then
+read BLOCK_ROWS samples at a time, and each block's norms are checked as
+it arrives. read_container gathers every sample, or the ones it is given,
+through it straight into the returned array.
+
+Every other artifact of the package is read by read_bytes, and every
+artifact is written by atomic_write, so a reader never sees a half-written
+file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -41,6 +49,11 @@ from .rng import stream
 CONTAINER_MAGIC = b"SADP"
 CONTAINER_VERSION = 1
 NORM_TOLERANCE = 1e-4
+
+# Samples per block wherever a set is streamed: the container reader's
+# blocks here, and the query blocks that heads and evalkit score
+# (EVAL_BLOCK_ROWS), so eval reads and scores the same rows at once.
+BLOCK_ROWS = 1024
 
 _HEADER = struct.Struct("<4s5I")
 
@@ -85,6 +98,12 @@ class EmbeddingSet:
     def validate_norms(self):
         check_unit_norms(self.features, "sample {} view {}")
 
+    def blocks(self, rows: int):
+        """(start, features[start:start + rows]) over the set, the blocks
+        ContainerReader.blocks reads from a file."""
+        for start in range(0, self.n, rows):
+            yield start, self.features[start:start + rows]
+
     def unit_features(self, view: int = 0, indices=None) -> np.ndarray:
         """Float64 features of one view, re-normalized to exact unit norm."""
         feats = self.features[:, view, :] if indices is None \
@@ -126,13 +145,23 @@ class FewShotSelection:
                 for c, cls in enumerate(self.indices)
                 for s, idx in enumerate(cls)]
 
+    def compacted(self) -> "FewShotSelection":
+        """This selection over a set holding only its samples, in flat()
+        order, as ``read_container(path, [i for i, _, _ in flat()])``
+        returns them."""
+        position = itertools.count()
+        return FewShotSelection(self.n_shot, self.seed, [
+            [next(position) for _ in cls] for cls in self.indices])
+
 
 # ------------------------------------------------------------ file boundary
 
-def check_unit_norms(rows: np.ndarray, where: str):
+def check_unit_norms(rows: np.ndarray, where: str, first: int = 0):
     """Raise NormViolation unless every vector along the last axis has norm
-    1 within NORM_TOLERANCE; ``where`` formats the first bad vector's index.
-    The norms are taken in float64 CHUNK_VALUES values at a time."""
+    1 within NORM_TOLERANCE; ``where`` formats the first bad vector's index,
+    counting rows[0] along the first axis as ``first`` (a block's offset in
+    its set). The norms are taken in float64 CHUNK_VALUES values at a
+    time."""
     rows = np.asarray(rows)
     flat = rows.reshape(-1, rows.shape[-1])
     step = max(1, CHUNK_VALUES // max(1, rows.shape[-1]))
@@ -141,17 +170,18 @@ def check_unit_norms(rows: np.ndarray, where: str):
                                axis=-1)
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
         if bad.size:
-            at = np.unravel_index(start + bad[0], rows.shape[:-1])
-            raise NormViolation(f"{where.format(*at)} has norm "
-                                f"{norms[bad[0]]:.6f}, expected 1 within "
-                                f"{NORM_TOLERANCE:g}")
+            at, *rest = np.unravel_index(start + bad[0], rows.shape[:-1])
+            raise NormViolation(f"{where.format(first + at, *rest)} has "
+                                f"norm {norms[bad[0]]:.6f}, expected 1 "
+                                f"within {NORM_TOLERANCE:g}")
 
 
-def read_bytes(path, what: str) -> bytes:
-    """The whole file at path; an OSError becomes IoFailure naming it."""
+def read_bytes(path, what: str, size: int = -1) -> bytes:
+    """The whole file at path, or its first ``size`` bytes; an OSError
+    becomes IoFailure naming it."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            return fh.read(size)
     except OSError as exc:
         raise IoFailure(f"cannot read {what}: {exc}") from exc
 
@@ -217,22 +247,115 @@ def write_container(emb: EmbeddingSet, path):
         emb.features.astype("<f4", copy=False)), "container")
 
 
-def read_container(path) -> EmbeddingSet:
-    blob = read_bytes(path, "container")
-    d, n, v, c = unpack_header(blob, _HEADER, CONTAINER_MAGIC,
-                               CONTAINER_VERSION, "container")
-    expect = _HEADER.size + 4 * n + 4 * n * v * d
-    if len(blob) != expect:
-        raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
-    off = _HEADER.size
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=off).astype(np.int64)
-    off += 4 * n
-    feats = np.frombuffer(blob, dtype="<f4", count=n * v * d, offset=off)
-    if labels.max(initial=0) >= c:
-        raise CorruptLength("label value out of range for class count")
-    emb = EmbeddingSet(features=feats.reshape(n, v, d), labels=labels, n_classes=c)
-    emb.validate_norms()
-    return emb
+class ContainerReader:
+    """An open container file whose features are read in blocks of samples.
+
+    Opening reads and checks the header, the file length and the labels.
+    ``blocks`` then reads the features in file order with readinto, and
+    checks each block's norms as it arrives: the first vector that is not
+    unit-norm raises NormViolation naming its sample and view. Like an
+    EmbeddingSet it has n, views, dim, n_classes, labels and blocks, so
+    sampling and scoring take either. Use it as a context manager, or
+    close it.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            self._fh = open(path, "rb")
+        except OSError as exc:
+            raise IoFailure(f"cannot read container: {exc}") from exc
+        try:
+            self._read_head()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_head(self):
+        try:
+            head = self._fh.read(_HEADER.size)
+            size = os.fstat(self._fh.fileno()).st_size
+        except OSError as exc:
+            raise IoFailure(f"cannot read container: {exc}") from exc
+        d, n, v, c = unpack_header(head, _HEADER, CONTAINER_MAGIC,
+                                   CONTAINER_VERSION, "container")
+        expect = _HEADER.size + 4 * n + 4 * n * v * d
+        if size != expect:
+            raise CorruptLength(f"expected {expect} bytes, found {size}")
+        labels = self._read_into(np.empty(n, dtype="<u4"))
+        if labels.max(initial=0) >= c:
+            raise CorruptLength("label value out of range for class count")
+        self.n, self.views, self.dim, self.n_classes = n, v, d, c
+        self.labels = labels.astype(np.int64)
+
+    def _read_into(self, arr: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous arr with the file's next arr.nbytes bytes."""
+        try:
+            got = self._fh.readinto(arr)
+        except OSError as exc:
+            raise IoFailure(f"cannot read container: {exc}") from exc
+        if got != arr.nbytes:  # the file shrank after its length was checked
+            raise CorruptLength(f"container {self.path} ended "
+                                f"{arr.nbytes - got} bytes early")
+        return arr
+
+    def blocks(self, rows: int, into: np.ndarray | None = None):
+        """Yield (start, features of samples start, start + 1, ...) over
+        the file, ``rows`` samples at a time, as norm-checked (rows, V, D)
+        float32 blocks. Each block is read into the matching rows of
+        ``into``, an (n, V, D) float32 array, or else into one buffer that
+        the next block overwrites. Blocks share the file position, so one
+        pass runs at a time."""
+        n, v, d = self.n, self.views, self.dim
+        buf = np.empty((min(rows, n), v, d), dtype="<f4") if into is None \
+            else None
+        try:
+            self._fh.seek(_HEADER.size + 4 * n)
+        except OSError as exc:
+            raise IoFailure(f"cannot read container: {exc}") from exc
+        for start in range(0, n, rows):
+            block = self._read_into(buf[:n - start] if into is None
+                                    else into[start:start + rows])
+            check_unit_norms(block, "sample {} view {}", start)
+            yield start, block
+
+    def read(self, indices=None) -> EmbeddingSet:
+        """Every sample, or the samples at ``indices`` in that order, read
+        in one pass of BLOCK_ROWS blocks that checks every sample's norm,
+        kept or not."""
+        if indices is None:
+            feats = np.empty((self.n, self.views, self.dim), dtype="<f4")
+            for _ in self.blocks(BLOCK_ROWS, into=feats):
+                pass
+            return EmbeddingSet(features=feats, labels=self.labels,
+                                n_classes=self.n_classes)
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise IndexError(f"sample indices must lie in [0, {self.n})")
+        order = np.argsort(idx, kind="stable")
+        wanted = idx[order]
+        feats = np.empty((idx.size, self.views, self.dim), dtype="<f4")
+        for start, block in self.blocks(BLOCK_ROWS):
+            lo, hi = np.searchsorted(wanted, (start, start + len(block)))
+            feats[order[lo:hi]] = block[wanted[lo:hi] - start]
+        return EmbeddingSet(features=feats, labels=self.labels[idx],
+                            n_classes=self.n_classes)
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self) -> "ContainerReader":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def read_container(path, indices=None) -> EmbeddingSet:
+    """The container at path, or its samples at ``indices`` in that
+    order; every sample's norm is checked either way."""
+    with ContainerReader(path) as reader:
+        return reader.read(indices)
 
 
 # ------------------------------------------------------------------ manifest
@@ -315,9 +438,10 @@ def _rotate_toward(mean: np.ndarray, rng, angle: float) -> np.ndarray:
 def _sample_class(mean: np.ndarray, count: int, noise: float, rng) -> np.ndarray:
     if noise == 0.0:
         return np.tile(mean, (count, 1))
-    pts = mean[np.newaxis, :] + noise * rng.normal_array(count * mean.size) \
-        .reshape(count, mean.size)
-    return normalize_rows(pts)
+    pts = rng.normal_array(count * mean.size).reshape(count, mean.size)
+    pts *= noise  # mean + noise * g, built in g's own array
+    pts += mean
+    return normalize_rows(pts, out=pts)
 
 
 def generate_synthetic(n_classes: int, dim: int, per_class: int,
@@ -339,11 +463,13 @@ def generate_synthetic(n_classes: int, dim: int, per_class: int,
 
     def build(tag: str, centers: np.ndarray) -> EmbeddingSet:
         rng = stream(seed, tag)
-        feats = np.concatenate([_sample_class(centers[c], per_class, noise, rng)
-                                for c in range(n_classes)])
+        feats = np.empty((n_classes * per_class, 1, dim), dtype=np.float32)
+        for c in range(n_classes):  # one float64 class block at a time
+            feats[c * per_class:(c + 1) * per_class, 0] = _sample_class(
+                centers[c], per_class, noise, rng)
         labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
-        return EmbeddingSet(features=feats.astype(np.float32)[:, np.newaxis, :],
-                            labels=labels, n_classes=n_classes)
+        return EmbeddingSet(features=feats, labels=labels,
+                            n_classes=n_classes)
 
     return (build("synth.train", means),
             build("synth.id", means),

@@ -13,10 +13,13 @@ Q = exp(s) (gelu(X W1^T + b1) (W W2)^T + W b2), so A is never formed. A
 merged W1 stacks the components' rows, so one hidden layer serves the soup
 (every column) and component j (its slice). Each set is scored in one pass
 over blocks of EVAL_BLOCK_ROWS rows: every block computes X, P and the
-hidden layer once, then counts each model's hits at every r in turn.
-Memory is bounded by the block, not by the set; the r = 0 row is the
-bare-head count itself and so reproduces its decisions exactly. KNN votes
-are counted per set after the model sweeps, with the folded layers gone.
+hidden layer once, then counts each model's hits at every r in turn. A set
+is an EmbeddingSet or an open dataio.ContainerReader, whose blocks are
+read from the file (and norm-checked) as they are scored, so memory is
+bounded by the block, not by the set; the r = 0 row is the bare-head count
+itself and so reproduces its decisions exactly. KNN votes are counted per
+set after the model sweeps, with the folded layers gone; that pass reads
+the bank and then each set's blocks again.
 
 CSV layout: header "model,split,r,accuracy", one row per cell, '.' decimal
 separator, '\n' line endings. JSON mirrors the report fields and includes
@@ -39,6 +42,7 @@ from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
                      LengthMismatch, ShapeMismatch, SoupMismatch)
 from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
                     knn_logits_batch)
+from .numerics import normalize_rows
 from .soup import Soup, reparameterize
 
 DEFAULT_GRID = tuple(round(0.1 * i, 12) for i in range(11))
@@ -77,11 +81,16 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 # ------------------------------------------------------------ one-pass sweep
 
-def _blocks(emb: EmbeddingSet):
-    """(unit clean-view features, labels), EVAL_BLOCK_ROWS rows at a time."""
-    for start in range(0, emb.n, EVAL_BLOCK_ROWS):
-        idx = np.arange(start, min(start + EVAL_BLOCK_ROWS, emb.n))
-        yield emb.unit_features(view=0, indices=idx), emb.labels[idx]
+def _blocks(source):
+    """(start, unit clean-view features, labels), EVAL_BLOCK_ROWS rows at a
+    time, of an EmbeddingSet or an open dataio.ContainerReader. The
+    features are built in one buffer that the next block overwrites."""
+    buf = np.empty((min(EVAL_BLOCK_ROWS, source.n), source.dim))
+    for start, block in source.blocks(EVAL_BLOCK_ROWS):
+        feats = buf[:len(block)]
+        feats[...] = block[:, 0, :]
+        yield (start, normalize_rows(feats, out=feats),
+               source.labels[start:start + len(block)])
 
 
 def _fold(components, head: ClassifierHead):
@@ -103,25 +112,28 @@ def _residual_logits(output: tuple, hidden: np.ndarray,
     return math.exp(scale) * (hidden[:, cols] @ ww2.T + wb2)
 
 
-def _sweep_set(layer, models, head: ClassifierHead, emb: EmbeddingSet,
+def _sweep_set(layer, models, head: ClassifierHead, emb,
                grid) -> tuple[int, int, np.ndarray]:
     """Row count, bare-head hits and, per model (one folded output of
     _fold), its hits at each r of the grid on one set; ``layer`` is the
-    (W1, b1) whose hidden layer every model reads its columns from."""
+    (W1, b1) whose hidden layer every model reads its columns from. Every
+    block builds its hidden layer in one buffer, so a set allocates it
+    once, not once a block."""
     n = bare = 0
     hits = np.zeros((len(models), len(grid)), dtype=np.int64)
-    for feats, labels in _blocks(emb):
+    buf = np.empty((EVAL_BLOCK_ROWS, layer[0].shape[0])) if models else None
+    for _, feats, labels in _blocks(emb):
         n += labels.size
         p = head_logits(head, feats)
         bare_block = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
         bare += bare_block
-        hidden = hidden_layer(*layer, feats) if models else None
+        if models:
+            hidden = hidden_layer(*layer, feats, out=buf[:len(feats)])
         for m, output in enumerate(models):
             q = _residual_logits(output, hidden, head.scale)
             for i, r in enumerate(grid):
                 hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
                     np.argmax(p + r * q, axis=1) == labels)
-        del hidden  # before the next block's product
     return n, bare, hits
 
 
@@ -172,10 +184,10 @@ def head_accuracy(head: ClassifierHead, emb: EmbeddingSet) -> float:
 
 
 def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
-                 cfg: KnnConfig, emb: EmbeddingSet, num_classes: int) -> float:
+                 cfg: KnnConfig, emb, num_classes: int) -> float:
     """Top-1 accuracy of KNN voting over the bank on the set's clean view."""
     n = hits = 0
-    for feats, labels in _blocks(emb):
+    for _, feats, labels in _blocks(emb):
         logits = knn_logits_batch(bank_features, bank_labels, feats, cfg,
                                   num_classes)
         n += labels.size
@@ -194,9 +206,13 @@ def check_compatible(head: ClassifierHead, sets):
 
 
 def robustness_report(adapter, components, head: ClassifierHead,
-                      id_set: EmbeddingSet, ood_sets: dict[str, EmbeddingSet],
-                      grid=DEFAULT_GRID, knn=None) -> EvalReport:
+                      id_set, ood_sets: dict, grid=DEFAULT_GRID,
+                      knn=None) -> EvalReport:
     """Accuracy per model, split and residual ratio, one pass per set.
+
+    Every set, the KNN bank included, is an EmbeddingSet or an open
+    dataio.ContainerReader; a reader's blocks are read as they are scored,
+    so a bad vector in one raises NormViolation mid-report.
 
     ``adapter`` (merged, or None) gives the "soup" rows; ``components``
     (possibly empty) give component_<j> rows and their component_mean,
@@ -206,9 +222,9 @@ def robustness_report(adapter, components, head: ClassifierHead,
     and "ood", the unweighted mean over the stems. A component_mean cell
     of a set is the components' summed hits over K n, so at r = 0 it is
     the bare head's accuracy bit for bit. The "id" and "ood" baselines
-    hold the bare head under "head" and, if ``knn`` is a (bank
-    EmbeddingSet, KnnConfig), KNN voting under "knn", scored per set with
-    knn_accuracy after the model sweeps.
+    hold the bare head under "head" and, if ``knn`` is a (bank, KnnConfig),
+    KNN voting under "knn", scored per set with knn_accuracy after the
+    model sweeps.
     """
     if {"id", "ood"} & set(ood_sets):
         raise ValueError("an OOD set may not be named 'id' or 'ood'")
@@ -228,7 +244,9 @@ def robustness_report(adapter, components, head: ClassifierHead,
     baselines = {split: {"head": b / n} for split, (n, b, _) in scored.items()}
     if knn is not None:
         bank, cfg = knn
-        bank_feats = bank.unit_features(0)
+        bank_feats = np.empty((bank.n, bank.dim))
+        for start, feats, _ in _blocks(bank):
+            bank_feats[start:start + len(feats)] = feats
         for split, emb in sets.items():
             baselines[split]["knn"] = knn_accuracy(
                 bank_feats, bank.labels, cfg, emb, head.n_classes)

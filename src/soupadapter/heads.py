@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
-                     check_unit_norms, read_bytes, unpack_header)
+from .dataio import (BLOCK_ROWS, EmbeddingSet, FewShotSelection,
+                     atomic_write, check_unit_norms, read_bytes,
+                     unpack_header)
 from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
                      NumericalError)
 from .numerics import CHUNK_VALUES, DEGENERATE_NORM, normalize_rows
@@ -41,8 +42,9 @@ _HEADER = struct.Struct("<4s3Id")
 KNN_T_MIN = 1.0 / (math.log(np.finfo(np.float64).max) - 1.0)
 
 # Query rows scored per matrix product, here and in evalkit: memory for
-# similarities and logits stays O(EVAL_BLOCK_ROWS x (bank or C)).
-EVAL_BLOCK_ROWS = 1024
+# similarities and logits stays O(EVAL_BLOCK_ROWS x (bank or C)). It is the
+# container reader's block, so eval scores each block as it is read.
+EVAL_BLOCK_ROWS = BLOCK_ROWS
 
 
 @dataclass

@@ -50,6 +50,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 DEGENERATE_NORM = 1e-12
 CHUNK_VALUES = 1 << 15
+# Values of erf's libm branch turned into Python floats at a time. A list
+# costs about 32 bytes a value, four times the float64, so this many (about
+# 32 KiB) stay an eighth of a CHUNK_VALUES chunk.
+LIBM_VALUES = 1 << 10
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| <= 1 ...
@@ -101,8 +105,12 @@ def _erf_small(x: np.ndarray) -> np.ndarray:
 
 
 def _erfc_mid(a: np.ndarray) -> np.ndarray:
-    """erfc(a) = exp(-a^2) P(a) / Q(a) for 1 < a < 8, exp from libm."""
-    y = np.array([math.exp(-(t * t)) for t in a.tolist()], dtype=np.float64)
+    """erfc(a) = exp(-a^2) P(a) / Q(a) for 1 < a < 8, exp from libm,
+    LIBM_VALUES values at a time."""
+    y = np.empty_like(a)
+    for start in range(0, a.size, LIBM_VALUES):
+        part = a[start:start + LIBM_VALUES].tolist()
+        y[start:start + len(part)] = [math.exp(-(t * t)) for t in part]
     y *= _polevl(a, _ERFC_P)
     y /= _p1evl(a, _ERFC_Q)
     return y

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soupadapter import adapter, cli, heads, numerics
+from soupadapter import adapter, cli, dataio, evalkit, heads, numerics
 from soupadapter.adapter import adapter_forward, load_checkpoint
 from soupadapter.cli import UsageError, main, parse_grid
-from soupadapter.dataio import read_container
+from soupadapter.dataio import read_container, sample_few_shot
+from soupadapter.errors import NormViolation
 from soupadapter.rng import stream
 
 
@@ -180,6 +181,49 @@ def test_info_truncated_file_exits_2(data_dir, tmp_path, capsys):
     bad.write_bytes(blob[:-7])
     assert run("info", "--embeddings", bad) == 2
     assert "expected" in capsys.readouterr().err
+
+
+def copy_with_bad_row(src: Path, dst: Path, sample: int) -> str:
+    """Copy the container src and its manifest to dst with sample's clean
+    view halved; returns the message read_container refuses dst with."""
+    feats = read_container(src).features.copy()
+    feats[sample, 0] *= 0.5
+    body = feats.astype("<f4").tobytes()  # the features end the file
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_bytes(src.read_bytes()[:-len(body)] + body)
+    manifest = Path(f"{src}.json")
+    Path(f"{dst}.json").write_bytes(manifest.read_bytes())
+    with pytest.raises(NormViolation) as caught:
+        read_container(dst)
+    return str(caught.value)
+
+
+def test_info_checks_the_norms_of_every_block(data_dir, tmp_path, capsys,
+                                               monkeypatch):
+    bad = tmp_path / "bad.sadp"
+    message = copy_with_bad_row(data_dir / "train.sadp", bad, 399)
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 64)  # the last of 7 blocks
+    assert run("info", "--embeddings", bad) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {message}\n"
+    assert "sample 399 view 0" in message and captured.out == ""
+
+
+def test_info_reads_only_the_magic_to_tell_formats_apart(
+        data_dir, train_dir, monkeypatch):
+    sizes = []
+    read_bytes = dataio.read_bytes
+
+    def recording(path, what, size=-1):
+        sizes.append(size)
+        return read_bytes(path, what, size)
+
+    monkeypatch.setattr(dataio, "read_bytes", recording)
+    assert run("info", "--embeddings", data_dir / "train.sadp") == 0
+    assert sizes == [4, -1]  # the magic, then the manifest
+    del sizes[:]
+    assert run("info", "--embeddings", train_dir / "head.shed") == 0
+    assert sizes[0] == 4
 
 
 def test_info_bad_magic_exits_2(data_dir, tmp_path):
@@ -352,6 +396,50 @@ def test_failed_train_joins_every_thread(tmp_path, data_dir, monkeypatch):
                "--override", "lr=1e300", "--out", tmp_path / "run") == 3
     assert len(helpers) == 2 and None not in helpers
     assert threading.active_count() == before
+
+
+def test_train_on_the_selected_rows_writes_the_whole_set_bytes(tmp_path,
+                                                              data_dir):
+    # train keeps only the selected rows; training on the whole set with
+    # the original selection must give the same files
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "8", "--k", "2", "--epochs", "2", "--seed", "5",
+               "--jobs", "1", "--out", tmp_path) == 0
+    emb = read_container(data_dir / "train.sadp")
+    selection = sample_few_shot(emb, range(emb.n), 8, seed=5)
+    head, prompts = heads.selection_prototypes(emb, selection)
+    table = np.stack(heads.leave_one_out_prototypes(prompts))
+    for j in range(2):
+        cfg = adapter.sample_hyperconfig(
+            5, j, {"epochs": 2, "mask_strategy": adapter.MASK}, dim=emb.dim)
+        params, record = adapter.train_component(emb, selection, head, cfg,
+                                                 table)
+        meta = {"kind": "component", "hyper": cfg.to_dict(),
+                "record": record.to_dict()}
+        assert (tmp_path / f"component_{j}.sada").read_bytes() == \
+            adapter.checkpoint_bytes(params, head.scale, meta)
+    rows = [i for i, _, _ in selection.flat()]
+    bank = read_container(tmp_path / "fewshot.sadp")
+    assert bank.features.tobytes() == emb.features[rows].tobytes()
+    assert bank.labels.tolist() == emb.labels[rows].tolist()
+    heads.export_head(head, tmp_path / "want.shed")
+    assert (tmp_path / "head.shed").read_bytes() == \
+        (tmp_path / "want.shed").read_bytes()
+
+
+def test_train_refuses_a_bad_row_it_does_not_select(tmp_path, data_dir,
+                                                    capsys):
+    emb = read_container(data_dir / "train.sadp")
+    chosen = {i for i, _, _ in
+              sample_few_shot(emb, range(emb.n), 2, seed=0).flat()}
+    sample = max(set(range(emb.n)) - chosen)
+    bad = tmp_path / "data" / "train.sadp"
+    message = copy_with_bad_row(data_dir / "train.sadp", bad, sample)
+    assert run("train", "--embeddings", bad, "--shots", "2", "--k", "1",
+               "--epochs", "1", "--seed", "0",
+               "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_override_is_recorded(tmp_path, data_dir):
@@ -612,6 +700,22 @@ def test_eval_knn_bank_class_mismatch_exits_2_before_scoring(
     err = capsys.readouterr().err
     assert "data error" in err and "20 classes" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_eval_bad_row_in_the_last_block_of_the_last_ood_set_exits_2(
+        tmp_path, data_dir, train_dir, capsys, monkeypatch):
+    bad = tmp_path / "shifted.sadp"
+    message = copy_with_bad_row(data_dir / "ood_test.sadp", bad, 399)
+    monkeypatch.setattr(evalkit, "EVAL_BLOCK_ROWS", 64)  # the last of 7
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--ood", data_dir / "ood_test.sadp", bad,
+               "--head", train_dir / "head.shed",
+               "--components", *sorted(train_dir.glob("component_*.sada")),
+               "--knn-bank", train_dir / "fewshot.sadp",
+               "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert "sample 399 view 0" in message
+    assert not list(tmp_path.glob("report*"))
 
 
 def test_eval_duplicate_ood_stems_exit_1(tmp_path, data_dir, train_dir,
@@ -897,3 +1001,44 @@ def test_failed_train_keeps_an_existing_out(tmp_path, data_dir):
                "--shots", "4", "--k", "1", "--epochs", "2",
                "--override", "lr=1e300", "--out", out) == 3
     assert out.is_dir() and list(out.iterdir()) == []
+
+
+# -------------------------------------------------------------------- memory
+
+def test_train_and_eval_memory_does_not_grow_with_the_set(tmp_path,
+                                                          traced_peak):
+    # train keeps only the rows it selects and eval one block of each set,
+    # so 6 more blocks of samples cost less than one block of features;
+    # labels, the manifest's split and sampling still grow with the set
+    d, c = 256, 4
+    block = dataio.BLOCK_ROWS * d * 4
+    peaks = {"train": [], "eval": []}
+    for blocks in (2, 8):
+        n = blocks * dataio.BLOCK_ROWS
+        rows = stream(blocks, "memory").normal_array(n * d).reshape(n, d)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        data = tmp_path / str(blocks)
+        data.mkdir()
+        dataio.write_container(dataio.EmbeddingSet(
+            features=rows.astype(np.float32)[:, np.newaxis, :],
+            labels=np.arange(n) % c, n_classes=c), data / "set.sadp")
+        dataio.write_manifest(dataio.Manifest(
+            dataset="memory", classes=[f"c{k}" for k in range(c)],
+            splits={"train": list(range(n))}),
+            dataio.manifest_path_for(data / "set.sadp"))
+        del rows
+        codes = []
+        stages = {
+            "train": ["train", "--embeddings", data / "set.sadp",
+                      "--shots", "2", "--k", "1", "--epochs", "1",
+                      "--out", data / "run"],
+            "eval": ["eval", "--embeddings", data / "set.sadp",
+                     "--head", data / "run" / "head.shed",
+                     "--components", data / "run" / "component_0.sada",
+                     "--knn-bank", data / "run" / "fewshot.sadp",
+                     "--out", data / "report"]}
+        for stage, argv in stages.items():
+            peaks[stage].append(traced_peak(lambda: codes.append(run(*argv))))
+        assert codes == [0, 0]
+    for stage, (two, eight) in peaks.items():
+        assert eight < two + block, (stage, two, eight)

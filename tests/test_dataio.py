@@ -2,15 +2,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soupadapter import dataio
-from soupadapter.dataio import (EmbeddingSet, Manifest, check_unit_norms,
-                                generate_synthetic,
+from soupadapter.dataio import (ContainerReader, EmbeddingSet, Manifest,
+                                check_unit_norms, generate_synthetic,
                                 manifest_path_for, read_container,
                                 read_manifest, sample_few_shot,
                                 write_container, write_manifest)
-from soupadapter.errors import (BadMagic, CorruptLength, InsufficientShots,
-                                IoFailure, NormViolation, VersionUnsupported)
+from soupadapter.errors import (BadMagic, CorruptLength, DataError,
+                                InsufficientShots, IoFailure, NormViolation,
+                                VersionUnsupported)
 from soupadapter.heads import build_prototypes, head_logits
 from soupadapter.rng import stream
 
@@ -147,6 +149,135 @@ def test_container_read_and_write_hold_the_file_and_a_few_chunks(
         < 3 * chunk_bytes < emb.features.nbytes
     size = path.stat().st_size
     assert traced_peak(lambda: read_container(path)) < size + 3 * chunk_bytes
+
+
+def _whole_file_read(path) -> EmbeddingSet:
+    """The whole-file reader the streamed one replaced, kept as the
+    reference for which files are refused and with which message."""
+    blob = dataio.read_bytes(path, "container")
+    d, n, v, c = dataio.unpack_header(blob, dataio._HEADER,
+                                      dataio.CONTAINER_MAGIC,
+                                      dataio.CONTAINER_VERSION, "container")
+    expect = dataio._HEADER.size + 4 * n + 4 * n * v * d
+    if len(blob) != expect:
+        raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
+    off = dataio._HEADER.size
+    labels = np.frombuffer(blob, dtype="<u4", count=n,
+                           offset=off).astype(np.int64)
+    feats = np.frombuffer(blob, dtype="<f4", count=n * v * d,
+                          offset=off + 4 * n)
+    if labels.max(initial=0) >= c:
+        raise CorruptLength("label value out of range for class count")
+    emb = EmbeddingSet(features=feats.reshape(n, v, d), labels=labels,
+                       n_classes=c)
+    emb.validate_norms()
+    return emb
+
+
+def _outcome(read):
+    """(exception class, message) of read(), or its (features, labels)."""
+    try:
+        emb = read()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return emb.features.tobytes(), emb.labels.tolist()
+
+
+_MUTATIONS = ["truncate", "pad", "count", "label", "first", "middle",
+              "last", "boundary"]
+
+
+@st.composite
+def _container_case(draw, kind):
+    """(container bytes, block rows, indices to gather): a valid
+    container, or one with a mutation of the given kind: truncated,
+    padded, a wrong sample count, an out-of-range label, or a bad vector
+    in the first, a middle or the last block, or on both sides of a block
+    boundary."""
+    rows = draw(st.integers(1, 4))
+    blocks = draw(st.integers({"middle": 3, "boundary": 2}.get(kind, 1), 5))
+    n = draw(st.integers((blocks - 1) * rows + 1, blocks * rows))
+    v, d, c = draw(st.integers(1, 3)), draw(st.integers(1, 4)), 3
+    emb = random_set(seed=draw(st.integers(0, 3)), n=n, v=v, d=d, c=c)
+    blob = (dataio._HEADER.pack(dataio.CONTAINER_MAGIC,
+                                dataio.CONTAINER_VERSION, d, n, v, c)
+            + emb.labels.astype("<u4").tobytes()
+            + emb.features.astype("<f4").tobytes())
+    out = bytearray(blob)
+    if kind == "truncate":
+        out = out[:draw(st.integers(0, len(blob) - 1))]
+    elif kind == "pad":
+        out += bytes(draw(st.integers(1, 9)))
+    elif kind == "count":
+        struct.pack_into("<I", out, 12, draw(st.integers(1, 2 * n + 1)
+                                             .filter(lambda m: m != n)))
+    elif kind == "label":
+        struct.pack_into("<I", out, dataio._HEADER.size
+                         + 4 * draw(st.integers(0, n - 1)),
+                         draw(st.integers(c, 2**32 - 1)))
+    elif kind != "valid":
+        if kind == "boundary":
+            edge = rows * draw(st.integers(1, blocks - 1))
+            bad = [edge - 1, edge]
+        else:
+            block = {"first": 0, "last": blocks - 1}.get(kind)
+            if block is None:
+                block = draw(st.integers(1, blocks - 2))
+            bad = [draw(st.integers(block * rows,
+                                    min(n, (block + 1) * rows) - 1))]
+        feats = emb.features.copy()
+        for i in bad:
+            feats[i, draw(st.integers(0, v - 1))] *= draw(
+                st.sampled_from([0.5, 1.01, np.nan, np.inf, 0.0]))
+        out[len(blob) - feats.nbytes:] = feats.astype("<f4").tobytes()
+    indices = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return bytes(out), rows, indices
+
+
+@pytest.mark.parametrize("kind", ["valid", *_MUTATIONS])
+@settings(derandomize=True, database=None, max_examples=40,
+          deadline=None)
+@given(data=st.data())
+def test_streamed_reader_refuses_what_the_whole_file_rule_refuses(
+        tmp_path_factory, kind, data):
+    blob, rows, indices = data.draw(_container_case(kind))
+    path = tmp_path_factory.mktemp("case") / "x.sadp"
+    path.write_bytes(blob)
+    want = _outcome(lambda: _whole_file_read(path))
+    assert isinstance(want[0], type) == (kind != "valid")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "BLOCK_ROWS", rows)
+        assert _outcome(lambda: read_container(path)) == want
+        got = _outcome(lambda: read_container(path, indices))
+    if kind != "valid":
+        assert got == want  # rows not asked for are still checked
+    elif indices:
+        whole = _whole_file_read(path)
+        assert got == (whole.features[indices].tobytes(),
+                       whole.labels[indices].tolist())
+
+
+def test_reader_blocks_share_one_buffer_and_name_the_set_row(tmp_path):
+    emb = random_set(n=7, v=2, d=3)
+    path = tmp_path / "x.sadp"
+    write_container(emb, path)
+    with ContainerReader(path) as reader:
+        assert (reader.n, reader.views, reader.dim, reader.n_classes) \
+            == (7, 2, 3, 3)
+        seen = [(start, block.copy(), block.ctypes.data)
+                for start, block in reader.blocks(3)]
+    assert [start for start, _, _ in seen] == [0, 3, 6]
+    assert len({address for _, _, address in seen}) == 1
+    assert np.concatenate([b for _, b, _ in seen]).tobytes() \
+        == emb.features.tobytes()
+    feats = emb.features.copy()
+    feats[5, 1] *= 2.0
+    body = feats.astype("<f4").tobytes()
+    path.write_bytes(path.read_bytes()[:-len(body)] + body)
+    with ContainerReader(path) as reader, \
+            pytest.raises(NormViolation, match="^sample 5 view 1 has norm"):
+        for _ in reader.blocks(3):
+            pass
 
 
 def test_missing_file_is_io_failure(tmp_path):
@@ -292,6 +423,15 @@ def test_synthetic_prototype_accuracy_beats_chance():
     logits = head_logits(head, id_test.unit_features(0))
     acc = float(np.mean(np.argmax(logits, axis=1) == id_test.labels))
     assert acc > 1.0 / 10.0
+
+
+def test_synthetic_peaks_at_its_sets_and_one_class_block(traced_peak):
+    classes, dim, per_class = 4, 64, 512
+    class_block = per_class * dim * 8  # float64, as _sample_class draws it
+    sets = 3 * classes * per_class * dim * 4
+    # the class block, its norm temporary and the means
+    assert traced_peak(lambda: generate_synthetic(
+        classes, dim, per_class, 0.3, 0.2, seed=1)) < sets + 3 * class_block
 
 
 def test_synthetic_rejects_tiny_problems():

@@ -114,6 +114,13 @@ def test_gelu_in_place_holds_a_fixed_number_of_chunks(traced_peak):
     assert peaks[1] < 10 * 8 * chunk
 
 
+def test_erf_libm_branch_holds_a_bounded_list(traced_peak):
+    chunk = numerics.CHUNK_VALUES
+    x = np.linspace(-7.5, -1.5, chunk)  # every value takes the libm branch
+    x[::2] *= -1.0
+    assert traced_peak(lambda: erf(x)) < 10 * 8 * chunk  # was about 14
+
+
 def test_out_must_be_a_contiguous_float64_array_of_the_shape():
     x = np.zeros((4, 6))
     for out in (np.zeros((6, 4)), np.zeros((4, 6), np.float32),
