@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from soupadapter import (KnnConfig, export_head, generate_synthetic,
-                         head_logits, import_head, knn_logits,
+                         head_logits, import_head, knn_logits_batch,
                          leave_one_out_prototypes, sample_few_shot,
                          selection_prototypes)
 
@@ -45,7 +45,8 @@ print(f"\nclass 0 without each of its {len(moved)} samples moves its "
 bank_idx = [i for cls in selection.indices for i in cls]
 bank = train.unit_features(0, indices=bank_idx)
 bank_labels = train.labels[np.asarray(bank_idx)]
-votes = knn_logits(bank, bank_labels, x, KnnConfig(k=10, temperature=0.1))
+votes = knn_logits_batch(bank, bank_labels, x[None],
+                         KnnConfig(k=10, temperature=0.1))[0]
 print(f"\nknn votes (k=10, T=0.1): {np.round(votes, 2)}")
 print(f"knn prediction: class {int(np.argmax(votes))}")
 

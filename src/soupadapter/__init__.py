@@ -15,16 +15,15 @@ from .dataio import (ContainerReader, EmbeddingSet, FewShotSelection,
                      Manifest, generate_synthetic, read_container,
                      read_manifest, sample_few_shot, write_container,
                      write_manifest)
-from .evalkit import (EvalReport, SweepRow, accuracy,
-                      component_average_report, knn_accuracy, ratio_sweep,
-                      read_report, robustness_report, write_report)
+from .evalkit import (EvalReport, SweepRow, component_average_report,
+                      knn_accuracy, ratio_sweep, read_report,
+                      robustness_report, write_report)
 from .heads import (ClassifierHead, KnnConfig, build_prototypes,
-                    export_head, head_logits, import_head, knn_logits,
+                    export_head, head_logits, import_head, knn_logits_batch,
                     leave_one_out_prototypes, selection_prototypes)
 from .numerics import (OptimState, adamw_step,
-                       cross_entropy_label_smoothing_batch,
-                       finite_difference_check, gelu, gelu_grad,
-                       normalize_rows, softmax)
+                       cross_entropy_label_smoothing_batch, gelu, gelu_grad,
+                       normalize_rows)
 from .soup import (Soup, load_soup, reparameterize, soup_forward,
                    verify_equivalence)
 

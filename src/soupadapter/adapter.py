@@ -90,10 +90,6 @@ class AdapterParams:
     def hidden(self) -> int:
         return self.W1.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
-
     def as_dict(self) -> dict[str, np.ndarray]:
         """Live references, suitable for in-place optimizer updates."""
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
@@ -288,7 +284,7 @@ def _view_epoch(sel_views: np.ndarray, order: np.ndarray,
 
     Each sample takes a random non-canonical view with probability
     0.5 * aug_strength and the clean view 0 otherwise: per sample, one
-    rng.random() and, if it picks, 1 + rng.randbelow(v - 1), walked in bulk.
+    uniform double and, if it picks, 1 + a draw below v - 1, walked in bulk.
     """
     v = sel_views.shape[1]
     draw = rng.walk(2 * order.size).__next__  # under 2 per sample

@@ -51,8 +51,9 @@ CONTAINER_VERSION = 1
 NORM_TOLERANCE = 1e-4
 
 # Samples per block wherever a set is streamed: the container reader's
-# blocks here, and the query blocks that heads and evalkit score
-# (EVAL_BLOCK_ROWS), so eval reads and scores the same rows at once.
+# blocks here, the query blocks that heads and evalkit score and the probe
+# blocks of soup.verify_equivalence. Each reads it when it runs, so eval
+# reads and scores the same rows at once.
 BLOCK_ROWS = 1024
 
 _HEADER = struct.Struct("<4s5I")
@@ -94,9 +95,6 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return self.features.shape[2]
-
-    def validate_norms(self):
-        check_unit_norms(self.features, "sample {} view {}")
 
     def blocks(self, rows: int):
         """(start, features[start:start + rows]) over the set, the blocks
@@ -238,7 +236,7 @@ def json_bytes(doc) -> bytes:
 def write_container(emb: EmbeddingSet, path):
     """Write emb atomically; refuses (NormViolation) what read_container
     would refuse, so no unreadable container is ever written."""
-    emb.validate_norms()
+    check_unit_norms(emb.features, "sample {} view {}")
     n, v, d = emb.features.shape
     atomic_write(path, (
         _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, d, n, v,
@@ -253,10 +251,10 @@ class ContainerReader:
     Opening reads and checks the header, the file length and the labels.
     ``blocks`` then reads the features in file order with readinto, and
     checks each block's norms as it arrives: the first vector that is not
-    unit-norm raises NormViolation naming its sample and view. Like an
-    EmbeddingSet it has n, views, dim, n_classes, labels and blocks, so
-    sampling and scoring take either. Use it as a context manager, or
-    close it.
+    unit-norm raises NormViolation naming the file, its sample and view.
+    Like an EmbeddingSet it has n, views, dim, n_classes, labels and
+    blocks, so sampling and scoring take either. Use it as a context
+    manager, or close it.
     """
 
     def __init__(self, path):
@@ -316,7 +314,11 @@ class ContainerReader:
         for start in range(0, n, rows):
             block = self._read_into(buf[:n - start] if into is None
                                     else into[start:start + rows])
-            check_unit_norms(block, "sample {} view {}", start)
+            try:
+                check_unit_norms(block, "sample {} view {}", start)
+            except NormViolation as exc:
+                exc.args = (f"{self.path}: {exc}",)
+                raise
             yield start, block
 
     def read(self, indices=None) -> EmbeddingSet:
@@ -405,18 +407,17 @@ def sample_few_shot(emb: EmbeddingSet, split, n_shot: int,
     chosen indices are returned in ascending order.
     """
     split = np.asarray(list(split), dtype=np.int64)
-    per_class: list[list[int]] = [[] for _ in range(emb.n_classes)]
-    for idx in split:
-        per_class[int(emb.labels[idx])].append(int(idx))
+    labels = emb.labels[split]
+    order = np.lexsort((split, labels))  # by class, then ascending index
+    ordered = split[order]
+    cuts = np.searchsorted(labels[order], np.arange(emb.n_classes + 1))
     selection: list[list[int]] = []
-    for c, candidates in enumerate(per_class):
-        if len(candidates) < n_shot:
-            raise InsufficientShots(c, len(candidates))
-        candidates = sorted(candidates)
-        rng = stream(seed, "fewshot", c)
-        perm = rng.permutation(len(candidates))
-        chosen = sorted(candidates[int(i)] for i in perm[:n_shot])
-        selection.append(chosen)
+    for c in range(emb.n_classes):
+        candidates = ordered[cuts[c]:cuts[c + 1]]
+        if candidates.size < n_shot:
+            raise InsufficientShots(c, candidates.size)
+        perm = stream(seed, "fewshot", c).permutation(candidates.size)
+        selection.append(np.sort(candidates[perm[:n_shot]]).tolist())
     return FewShotSelection(n_shot=n_shot, seed=seed, indices=selection)
 
 

@@ -61,10 +61,6 @@ class ShapeMismatch(DataError):
     pass
 
 
-class LengthMismatch(DataError):
-    pass
-
-
 class DimensionMismatch(DataError):
     pass
 

@@ -12,7 +12,7 @@ into the adapter's output layer once (W W2 and W b2) gives
 Q = exp(s) (gelu(X W1^T + b1) (W W2)^T + W b2), so A is never formed. A
 merged W1 stacks the components' rows, so one hidden layer serves the soup
 (every column) and component j (its slice). Each set is scored in one pass
-over blocks of EVAL_BLOCK_ROWS rows: every block computes X, P and the
+over blocks of dataio.BLOCK_ROWS rows: every block computes X, P and the
 hidden layer once, then counts each model's hits at every r in turn. A set
 is an EmbeddingSet or an open dataio.ContainerReader, whose blocks are
 read from the file (and norm-checked) as they are scored, so memory is
@@ -36,12 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataio
 from .adapter import hidden_layer
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
 from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
-                     LengthMismatch, ShapeMismatch, SoupMismatch)
-from .heads import (EVAL_BLOCK_ROWS, ClassifierHead, KnnConfig, head_logits,
-                    knn_logits_batch)
+                     ShapeMismatch, SoupMismatch)
+from .heads import ClassifierHead, KnnConfig, head_logits, knn_logits_batch
 from .numerics import normalize_rows
 from .soup import Soup, reparameterize
 
@@ -66,27 +66,15 @@ class EvalReport:
                 if row.model == model and row.split == split}
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
-        raise LengthMismatch(
-            f"{logits.shape[0] if logits.ndim == 2 else logits.ndim} logit "
-            f"rows vs {labels.shape[0]} labels")
-    if labels.size == 0:
-        raise LengthMismatch("cannot score an empty batch")
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
 # ------------------------------------------------------------ one-pass sweep
 
 def _blocks(source):
-    """(start, unit clean-view features, labels), EVAL_BLOCK_ROWS rows at a
-    time, of an EmbeddingSet or an open dataio.ContainerReader. The
+    """(start, unit clean-view features, labels), dataio.BLOCK_ROWS rows
+    at a time, of an EmbeddingSet or an open dataio.ContainerReader. The
     features are built in one buffer that the next block overwrites."""
-    buf = np.empty((min(EVAL_BLOCK_ROWS, source.n), source.dim))
-    for start, block in source.blocks(EVAL_BLOCK_ROWS):
+    rows = dataio.BLOCK_ROWS
+    buf = np.empty((min(rows, source.n), source.dim))
+    for start, block in source.blocks(rows):
         feats = buf[:len(block)]
         feats[...] = block[:, 0, :]
         yield (start, normalize_rows(feats, out=feats),
@@ -121,7 +109,8 @@ def _sweep_set(layer, models, head: ClassifierHead, emb,
     once, not once a block."""
     n = bare = 0
     hits = np.zeros((len(models), len(grid)), dtype=np.int64)
-    buf = np.empty((EVAL_BLOCK_ROWS, layer[0].shape[0])) if models else None
+    buf = np.empty((dataio.BLOCK_ROWS, layer[0].shape[0])) if models \
+        else None
     for _, feats, labels in _blocks(emb):
         n += labels.size
         p = head_logits(head, feats)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (BLOCK_ROWS, EmbeddingSet, FewShotSelection,
-                     atomic_write, check_unit_norms, read_bytes,
-                     unpack_header)
+from . import dataio
+from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
+                     check_unit_norms, read_bytes, unpack_header)
 from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
                      NumericalError)
 from .numerics import CHUNK_VALUES, DEGENERATE_NORM, normalize_rows
@@ -40,11 +40,6 @@ _HEADER = struct.Struct("<4s3Id")
 # 1 / ln(float64 max) that already overflows. One unit of headroom in the
 # exponent keeps every vote finite for similarities up to 1 + 1 / 708.8.
 KNN_T_MIN = 1.0 / (math.log(np.finfo(np.float64).max) - 1.0)
-
-# Query rows scored per matrix product, here and in evalkit: memory for
-# similarities and logits stays O(EVAL_BLOCK_ROWS x (bank or C)). It is the
-# container reader's block, so eval scores each block as it is read.
-EVAL_BLOCK_ROWS = BLOCK_ROWS
 
 
 @dataclass
@@ -147,21 +142,6 @@ def head_logits(head: ClassifierHead, f: np.ndarray) -> np.ndarray:
     return math.exp(head.scale) * (f @ head.weights.T)
 
 
-def knn_logits(bank_features: np.ndarray, bank_labels: np.ndarray,
-               x: np.ndarray, cfg: KnnConfig,
-               num_classes: int | None = None) -> np.ndarray:
-    """Temperature-weighted votes of the k nearest bank entries.
-
-    Neighbors are ranked by cosine similarity (features are unit vectors, so
-    the dot product), ties broken toward the lower bank index; each neighbor
-    adds exp(similarity / T) to its class logit. k is clamped to the bank
-    size. Accumulation runs in rank order.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return knn_logits_batch(bank_features, bank_labels, x[np.newaxis, :],
-                            cfg, num_classes)[0]
-
-
 def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
     """Per row, the indices of the k largest entries ordered by (-sim, index).
 
@@ -182,8 +162,14 @@ def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
 def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
                      xs: np.ndarray, cfg: KnnConfig,
                      num_classes: int | None = None) -> np.ndarray:
-    """knn_logits for every row of xs, EVAL_BLOCK_ROWS query rows at a time.
+    """Temperature-weighted votes of the k nearest bank entries, one row
+    of class logits per row of xs (a single vector is one row).
 
+    Neighbors are ranked by cosine similarity (features are unit vectors,
+    so the dot product), ties broken toward the lower bank index; each
+    neighbor adds exp(similarity / T) to its class logit, in rank order.
+    k is clamped to the bank size. The rows are scored dataio.BLOCK_ROWS
+    at a time, so memory for similarities stays O(BLOCK_ROWS x bank).
     Neighbors come out in the order of a stable per-row argsort, and each
     weight is math.exp of one selected similarity, so the votes equal a
     row-by-row scan of the same similarities bit for bit. Each block's
@@ -200,8 +186,9 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
     k = min(cfg.k, bank_features.shape[0])
     sub = max(1, CHUNK_VALUES // bank_features.shape[0])
     out = np.zeros((xs.shape[0], num_classes), dtype=np.float64)
-    for start in range(0, xs.shape[0], EVAL_BLOCK_ROWS):
-        sims = xs[start:start + EVAL_BLOCK_ROWS] @ bank_features.T
+    rows = dataio.BLOCK_ROWS
+    for start in range(0, xs.shape[0], rows):
+        sims = xs[start:start + rows] @ bank_features.T
         top = np.concatenate([_nearest(sims[lo:lo + sub], k)
                               for lo in range(0, sims.shape[0], sub)])
         scaled = np.take_along_axis(sims, top, axis=1) / cfg.temperature
@@ -214,10 +201,10 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
                 f"KNN weight exp(similarity / T) overflows at temperature "
                 f"{cfg.temperature:g}") from None
         weights = weights.reshape(scaled.shape)
-        block = out[start:start + EVAL_BLOCK_ROWS]
-        rows = np.arange(block.shape[0])
+        block = out[start:start + rows]
+        at = np.arange(block.shape[0])
         for rank in range(k):
-            block[rows, bank_labels[top[:, rank]]] += weights[:, rank]
+            block[at, bank_labels[top[:, rank]]] += weights[:, rank]
     return out
 
 

@@ -208,27 +208,6 @@ def normalize_rows(m: np.ndarray, out=None) -> np.ndarray:
     return np.divide(m, norms[..., np.newaxis], out=out)
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis (max subtraction)."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def smoothed_targets(num_classes: int, targets: np.ndarray, eps: float) -> np.ndarray:
-    """Label-smoothed target distribution(s): 1-eps+eps/m on the target class."""
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    q = np.full((targets.size, num_classes), eps / num_classes, dtype=np.float64)
-    q[np.arange(targets.size), targets] += 1.0 - eps
-    return q
-
-
 def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,
                                         eps: float):
     """Per-row label-smoothed cross entropy and its gradient w.r.t. the logits.
@@ -245,10 +224,16 @@ def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,
         raise ValueError("label smoothing must be in [0, 1)")
     if np.any((targets < 0) | (targets >= m)):
         raise ValueError("target class out of range")
-    q = smoothed_targets(m, targets, eps)
-    losses = -np.sum(q * log_softmax(logits), axis=-1)
-    grads = softmax(logits) - q
-    return losses, grads
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    q = np.full((targets.size, m), eps / m)
+    q[np.arange(targets.size), targets] += 1.0 - eps
+    shifted -= np.log(total)  # log softmax
+    losses = -np.sum(q * shifted, axis=-1)
+    e /= total  # softmax
+    e -= q
+    return losses, e
 
 
 # --------------------------------------------------------------------- AdamW
@@ -355,42 +340,3 @@ def single_blas_thread():
         yield
     finally:
         put(previous)
-
-
-# ------------------------------------------------------------ gradient check
-
-def finite_difference_check(loss_and_grad, params: dict[str, np.ndarray], *,
-                            step: float = 1e-5, sample_size: int = 50,
-                            seed: int = 0, floor: float = 1e-6) -> float:
-    """Worst relative error between analytic gradients and central differences.
-
-    ``loss_and_grad(params)`` must return ``(loss, grads)`` with grads shaped
-    like params. Checks a deterministic random subset of at least
-    ``sample_size`` coordinates (all of them if there are fewer); the
-    relative error is |fd - g| / max(|fd|, |g|, floor). The floor keeps
-    coordinates whose true gradient sits below the finite-difference noise
-    level (cancellation is ~eps * |loss| / step) from dominating the report.
-    """
-    from .rng import Stream, derive_seed  # rng imports this module
-
-    _, grads = loss_and_grad(params)
-    coords = [(k, i) for k in sorted(params) for i in range(params[k].size)]
-    if len(coords) > sample_size:
-        rng = Stream(derive_seed(seed, "fdcheck"))
-        chosen_idx = set()
-        while len(chosen_idx) < sample_size:
-            chosen_idx.add(rng.randbelow(len(coords)))
-        coords = [coords[i] for i in sorted(chosen_idx)]
-    worst = 0.0
-    for key, i in coords:
-        flat = params[key].reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + step
-        loss_plus, _ = loss_and_grad(params)
-        flat[i] = orig - step
-        loss_minus, _ = loss_and_grad(params)
-        flat[i] = orig
-        fd = (loss_plus - loss_minus) / (2.0 * step)
-        an = grads[key].reshape(-1)[i]
-        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), floor))
-    return worst

@@ -74,7 +74,7 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def uniform(u: int) -> float:
-    """The double in [0, 1) with 53 random bits that random() makes of u."""
+    """The double in [0, 1) made of the top 53 bits of the output u."""
     return (u >> 11) * _INV_2_53
 
 
@@ -133,10 +133,6 @@ class Stream:
                 yield value
 
     # ------------------------------------------------------------- doubles
-
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return uniform(self.next_u64())
 
     def random_array(self, n: int) -> np.ndarray:
         return (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53

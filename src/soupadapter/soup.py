@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes
 from .errors import (DataError, DimensionMismatch, EquivalenceViolation,
                      ShapeMismatch)
-from .heads import EVAL_BLOCK_ROWS
 from .rng import stream
 
 
@@ -85,7 +85,7 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     Returns the worst absolute deviation over `trials` random unit inputs;
     raises EquivalenceViolation, with the probe's index among all trials,
     if it exceeds the tolerance. The probes are drawn and scored
-    EVAL_BLOCK_ROWS at a time, one block after another from the same
+    dataio.BLOCK_ROWS at a time, one block after another from the same
     stream, so memory does not grow with `trials`. Passing a pre-built
     (for example, serialized and reloaded) merged adapter checks that
     artifact instead of a freshly merged one.
@@ -98,9 +98,9 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
         raise DimensionMismatch("merged adapter dimension differs from soup")
     rng = stream(seed, "equiv")
     maxima, where = [], []  # each block's worst deviation and probe
-    for start in range(0, trials, EVAL_BLOCK_ROWS):
-        probes = rng.unit_vectors(min(EVAL_BLOCK_ROWS, trials - start),
-                                  soup.dim)
+    rows = dataio.BLOCK_ROWS
+    for start in range(0, trials, rows):
+        probes = rng.unit_vectors(min(rows, trials - start), soup.dim)
         deviation = np.abs(adapter_forward(merged, probes)
                            - soup_forward(soup, probes)).max(axis=1)
         i = int(np.argmax(deviation))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import finite_difference_check
 from soupadapter.adapter import (adapter_backward,
                                  adapter_forward, blend, init_adapter,
                                  load_checkpoint, sample_hyperconfig,
@@ -22,10 +23,9 @@ from soupadapter.dataio import (generate_synthetic, read_container,
 from soupadapter.evalkit import (DEFAULT_GRID, head_accuracy, ratio_sweep)
 from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
                                export_head, head_logits, import_head,
-                               knn_logits, leave_one_out_prototypes,
+                               knn_logits_batch, leave_one_out_prototypes,
                                selection_prototypes)
-from soupadapter.numerics import finite_difference_check
-from soupadapter.rng import Stream, stream
+from soupadapter.rng import Stream, stream, uniform
 from soupadapter.soup import Soup, reparameterize, soup_forward, verify_equivalence
 
 GRID = [float(r) for r in DEFAULT_GRID]
@@ -115,7 +115,8 @@ def test_criterion_3_gradient_correctness():
         params = random_params(trial, d, h)
         x = unit_rows(trial + 300, 1, d)[0]
         head = ClassifierHead(weights=unit_rows(trial + 600, c, d), scale=1.5)
-        r = 0.2 + 0.8 * rng.random()    # exercises the Eq-style blend Jacobian
+        # exercises the Eq-style blend Jacobian
+        r = 0.2 + 0.8 * uniform(rng.next_u64())
         target = rng.randbelow(c)
 
         def loss_fn(pd, x=x, head=head, target=target, r=r):
@@ -142,8 +143,9 @@ def test_criterion_4_knn_matches_brute_force_for_all_k():
         x = unit_rows(bank_id + 2000, 1, 8)[0]
         sims = bank @ x
         for k in range(1, size + 1):
-            got = knn_logits(bank, labels, x, KnnConfig(k=k, temperature=t),
-                             num_classes=5)
+            got = knn_logits_batch(bank, labels, x[None],
+                                   KnnConfig(k=k, temperature=t),
+                                   num_classes=5)[0]
             ranked = sorted(range(size), key=lambda j: (-sims[j], j))[:k]
             want = np.zeros(5)
             for j in ranked:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import finite_difference_check
 from soupadapter import adapter
 from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
                                  WEIGHT_DECAY_GRID, AdapterParams,
@@ -19,7 +20,6 @@ from soupadapter.errors import (BadMagic, CorruptLength, DegenerateVector,
 from soupadapter.evalkit import head_accuracy, ratio_sweep
 from soupadapter.heads import (ClassifierHead, build_prototypes,
                                leave_one_out_prototypes, selection_prototypes)
-from soupadapter.numerics import finite_difference_check, gelu
 from soupadapter.rng import stream
 
 
@@ -98,7 +98,7 @@ def test_params_validation():
 
 def test_param_count():
     p = random_params(8, 6, 2)
-    assert p.param_count == 2 * 6 + 2 + 6 * 2 + 6
+    assert sum(a.size for a in p.as_dict().values()) == 2 * 6 + 2 + 6 * 2 + 6
 
 
 # --------------------------------------------------------------------- blend

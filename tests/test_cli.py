@@ -206,7 +206,8 @@ def test_info_checks_the_norms_of_every_block(data_dir, tmp_path, capsys,
     assert run("info", "--embeddings", bad) == 2
     captured = capsys.readouterr()
     assert captured.err == f"data error: {message}\n"
-    assert "sample 399 view 0" in message and captured.out == ""
+    assert message.startswith(f"{bad}: sample 399 view 0 ")
+    assert captured.out == ""
 
 
 def test_info_reads_only_the_magic_to_tell_formats_apart(
@@ -439,6 +440,7 @@ def test_train_refuses_a_bad_row_it_does_not_select(tmp_path, data_dir,
                "--epochs", "1", "--seed", "0",
                "--out", tmp_path / "run") == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+    assert message.startswith(f"{bad}: sample {sample} view 0 ")
     assert not (tmp_path / "run").exists()
 
 
@@ -706,7 +708,7 @@ def test_eval_bad_row_in_the_last_block_of_the_last_ood_set_exits_2(
         tmp_path, data_dir, train_dir, capsys, monkeypatch):
     bad = tmp_path / "shifted.sadp"
     message = copy_with_bad_row(data_dir / "ood_test.sadp", bad, 399)
-    monkeypatch.setattr(evalkit, "EVAL_BLOCK_ROWS", 64)  # the last of 7
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 64)  # the last of 7
     assert run("eval", "--embeddings", data_dir / "id_test.sadp",
                "--ood", data_dir / "ood_test.sadp", bad,
                "--head", train_dir / "head.shed",
@@ -714,7 +716,7 @@ def test_eval_bad_row_in_the_last_block_of_the_last_ood_set_exits_2(
                "--knn-bank", train_dir / "fewshot.sadp",
                "--out", tmp_path / "report") == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
-    assert "sample 399 view 0" in message
+    assert message.startswith(f"{bad}: sample 399 view 0 ")
     assert not list(tmp_path.glob("report*"))
 
 

@@ -1,9 +1,11 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sample_few_shot_loop
 from soupadapter import dataio
 from soupadapter.dataio import (ContainerReader, EmbeddingSet, Manifest,
                                 check_unit_norms, generate_synthetic,
@@ -170,7 +172,10 @@ def _whole_file_read(path) -> EmbeddingSet:
         raise CorruptLength("label value out of range for class count")
     emb = EmbeddingSet(features=feats.reshape(n, v, d), labels=labels,
                        n_classes=c)
-    emb.validate_norms()
+    try:
+        check_unit_norms(emb.features, "sample {} view {}")
+    except NormViolation as exc:
+        raise NormViolation(f"{path}: {exc}") from None
     return emb
 
 
@@ -274,8 +279,9 @@ def test_reader_blocks_share_one_buffer_and_name_the_set_row(tmp_path):
     feats[5, 1] *= 2.0
     body = feats.astype("<f4").tobytes()
     path.write_bytes(path.read_bytes()[:-len(body)] + body)
-    with ContainerReader(path) as reader, \
-            pytest.raises(NormViolation, match="^sample 5 view 1 has norm"):
+    with ContainerReader(path) as reader, pytest.raises(
+            NormViolation,
+            match=f"^{re.escape(str(path))}: sample 5 view 1 has norm"):
         for _ in reader.blocks(3):
             pass
 
@@ -381,6 +387,36 @@ def test_selection_flat_order():
     emb = labeled_set([0, 0, 1, 1])
     sel = sample_few_shot(emb, range(4), 2, seed=0)
     assert sel.flat() == [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]
+
+
+def _selection_outcome(sample):
+    """The selection sample() returns, with its indices' types, or the
+    class index and count of the InsufficientShots it raises."""
+    try:
+        sel = sample()
+    except InsufficientShots as exc:
+        return "short", exc.class_index, exc.available
+    return sel, [[type(i) for i in cls] for cls in sel.indices]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_array_sampler_selects_what_the_per_sample_walk_selects(data):
+    c = data.draw(st.integers(1, 6))
+    labels = data.draw(st.lists(st.integers(0, c - 1), min_size=1,
+                                max_size=60))
+    n = len(labels)
+    emb = EmbeddingSet(features=np.ones((n, 1, 1), np.float32),
+                       labels=labels, n_classes=c)
+    split = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    if data.draw(st.booleans()):
+        split = np.asarray(split, dtype=np.int64)
+    n_shot = data.draw(st.integers(0, 5))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    want = _selection_outcome(
+        lambda: sample_few_shot_loop(emb, split, n_shot, seed))
+    assert _selection_outcome(
+        lambda: sample_few_shot(emb, split, n_shot, seed)) == want
 
 
 # ----------------------------------------------------------------- synthetic

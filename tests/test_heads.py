@@ -7,11 +7,11 @@ import pytest
 from soupadapter import heads
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
                                 EmptyClass, NormViolation, NumericalError)
-from soupadapter.heads import (DEFAULT_SCALE, EVAL_BLOCK_ROWS, KNN_T_MIN,
-                               ClassifierHead, KnnConfig, build_prototypes,
-                               export_head,
-                               head_logits, import_head, knn_logits,
-                               knn_logits_batch, leave_one_out_prototypes)
+from soupadapter.dataio import BLOCK_ROWS
+from soupadapter.heads import (DEFAULT_SCALE, KNN_T_MIN, ClassifierHead,
+                               KnnConfig, build_prototypes, export_head,
+                               head_logits, import_head, knn_logits_batch,
+                               leave_one_out_prototypes)
 from soupadapter.numerics import normalize_rows
 from soupadapter.rng import stream
 
@@ -153,7 +153,7 @@ def test_k1_votes_only_the_nearest_class():
     bank = unit_rows(25, 6, 4)
     labels = np.array([0, 1, 2, 0, 1, 2])
     x = unit_rows(26, 1, 4)[0]
-    logits = knn_logits(bank, labels, x, KnnConfig(k=1))
+    logits = knn_logits_batch(bank, labels, x[None], KnnConfig(k=1))[0]
     assert np.count_nonzero(logits) == 1
     nearest = int(np.argmax(bank @ x))
     assert logits[labels[nearest]] > 0
@@ -163,7 +163,8 @@ def test_three_point_bank_matches_exhaustive_oracle():
     bank = unit_rows(27, 3, 5)
     labels = np.array([1, 0, 1])
     x = unit_rows(28, 1, 5)[0]
-    got = knn_logits(bank, labels, x, KnnConfig(k=3, temperature=0.1))
+    got = knn_logits_batch(bank, labels, x[None],
+                           KnnConfig(k=3, temperature=0.1))[0]
     want = brute_force_knn(bank, labels, x, 3, 0.1, 2)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -172,7 +173,8 @@ def test_duplicate_of_query_wins_with_exp_one_over_t():
     x = unit_rows(29, 1, 4)[0]
     bank = np.vstack([unit_rows(30, 3, 4), x])
     labels = np.array([0, 0, 0, 2])
-    logits = knn_logits(bank, labels, x, KnnConfig(k=1, temperature=0.1))
+    logits = knn_logits_batch(bank, labels, x[None],
+                              KnnConfig(k=1, temperature=0.1))[0]
     assert logits[2] == pytest.approx(math.exp(1 / 0.1), rel=1e-12)
     assert logits[0] == 0.0
 
@@ -183,7 +185,7 @@ def test_knn_defaults_and_clamping():
     bank = unit_rows(31, 4, 3)
     labels = np.array([0, 1, 1, 0])
     # k larger than the bank clamps to the bank size
-    got = knn_logits(bank, labels, unit_rows(32, 1, 3)[0], cfg)
+    got = knn_logits_batch(bank, labels, unit_rows(32, 1, 3), cfg)[0]
     want = brute_force_knn(bank, labels, unit_rows(32, 1, 3)[0], 4, 0.1, 2)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -192,14 +194,15 @@ def test_knn_tie_break_prefers_lower_index():
     v = unit_rows(33, 1, 4)[0]
     bank = np.vstack([v, v, v])
     labels = np.array([2, 0, 1])
-    logits = knn_logits(bank, labels, v, KnnConfig(k=1, temperature=0.5))
+    logits = knn_logits_batch(bank, labels, v[None],
+                              KnnConfig(k=1, temperature=0.5))[0]
     assert np.argmax(logits) == 2
 
 
 def test_empty_bank():
     with pytest.raises(EmptyBank):
-        knn_logits(np.zeros((0, 3)), np.zeros(0, int),
-                   np.array([1.0, 0, 0]), KnnConfig())
+        knn_logits_batch(np.zeros((0, 3)), np.zeros(0, int),
+                         np.array([[1.0, 0, 0]]), KnnConfig())
 
 
 def test_knn_matches_oracle_on_small_random_banks():
@@ -210,8 +213,9 @@ def test_knn_matches_oracle_on_small_random_banks():
         labels = np.array([rng.randbelow(4) for _ in range(size)])
         x = unit_rows(200 + trial, 1, 6)[0]
         for k in range(1, size + 1):
-            got = knn_logits(bank, labels, x, KnnConfig(k=k, temperature=0.1),
-                             num_classes=4)
+            got = knn_logits_batch(bank, labels, x[None],
+                                   KnnConfig(k=k, temperature=0.1),
+                                   num_classes=4)[0]
             want = brute_force_knn(bank, labels, x, k, 0.1, 4)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -222,7 +226,8 @@ def test_knn_batch_agrees_with_scalar():
     xs = unit_rows(36, 4, 5)
     batch = knn_logits_batch(bank, labels, xs, KnnConfig(k=5), num_classes=3)
     for i in range(4):
-        single = knn_logits(bank, labels, xs[i], KnnConfig(k=5), num_classes=3)
+        single = knn_logits_batch(bank, labels, xs[i:i + 1], KnnConfig(k=5),
+                                  num_classes=3)[0]
         assert np.allclose(batch[i], single, atol=1e-15)
 
 
@@ -257,9 +262,9 @@ def test_knn_batch_bit_equal_to_scalar_loop_on_duplicated_bank(k):
     want = scalar_loop_knn(bank, labels, xs, cfg, 4)
     assert np.array_equal(knn_logits_batch(bank, labels, xs, cfg, 4), want)
     for i in (0, 40, 43):
-        assert np.array_equal(knn_logits(bank, labels, xs[i], cfg, 4),
-                              scalar_loop_knn(bank, labels, xs[i:i + 1],
-                                              cfg, 4)[0])
+        assert np.array_equal(
+            knn_logits_batch(bank, labels, xs[i:i + 1], cfg, 4),
+            scalar_loop_knn(bank, labels, xs[i:i + 1], cfg, 4))
 
 
 @pytest.mark.parametrize("sub_block_rows", [1, 3])
@@ -276,14 +281,14 @@ def test_knn_batch_selects_over_sub_blocks_bit_for_bit(monkeypatch,
 
 def test_knn_batch_across_a_block_boundary():
     bank, labels, _ = duplicated_bank()
-    xs = unit_rows(41, EVAL_BLOCK_ROWS + 1, 6)
+    xs = unit_rows(41, BLOCK_ROWS + 1, 6)
     cfg = KnnConfig(k=5, temperature=0.1)
     got = knn_logits_batch(bank, labels, xs, cfg, 4)
     want = scalar_loop_knn(bank, labels, xs, cfg, 4)
     # the one-row tail block may take BLAS's matrix-vector kernel, whose
     # dot products can round one ulp apart from the matrix product's
     assert np.allclose(got, want, rtol=1e-12, atol=0)
-    assert np.array_equal(got[:EVAL_BLOCK_ROWS], want[:EVAL_BLOCK_ROWS])
+    assert np.array_equal(got[:BLOCK_ROWS], want[:BLOCK_ROWS])
 
 
 def test_knn_weight_overflow_is_a_numerical_error():
@@ -293,7 +298,8 @@ def test_knn_weight_overflow_is_a_numerical_error():
     at_one = 1.0 / math.log(np.finfo(np.float64).max)  # exp(1 / T) = max
     for t in (math.nextafter(at_one, 0.0), 1e-3, 1e-5):
         with pytest.raises(NumericalError, match="overflows at temperature"):
-            knn_logits(bank, labels, x, KnnConfig(k=2, temperature=t))
+            knn_logits_batch(bank, labels, x[None],
+                             KnnConfig(k=2, temperature=t))
 
 
 def test_knn_scores_a_bank_row_at_the_smallest_temperature():
@@ -306,9 +312,10 @@ def test_knn_scores_a_bank_row_at_the_smallest_temperature():
     assert self_sims[i] > 1.0  # rounds above 1, which overflows at at_one
     at_one = 1.0 / math.log(np.finfo(np.float64).max)
     with pytest.raises(NumericalError):
-        knn_logits(bank, labels, bank[i], KnnConfig(k=1, temperature=at_one))
-    got = knn_logits(bank, labels, bank[i],
-                     KnnConfig(k=1, temperature=KNN_T_MIN))
+        knn_logits_batch(bank, labels, bank[i:i + 1],
+                         KnnConfig(k=1, temperature=at_one))
+    got = knn_logits_batch(bank, labels, bank[i:i + 1],
+                           KnnConfig(k=1, temperature=KNN_T_MIN))[0]
     assert np.isfinite(got).all() and int(np.argmax(got)) == labels[i]
 
 
@@ -318,7 +325,7 @@ def test_knn_batch_memory_does_not_grow_with_the_query_count(traced_peak):
     cfg = KnnConfig(k=10)
     extra = []  # peak beyond the returned (queries, classes) logits
     for blocks in (2, 8):
-        xs = unit_rows(45, blocks * EVAL_BLOCK_ROWS, 16)
+        xs = unit_rows(45, blocks * BLOCK_ROWS, 16)
         extra.append(traced_peak(lambda: knn_logits_batch(
             bank, labels, xs, cfg, 5)) - xs.shape[0] * 5 * 8)
     assert extra[1] <= extra[0] + 64 * 1024

@@ -1,0 +1,55 @@
+"""The package's modules import one another without a cycle.
+
+Every relative import counts, including those inside functions, which
+run only when called and so hide a cycle from an import-time check.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "soupadapter"
+
+
+def module_graph(package: Path = PACKAGE) -> dict[str, set[str]]:
+    """{module: the package modules it imports}, from every relative
+    ``from . import a`` and ``from .a import b`` in its source."""
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    graph[name] |= {a.name for a in node.names} & modules
+                else:
+                    graph[name].add(node.module.split(".")[0])
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle as [a, b, ..., a], or None."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def test_the_scan_sees_imports_inside_functions(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import f\n")
+    (tmp_path / "b.py").write_text(
+        "def f():\n    from . import a, os\n    return a\n")
+    (tmp_path / "c.py").write_text("from .a import f\n")
+    assert module_graph(tmp_path) == {"a": {"b"}, "b": {"a"}, "c": {"a"}}
+    assert find_cycle(module_graph(tmp_path)) in (["a", "b", "a"],
+                                                  ["b", "a", "b"])
+
+
+def test_the_package_has_no_import_cycle():
+    assert find_cycle(module_graph()) is None
+
+
+def test_soup_does_not_import_heads():
+    assert "heads" not in module_graph()["soup"]

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (cross_entropy_two_exp, finite_difference_check,
+                     softmax)
 from soupadapter import numerics
 from soupadapter.errors import DegenerateVector, ShapeMismatch
 from soupadapter.numerics import (OptimState, adamw_step,
                                   cross_entropy_label_smoothing_batch, erf,
-                                  finite_difference_check, gelu, gelu_grad,
-                                  normal_cdf, normalize_rows,
-                                  single_blas_thread, softmax)
+                                  gelu, gelu_grad, normal_cdf, normalize_rows,
+                                  single_blas_thread)
 from soupadapter.rng import stream
 
 
@@ -277,6 +278,23 @@ def test_ce_batch_matches_single():
         loss_i, grad_i = ce_one(logits[i], targets[i], 0.1)
         assert losses[i] == pytest.approx(loss_i, abs=1e-14)
         assert np.allclose(grads[i], grad_i, atol=1e-14)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(batch=st.integers(1, 40), classes=st.integers(1, 120),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]),
+       offset=st.sampled_from([0.0, -700.0, 1e3]),
+       eps=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**16))
+def test_ce_equals_the_two_exp_reference_bit_for_bit(batch, classes, scale,
+                                                      offset, eps, seed):
+    rng = stream(seed, "ce.bits")
+    logits = offset + scale * rng.normal_array(batch * classes).reshape(
+        batch, classes)
+    targets = np.array([rng.randbelow(classes) for _ in range(batch)])
+    losses, grads = cross_entropy_label_smoothing_batch(logits, targets, eps)
+    want_losses, want_grads = cross_entropy_two_exp(logits, targets, eps)
+    assert _same_bits(losses, want_losses)
+    assert _same_bits(grads, want_grads)
 
 
 def test_ce_validates_inputs():

@@ -54,7 +54,7 @@ def test_random_unit_interval():
     assert xs.min() >= 0.0 and xs.max() < 1.0
     assert abs(xs.mean() - 0.5) < 0.02
     rng2 = stream(3, "t")
-    assert [rng2.random() for _ in range(5)] == list(xs[:5])
+    assert [uniform(rng2.next_u64()) for _ in range(5)] == list(xs[:5])
 
 
 def test_randbelow_bounds_and_coverage():

@@ -99,7 +99,7 @@ def test_merged_param_count_formula():
     merged = reparameterize(s)
     d = s.dim
     want = sum(c.hidden * d + c.hidden + d * c.hidden for c in s.components) + d
-    assert merged.param_count == want
+    assert sum(a.size for a in merged.as_dict().values()) == want
 
 
 def test_equivalence_on_random_soups():
