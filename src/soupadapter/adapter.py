@@ -6,6 +6,8 @@ f = normalize(x + r * a) for a residual ratio r in [0, 1]; r = 0 reproduces
 the frozen embedding exactly. Training fits the adapter against a frozen
 classifier head with label-smoothed cross entropy and AdamW; all gradients
 here are hand-derived, including the Jacobian of the final normalization.
+A component trains wholly on the thread that calls train_component, so
+callers may train several at once, one per thread.
 
 Checkpoint format (binary, little-endian): magic b"SADA", version u32=1,
 D u32, H u32, scale-used float64, then W1 (H x D), b1 (H), W2 (D x H),
@@ -15,7 +17,6 @@ the hyperparameters and training record.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import struct
@@ -43,12 +44,6 @@ WEIGHT_DECAY_GRID = (1e-3, 1e-2, 5e-2)
 AUG_STRENGTH_GRID = (0.25, 0.5, 0.75, 1.0)
 LABEL_SMOOTHING = 0.1
 FEATURE_NOISE_SCALE = 0.02  # sigma = 0.02 * aug_strength for single-view sets
-# Noise blocks (samples x D) from this size on are drawn one epoch ahead on
-# a helper thread. On 2 cores, in-process with one BLAS thread, the helper
-# took 19% off training at 1600 x 512 (819 200 values), broke even at 512 x
-# 512 and 512 x 128, and cost 10% at 160 x 32, where passing the
-# interpreter lock back and forth outweighs a 0.2 ms draw.
-NOISE_AHEAD_MIN = 1 << 18
 
 MASK = "mask"
 NO_MASK = "no-mask"
@@ -294,24 +289,6 @@ def _view_epoch(sel_views: np.ndarray, order: np.ndarray,
     return sel_views[order, picks]
 
 
-def _noise_blocks(seed: int, size: int, epochs: int, helper=None):
-    """Yield each epoch's single-view noise: ``size`` standard normals from
-    the stream (seed, "aug", epoch). With a helper executor, epoch e + 1's
-    block is drawn on it while epoch e's is in use."""
-    def draw(epoch):
-        return stream(seed, "aug", epoch).normal_array(size)
-
-    if helper is None:
-        yield from map(draw, range(epochs))
-        return
-    ahead = helper.submit(draw, 0)
-    for epoch in range(epochs):
-        block = ahead.result()
-        if epoch + 1 < epochs:
-            ahead = helper.submit(draw, epoch + 1)
-        yield block
-
-
 def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                     head: ClassifierHead, cfg: HyperConfig,
                     masked_table: np.ndarray | None = None):
@@ -321,16 +298,13 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     heads.leave_one_out_prototypes over the selection's prompts: each
     sample then scores its own class against the row that leaves it
     out. Embeddings, head and table are only read, so components may
-    share them across threads. Returns (AdapterParams, TrainRecord).
+    share them across threads; a component runs wholly on the thread that
+    calls this. Returns (AdapterParams, TrainRecord).
 
     Each epoch shuffles the samples with the stream (seed, "shuffle",
     epoch). Multi-view sets then pick views from (seed, "aug", epoch);
     single-view sets add Gaussian noise with sigma = 0.02 * aug_strength
-    from that stream and re-normalize. Where the noise block (samples x D
-    values) has NOISE_AHEAD_MIN values or more, one helper thread draws
-    epoch e + 1's block while epoch e's steps run; numpy draws it with the
-    interpreter lock released. The helper is joined before this returns
-    or raises, and the draws, hence the bytes, do not depend on it.
+    from that stream and re-normalize, in the noise block's own array.
     """
     started = time.perf_counter()
     if head.dim != emb.dim:
@@ -354,24 +328,25 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                             weight_decay=cfg.weight_decay)
     trace: list[float] = []
     sigma = FEATURE_NOISE_SCALE * cfg.aug_strength
-    noise_size = n_train * emb.dim if emb.views == 1 and sigma else 0
     # diverging steps overflow on the way; the finiteness checks below,
     # not numpy warnings, report it
-    with np.errstate(all="ignore"), \
-            concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-        noise = _noise_blocks(  # not started without noise
-            cfg.seed, noise_size, cfg.epochs,
-            helper if noise_size >= NOISE_AHEAD_MIN else None)
+    with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             order = stream(cfg.seed, "shuffle", epoch).permutation(n_train)
+            aug = stream(cfg.seed, "aug", epoch)
             if emb.views > 1:
-                x_epoch = _view_epoch(sel_views, order, cfg.aug_strength,
-                                      stream(cfg.seed, "aug", epoch))
-            elif noise_size:  # the fresh noise block becomes the epoch
-                x_epoch = next(noise).reshape(n_train, emb.dim)
+                x_epoch = _view_epoch(sel_views, order, cfg.aug_strength, aug)
+            elif sigma:  # the fresh noise block becomes the epoch
+                x_epoch = aug.normal_array(n_train * emb.dim) \
+                    .reshape(n_train, emb.dim)
                 x_epoch *= sigma
                 x_epoch += sel_views[order, 0]
-                normalize_rows(x_epoch, out=x_epoch)
+                try:
+                    normalize_rows(x_epoch, out=x_epoch)
+                except DegenerateVector as exc:
+                    raise DegenerateVector(
+                        f"component seed {cfg.seed}: noisy features at "
+                        f"epoch {epoch}: {exc}") from None
             else:
                 x_epoch = sel_views[order, 0]
             targets = classes[order]

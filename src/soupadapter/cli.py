@@ -118,13 +118,23 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
-def _out_dir(path) -> Path:
+@contextlib.contextmanager
+def _out_dir(path):
+    """The output directory, created for the block; a failed block
+    removes it again if this created it and it is still empty."""
     out = Path(path)
+    fresh = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create output directory: {exc}") from exc
-    return out
+    try:
+        yield out
+    except BaseException:
+        if fresh:  # leave no empty output directory behind
+            with contextlib.suppress(OSError):  # not empty: keep it
+                out.rmdir()
+        raise
 
 
 def _distinct_components(paths) -> list:
@@ -199,21 +209,21 @@ def cmd_synth(args) -> int:
     if values > MAX_SYNTH_VALUES:
         raise UsageError(f"--classes x --per-class x --dim is {values} values "
                          f"per set; at most {MAX_SYNTH_VALUES} are allowed")
-    out = _out_dir(args.out)
-    train, id_test, ood_test = dataio.generate_synthetic(
-        args.classes, args.dim, args.per_class, args.shift_angle,
-        args.noise, args.seed)
-    classes = [f"class_{c:03d}" for c in range(args.classes)]
-    for name, emb, split in (("train", train, "train"),
-                             ("id_test", id_test, "test"),
-                             ("ood_test", ood_test, "shift:rotation")):
-        path = out / f"{name}.sadp"
-        dataio.write_container(emb, path)
-        manifest = dataio.Manifest(
-            dataset=f"synthetic-{name}", classes=classes,
-            splits={split: list(range(emb.n))}, model="synthetic")
-        dataio.write_manifest(manifest, dataio.manifest_path_for(path))
-        print(f"wrote {path} ({emb.n} samples)")
+    with _out_dir(args.out) as out:
+        train, id_test, ood_test = dataio.generate_synthetic(
+            args.classes, args.dim, args.per_class, args.shift_angle,
+            args.noise, args.seed)
+        classes = [f"class_{c:03d}" for c in range(args.classes)]
+        for name, emb, split in (("train", train, "train"),
+                                 ("id_test", id_test, "test"),
+                                 ("ood_test", ood_test, "shift:rotation")):
+            path = out / f"{name}.sadp"
+            dataio.write_container(emb, path)
+            manifest = dataio.Manifest(
+                dataset=f"synthetic-{name}", classes=classes,
+                splits={split: list(range(emb.n))}, model="synthetic")
+            dataio.write_manifest(manifest, dataio.manifest_path_for(path))
+            print(f"wrote {path} ({emb.n} samples)")
     return 0
 
 
@@ -222,15 +232,8 @@ def cmd_train(args) -> int:
     if args.head and args.mask == adapter_mod.MASK:
         raise UsageError("--mask mask needs prototype prompts; an imported "
                          "--head has none (use auto or no-mask)")
-    fresh = not os.path.exists(args.out)
-    out = _out_dir(args.out)
-    try:
+    with _out_dir(args.out) as out:
         _train_into(out, args, overrides)
-    except BaseException:
-        if fresh:  # leave no empty run directory behind
-            with contextlib.suppress(OSError):  # not empty: keep it
-                out.rmdir()
-        raise
     return 0
 
 

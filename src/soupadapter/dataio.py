@@ -440,7 +440,8 @@ def _sample_class(mean: np.ndarray, count: int, noise: float, rng) -> np.ndarray
     if noise == 0.0:
         return np.tile(mean, (count, 1))
     pts = rng.normal_array(count * mean.size).reshape(count, mean.size)
-    pts *= noise  # mean + noise * g, built in g's own array
+    with np.errstate(over="ignore"):  # normalize_rows refuses what overflows
+        pts *= noise  # mean + noise * g, built in g's own array
     pts += mean
     return normalize_rows(pts, out=pts)
 

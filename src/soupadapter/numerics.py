@@ -198,13 +198,22 @@ def normalize_rows(m: np.ndarray, out=None) -> np.ndarray:
     """Scale each row to unit Euclidean norm; ``out``, if given, receives
     the rows and may be m itself.
 
-    Raises DegenerateVector if any row norm falls below DEGENERATE_NORM.
+    Raises DegenerateVector if any row norm falls below DEGENERATE_NORM,
+    or is not finite: a NaN, or a squared sum that overflows float64 (an
+    entry from about 1.3e154 on), which would otherwise give a zero or
+    NaN row.
     """
     m = np.asarray(m, dtype=np.float64)
-    norms = row_norms(m)
-    if np.any(norms < DEGENERATE_NORM):
-        bad = int(np.argmin(norms)) if m.ndim > 1 else 0
-        raise DegenerateVector(f"row {bad} has norm below {DEGENERATE_NORM:g}")
+    with np.errstate(over="ignore"):  # reported below
+        norms = row_norms(m)
+    flat = norms.reshape(-1)
+    if np.any(flat < DEGENERATE_NORM):
+        raise DegenerateVector(f"row {int(np.argmin(flat))} has norm below "
+                               f"{DEGENERATE_NORM:g}")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise DegenerateVector(f"row {bad[0]} has norm {flat[bad[0]]}, "
+                               f"not finite in float64")
     return np.divide(m, norms[..., np.newaxis], out=out)
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from oracles import finite_difference_check
-from soupadapter import adapter
+from soupadapter import rng
 from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
                                  WEIGHT_DECAY_GRID, AdapterParams,
                                  HyperConfig, adapter_backward,
@@ -384,13 +385,10 @@ def checkpoint_digest(params, record, head):
                                            meta)).hexdigest()
 
 
-# Golden digests, recorded before the bulk draws and the helper thread
-# replaced the scalar draws: any change to the training arithmetic, the
-# random draws or the checkpoint bytes shows here.
-@pytest.mark.parametrize("ahead_min", [adapter.NOISE_AHEAD_MIN, 0])
-def test_masked_single_view_checkpoint_bytes_are_pinned(monkeypatch,
-                                                        ahead_min):
-    monkeypatch.setattr(adapter, "NOISE_AHEAD_MIN", ahead_min)  # 0: helper
+# Golden digests, recorded before the bulk draws replaced the scalar
+# draws: any change to the training arithmetic, the random draws or the
+# checkpoint bytes shows here.
+def test_masked_single_view_checkpoint_bytes_are_pinned():
     train, _, _ = generate_synthetic(4, 16, 12, 0.3, 0.3, seed=2)
     sel = sample_few_shot(train, range(train.n), 10, seed=2)
     head, prompts = selection_prototypes(train, sel)
@@ -400,6 +398,27 @@ def test_masked_single_view_checkpoint_bytes_are_pinned(monkeypatch,
     params, record = train_component(train, sel, head, cfg, table)
     assert checkpoint_digest(params, record, head) == (
         "b6e00cf8b9bd6d91024ffe1dd3e8ae26d109e6c065964fa97558e4be439f2042")
+
+
+def test_train_component_draws_its_noise_on_the_calling_thread(
+        monkeypatch):
+    # 512 selected rows at D = 512 make a noise block of 2^18 values: even
+    # blocks that large are drawn in line, one per epoch
+    train, _, _ = generate_synthetic(64, 512, 8, 0.3, 0.3, seed=4)
+    sel = sample_few_shot(train, range(train.n), 8, seed=4)
+    head, _ = selection_prototypes(train, sel)
+    threads = []
+    draw = rng.Stream.normal_array
+
+    def recording(self, n):
+        threads.append((threading.get_ident(), n))
+        return draw(self, n)
+
+    monkeypatch.setattr(rng.Stream, "normal_array", recording)
+    cfg = HyperConfig(red=8, lr=1e-3, weight_decay=1e-2, aug_strength=0.5,
+                      seed=3, epochs=2)
+    train_component(train, sel, head, cfg)
+    assert threads == [(threading.get_ident(), 1 << 18)] * 2
 
 
 def test_three_view_imported_head_checkpoint_bytes_are_pinned():

@@ -111,6 +111,18 @@ def test_synth_bad_values_are_usage_errors(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_noise_that_overflows_the_norm_exits_3(tmp_path):
+    # noise 1e308 overflows each row's squared sum: a numerical failure,
+    # not zero rows for the writer to refuse as a data error
+    done = python_process("-m", "soupadapter", "synth", "--out",
+                          tmp_path / "data", "--classes", "3", "--dim", "8",
+                          "--per-class", "4", "--noise", "1e308")
+    assert done.returncode == 3
+    assert done.stderr == \
+        "numerical failure: row 0 has norm inf, not finite in float64\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("shape", [
     ("100000", "100000", "100000"),  # once killed by the kernel, no message
     ("2", "2", str(2**25 + 1)),  # one set 4 values over the bound
@@ -285,16 +297,21 @@ def test_train_prints_each_component_wall_time(tmp_path, data_dir, capsys):
                          rf"\S+, trained in \d+\.\d\ds\)", out), out
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def python_process(*argv):
+    """A fresh interpreter on this checkout's package, as a user runs it,
+    so everything it prints, warnings included, is captured."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, soupadapter.cli; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    done = python_process(
+        "-c", "import sys, soupadapter.cli; print(sorted(m for m in "
+        "sys.modules if m.split('.')[0] == 'scipy'))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -337,9 +354,9 @@ def test_train_runs_blas_on_one_thread_and_restores_the_count(
         set_threads(before)
 
 
-# every component also opens a one-thread noise helper, so K = 3 makes
-# three executors of width 1 besides the pool, if there is one
-@pytest.mark.parametrize("cores,widths", [(2, [1, 1, 1, 2]), (1, [1, 1, 1])])
+# the component pool is the one executor train makes: K = 3 on 2 cores
+# gives one of width 2, and one core trains in process, with none
+@pytest.mark.parametrize("cores,widths", [(2, [2]), (1, [])])
 def test_train_default_jobs_is_the_usable_cores_at_most_k(
         tmp_path, data_dir, monkeypatch, cores, widths):
     made = []
@@ -356,17 +373,14 @@ def test_train_default_jobs_is_the_usable_cores_at_most_k(
     assert run("train", "--embeddings", data_dir / "train.sadp",
                "--shots", "2", "--k", "3", "--epochs", "1",
                "--out", tmp_path) == 0
-    assert sorted(made) == widths  # one core trains in process, no pool
+    assert made == widths
 
 
-def test_threads_and_noise_helpers_leave_the_bytes_alone(tmp_path, data_dir,
-                                                          monkeypatch):
-    # 4 training threads, each with a noise helper, switching every 10 us:
-    # the bytes must match those of one thread without helpers
+def test_training_threads_leave_the_bytes_alone(tmp_path, data_dir):
+    # 4 training threads switching every 10 us: the bytes must match those
+    # of one thread
     runs = {}
     for jobs in ("1", "4"):
-        if jobs == "4":
-            monkeypatch.setattr(adapter, "NOISE_AHEAD_MIN", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -380,22 +394,11 @@ def test_threads_and_noise_helpers_leave_the_bytes_alone(tmp_path, data_dir,
     assert runs["1"] == runs["4"]
 
 
-def test_failed_train_joins_every_thread(tmp_path, data_dir, monkeypatch):
-    helpers = []
-    blocks = adapter._noise_blocks
-
-    def recording(seed, size, epochs, helper=None):
-        helpers.append(helper)
-        return blocks(seed, size, epochs, helper)
-
-    # draw every noise block ahead, however small the set
-    monkeypatch.setattr(adapter, "NOISE_AHEAD_MIN", 0)
-    monkeypatch.setattr(adapter, "_noise_blocks", recording)
+def test_failed_train_joins_every_thread(tmp_path, data_dir):
     before = threading.active_count()
     assert run("train", "--embeddings", data_dir / "train.sadp",
                "--shots", "4", "--k", "2", "--epochs", "3", "--jobs", "2",
                "--override", "lr=1e300", "--out", tmp_path / "run") == 3
-    assert len(helpers) == 2 and None not in helpers
     assert threading.active_count() == before
 
 
@@ -994,6 +997,24 @@ def test_corrupt_checkpoint_is_named(tmp_path, data_dir, train_dir, capsys,
     assert err.startswith("data error:") and "component_1.sada" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         [c.name for c in comps]
+
+
+def test_train_noise_that_overflows_the_norm_exits_3(tmp_path, data_dir):
+    # sigma = 0.02 * 1e308 overflows each noisy row's squared sum: the
+    # message names the noisy features, not the residual sum they zero
+    out = tmp_path / "run"
+    done = python_process("-m", "soupadapter", "train", "--embeddings",
+                          data_dir / "train.sadp", "--shots", "2", "--k", "2",
+                          "--epochs", "1", "--jobs", "1",
+                          "--override", "aug_strength=1e308", "--out", out)
+    assert done.returncode == 3
+    first, second, last = done.stderr.splitlines()  # no other line
+    assert re.fullmatch(r"component 0 failed: component seed \d+: noisy "
+                        r"features at epoch 0: row 0 has norm inf, not "
+                        r"finite in float64", first), done.stderr
+    assert second.startswith("component 1 failed: component seed ")
+    assert last == "numerical failure: " + first.split(" failed: ", 1)[1]
+    assert not out.exists()
 
 
 def test_failed_train_keeps_an_existing_out(tmp_path, data_dir):

@@ -28,6 +28,26 @@ def module_graph(package: Path = PACKAGE) -> dict[str, set[str]]:
     return graph
 
 
+def absolute_imports(package: Path = PACKAGE) -> dict[str, set[str]]:
+    """{module: every dotted name it imports from outside the package},
+    from each ``import a.b`` (a and a.b) and ``from a import b`` (a and
+    a.b) in its source."""
+    graph = {}
+    for path in package.glob("*.py"):
+        graph[path.stem] = names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in modules:
+                parts = name.split(".")
+                names |= {".".join(parts[:i + 1]) for i in range(len(parts))}
+    return graph
+
+
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One cycle as [a, b, ..., a], or None."""
     try:
@@ -53,3 +73,20 @@ def test_the_package_has_no_import_cycle():
 
 def test_soup_does_not_import_heads():
     assert "heads" not in module_graph()["soup"]
+
+
+def test_the_absolute_scan_sees_every_form(tmp_path):
+    (tmp_path / "a.py").write_text("import concurrent.futures, os\n")
+    (tmp_path / "b.py").write_text(
+        "def f():\n    from concurrent import futures\n")
+    (tmp_path / "c.py").write_text("from . import a\nimport threading\n")
+    assert absolute_imports(tmp_path) == {
+        "a": {"concurrent", "concurrent.futures", "os"},
+        "b": {"concurrent", "concurrent.futures"},
+        "c": {"threading"}}
+
+
+def test_only_cli_imports_concurrent_futures():
+    # the component pool of train --jobs is the package's one executor
+    assert {name for name, names in absolute_imports().items()
+            if "concurrent.futures" in names} == {"cli"}

@@ -181,6 +181,23 @@ def test_normalize_rows_in_place_keeps_the_bits_and_the_check():
         normalize_rows(m, out=m)
 
 
+@pytest.mark.parametrize("big", [1.4e154, 1e308, math.inf, math.nan])
+def test_normalize_rows_refuses_a_norm_that_is_not_finite(big):
+    # from about 1.3e154 on, an entry's square overflows float64: the row
+    # is refused, not divided by an infinite norm into zeros or NaNs
+    m = stream(3, "norm").normal_array(24).reshape(4, 6)
+    m[1, 0] = 1e153  # squares to 1e306: finite, so normalized as before
+    want = m / np.sqrt(np.sum(m * m, axis=-1))[:, np.newaxis]
+    assert np.array_equal(normalize_rows(m).view(np.uint64),
+                          want.view(np.uint64))
+    m[2, 3] = m[3, 0] = big
+    with pytest.raises(DegenerateVector,
+                       match=r"^row 2 has norm (inf|nan), not finite"):
+        normalize_rows(m, out=m)
+    with pytest.raises(DegenerateVector, match=r"^row 0 has norm"):
+        normalize_rows(m[2])
+
+
 def test_normalize_rows_idempotent():
     m = stream(1, "norm").normal_array(60).reshape(10, 6) * 3
     once = normalize_rows(m)
