@@ -35,9 +35,10 @@ train, id_test, _ = generate_synthetic(n_classes=10, dim=32, per_class=100,
                                        shift_angle=0.3, noise=0.3, seed=SEED)
 selection = sample_few_shot(train, range(train.n), n_shot=16, seed=SEED)
 # one frozen prototype head for every component, and the leave-one-out
-# table that keeps each sample out of its own class row while training
+# table: one row per selected sample, in selection.flat() order, that
+# keeps the sample out of its own class row while training
 head, prompts = selection_prototypes(train, selection)
-table = np.stack(leave_one_out_prototypes(prompts))
+table = np.concatenate(leave_one_out_prototypes(prompts))
 print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
       f"{train.n_classes} classes, {selection.n_shot} shots per class")
 
@@ -46,8 +47,7 @@ print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
 # documented grids; only `epochs` has no grid and must be pinned.
 components = []
 for j in range(K):
-    cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"},
-                             dim=train.dim)
+    cfg = sample_hyperconfig(SEED, j, {"epochs": 50}, dim=train.dim)
     params, record = train_component(train, selection, head, cfg, table)
     components.append(params)
     print(f"  component {j}: red={cfg.red} lr={cfg.lr:g} wd={cfg.weight_decay:g} "

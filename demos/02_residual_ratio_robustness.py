@@ -27,12 +27,11 @@ train, id_test, ood_test = generate_synthetic(n_classes=10, dim=32,
                                               noise=0.3, seed=SEED)
 selection = sample_few_shot(train, range(train.n), n_shot=16, seed=SEED)
 head, prompts = selection_prototypes(train, selection)
-table = np.stack(leave_one_out_prototypes(prompts))
+table = np.concatenate(leave_one_out_prototypes(prompts))
 
 components = []
 for j in range(K):
-    cfg = sample_hyperconfig(SEED, j, {"epochs": 50, "mask_strategy": "mask"},
-                             dim=train.dim)
+    cfg = sample_hyperconfig(SEED, j, {"epochs": 50}, dim=train.dim)
     components.append(train_component(train, selection, head, cfg, table)[0])
 
 # the merged adapter and its components, scored from one hidden layer; the

@@ -42,7 +42,7 @@ print(f"\nclass 0 without each of its {len(moved)} samples moves its "
       f"prototype by: {np.round(moved, 4)}")
 
 # ----------------------------------------------------------------------- knn
-bank_idx = [i for cls in selection.indices for i in cls]
+bank_idx = selection.flat()
 bank = train.unit_features(0, indices=bank_idx)
 bank_labels = train.labels[np.asarray(bank_idx)]
 votes = knn_logits_batch(bank, bank_labels, x[None],

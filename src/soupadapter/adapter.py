@@ -28,7 +28,7 @@ import numpy as np
 from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
                      unpack_header)
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
-                     RedTooLarge, ShapeMismatch)
+                     RedTooLarge, ShapeMismatch, prefixed)
 from .heads import ClassifierHead
 from .numerics import (DEGENERATE_NORM, OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
@@ -106,25 +106,19 @@ class HyperConfig:
     epochs: int
     batch_size: int = 32
     train_r: float = 1.0
-    mask_strategy: str = NO_MASK  # recorded; train_component's table masks
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
 class TrainRecord:
-    """What one training run did. wall_time is informational and is never
-    serialized, so repeated runs stay byte-identical on disk."""
+    """What one training run did; masked says whether a leave-one-out
+    table trained it. wall_time is informational and is never serialized,
+    so repeated runs stay byte-identical on disk."""
 
     config: HyperConfig
+    masked: bool
     final_loss: float | None
     loss_trace: list[float]
     wall_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"final_loss": self.final_loss,
-                "loss_trace": list(self.loss_trace)}
 
 
 # ------------------------------------------------------------ forward passes
@@ -294,14 +288,16 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                     masked_table: np.ndarray | None = None):
     """Train one adapter component against a frozen head.
 
-    masked_table, if given, is the (C, n_shot, D) stack of
-    heads.leave_one_out_prototypes over the selection's prompts: each
-    sample then scores its own class against the row that leaves it
-    out. Embeddings, head and table are only read, so components may
-    share them across threads; a component runs wholly on the thread that
-    calls this. Returns (AdapterParams, TrainRecord).
+    The training rows are the set's samples at selection.flat(), each
+    with its label in emb as target. masked_table, if given, holds one
+    row per training row, np.concatenate(heads.leave_one_out_prototypes(
+    prompts)) over the selection's prompts: each row then scores its own
+    class against the prototype that leaves it out. Embeddings, head and
+    table are only read, so components may share them across threads; a
+    component runs wholly on the thread that calls this. Returns
+    (AdapterParams, TrainRecord).
 
-    Each epoch shuffles the samples with the stream (seed, "shuffle",
+    Each epoch shuffles the rows with the stream (seed, "shuffle",
     epoch). Multi-view sets then pick views from (seed, "aug", epoch);
     single-view sets add Gaussian noise with sigma = 0.02 * aug_strength
     from that stream and re-normalize, in the noise block's own array.
@@ -309,17 +305,13 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     started = time.perf_counter()
     if head.dim != emb.dim:
         raise ShapeMismatch("head dimension does not match the embeddings")
-    expect = (head.n_classes, selection.n_shot, emb.dim)
-    if masked_table is not None and masked_table.shape != expect:
+    rows = np.asarray(selection.flat(), dtype=np.int64)
+    n_train = rows.size
+    if masked_table is not None and masked_table.shape != (n_train, emb.dim):
         raise ShapeMismatch(f"masked table has shape {masked_table.shape}, "
-                            f"expected {expect}")
-    flat = selection.flat()
-    sel_idx = np.asarray([t[0] for t in flat], dtype=np.int64)
-    classes = np.asarray([t[1] for t in flat], dtype=np.int64)
-    slots = np.asarray([t[2] for t in flat], dtype=np.int64)
-    n_train = sel_idx.size
-
-    sel_views = np.stack([emb.unit_features(v, indices=sel_idx)
+                            f"expected {(n_train, emb.dim)}")
+    labels = emb.labels[rows]
+    sel_views = np.stack([emb.unit_features(v, indices=rows)
                           for v in range(emb.views)], axis=1)
 
     params = init_adapter(emb.dim, cfg.red, cfg.seed)
@@ -341,27 +333,19 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                     .reshape(n_train, emb.dim)
                 x_epoch *= sigma
                 x_epoch += sel_views[order, 0]
-                try:
+                with prefixed(f"component seed {cfg.seed}: noisy "
+                              f"features at epoch {epoch}"):
                     normalize_rows(x_epoch, out=x_epoch)
-                except DegenerateVector as exc:
-                    raise DegenerateVector(
-                        f"component seed {cfg.seed}: noisy features at "
-                        f"epoch {epoch}: {exc}") from None
             else:
                 x_epoch = sel_views[order, 0]
-            targets = classes[order]
-            epoch_slots = slots[order]
             loss_sum = 0.0
             for step, start in enumerate(range(0, n_train, cfg.batch_size)):
                 stop = min(start + cfg.batch_size, n_train)
-                masked_rows = None
-                if masked_table is not None:
-                    masked_rows = masked_table[targets[start:stop],
-                                               epoch_slots[start:stop]]
+                batch = order[start:stop]
                 batch_loss, grads = adapter_backward(
-                    params, x_epoch[start:stop], head,
-                    targets[start:stop], LABEL_SMOOTHING, cfg.train_r,
-                    masked_rows)
+                    params, x_epoch[start:stop], head, labels[batch],
+                    LABEL_SMOOTHING, cfg.train_r,
+                    None if masked_table is None else masked_table[batch])
                 if not math.isfinite(batch_loss):
                     raise NumericalError(
                         f"component seed {cfg.seed}: loss is {batch_loss} "
@@ -375,7 +359,7 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                 f"component seed {cfg.seed}: {name} is not finite in float32 "
                 f"after epoch {epoch} step {step}")
 
-    record = TrainRecord(config=cfg,
+    record = TrainRecord(config=cfg, masked=masked_table is not None,
                          final_loss=trace[-1] if trace else None,
                          loss_trace=trace,
                          wall_time=time.perf_counter() - started)
@@ -389,6 +373,17 @@ def finite_in_float32(arr: np.ndarray) -> bool:
     a NaN, or a value that overflows to inf, is not."""
     with np.errstate(over="ignore"):
         return bool(np.isfinite(arr.astype(np.float32)).all())
+
+
+def component_meta(record: TrainRecord) -> dict:
+    """The trailer of a trained component's checkpoint: its
+    hyperparameters, with mask_strategy saying whether a leave-one-out
+    table trained it, and its losses."""
+    return {"kind": "component",
+            "hyper": {**asdict(record.config),
+                      "mask_strategy": MASK if record.masked else NO_MASK},
+            "record": {"final_loss": record.final_loss,
+                       "loss_trace": list(record.loss_trace)}}
 
 
 def checkpoint_bytes(params: AdapterParams, scale: float, meta: dict) -> bytes:
@@ -448,5 +443,8 @@ def save_checkpoint(path, params: AdapterParams, scale: float, meta: dict):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint file; returns (AdapterParams, scale, meta dict)."""
-    return parse_checkpoint(read_bytes(path, "checkpoint"))
+    """Read a checkpoint file; returns (AdapterParams, scale, meta dict).
+    A format error starts with the file's path."""
+    blob = read_bytes(path, "checkpoint")
+    with prefixed(path):
+        return parse_checkpoint(blob)

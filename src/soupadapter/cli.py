@@ -21,7 +21,7 @@ import numpy as np
 from . import adapter as adapter_mod
 from . import dataio, evalkit, heads, numerics, soup as soup_mod
 from .errors import (DataError, IoFailure, NumericalError, SoupAdapterError,
-                     SoupMismatch)
+                     SoupMismatch, prefixed)
 
 
 class UsageError(Exception):
@@ -166,7 +166,8 @@ def _open_with_manifest(path):
         manifest = None
         if os.path.exists(manifest_path):
             manifest = dataio.read_manifest(manifest_path)
-            manifest.validate_against(reader)
+            with prefixed(manifest_path):
+                manifest.validate_against(reader)
         yield reader, manifest
 
 
@@ -250,7 +251,7 @@ def _read_selection(args):
                             f"(have {sorted(manifest.splits)})")
         selection = dataio.sample_few_shot(source, manifest.splits[args.split],
                                            args.shots, args.seed)
-        emb = source.read([idx for idx, _, _ in selection.flat()])
+        emb = source.read(selection.flat())
     return emb, selection.compacted()
 
 
@@ -262,8 +263,7 @@ def _train_into(out: Path, args, overrides: dict):
     if args.head:
         head = heads.import_head(args.head)
         evalkit.check_compatible(head, [(args.embeddings, emb)])
-        mask = adapter_mod.NO_MASK  # only prototype heads have prompts
-    else:
+    else:  # only prototype heads have prompts to leave out
         head, prompts = heads.selection_prototypes(emb, selection)
         mask = (adapter_mod.mask_strategy_for_shots(args.shots)
                 if args.mask == "auto" else args.mask)
@@ -271,10 +271,11 @@ def _train_into(out: Path, args, overrides: dict):
             print("warning: mask strategy with a single shot falls back to "
                   "unmasked prototypes", file=sys.stderr)
         elif mask == adapter_mod.MASK:
-            masked_table = np.stack(heads.leave_one_out_prototypes(prompts))
+            masked_table = np.concatenate(
+                heads.leave_one_out_prototypes(prompts))
         del prompts  # only the head and the table are read from here on
 
-    overrides.update(epochs=args.epochs, mask_strategy=mask)
+    overrides.update(epochs=args.epochs)
     configs = [adapter_mod.sample_hyperconfig(args.seed, j, overrides,
                                               dim=emb.dim)
                for j in range(args.k)]
@@ -312,9 +313,8 @@ def _train_into(out: Path, args, overrides: dict):
 
     for j, (params, record) in enumerate(results):
         ckpt = out / f"component_{j}.sada"
-        meta = {"kind": "component", "hyper": configs[j].to_dict(),
-                "record": record.to_dict()}
-        adapter_mod.save_checkpoint(ckpt, params, head.scale, meta)
+        adapter_mod.save_checkpoint(ckpt, params, head.scale,
+                                    adapter_mod.component_meta(record))
         loss = record.final_loss
         print(f"wrote {ckpt} (H={params.hidden}, "
               f"final loss {loss if loss is None else f'{loss:.4f}'}, "

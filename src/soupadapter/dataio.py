@@ -19,9 +19,10 @@ the container with keys "dataset", "classes", "splits" and "model".
 
 ContainerReader is the one parser of the container format. Opening one
 checks the header, the file length and the labels; its features are then
-read BLOCK_ROWS samples at a time, and each block's norms are checked as
+read a block of samples at a time, and each block's norms are checked as
 it arrives. read_container gathers every sample, or the ones it is given,
-through it straight into the returned array.
+from those blocks into the returned array. Each format error of a file
+starts with its path.
 
 Every other artifact of the package is read by read_bytes, and every
 artifact is written by atomic_write, so a reader never sees a half-written
@@ -42,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadMagic, CorruptLength, InsufficientShots, IoFailure,
-                     NonFiniteValue, NormViolation, VersionUnsupported)
+                     NonFiniteValue, NormViolation, VersionUnsupported,
+                     prefixed)
 from .numerics import CHUNK_VALUES, normalize_rows
 from .rng import stream
 
@@ -51,9 +53,10 @@ CONTAINER_VERSION = 1
 NORM_TOLERANCE = 1e-4
 
 # Samples per block wherever a set is streamed: the container reader's
-# blocks here, the query blocks that heads and evalkit score and the probe
-# blocks of soup.verify_equivalence. Each reads it when it runs, so eval
-# reads and scores the same rows at once.
+# blocks here (ContainerReader.read takes fewer where a block would pass
+# CHUNK_VALUES values), the query blocks that heads and evalkit score and
+# the probe blocks of soup.verify_equivalence. Each reads it when it runs,
+# so eval reads and scores the same rows at once.
 BLOCK_ROWS = 1024
 
 _HEADER = struct.Struct("<4s5I")
@@ -127,6 +130,9 @@ class Manifest:
         for name, idx in self.splits.items():
             if idx and (min(idx) < 0 or max(idx) >= emb.n):
                 raise CorruptLength(f"split '{name}' has out-of-range indices")
+            if len(set(idx)) != len(idx):
+                raise CorruptLength(f"split '{name}' lists a sample more "
+                                    f"than once")
 
 
 @dataclass
@@ -137,16 +143,16 @@ class FewShotSelection:
     seed: int
     indices: list[list[int]]  # per class, ascending
 
-    def flat(self) -> list[tuple[int, int, int]]:
-        """(set index, class, slot within class) in class-major order."""
-        return [(idx, c, s)
-                for c, cls in enumerate(self.indices)
-                for s, idx in enumerate(cls)]
+    def flat(self) -> list[int]:
+        """The selected set indices in class-major order: the training
+        rows, and the rows of a leave-one-out table over the classes'
+        prompts concatenated."""
+        return [idx for cls in self.indices for idx in cls]
 
     def compacted(self) -> "FewShotSelection":
         """This selection over a set holding only its samples, in flat()
-        order, as ``read_container(path, [i for i, _, _ in flat()])``
-        returns them."""
+        order, as ``read_container(path, flat())`` returns them; its own
+        flat() is then 0, 1, 2, ..."""
         position = itertools.count()
         return FewShotSelection(self.n_shot, self.seed, [
             [next(position) for _ in cls] for cls in self.indices])
@@ -251,7 +257,8 @@ class ContainerReader:
     Opening reads and checks the header, the file length and the labels.
     ``blocks`` then reads the features in file order with readinto, and
     checks each block's norms as it arrives: the first vector that is not
-    unit-norm raises NormViolation naming the file, its sample and view.
+    unit-norm raises NormViolation naming its sample and view. Every
+    format error starts with the file's path.
     Like an EmbeddingSet it has n, views, dim, n_classes, labels and
     blocks, so sampling and scoring take either. Use it as a context
     manager, or close it.
@@ -264,7 +271,8 @@ class ContainerReader:
         except OSError as exc:
             raise IoFailure(f"cannot read container: {exc}") from exc
         try:
-            self._read_head()
+            with prefixed(path):
+                self._read_head()
         except BaseException:
             self._fh.close()
             raise
@@ -293,51 +301,42 @@ class ContainerReader:
         except OSError as exc:
             raise IoFailure(f"cannot read container: {exc}") from exc
         if got != arr.nbytes:  # the file shrank after its length was checked
-            raise CorruptLength(f"container {self.path} ended "
-                                f"{arr.nbytes - got} bytes early")
+            raise CorruptLength(f"container ended {arr.nbytes - got} "
+                                f"bytes early")
         return arr
 
-    def blocks(self, rows: int, into: np.ndarray | None = None):
+    def blocks(self, rows: int):
         """Yield (start, features of samples start, start + 1, ...) over
         the file, ``rows`` samples at a time, as norm-checked (rows, V, D)
-        float32 blocks. Each block is read into the matching rows of
-        ``into``, an (n, V, D) float32 array, or else into one buffer that
-        the next block overwrites. Blocks share the file position, so one
-        pass runs at a time."""
+        float32 blocks read into one buffer that the next block
+        overwrites. Blocks share the file position, so one pass runs at a
+        time."""
         n, v, d = self.n, self.views, self.dim
-        buf = np.empty((min(rows, n), v, d), dtype="<f4") if into is None \
-            else None
+        buf = np.empty((min(rows, n), v, d), dtype="<f4")
         try:
             self._fh.seek(_HEADER.size + 4 * n)
         except OSError as exc:
             raise IoFailure(f"cannot read container: {exc}") from exc
         for start in range(0, n, rows):
-            block = self._read_into(buf[:n - start] if into is None
-                                    else into[start:start + rows])
-            try:
+            with prefixed(self.path):
+                block = self._read_into(buf[:n - start])
                 check_unit_norms(block, "sample {} view {}", start)
-            except NormViolation as exc:
-                exc.args = (f"{self.path}: {exc}",)
-                raise
             yield start, block
 
     def read(self, indices=None) -> EmbeddingSet:
-        """Every sample, or the samples at ``indices`` in that order, read
-        in one pass of BLOCK_ROWS blocks that checks every sample's norm,
-        kept or not."""
-        if indices is None:
-            feats = np.empty((self.n, self.views, self.dim), dtype="<f4")
-            for _ in self.blocks(BLOCK_ROWS, into=feats):
-                pass
-            return EmbeddingSet(features=feats, labels=self.labels,
-                                n_classes=self.n_classes)
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        """Every sample, or the samples at ``indices`` in that order,
+        gathered in one pass that checks every sample's norm, kept or not,
+        over blocks of at most BLOCK_ROWS samples and CHUNK_VALUES values."""
+        idx = np.arange(self.n) if indices is None \
+            else np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise IndexError(f"sample indices must lie in [0, {self.n})")
         order = np.argsort(idx, kind="stable")
         wanted = idx[order]
         feats = np.empty((idx.size, self.views, self.dim), dtype="<f4")
-        for start, block in self.blocks(BLOCK_ROWS):
+        rows = min(BLOCK_ROWS,
+                   max(1, CHUNK_VALUES // (self.views * self.dim)))
+        for start, block in self.blocks(rows):
             lo, hi = np.searchsorted(wanted, (start, start + len(block)))
             feats[order[lo:hi]] = block[wanted[lo:hi] - start]
         return EmbeddingSet(features=feats, labels=self.labels[idx],
@@ -463,16 +462,15 @@ def generate_synthetic(n_classes: int, dim: int, per_class: int,
     shifted = np.stack([_rotate_toward(means[c], shift_rng, shift_angle)
                         for c in range(n_classes)])
 
-    def build(tag: str, centers: np.ndarray) -> EmbeddingSet:
-        rng = stream(seed, tag)
+    def build(name: str, centers: np.ndarray) -> EmbeddingSet:
+        rng = stream(seed, f"synth.{name}")
         feats = np.empty((n_classes * per_class, 1, dim), dtype=np.float32)
         for c in range(n_classes):  # one float64 class block at a time
-            feats[c * per_class:(c + 1) * per_class, 0] = _sample_class(
-                centers[c], per_class, noise, rng)
+            with prefixed(f"synthetic {name} set, class {c}"):
+                feats[c * per_class:(c + 1) * per_class, 0] = _sample_class(
+                    centers[c], per_class, noise, rng)
         labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
         return EmbeddingSet(features=feats, labels=labels,
                             n_classes=n_classes)
 
-    return (build("synth.train", means),
-            build("synth.id", means),
-            build("synth.ood", shifted))
+    return build("train", means), build("id", means), build("ood", shifted)

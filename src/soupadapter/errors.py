@@ -5,9 +5,23 @@ user handed us (``DataError``) and numerical failures detected at runtime
 (``NumericalError``). The CLI maps these to exit codes 2 and 3.
 """
 
+import contextlib
+
 
 class SoupAdapterError(Exception):
     """Base class for all library errors."""
+
+
+@contextlib.contextmanager
+def prefixed(where):
+    """Put ``where`` first in the message of a library error that the
+    block raises: the file a format error was found in, or the set,
+    class, component or epoch a numerical one arose in."""
+    try:
+        yield
+    except SoupAdapterError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 class DataError(SoupAdapterError):

@@ -25,7 +25,7 @@ from . import dataio
 from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
                      check_unit_norms, read_bytes, unpack_header)
 from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
-                     NumericalError)
+                     NumericalError, prefixed)
 from .numerics import CHUNK_VALUES, DEGENERATE_NORM, normalize_rows
 
 HEAD_MAGIC = b"SHED"
@@ -105,7 +105,8 @@ def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
     """Every class's prototype rows with one prompt left out of its sum.
 
     Row [c][s] is class c's normalized prompt sum without prompt s, summed
-    in ascending order like build_prototypes. A single-prompt class keeps
+    in ascending order like build_prototypes; concatenated, the rows
+    follow the prompts in class-major order. A single-prompt class keeps
     its unmasked row with a warning, since leaving its only prompt out
     would erase the class entirely.
     """
@@ -128,7 +129,8 @@ def selection_prototypes(emb: EmbeddingSet, selection: FewShotSelection):
     """The prototype head of a few-shot selection, and its prompts.
 
     Each class's prompts are its selected clean (view 0) unit embeddings
-    in slot order. Returns (ClassifierHead, prompts).
+    in selection order, so concatenated they follow selection.flat().
+    Returns (ClassifierHead, prompts).
     """
     prompts = [emb.unit_features(0, indices=cls) for cls in selection.indices]
     return build_prototypes(prompts), prompts
@@ -223,14 +225,16 @@ def export_head(head: ClassifierHead, path):
 
 
 def import_head(path) -> ClassifierHead:
-    """Read a head file; rows are re-normalized in 64-bit on the way in."""
+    """Read a head file; rows are re-normalized in 64-bit on the way in.
+    A format error starts with the file's path."""
     blob = read_bytes(path, "head file")
-    c, d, scale = unpack_header(blob, _HEADER, HEAD_MAGIC, HEAD_VERSION,
-                                "head file")
-    expect = _HEADER.size + 4 * c * d
-    if len(blob) != expect:
-        raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
-    rows = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size) \
-        .reshape(c, d).astype(np.float64)
-    check_unit_norms(rows, "head row {}")
+    with prefixed(path):
+        c, d, scale = unpack_header(blob, _HEADER, HEAD_MAGIC, HEAD_VERSION,
+                                    "head file")
+        expect = _HEADER.size + 4 * c * d
+        if len(blob) != expect:
+            raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
+        rows = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size) \
+            .reshape(c, d).astype(np.float64)
+        check_unit_norms(rows, "head row {}")
     return ClassifierHead(weights=normalize_rows(rows), scale=scale)

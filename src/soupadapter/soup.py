@@ -20,8 +20,8 @@ import numpy as np
 from . import dataio
 from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes
-from .errors import (DataError, DimensionMismatch, EquivalenceViolation,
-                     ShapeMismatch)
+from .errors import (DimensionMismatch, EquivalenceViolation, ShapeMismatch,
+                     prefixed)
 from .rng import stream
 
 
@@ -123,11 +123,8 @@ def load_soup(paths) -> tuple[Soup, list[float], list[str]]:
     components, scales, digests = [], [], []
     for path in paths:
         blob = read_bytes(path, "checkpoint")
-        try:
+        with prefixed(path):
             params, scale, _ = parse_checkpoint(blob)
-        except DataError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
         if components and params.dim != components[0].dim:
             raise DimensionMismatch(
                 f"{path}: dim {params.dim} does not match first component "

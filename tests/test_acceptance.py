@@ -219,12 +219,10 @@ def test_criterion_7_synthetic_soup_benefit():
                                                       seed=seed)
         sel = sample_few_shot(train, range(train.n), 16, seed=seed)
         head, prompts = selection_prototypes(train, sel)
-        table = np.stack(leave_one_out_prototypes(prompts))
+        table = np.concatenate(leave_one_out_prototypes(prompts))
         comps = []
         for j in range(8):
-            cfg = sample_hyperconfig(seed, j, {"epochs": 50,
-                                               "mask_strategy": "mask"},
-                                     dim=train.dim)
+            cfg = sample_hyperconfig(seed, j, {"epochs": 50}, dim=train.dim)
             params, _ = train_component(train, sel, head, cfg, table)
             comps.append(params)
         soup = Soup(components=comps)

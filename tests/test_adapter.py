@@ -11,7 +11,7 @@ from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
                                  WEIGHT_DECAY_GRID, AdapterParams,
                                  HyperConfig, adapter_backward,
                                  adapter_forward, blend, checkpoint_bytes,
-                                 init_adapter,
+                                 component_meta, init_adapter,
                                  load_checkpoint, mask_strategy_for_shots,
                                  sample_hyperconfig, save_checkpoint,
                                  train_component)
@@ -345,13 +345,12 @@ def synthetic_task(seed=11, n_classes=6, dim=16, per_class=20):
     return train, id_test, sel
 
 
-def train_on_prototypes(emb, sel, cfg):
-    """train_component against the selection's prototype head, masked
-    when cfg.mask_strategy says so, as the CLI trains it."""
+def train_on_prototypes(emb, sel, cfg, masked=False):
+    """train_component against the selection's prototype head, with its
+    leave-one-out table if masked, as the CLI trains it."""
     head, prompts = selection_prototypes(emb, sel)
-    table = None
-    if cfg.mask_strategy == MASK:
-        table = np.stack(leave_one_out_prototypes(prompts))
+    table = np.concatenate(leave_one_out_prototypes(prompts)) if masked \
+        else None
     return train_component(emb, sel, head, cfg, table)
 
 
@@ -369,9 +368,9 @@ def test_zero_epochs_returns_the_initialization():
 def test_training_is_bit_deterministic():
     train, _, sel = synthetic_task()
     cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-2, aug_strength=0.75,
-                      seed=21, epochs=4, mask_strategy=MASK)
-    p1, r1 = train_on_prototypes(train, sel, cfg)
-    p2, r2 = train_on_prototypes(train, sel, cfg)
+                      seed=21, epochs=4)
+    p1, r1 = train_on_prototypes(train, sel, cfg, masked=True)
+    p2, r2 = train_on_prototypes(train, sel, cfg, masked=True)
     for k in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(p1.as_dict()[k], p2.as_dict()[k])
     assert r1.loss_trace == r2.loss_trace
@@ -379,10 +378,8 @@ def test_training_is_bit_deterministic():
 
 def checkpoint_digest(params, record, head):
     """sha256 of the checkpoint train writes for this component."""
-    meta = {"kind": "component", "hyper": record.config.to_dict(),
-            "record": record.to_dict()}
-    return hashlib.sha256(checkpoint_bytes(params, head.scale,
-                                           meta)).hexdigest()
+    return hashlib.sha256(checkpoint_bytes(
+        params, head.scale, component_meta(record))).hexdigest()
 
 
 # Golden digests, recorded before the bulk draws replaced the scalar
@@ -392,10 +389,11 @@ def test_masked_single_view_checkpoint_bytes_are_pinned():
     train, _, _ = generate_synthetic(4, 16, 12, 0.3, 0.3, seed=2)
     sel = sample_few_shot(train, range(train.n), 10, seed=2)
     head, prompts = selection_prototypes(train, sel)
-    table = np.stack(leave_one_out_prototypes(prompts))
+    table = np.concatenate(leave_one_out_prototypes(prompts))
     cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-2, aug_strength=0.75,
-                      seed=21, epochs=3, mask_strategy=MASK)
+                      seed=21, epochs=3)
     params, record = train_component(train, sel, head, cfg, table)
+    assert record.masked
     assert checkpoint_digest(params, record, head) == (
         "b6e00cf8b9bd6d91024ffe1dd3e8ae26d109e6c065964fa97558e4be439f2042")
 
@@ -458,7 +456,7 @@ def test_masked_table_changes_training():
     cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-3, aug_strength=0.5,
                       seed=6, epochs=3)
     head, prompts = selection_prototypes(train, sel)
-    table = np.stack(leave_one_out_prototypes(prompts))
+    table = np.concatenate(leave_one_out_prototypes(prompts))
     p_mask, _ = train_component(train, sel, head, cfg, table)
     p_plain, _ = train_component(train, sel, head, cfg)
     assert not np.array_equal(p_mask.W1, p_plain.W1)
@@ -481,7 +479,10 @@ def test_trains_against_the_given_head():
         train_component(train, sel, wide, cfg)
     with pytest.raises(ShapeMismatch):  # table for a different shot count
         train_component(train, sel, head, cfg,
-                        np.zeros((train.n_classes, 2, train.dim)))
+                        np.zeros((train.n_classes * 2, train.dim)))
+    with pytest.raises(ShapeMismatch):  # (C, n_shot, D), not one per row
+        train_component(train, sel, head, cfg,
+                        np.zeros((train.n_classes, sel.n_shot, train.dim)))
 
 
 def test_multi_view_training_uses_the_views():
@@ -509,9 +510,9 @@ def test_trained_component_beats_prototype_head_on_training_data():
     head = build_prototypes([clean[sel.indices[c]]
                              for c in range(train.n_classes)])
     cfg = HyperConfig(red=2, lr=2e-3, weight_decay=1e-3, aug_strength=0.25,
-                      seed=9, epochs=40, mask_strategy=NO_MASK)
+                      seed=9, epochs=40)
     params, _ = train_on_prototypes(train, sel, cfg)
-    flat = np.asarray([i for cls in sel.indices for i in cls])
+    flat = sel.flat()
     shots = EmbeddingSet(features=train.features[flat],
                          labels=train.labels[flat], n_classes=train.n_classes)
     sweep = ratio_sweep(params, head, shots, grid=[1.0])
@@ -532,9 +533,8 @@ def test_trained_component_beats_prototype_baseline_at_full_ratio():
     sel = sample_few_shot(train, range(train.n), 16, seed=5)
     clean = train.unit_features(0)
     head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
-    cfg = sample_hyperconfig(5, 0, {"epochs": 50, "mask_strategy": MASK},
-                             dim=train.dim)
-    params, _ = train_on_prototypes(train, sel, cfg)
+    cfg = sample_hyperconfig(5, 0, {"epochs": 50}, dim=train.dim)
+    params, _ = train_on_prototypes(train, sel, cfg, masked=True)
     sweep = ratio_sweep(params, head, id_test, grid=[1.0])
     assert sweep[1.0] > head_accuracy(head, id_test)
 

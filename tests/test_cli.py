@@ -118,8 +118,9 @@ def test_synth_noise_that_overflows_the_norm_exits_3(tmp_path):
                           tmp_path / "data", "--classes", "3", "--dim", "8",
                           "--per-class", "4", "--noise", "1e308")
     assert done.returncode == 3
-    assert done.stderr == \
-        "numerical failure: row 0 has norm inf, not finite in float64\n"
+    assert done.stderr == ("numerical failure: synthetic train set, "
+                           "class 0: row 0 has norm inf, not finite in "
+                           "float64\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -193,6 +194,15 @@ def test_info_truncated_file_exits_2(data_dir, tmp_path, capsys):
     bad.write_bytes(blob[:-7])
     assert run("info", "--embeddings", bad) == 2
     assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["head.shed", "component_0.sada"])
+def test_info_truncated_head_or_checkpoint_names_it(train_dir, tmp_path,
+                                                    capsys, name):
+    bad = tmp_path / name
+    bad.write_bytes((train_dir / name).read_bytes()[:30])
+    assert run("info", "--embeddings", bad) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: ")
 
 
 def copy_with_bad_row(src: Path, dst: Path, sample: int) -> str:
@@ -412,17 +422,15 @@ def test_train_on_the_selected_rows_writes_the_whole_set_bytes(tmp_path,
     emb = read_container(data_dir / "train.sadp")
     selection = sample_few_shot(emb, range(emb.n), 8, seed=5)
     head, prompts = heads.selection_prototypes(emb, selection)
-    table = np.stack(heads.leave_one_out_prototypes(prompts))
+    table = np.concatenate(heads.leave_one_out_prototypes(prompts))
     for j in range(2):
-        cfg = adapter.sample_hyperconfig(
-            5, j, {"epochs": 2, "mask_strategy": adapter.MASK}, dim=emb.dim)
+        cfg = adapter.sample_hyperconfig(5, j, {"epochs": 2}, dim=emb.dim)
         params, record = adapter.train_component(emb, selection, head, cfg,
                                                  table)
-        meta = {"kind": "component", "hyper": cfg.to_dict(),
-                "record": record.to_dict()}
         assert (tmp_path / f"component_{j}.sada").read_bytes() == \
-            adapter.checkpoint_bytes(params, head.scale, meta)
-    rows = [i for i, _, _ in selection.flat()]
+            adapter.checkpoint_bytes(params, head.scale,
+                                     adapter.component_meta(record))
+    rows = selection.flat()
     bank = read_container(tmp_path / "fewshot.sadp")
     assert bank.features.tobytes() == emb.features[rows].tobytes()
     assert bank.labels.tolist() == emb.labels[rows].tolist()
@@ -434,8 +442,7 @@ def test_train_on_the_selected_rows_writes_the_whole_set_bytes(tmp_path,
 def test_train_refuses_a_bad_row_it_does_not_select(tmp_path, data_dir,
                                                     capsys):
     emb = read_container(data_dir / "train.sadp")
-    chosen = {i for i, _, _ in
-              sample_few_shot(emb, range(emb.n), 2, seed=0).flat()}
+    chosen = set(sample_few_shot(emb, range(emb.n), 2, seed=0).flat())
     sample = max(set(range(emb.n)) - chosen)
     bad = tmp_path / "data" / "train.sadp"
     message = copy_with_bad_row(data_dir / "train.sadp", bad, sample)
@@ -444,6 +451,26 @@ def test_train_refuses_a_bad_row_it_does_not_select(tmp_path, data_dir,
                "--out", tmp_path / "run") == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert message.startswith(f"{bad}: sample {sample} view 0 ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_split_that_repeats_a_sample(tmp_path, data_dir,
+                                                     capsys):
+    # with sample 0 fifty times, class 0 could be selected as [0, 0], and
+    # no leave-one-out table hides a sample from its own copy
+    data = tmp_path / "data"
+    data.mkdir()
+    src = data_dir / "train.sadp"
+    (data / "train.sadp").write_bytes(src.read_bytes())
+    doc = json.loads(Path(f"{src}.json").read_text())
+    doc["splits"]["train"] = [0] * 50 + doc["splits"]["train"][1:]
+    manifest = Path(f"{data / 'train.sadp'}.json")
+    manifest.write_text(json.dumps(doc))
+    assert run("train", "--embeddings", data / "train.sadp", "--shots", "2",
+               "--k", "1", "--epochs", "1", "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {manifest}: split 'train' lists a sample more than "
+        f"once\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -556,11 +583,12 @@ def test_train_mask_at_one_shot_warns_and_trains_unmasked(tmp_path,
     assert err.startswith("warning: mask strategy with a single shot")
     assert len(err.splitlines()) == 1  # no source path or line
     assert run(*argv, "--mask", "no-mask", "--out", tmp_path / "n") == 0
-    masked, _, meta = load_checkpoint(tmp_path / "m" / "component_0.sada")
-    plain, _, _ = load_checkpoint(tmp_path / "n" / "component_0.sada")
-    assert meta["hyper"]["mask_strategy"] == "mask"
-    assert all(np.array_equal(masked.as_dict()[k], plain.as_dict()[k])
-               for k in ("W1", "b1", "W2", "b2"))
+    # no table trained it, so its checkpoint is the unmasked one, byte
+    # for byte, its recorded mask_strategy included
+    masked = (tmp_path / "m" / "component_0.sada").read_bytes()
+    assert masked == (tmp_path / "n" / "component_0.sada").read_bytes()
+    _, _, meta = load_checkpoint(tmp_path / "m" / "component_0.sada")
+    assert meta["hyper"]["mask_strategy"] == "no-mask"
 
 
 def test_train_on_two_dim_embeddings(tmp_path, capsys):
@@ -686,6 +714,30 @@ def test_eval_corrupt_head_exits_2(tmp_path, data_dir, train_dir):
                "--head", bad,
                "--components", train_dir / "component_0.sada",
                "--out", tmp_path / "x") == 2
+
+
+@pytest.mark.parametrize("flag", ["--embeddings", "--ood", "--head",
+                                  "--adapter", "--components", "--knn-bank"])
+def test_eval_truncated_file_exits_2_naming_it(tmp_path, data_dir, train_dir,
+                                               capsys, flag):
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    merged = tmp_path / "merged.sada"
+    assert run("soup", "--components", *comps, "--out", merged) == 0
+    files = {"--embeddings": data_dir / "id_test.sadp",
+             "--ood": data_dir / "ood_test.sadp",
+             "--head": train_dir / "head.shed", "--adapter": merged,
+             "--components": comps[0],
+             "--knn-bank": train_dir / "fewshot.sadp"}
+    bad = tmp_path / f"short{files[flag].suffix}"
+    bad.write_bytes(files[flag].read_bytes()[:30])
+    files[flag] = bad
+    capsys.readouterr()
+    assert run("eval", *(a for f, path in files.items() for a in (f, path)),
+               "--out", tmp_path / "report") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: "), err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("report*"))
 
 
 def test_eval_knn_bank_class_mismatch_exits_2_before_scoring(

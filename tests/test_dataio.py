@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import sample_few_shot_loop
 from soupadapter import dataio
-from soupadapter.dataio import (ContainerReader, EmbeddingSet, Manifest,
+from soupadapter.dataio import (ContainerReader, EmbeddingSet,
+                                FewShotSelection, Manifest,
                                 check_unit_norms, generate_synthetic,
                                 manifest_path_for, read_container,
                                 read_manifest, sample_few_shot,
@@ -155,27 +156,30 @@ def test_container_read_and_write_hold_the_file_and_a_few_chunks(
 
 def _whole_file_read(path) -> EmbeddingSet:
     """The whole-file reader the streamed one replaced, kept as the
-    reference for which files are refused and with which message."""
+    reference for which files are refused and with which message: every
+    format error starts with the file's path."""
     blob = dataio.read_bytes(path, "container")
-    d, n, v, c = dataio.unpack_header(blob, dataio._HEADER,
-                                      dataio.CONTAINER_MAGIC,
-                                      dataio.CONTAINER_VERSION, "container")
-    expect = dataio._HEADER.size + 4 * n + 4 * n * v * d
-    if len(blob) != expect:
-        raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
-    off = dataio._HEADER.size
-    labels = np.frombuffer(blob, dtype="<u4", count=n,
-                           offset=off).astype(np.int64)
-    feats = np.frombuffer(blob, dtype="<f4", count=n * v * d,
-                          offset=off + 4 * n)
-    if labels.max(initial=0) >= c:
-        raise CorruptLength("label value out of range for class count")
-    emb = EmbeddingSet(features=feats.reshape(n, v, d), labels=labels,
-                       n_classes=c)
     try:
+        d, n, v, c = dataio.unpack_header(blob, dataio._HEADER,
+                                          dataio.CONTAINER_MAGIC,
+                                          dataio.CONTAINER_VERSION,
+                                          "container")
+        expect = dataio._HEADER.size + 4 * n + 4 * n * v * d
+        if len(blob) != expect:
+            raise CorruptLength(f"expected {expect} bytes, "
+                                f"found {len(blob)}")
+        off = dataio._HEADER.size
+        labels = np.frombuffer(blob, dtype="<u4", count=n,
+                               offset=off).astype(np.int64)
+        feats = np.frombuffer(blob, dtype="<f4", count=n * v * d,
+                              offset=off + 4 * n)
+        if labels.max(initial=0) >= c:
+            raise CorruptLength("label value out of range for class count")
+        emb = EmbeddingSet(features=feats.reshape(n, v, d), labels=labels,
+                           n_classes=c)
         check_unit_norms(emb.features, "sample {} view {}")
-    except NormViolation as exc:
-        raise NormViolation(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return emb
 
 
@@ -328,6 +332,11 @@ def test_manifest_validate_against():
     with pytest.raises(CorruptLength):
         Manifest(dataset="d", classes=["x", "y", "z"],
                  splits={"train": [5]}).validate_against(emb)
+    with pytest.raises(CorruptLength, match="^split 'train' lists a sample "
+                                            "more than once$"):
+        Manifest(dataset="d", classes=["x", "y", "z"],
+                 splits={"test": [0, 1], "train": [4, 0, 4]}) \
+            .validate_against(emb)
 
 
 def test_manifest_path_for():
@@ -386,7 +395,10 @@ def test_selection_ignores_other_classes_storage_order():
 def test_selection_flat_order():
     emb = labeled_set([0, 0, 1, 1])
     sel = sample_few_shot(emb, range(4), 2, seed=0)
-    assert sel.flat() == [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]
+    assert sel.flat() == [0, 1, 2, 3]
+    sel = FewShotSelection(n_shot=2, seed=0, indices=[[5, 9], [2, 7]])
+    assert sel.flat() == [5, 9, 2, 7]  # class-major, not ascending
+    assert sel.compacted().indices == [[0, 1], [2, 3]]
 
 
 def _selection_outcome(sample):

@@ -120,11 +120,10 @@ def test_trained_soup_beats_its_r_zero_point():
     train, id_test, _ = generate_synthetic(10, 32, 100, 0.3, 0.3, seed=1)
     sel = sample_few_shot(train, range(train.n), 16, seed=1)
     head, prompts = selection_prototypes(train, sel)
-    table = np.stack(leave_one_out_prototypes(prompts))
+    table = np.concatenate(leave_one_out_prototypes(prompts))
     comps = []
     for j in range(8):
-        cfg = sample_hyperconfig(1, j, {"epochs": 50, "mask_strategy": "mask"},
-                                 dim=train.dim)
+        cfg = sample_hyperconfig(1, j, {"epochs": 50}, dim=train.dim)
         params, _ = train_component(train, sel, head, cfg, table)
         comps.append(params)
     sweep = ratio_sweep(Soup(comps), head, id_test, grid=DEFAULT_GRID)
@@ -317,7 +316,7 @@ def test_class_set_mismatch(bench):
 
 def test_report_knn_baselines_are_knn_accuracy_per_set(bench):
     train, id_test, ood_test, sel, head = bench
-    bank = subset(train, [i for cls in sel.indices for i in cls])
+    bank = subset(train, sel.flat())
     cfg = KnnConfig(k=5, temperature=0.2)
     stems = {"shift": ood_test,
              "half": subset(id_test, range(0, id_test.n, 2))}
@@ -356,7 +355,7 @@ def test_head_only_report_holds_baselines_alone(bench):
 
 def test_knn_accuracy_runs(bench):
     train, id_test, _, sel, head = bench
-    flat = [i for cls in sel.indices for i in cls]
+    flat = sel.flat()
     bank = train.unit_features(0, indices=flat)
     labels = train.labels[np.asarray(flat)]
     acc = knn_accuracy(bank, labels, KnnConfig(), id_test, 10)
