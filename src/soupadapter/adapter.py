@@ -29,7 +29,7 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
                      unpack_header)
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch, prefixed)
-from .heads import ClassifierHead
+from .heads import ClassifierHead, check_compatible
 from .numerics import (DEGENERATE_NORM, OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
                        normal_cdf, normalize_rows, row_norms)
@@ -88,10 +88,6 @@ class AdapterParams:
     def as_dict(self) -> dict[str, np.ndarray]:
         """Live references, suitable for in-place optimizer updates."""
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
-
-    def copy(self) -> "AdapterParams":
-        return AdapterParams(self.W1.copy(), self.b1.copy(),
-                             self.W2.copy(), self.b2.copy())
 
 
 @dataclass
@@ -288,23 +284,24 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                     masked_table: np.ndarray | None = None):
     """Train one adapter component against a frozen head.
 
-    The training rows are the set's samples at selection.flat(), each
-    with its label in emb as target. masked_table, if given, holds one
-    row per training row, np.concatenate(heads.leave_one_out_prototypes(
-    prompts)) over the selection's prompts: each row then scores its own
-    class against the prototype that leaves it out. Embeddings, head and
-    table are only read, so components may share them across threads; a
-    component runs wholly on the thread that calls this. Returns
-    (AdapterParams, TrainRecord).
+    heads.check_compatible refuses a head of another class count or dim
+    before any step. The training rows are the set's samples at
+    selection.flat(), each with its label in emb as target. masked_table,
+    if given, holds one row per training row,
+    np.concatenate(heads.leave_one_out_prototypes(prompts)) over the
+    selection's prompts: each row then scores its own class against the
+    prototype that leaves it out. Embeddings, head and table are only
+    read, so components may share them across threads; a component runs
+    wholly on the thread that calls this. Returns (AdapterParams,
+    TrainRecord).
 
     Each epoch shuffles the rows with the stream (seed, "shuffle",
     epoch). Multi-view sets then pick views from (seed, "aug", epoch);
     single-view sets add Gaussian noise with sigma = 0.02 * aug_strength
     from that stream and re-normalize, in the noise block's own array.
     """
+    check_compatible(head, [("training", emb)])
     started = time.perf_counter()
-    if head.dim != emb.dim:
-        raise ShapeMismatch("head dimension does not match the embeddings")
     rows = np.asarray(selection.flat(), dtype=np.int64)
     n_train = rows.size
     if masked_table is not None and masked_table.shape != (n_train, emb.dim):

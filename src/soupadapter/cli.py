@@ -262,7 +262,7 @@ def _train_into(out: Path, args, overrides: dict):
     masked_table = None
     if args.head:
         head = heads.import_head(args.head)
-        evalkit.check_compatible(head, [(args.embeddings, emb)])
+        heads.check_compatible(head, [(args.embeddings, emb)])
     else:  # only prototype heads have prompts to leave out
         head, prompts = heads.selection_prototypes(emb, selection)
         mask = (adapter_mod.mask_strategy_for_shots(args.shots)
@@ -356,7 +356,7 @@ def cmd_eval(args) -> int:
                                  f"split; rows could not tell them apart")
             ood_sets[stem], _ = files.enter_context(_open_with_manifest(path))
 
-        adapter = (soup_mod.load_soup([args.adapter])[0].components[0]
+        adapter = (adapter_mod.load_checkpoint(args.adapter)[0]
                    if args.adapter else None)
         components = (soup_mod.load_soup(component_paths)[0].components
                       if component_paths else [])
@@ -365,7 +365,7 @@ def cmd_eval(args) -> int:
         knn = None
         if args.knn_bank:
             bank, _ = files.enter_context(_open_with_manifest(args.knn_bank))
-            evalkit.check_compatible(head, [(args.knn_bank, bank)])
+            heads.check_compatible(head, [(args.knn_bank, bank)])
             knn = (bank, heads.KnnConfig(k=args.knn_k,
                                          temperature=args.knn_t))
 

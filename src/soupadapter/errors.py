@@ -79,7 +79,7 @@ class DimensionMismatch(DataError):
     pass
 
 
-class ClassSetMismatch(DataError):
+class ClassSetMismatch(ShapeMismatch):
     pass
 
 

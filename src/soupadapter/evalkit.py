@@ -39,9 +39,9 @@ import numpy as np
 from . import dataio
 from .adapter import hidden_layer
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
-from .errors import (ClassSetMismatch, CorruptLength, IoFailure,
-                     ShapeMismatch, SoupMismatch)
-from .heads import ClassifierHead, KnnConfig, head_logits, knn_logits_batch
+from .errors import CorruptLength, IoFailure, ShapeMismatch, SoupMismatch
+from .heads import (ClassifierHead, KnnConfig, check_compatible, head_logits,
+                    knn_logits_batch)
 from .numerics import normalize_rows
 from .soup import Soup, reparameterize
 
@@ -182,16 +182,6 @@ def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
         n += labels.size
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
     return hits / n
-
-
-def check_compatible(head: ClassifierHead, sets):
-    """Refuse (ClassSetMismatch) any (name, set) whose class count or dim
-    differs from the head's."""
-    for name, emb in sets:
-        if (emb.n_classes, emb.dim) != (head.n_classes, head.dim):
-            raise ClassSetMismatch(
-                f"set '{name}' has {emb.n_classes} classes and dim {emb.dim}, "
-                f"head has {head.n_classes} and {head.dim}")
 
 
 def robustness_report(adapter, components, head: ClassifierHead,

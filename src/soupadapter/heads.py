@@ -24,8 +24,8 @@ import numpy as np
 from . import dataio
 from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
                      check_unit_norms, read_bytes, unpack_header)
-from .errors import (CorruptLength, DegenerateVector, EmptyBank, EmptyClass,
-                     NumericalError, prefixed)
+from .errors import (ClassSetMismatch, CorruptLength, DegenerateVector,
+                     EmptyBank, EmptyClass, NumericalError, prefixed)
 from .numerics import CHUNK_VALUES, DEGENERATE_NORM, normalize_rows
 
 HEAD_MAGIC = b"SHED"
@@ -59,6 +59,18 @@ class ClassifierHead:
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
+
+
+def check_compatible(head: ClassifierHead, sets):
+    """Refuse (ClassSetMismatch) any (name, set) whose class count or dim
+    differs from the head's. A set that carries a path, such as an open
+    dataio.ContainerReader, is named by that path."""
+    for name, emb in sets:
+        if (emb.n_classes, emb.dim) != (head.n_classes, head.dim):
+            raise ClassSetMismatch(
+                f"set '{getattr(emb, 'path', name)}' has {emb.n_classes} "
+                f"classes and dim {emb.dim}, head has {head.n_classes} and "
+                f"{head.dim}")
 
 
 @dataclass

@@ -1,12 +1,14 @@
-"""Deterministic, platform-independent random streams.
+"""Deterministic random streams.
 
 Every random draw in the package comes from a counter-based 64-bit mixing
 generator: output ``i`` of a stream with seed ``s`` is
 ``mix64(s + (i + 1) * GOLDEN)`` where ``mix64`` is the SplitMix64 finalizer.
 Independent streams are derived from a base seed, a short purpose tag, and
 an integer index via :func:`derive_seed`, so adding a consumer never shifts
-the draws of an existing one. All arithmetic is mod 2**64, which behaves
-identically on every platform.
+the draws of an existing one. All arithmetic is mod 2**64, so the integer
+outputs are identical on every platform. The float draws built from them
+are not promised to be: ``normal_array`` takes numpy's ``log``, ``cos`` and
+``sin``, whose last bit may depend on the CPU and the numpy build.
 
 Bulk draws compute the outputs they need as one numpy block and walk it as
 Python ints (``Stream.walk``), so a draw with a data-dependent number of

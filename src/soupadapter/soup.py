@@ -108,7 +108,7 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
         where.append(start + i)
     block = int(np.argmax(maxima))  # as one argmax over every probe
     worst, worst_idx = float(maxima[block]), where[block]
-    if worst > tolerance:
+    if not worst <= tolerance:  # a NaN deviation fails too
         raise EquivalenceViolation(worst, worst_idx)
     return worst
 

@@ -16,8 +16,9 @@ from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
                                  sample_hyperconfig, save_checkpoint,
                                  train_component)
 from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
-from soupadapter.errors import (BadMagic, CorruptLength, DegenerateVector,
-                                RedTooLarge, ShapeMismatch)
+from soupadapter.errors import (BadMagic, ClassSetMismatch, CorruptLength,
+                                DataError, DegenerateVector, RedTooLarge,
+                                ShapeMismatch)
 from soupadapter.evalkit import head_accuracy, ratio_sweep
 from soupadapter.heads import (ClassifierHead, build_prototypes,
                                leave_one_out_prototypes, selection_prototypes)
@@ -483,6 +484,27 @@ def test_trains_against_the_given_head():
     with pytest.raises(ShapeMismatch):  # (C, n_shot, D), not one per row
         train_component(train, sel, head, cfg,
                         np.zeros((train.n_classes, sel.n_shot, train.dim)))
+
+
+def test_a_head_of_another_class_count_is_refused_before_any_step(
+        monkeypatch):
+    # too few classes ended in a bare ValueError at the first loss, too
+    # many trained to the end without complaint
+    train, _, _ = generate_synthetic(6, 16, 8, 0.3, 0.3, seed=2)
+    sel = sample_few_shot(train, range(train.n), 2, seed=2)
+    cfg = HyperConfig(red=4, lr=1e-3, weight_decay=1e-3, aug_strength=0.5,
+                      seed=3, epochs=2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the head was checked")
+    monkeypatch.setattr("soupadapter.adapter.adamw_step", never)
+    for n_classes in (3, 10):
+        head = ClassifierHead(unit_rows(n_classes, n_classes, train.dim))
+        with pytest.raises(ClassSetMismatch,
+                           match=f"6 classes .* head has {n_classes}") as err:
+            train_component(train, sel, head, cfg)
+        assert isinstance(err.value, DataError)
+        assert isinstance(err.value, ShapeMismatch)
 
 
 def test_multi_view_training_uses_the_views():

@@ -759,6 +759,23 @@ def test_eval_knn_bank_class_mismatch_exits_2_before_scoring(
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_eval_ood_set_of_other_classes_exits_2_naming_it(
+        tmp_path, data_dir, train_dir, capsys):
+    assert run("synth", "--out", tmp_path / "four", "--classes", "4",
+               "--per-class", "4", "--seed", "1") == 0
+    other = tmp_path / "four" / "train.sadp"
+    capsys.readouterr()
+    assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+               "--ood", data_dir / "ood_test.sadp", other,
+               "--head", train_dir / "head.shed",
+               "--components", train_dir / "component_0.sada",
+               "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == (
+        f"data error: set '{other}' has 4 classes and dim 32, head has 10 "
+        f"and 32\n")
+    assert not list(tmp_path.glob("report*"))
+
+
 def test_eval_bad_row_in_the_last_block_of_the_last_ood_set_exits_2(
         tmp_path, data_dir, train_dir, capsys, monkeypatch):
     bad = tmp_path / "shifted.sadp"

@@ -170,6 +170,22 @@ def test_verify_equivalence_up_to_one_block_keeps_its_probes():
     assert verify_equivalence(s, 1000, 1e-4, merged=merged) == want
 
 
+def test_verify_equivalence_refuses_a_nan_deviation():
+    # finite float64 weights whose two outputs overflow to +inf and -inf:
+    # their mean, and so the deviation, is NaN on every probe with a
+    # positive coordinate sum
+    comps = [AdapterParams(W1=np.full((1, 4), 1e200), b1=np.zeros(1),
+                           W2=np.full((4, 1), sign * 1e200), b2=np.zeros(4))
+             for sign in (1.0, -1.0)]
+    probes = stream(0, "equiv").unit_vectors(100, 4)
+    first = int(np.argmax(probes.sum(axis=1) > 0))
+    with np.errstate(all="ignore"), \
+            pytest.raises(EquivalenceViolation) as info:
+        verify_equivalence(Soup(comps), trials=100, tolerance=1e-10)
+    assert np.isnan(info.value.worst)
+    assert info.value.input_index == first
+
+
 def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
     s = random_soup(27, 3, 12)
     merged = reparameterize(s)
