@@ -38,7 +38,7 @@ selection = sample_few_shot(train, range(train.n), n_shot=16, seed=SEED)
 # table: one row per selected sample, in selection.flat() order, that
 # keeps the sample out of its own class row while training
 head, prompts = selection_prototypes(train, selection)
-table = np.concatenate(leave_one_out_prototypes(prompts))
+table = leave_one_out_prototypes(prompts)
 print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
       f"{train.n_classes} classes, {selection.n_shot} shots per class")
 

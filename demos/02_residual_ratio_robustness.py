@@ -11,8 +11,6 @@ curve is flatter: it depends less on getting r exactly right.
 Run: python demos/02_residual_ratio_robustness.py
 """
 
-import numpy as np
-
 from soupadapter import (Soup, generate_synthetic, leave_one_out_prototypes,
                          reparameterize, robustness_report, sample_few_shot,
                          sample_hyperconfig, selection_prototypes,
@@ -27,7 +25,7 @@ train, id_test, ood_test = generate_synthetic(n_classes=10, dim=32,
                                               noise=0.3, seed=SEED)
 selection = sample_few_shot(train, range(train.n), n_shot=16, seed=SEED)
 head, prompts = selection_prototypes(train, selection)
-table = np.concatenate(leave_one_out_prototypes(prompts))
+table = leave_one_out_prototypes(prompts)
 
 components = []
 for j in range(K):

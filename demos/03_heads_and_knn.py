@@ -36,8 +36,10 @@ print(f"prediction: class {int(np.argmax(logits))} "
       f"(true class {int(id_test.labels[0])})")
 
 # ------------------------------------------------------------------- masking
+# one row per selected sample, in selection.flat() order: class 0's
+# samples come first
 table = leave_one_out_prototypes(prompts)
-moved = np.linalg.norm(table[0] - head.weights[0], axis=1)
+moved = np.linalg.norm(table[:len(prompts[0])] - head.weights[0], axis=1)
 print(f"\nclass 0 without each of its {len(moved)} samples moves its "
       f"prototype by: {np.round(moved, 4)}")
 

@@ -9,8 +9,8 @@ robustness as a function of the residual ratio.
 
 from .adapter import (AdapterParams, HyperConfig, TrainRecord,
                       adapter_backward, adapter_forward, blend,
-                      init_adapter, load_checkpoint, mask_strategy_for_shots,
-                      sample_hyperconfig, save_checkpoint, train_component)
+                      init_adapter, load_checkpoint, sample_hyperconfig,
+                      save_checkpoint, train_component)
 from .dataio import (ContainerReader, EmbeddingSet, FewShotSelection,
                      Manifest, generate_synthetic, read_container,
                      read_manifest, sample_few_shot, write_container,

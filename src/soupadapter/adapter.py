@@ -45,6 +45,7 @@ AUG_STRENGTH_GRID = (0.25, 0.5, 0.75, 1.0)
 LABEL_SMOOTHING = 0.1
 FEATURE_NOISE_SCALE = 0.02  # sigma = 0.02 * aug_strength for single-view sets
 
+# the mask_strategy a component's checkpoint records, and train's --mask
 MASK = "mask"
 NO_MASK = "no-mask"
 
@@ -242,11 +243,6 @@ def sample_hyperconfig(base_seed: int, component_index: int,
     return HyperConfig(**drawn)
 
 
-def mask_strategy_for_shots(n_shot: int) -> str:
-    """Shot-dependent default: mask from 8 shots up, no-mask below."""
-    return MASK if n_shot >= 8 else NO_MASK
-
-
 def init_adapter(dim: int, red: int, seed: int) -> AdapterParams:
     """Uniform fan-in initialization with H = floor(D / red), zero biases."""
     hidden = dim // red
@@ -287,13 +283,13 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     heads.check_compatible refuses a head of another class count or dim
     before any step. The training rows are the set's samples at
     selection.flat(), each with its label in emb as target. masked_table,
-    if given, holds one row per training row,
-    np.concatenate(heads.leave_one_out_prototypes(prompts)) over the
-    selection's prompts: each row then scores its own class against the
-    prototype that leaves it out. Embeddings, head and table are only
-    read, so components may share them across threads; a component runs
-    wholly on the thread that calls this. Returns (AdapterParams,
-    TrainRecord).
+    if given, holds one row per training row, as
+    heads.leave_one_out_prototypes returns it for the prompts of
+    heads.selection_prototypes: each row then scores its own class
+    against the prototype that leaves it out. Embeddings, head and table
+    are only read, so components may share them across threads; a
+    component runs wholly on the thread that calls this. Returns
+    (AdapterParams, TrainRecord).
 
     Each epoch shuffles the rows with the stream (seed, "shuffle",
     epoch). Multi-view sets then pick views from (seed, "aug", epoch);

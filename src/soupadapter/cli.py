@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import adapter as adapter_mod
 from . import dataio, evalkit, heads, numerics, soup as soup_mod
 from .errors import (DataError, IoFailure, NumericalError, SoupAdapterError,
@@ -69,6 +67,9 @@ _OVERRIDE_TYPES = {
 }
 
 MAX_GRID_POINTS = 1001
+# --mask auto leaves each sample out of its class prototype from this many
+# shots per class up
+AUTO_MASK_SHOTS = 8
 # synth holds its three sets in memory at once; a set of this many float32
 # values (classes x per-class x dim) is 512 MiB, about 40 times paper512's.
 MAX_SYNTH_VALUES = 1 << 27
@@ -265,14 +266,13 @@ def _train_into(out: Path, args, overrides: dict):
         heads.check_compatible(head, [(args.embeddings, emb)])
     else:  # only prototype heads have prompts to leave out
         head, prompts = heads.selection_prototypes(emb, selection)
-        mask = (adapter_mod.mask_strategy_for_shots(args.shots)
-                if args.mask == "auto" else args.mask)
-        if mask == adapter_mod.MASK and args.shots == 1:
+        mask = args.mask == adapter_mod.MASK or (
+            args.mask == "auto" and args.shots >= AUTO_MASK_SHOTS)
+        if mask and args.shots == 1:
             print("warning: mask strategy with a single shot falls back to "
                   "unmasked prototypes", file=sys.stderr)
-        elif mask == adapter_mod.MASK:
-            masked_table = np.concatenate(
-                heads.leave_one_out_prototypes(prompts))
+        elif mask:
+            masked_table = heads.leave_one_out_prototypes(prompts)
         del prompts  # only the head and the table are read from here on
 
     overrides.update(epochs=args.epochs)
@@ -287,8 +287,10 @@ def _train_into(out: Path, args, overrides: dict):
         except Exception as exc:  # collected so every failure gets listed
             return exc
 
-    # a step's products are too small to split: one BLAS thread each
-    jobs = args.jobs or min(args.k, _usable_cores())
+    # a step's products are too small to split: one BLAS thread each; more
+    # threads than components or usable cores only contend (8 on 2 cores
+    # trained paper512 about 3 times slower than 1)
+    jobs = min(args.jobs or args.k, args.k, _usable_cores())
     with numerics.single_blas_thread():
         if jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) \
@@ -414,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_number(int, 1, True), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=_number(int, 1, True), required=True)
-    p.add_argument("--mask", choices=["auto", "mask", "no-mask"],
-                   default="auto")
+    p.add_argument("--mask", choices=["auto", adapter_mod.MASK,
+                                      adapter_mod.NO_MASK], default="auto")
     p.add_argument("--override", action="append", metavar="KEY=VALUE")
     p.add_argument("--jobs", type=_number(int, 1, True), default=None)
     p.add_argument("--out", required=True)
@@ -437,11 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", nargs="*", default=None)
     p.add_argument("--grid", default="0:1:0.1")
     p.add_argument("--knn-bank", default=None)
-    p.add_argument("--knn-k", type=_number(int, 1, True), default=10,
+    p.add_argument("--knn-k", type=_number(int, 1, True),
+                   default=heads.KnnConfig.k,
                    help="neighbors that vote; a k above the bank size uses "
                         "the whole bank")
     p.add_argument("--knn-t", type=_number(float, heads.KNN_T_MIN, True),
-                   default=0.1,
+                   default=heads.KnnConfig.temperature,
                    help="vote temperature; at least 1 / (ln(float64 max) "
                         "- 1), about 0.00141, so that exp(similarity / T) "
                         "stays finite even where a similarity rounds a "
@@ -452,13 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

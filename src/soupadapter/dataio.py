@@ -145,8 +145,8 @@ class FewShotSelection:
 
     def flat(self) -> list[int]:
         """The selected set indices in class-major order: the training
-        rows, and the rows of a leave-one-out table over the classes'
-        prompts concatenated."""
+        rows, and the rows of heads.leave_one_out_prototypes over the
+        classes' prompts."""
         return [idx for cls in self.indices for idx in cls]
 
     def compacted(self) -> "FewShotSelection":

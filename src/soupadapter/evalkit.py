@@ -85,9 +85,9 @@ def _fold(components, head: ClassifierHead):
     """Per component, (its hidden columns in the components' row-stacked
     first layer, W W2, W b2): the head folded into the output layer, so
     residual logits need no D-wide adapter output."""
-    if components[0].dim != head.dim:
-        raise ShapeMismatch(f"adapter dim {components[0].dim} != head dim "
-                            f"{head.dim}")
+    for c in components:
+        if c.dim != head.dim:
+            raise ShapeMismatch(f"adapter dim {c.dim} != head dim {head.dim}")
     ends = np.cumsum([c.hidden for c in components]).tolist()
     return [(slice(end - c.hidden, end), head.weights @ c.W2,
              head.weights @ c.b2) for c, end in zip(components, ends)]

@@ -113,16 +113,19 @@ def build_prototypes(prompts) -> ClassifierHead:
     return ClassifierHead(weights=np.stack(rows))
 
 
-def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
-    """Every class's prototype rows with one prompt left out of its sum.
+def leave_one_out_prototypes(prompts) -> np.ndarray:
+    """One prototype row per prompt, with that prompt left out of its sum.
 
-    Row [c][s] is class c's normalized prompt sum without prompt s, summed
-    in ascending order like build_prototypes; concatenated, the rows
-    follow the prompts in class-major order. A single-prompt class keeps
-    its unmasked row with a warning, since leaving its only prompt out
-    would erase the class entirely.
+    The rows follow the prompts in class-major order: class c's block
+    starts at the total prompt count of the classes before it, and its
+    row s is class c's normalized prompt sum without prompt s, summed in
+    ascending order like build_prototypes. For selection_prototypes'
+    prompts that is selection.flat() order, the masked_table
+    adapter.train_component takes. A single-prompt class keeps its
+    unmasked row with a warning, since leaving its only prompt out would
+    erase the class entirely. Returns a float64 (total prompts, D) array.
     """
-    table = []
+    rows = []
     for c, cls_prompts in enumerate(prompts):
         cls_prompts = np.atleast_2d(np.asarray(cls_prompts, dtype=np.float64))
         if cls_prompts.size == 0:
@@ -131,17 +134,17 @@ def leave_one_out_prototypes(prompts) -> list[np.ndarray]:
         if n == 1:
             warnings.warn(f"class {c} has a single prompt; keeping it unmasked",
                           RuntimeWarning, stacklevel=2)
-        table.append(np.stack([_prototype_row(cls_prompts,
-                                              skip=s if n > 1 else -1)
-                               for s in range(n)]))
-    return table
+        rows.extend(_prototype_row(cls_prompts, skip=s if n > 1 else -1)
+                    for s in range(n))
+    return np.stack(rows)
 
 
 def selection_prototypes(emb: EmbeddingSet, selection: FewShotSelection):
     """The prototype head of a few-shot selection, and its prompts.
 
     Each class's prompts are its selected clean (view 0) unit embeddings
-    in selection order, so concatenated they follow selection.flat().
+    in selection order, so in class-major order they follow
+    selection.flat(), as do the rows of leave_one_out_prototypes(prompts).
     Returns (ClassifierHead, prompts).
     """
     prompts = [emb.unit_features(0, indices=cls) for cls in selection.indices]

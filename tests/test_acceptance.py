@@ -166,18 +166,21 @@ def test_criterion_5_masked_prototypes_leave_one_out():
         cls = rng.randbelow(c)
         j = rng.randbelow(prompts[cls].shape[0])
         table = leave_one_out_prototypes(prompts)
+        # class c's block of rows starts after the prompts of classes < c
+        starts = np.cumsum([0] + [p.shape[0] for p in prompts])
         remaining = [p.copy() for p in prompts]
         remaining[cls] = np.delete(remaining[cls], j, axis=0)
         oracle = build_prototypes(remaining)
-        assert np.max(np.abs(table[cls][j] - oracle.weights[cls])) <= 1e-12
+        assert np.max(np.abs(table[starts[cls] + j] - oracle.weights[cls])) \
+            <= 1e-12
         for other in range(c):
             # every row of every class leaves out one prompt of that class
             # and reads no other class
             for s in range(prompts[other].shape[0]):
                 alone = build_prototypes(
                     [np.delete(prompts[other], s, axis=0)])
-                assert np.max(np.abs(table[other][s] - alone.weights[0])) \
-                    <= 1e-12
+                assert np.max(np.abs(table[starts[other] + s]
+                                     - alone.weights[0])) <= 1e-12
     print("ACCEPTANCE 5 PASS: masked prototypes equal the leave-one-out "
           "construction within 1e-12 on 20 random instances")
 
@@ -219,7 +222,7 @@ def test_criterion_7_synthetic_soup_benefit():
                                                       seed=seed)
         sel = sample_few_shot(train, range(train.n), 16, seed=seed)
         head, prompts = selection_prototypes(train, sel)
-        table = np.concatenate(leave_one_out_prototypes(prompts))
+        table = leave_one_out_prototypes(prompts)
         comps = []
         for j in range(8):
             cfg = sample_hyperconfig(seed, j, {"epochs": 50}, dim=train.dim)

@@ -7,14 +7,13 @@ import pytest
 
 from oracles import finite_difference_check
 from soupadapter import rng
-from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID, MASK, NO_MASK,
+from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID,
                                  WEIGHT_DECAY_GRID, AdapterParams,
                                  HyperConfig, adapter_backward,
                                  adapter_forward, blend, checkpoint_bytes,
                                  component_meta, init_adapter,
-                                 load_checkpoint, mask_strategy_for_shots,
-                                 sample_hyperconfig, save_checkpoint,
-                                 train_component)
+                                 load_checkpoint, sample_hyperconfig,
+                                 save_checkpoint, train_component)
 from soupadapter.dataio import EmbeddingSet, generate_synthetic, sample_few_shot
 from soupadapter.errors import (BadMagic, ClassSetMismatch, CorruptLength,
                                 DataError, DegenerateVector, RedTooLarge,
@@ -308,13 +307,6 @@ def test_hyperconfig_requires_epochs_and_known_keys():
         sample_hyperconfig(0, 0, {"epochs": 5, "momentum": 0.9}, dim=32)
 
 
-def test_mask_defaults_by_shots():
-    assert mask_strategy_for_shots(2) == NO_MASK
-    assert mask_strategy_for_shots(4) == NO_MASK
-    assert mask_strategy_for_shots(8) == MASK
-    assert mask_strategy_for_shots(16) == MASK
-
-
 # ---------------------------------------------------------------------- init
 
 def test_init_hidden_width():
@@ -350,8 +342,7 @@ def train_on_prototypes(emb, sel, cfg, masked=False):
     """train_component against the selection's prototype head, with its
     leave-one-out table if masked, as the CLI trains it."""
     head, prompts = selection_prototypes(emb, sel)
-    table = np.concatenate(leave_one_out_prototypes(prompts)) if masked \
-        else None
+    table = leave_one_out_prototypes(prompts) if masked else None
     return train_component(emb, sel, head, cfg, table)
 
 
@@ -390,7 +381,7 @@ def test_masked_single_view_checkpoint_bytes_are_pinned():
     train, _, _ = generate_synthetic(4, 16, 12, 0.3, 0.3, seed=2)
     sel = sample_few_shot(train, range(train.n), 10, seed=2)
     head, prompts = selection_prototypes(train, sel)
-    table = np.concatenate(leave_one_out_prototypes(prompts))
+    table = leave_one_out_prototypes(prompts)
     cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-2, aug_strength=0.75,
                       seed=21, epochs=3)
     params, record = train_component(train, sel, head, cfg, table)
@@ -457,7 +448,7 @@ def test_masked_table_changes_training():
     cfg = HyperConfig(red=4, lr=2e-3, weight_decay=1e-3, aug_strength=0.5,
                       seed=6, epochs=3)
     head, prompts = selection_prototypes(train, sel)
-    table = np.concatenate(leave_one_out_prototypes(prompts))
+    table = leave_one_out_prototypes(prompts)
     p_mask, _ = train_component(train, sel, head, cfg, table)
     p_plain, _ = train_component(train, sel, head, cfg)
     assert not np.array_equal(p_mask.W1, p_plain.W1)

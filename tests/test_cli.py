@@ -1,4 +1,7 @@
 import concurrent.futures
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
@@ -79,6 +82,13 @@ def test_parse_grid_gives_a_bounded_ascending_grid_or_a_usage_error(parts):
     assert 1 <= len(grid) <= 1001
     assert all(0.0 <= r <= 1.0 for r in grid)
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def test_eval_grid_default_is_the_default_grid():
+    args = cli.build_parser().parse_args(
+        ["eval", "--embeddings", "id.sadp", "--head", "head.shed",
+         "--out", "report"])
+    assert parse_grid(args.grid) == list(evalkit.DEFAULT_GRID)
 
 
 # ---------------------------------------------------------------- info/synth
@@ -365,7 +375,9 @@ def test_train_runs_blas_on_one_thread_and_restores_the_count(
 
 
 # the component pool is the one executor train makes: K = 3 on 2 cores
-# gives one of width 2, and one core trains in process, with none
+# gives one of width 2, and one core trains in process, with none; an
+# explicit --jobs above both is held to the same width, and the pool
+# starts at most K = 3 threads whatever its width
 @pytest.mark.parametrize("cores,widths", [(2, [2]), (1, [])])
 def test_train_default_jobs_is_the_usable_cores_at_most_k(
         tmp_path, data_dir, monkeypatch, cores, widths):
@@ -380,15 +392,20 @@ def test_train_default_jobs_is_the_usable_cores_at_most_k(
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
-    assert run("train", "--embeddings", data_dir / "train.sadp",
-               "--shots", "2", "--k", "3", "--epochs", "1",
-               "--out", tmp_path) == 0
-    assert made == widths
+    for jobs in ([], ["--jobs", "64"]):
+        made.clear()
+        assert run("train", "--embeddings", data_dir / "train.sadp",
+                   "--shots", "2", "--k", "3", "--epochs", "1", *jobs,
+                   "--out", tmp_path / str(len(jobs))) == 0
+        assert made == widths
 
 
-def test_training_threads_leave_the_bytes_alone(tmp_path, data_dir):
+def test_training_threads_leave_the_bytes_alone(tmp_path, data_dir,
+                                                monkeypatch):
     # 4 training threads switching every 10 us: the bytes must match those
-    # of one thread
+    # of one thread; 4 usable cores let --jobs 4 start all 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
     runs = {}
     for jobs in ("1", "4"):
         interval = sys.getswitchinterval()
@@ -422,7 +439,7 @@ def test_train_on_the_selected_rows_writes_the_whole_set_bytes(tmp_path,
     emb = read_container(data_dir / "train.sadp")
     selection = sample_few_shot(emb, range(emb.n), 8, seed=5)
     head, prompts = heads.selection_prototypes(emb, selection)
-    table = np.concatenate(heads.leave_one_out_prototypes(prompts))
+    table = heads.leave_one_out_prototypes(prompts)
     for j in range(2):
         cfg = adapter.sample_hyperconfig(5, j, {"epochs": 2}, dim=emb.dim)
         params, record = adapter.train_component(emb, selection, head, cfg,
@@ -572,6 +589,16 @@ def test_train_builds_the_head_and_table_once(tmp_path, data_dir,
     assert calls == {"build_prototypes": 1, "leave_one_out_prototypes": 1}
     assert all(load_checkpoint(out / f"component_{j}.sada")[2]
                ["hyper"]["mask_strategy"] == "mask" for j in range(3))
+
+
+def test_train_mask_auto_masks_from_eight_shots(tmp_path, data_dir):
+    for shots, strategy in (("7", "no-mask"), ("8", "mask")):
+        out = tmp_path / shots
+        assert run("train", "--embeddings", data_dir / "train.sadp",
+                   "--shots", shots, "--k", "1", "--epochs", "1",
+                   "--mask", "auto", "--out", out) == 0
+        _, _, meta = load_checkpoint(out / "component_0.sada")
+        assert meta["hyper"]["mask_strategy"] == strategy
 
 
 def test_train_mask_at_one_shot_warns_and_trains_unmasked(tmp_path,
@@ -1093,6 +1120,90 @@ def test_failed_train_keeps_an_existing_out(tmp_path, data_dir):
                "--shots", "4", "--k", "1", "--epochs", "2",
                "--override", "lr=1e300", "--out", out) == 3
     assert out.is_dir() and list(out.iterdir()) == []
+
+
+# ------------------------------------------------- fuzzed numeric arguments
+
+# zero, negative, non-finite, huge, subnormal, empty, not a number, hex, and
+# an integer beyond int64
+_HUGE = "1" * 21
+_EDGES = ("0", "-1", "nan", "inf", "1e308", "1e-320", "", "abc", "0x10", _HUGE)
+# counts of work that would accept the 21-digit integer and run for ever
+_WORK = {"--k", "--epochs", "--trials"}
+
+# per subcommand, small valid values of each numeric flag; an accepted run
+# stays small: at most 3 components of 2 epochs, 2000 probes, and
+# synthetic sets of at most 96 values unless the size bound refuses them.
+# info's one flag is a path in the fixture directory.
+_FLAGS = {
+    "synth": {"--classes": ("2", "3"), "--dim": ("2", "8"),
+              "--per-class": ("1", "4"), "--shift-angle": ("0.3",),
+              "--noise": ("0.3",), "--seed": ("5",)},
+    "train": {"--shots": ("1", "2", "4"), "--k": ("1", "3"), "--seed": ("3",),
+              "--epochs": ("1", "2"), "--jobs": ("1", "2", "64")},
+    "soup": {"--trials": ("1", "2000"), "--tolerance": ("1e-4",)},
+    "eval": {"--knn-k": ("1", "5"), "--knn-t": ("0.1",),
+             "--grid": ("0:1:0.5",)},
+    "info": {"--embeddings": ("train.sadp", "run/head.shed",
+                              "run/component_0.sada")},
+}
+
+_MASKS = ["auto", "mask", "no-mask"]
+_OVERRIDE = st.builds(
+    "--override={}={}".format,
+    st.sampled_from(sorted(cli._OVERRIDE_TYPES) + ["epochs"]),
+    st.sampled_from(("2", "1e-3", "0.5") + _EDGES))
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 3-class dim-8 synthetic set, a K = 2 run trained on it, and a
+    counter that names each fuzzed run's output in out/."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert run("synth", "--out", root, "--classes", "3", "--dim", "8",
+               "--per-class", "6", "--seed", "1") == 0
+    assert run("train", "--embeddings", root / "train.sadp", "--shots", "4",
+               "--k", "2", "--epochs", "1", "--out", root / "run") == 0
+    (root / "out").mkdir()
+    return root, itertools.count()
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_numeric_arguments_keep_the_exit_code_contract(tiny, command,
+                                                              data):
+    # every flag takes a small valid value, and up to two an edge value
+    root, runs = tiny
+    valid = _FLAGS[command]
+    flags = {flag: data.draw(st.sampled_from(values))
+             for flag, values in valid.items()}
+    for flag in data.draw(st.lists(st.sampled_from(sorted(valid)),
+                                   max_size=2, unique=True)):
+        flags[flag] = data.draw(st.sampled_from(
+            [v for v in _EDGES if v != _HUGE or flag not in _WORK]))
+    if command == "info":
+        flags["--embeddings"] = root / flags["--embeddings"]
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    comps = [root / "run" / f"component_{j}.sada" for j in range(2)]
+    if command == "train":
+        argv += ["--embeddings", root / "train.sadp",
+                 "--mask", data.draw(st.sampled_from(_MASKS)),
+                 *data.draw(st.lists(_OVERRIDE, max_size=2))]
+    elif command == "soup":
+        argv += ["--components", *comps]
+    elif command == "eval":
+        argv += ["--embeddings", root / "id_test.sadp",
+                 "--ood", root / "ood_test.sadp",
+                 "--head", root / "run" / "head.shed",
+                 "--components", *comps,
+                 "--knn-bank", root / "run" / "fewshot.sadp"]
+    if command != "info":
+        argv += ["--out", root / "out" / str(next(runs))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
 
 
 # -------------------------------------------------------------------- memory

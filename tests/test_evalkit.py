@@ -6,7 +6,8 @@ from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  sample_hyperconfig, train_component)
 from soupadapter.dataio import (BLOCK_ROWS, EmbeddingSet, generate_synthetic,
                                 sample_few_shot)
-from soupadapter.errors import ClassSetMismatch, CorruptLength, SoupMismatch
+from soupadapter.errors import (ClassSetMismatch, CorruptLength, ShapeMismatch,
+                                SoupMismatch)
 from soupadapter.evalkit import (DEFAULT_GRID, EvalReport, SweepRow, _fold,
                                  _residual_logits, component_average_report,
                                  head_accuracy, knn_accuracy, ratio_sweep,
@@ -120,7 +121,7 @@ def test_trained_soup_beats_its_r_zero_point():
     train, id_test, _ = generate_synthetic(10, 32, 100, 0.3, 0.3, seed=1)
     sel = sample_few_shot(train, range(train.n), 16, seed=1)
     head, prompts = selection_prototypes(train, sel)
-    table = np.concatenate(leave_one_out_prototypes(prompts))
+    table = leave_one_out_prototypes(prompts)
     comps = []
     for j in range(8):
         cfg = sample_hyperconfig(1, j, {"epochs": 50}, dim=train.dim)
@@ -312,6 +313,14 @@ def test_class_set_mismatch(bench):
     with pytest.raises(ClassSetMismatch):
         robustness_report(random_params(8, 32, 4), [], head, id_test,
                           {"bad": other}, grid=[0.0])
+
+
+def test_report_refuses_a_component_of_another_dim_in_any_place(bench):
+    _, id_test, _, _, head = bench
+    fits, wide = random_params(9, 32, 4), random_params(10, 64, 4)
+    for comps in ([fits, wide], [wide, fits]):
+        with pytest.raises(ShapeMismatch, match="dim 64 != head dim 32"):
+            robustness_report(None, comps, head, id_test, {}, grid=[0.0])
 
 
 def test_report_knn_baselines_are_knn_accuracy_per_set(bench):

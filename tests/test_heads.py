@@ -7,11 +7,11 @@ import pytest
 from soupadapter import heads
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
                                 EmptyClass, NormViolation, NumericalError)
-from soupadapter.dataio import BLOCK_ROWS
+from soupadapter.dataio import BLOCK_ROWS, generate_synthetic, sample_few_shot
 from soupadapter.heads import (DEFAULT_SCALE, KNN_T_MIN, ClassifierHead,
                                KnnConfig, build_prototypes, export_head,
                                head_logits, import_head, knn_logits_batch,
-                               leave_one_out_prototypes)
+                               leave_one_out_prototypes, selection_prototypes)
 from soupadapter.numerics import normalize_rows
 from soupadapter.rng import stream
 
@@ -67,18 +67,19 @@ def test_masking_one_of_two_identical_prompts_keeps_the_row():
     p = unit_rows(8, 1, 4)[0]
     head = build_prototypes([np.stack([p, p]), unit_rows(9, 2, 4)])
     table = leave_one_out_prototypes([np.stack([p, p]), unit_rows(9, 2, 4)])
-    assert np.allclose(table[0][1], head.weights[0], atol=1e-15)
+    assert np.allclose(table[1], head.weights[0], atol=1e-15)
 
 
 def test_masked_equals_leave_one_out_construction():
     prompts = [unit_rows(10, 4, 6), unit_rows(11, 5, 6), unit_rows(12, 3, 6)]
     table = leave_one_out_prototypes(prompts)
-    assert [t.shape for t in table] == [(4, 6), (5, 6), (3, 6)]
+    assert table.shape == (12, 6) and table.dtype == np.float64
+    starts = [0, 4, 9]  # each class's block follows the classes before it
     for c, j in [(0, 2), (1, 0), (2, 1)]:
         remaining = [p.copy() for p in prompts]
         remaining[c] = np.delete(remaining[c], j, axis=0)
         oracle = build_prototypes(remaining)
-        assert np.array_equal(table[c][j], oracle.weights[c])
+        assert np.array_equal(table[starts[c] + j], oracle.weights[c])
 
 
 def test_masking_never_touches_other_classes():
@@ -88,9 +89,9 @@ def test_masking_never_touches_other_classes():
     changed = [p.copy() for p in prompts]
     changed[1] = unit_rows(99, 4, 6)
     moved = leave_one_out_prototypes(changed)
-    assert np.array_equal(moved[0], table[0])
-    assert np.array_equal(moved[2], table[2])
-    assert not np.array_equal(table[1][3], base.weights[1])
+    assert np.array_equal(moved[:4], table[:4])  # class 0's block
+    assert np.array_equal(moved[8:], table[8:])  # class 2's block
+    assert not np.array_equal(table[4 + 3], base.weights[1])
 
 
 def test_single_prompt_class_falls_back_with_warning():
@@ -98,7 +99,23 @@ def test_single_prompt_class_falls_back_with_warning():
     base = build_prototypes(prompts)
     with pytest.warns(RuntimeWarning):
         table = leave_one_out_prototypes(prompts)
-    assert np.array_equal(table[0], base.weights[:1])
+    assert np.array_equal(table[:1], base.weights[:1])
+
+
+def test_table_rows_follow_the_selection_flat_order():
+    train = generate_synthetic(4, 8, 12, 0.0, 0.3, seed=5)[0]
+    selection = sample_few_shot(train, range(train.n), 3, seed=5)
+    _, prompts = selection_prototypes(train, selection)
+    table = leave_one_out_prototypes(prompts)
+    clean = train.unit_features(0)
+    rows = selection.flat()
+    assert table.shape == (len(rows), train.dim)
+    # row i leaves sample rows[i] out of its own class's selected samples
+    for row, sample in zip(table, rows):
+        rest = [i for i in selection.indices[train.labels[sample]]
+                if i != sample]
+        oracle = build_prototypes([clean[rest]]).weights[0]
+        assert np.max(np.abs(row - oracle)) <= 1e-12
 
 
 # -------------------------------------------------------------------- logits
