@@ -44,10 +44,11 @@ print(f"benchmark: {train.n} train embeddings, dim {train.dim}, "
 
 # ----------------------------------------------------------------- training
 # Each component gets its own seed and hyperparameters drawn from the
-# documented grids; only `epochs` has no grid and must be pinned.
+# documented grids; only `epochs` has no grid and is passed in
+# (`dataclasses.replace(cfg, lr=1e-3)` would pin one drawn field).
 components = []
 for j in range(K):
-    cfg = sample_hyperconfig(SEED, j, {"epochs": 50}, dim=train.dim)
+    cfg = sample_hyperconfig(SEED, j, dim=train.dim, epochs=50)
     params, record = train_component(train, selection, head, cfg, table)
     components.append(params)
     print(f"  component {j}: red={cfg.red} lr={cfg.lr:g} wd={cfg.weight_decay:g} "

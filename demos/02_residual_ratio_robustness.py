@@ -29,7 +29,7 @@ table = leave_one_out_prototypes(prompts)
 
 components = []
 for j in range(K):
-    cfg = sample_hyperconfig(SEED, j, {"epochs": 50}, dim=train.dim)
+    cfg = sample_hyperconfig(SEED, j, dim=train.dim, epochs=50)
     components.append(train_component(train, selection, head, cfg, table)[0])
 
 # the merged adapter and its components, scored from one hidden layer; the

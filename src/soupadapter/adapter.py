@@ -93,7 +93,9 @@ class AdapterParams:
 
 @dataclass
 class HyperConfig:
-    """Per-component hyperparameters, normally drawn by sample_hyperconfig."""
+    """Per-component hyperparameters, normally drawn by sample_hyperconfig
+    and pinned field by field with dataclasses.replace, which re-runs the
+    check that red and batch_size are at least 1."""
 
     red: int
     lr: float
@@ -103,6 +105,12 @@ class HyperConfig:
     epochs: int
     batch_size: int = 32
     train_r: float = 1.0
+
+    def __post_init__(self):
+        for name in ("red", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -211,36 +219,24 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
 
 # ------------------------------------------------------------ configuration
 
-def sample_hyperconfig(base_seed: int, component_index: int,
-                       overrides: dict | None = None, *,
-                       dim: int) -> HyperConfig:
+def sample_hyperconfig(base_seed: int, component_index: int, *, dim: int,
+                       epochs: int) -> HyperConfig:
     """Draw one component's hyperparameters from the documented grids.
 
-    All fields are drawn (in a fixed order: red, lr, weight decay,
-    augmentation strength, seed) from the stream
-    (base_seed, "hyper", component_index); overrides then pin individual
-    fields, so pinning one field never changes the others. ``red`` is
-    drawn from RED_MIN..min(RED_MAX, dim), so from dim >= RED_MIN on every
-    drawn adapter has a hidden unit. ``epochs`` has no grid and must be
-    supplied via overrides.
+    red, lr, weight decay, augmentation strength and seed are drawn, in
+    that order, from the stream (base_seed, "hyper", component_index);
+    ``epochs`` has no grid and is passed in. ``red`` is drawn from
+    RED_MIN..min(RED_MAX, dim), so from dim >= RED_MIN on every drawn
+    adapter has a hidden unit. Pin a field with dataclasses.replace: the
+    other fields keep their drawn values.
     """
-    overrides = dict(overrides or {})
     rng = stream(base_seed, "hyper", component_index)
     red_max = max(RED_MIN, min(RED_MAX, dim))
-    drawn = {
-        "red": RED_MIN + rng.randbelow(red_max - RED_MIN + 1),
-        "lr": rng.choice(LR_GRID),
-        "weight_decay": rng.choice(WEIGHT_DECAY_GRID),
-        "aug_strength": rng.choice(AUG_STRENGTH_GRID),
-        "seed": rng.next_u64(),
-    }
-    if "epochs" not in overrides:
-        raise ValueError("epochs is a required override (no grid exists for it)")
-    unknown = set(overrides) - set(HyperConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown hyperparameter overrides: {sorted(unknown)}")
-    drawn.update(overrides)
-    return HyperConfig(**drawn)
+    return HyperConfig(red=RED_MIN + rng.randbelow(red_max - RED_MIN + 1),
+                       lr=rng.choice(LR_GRID),
+                       weight_decay=rng.choice(WEIGHT_DECAY_GRID),
+                       aug_strength=rng.choice(AUG_STRENGTH_GRID),
+                       seed=rng.next_u64(), epochs=epochs)
 
 
 def init_adapter(dim: int, red: int, seed: int) -> AdapterParams:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -275,10 +276,9 @@ def _train_into(out: Path, args, overrides: dict):
             masked_table = heads.leave_one_out_prototypes(prompts)
         del prompts  # only the head and the table are read from here on
 
-    overrides.update(epochs=args.epochs)
-    configs = [adapter_mod.sample_hyperconfig(args.seed, j, overrides,
-                                              dim=emb.dim)
-               for j in range(args.k)]
+    configs = [dataclasses.replace(adapter_mod.sample_hyperconfig(
+        args.seed, j, dim=emb.dim, epochs=args.epochs), **overrides)
+        for j in range(args.k)]
 
     def run(j):
         try:
@@ -292,6 +292,7 @@ def _train_into(out: Path, args, overrides: dict):
     # trained paper512 about 3 times slower than 1)
     jobs = min(args.jobs or args.k, args.k, _usable_cores())
     with numerics.single_blas_thread():
+        # in process at 1 job: a worker's malloc arena adds 14 MB on paper512
         if jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) \
                     as pool:

@@ -225,7 +225,7 @@ def test_criterion_7_synthetic_soup_benefit():
         table = leave_one_out_prototypes(prompts)
         comps = []
         for j in range(8):
-            cfg = sample_hyperconfig(seed, j, {"epochs": 50}, dim=train.dim)
+            cfg = sample_hyperconfig(seed, j, dim=train.dim, epochs=50)
             params, _ = train_component(train, sel, head, cfg, table)
             comps.append(params)
         soup = Soup(components=comps)
@@ -258,7 +258,7 @@ def test_criterion_7_synthetic_soup_benefit():
 def test_criterion_8_hyperparameter_sampler_conformance():
     reds, lrs, wds, ss = [], [], [], []
     for j in range(10000):
-        cfg = sample_hyperconfig(2024, j, {"epochs": 1}, dim=32)
+        cfg = sample_hyperconfig(2024, j, dim=32, epochs=1)
         reds.append(cfg.red)
         lrs.append(cfg.lr)
         wds.append(cfg.weight_decay)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import threading
@@ -265,8 +266,8 @@ def test_backward_loss_matches_forward_path():
 # ------------------------------------------------------------ hyperconfigs
 
 def test_hyperconfig_sampling_is_deterministic():
-    a = sample_hyperconfig(7, 3, {"epochs": 10}, dim=32)
-    b = sample_hyperconfig(7, 3, {"epochs": 10}, dim=32)
+    a = sample_hyperconfig(7, 3, dim=32, epochs=10)
+    b = sample_hyperconfig(7, 3, dim=32, epochs=10)
     assert a == b
     assert a.batch_size == 32 and a.train_r == 1.0
 
@@ -274,7 +275,7 @@ def test_hyperconfig_sampling_is_deterministic():
 def test_hyperconfig_fields_come_from_the_grids():
     seen_red = set()
     for j in range(300):
-        cfg = sample_hyperconfig(1, j, {"epochs": 5}, dim=32)
+        cfg = sample_hyperconfig(1, j, dim=32, epochs=5)
         assert 2 <= cfg.red <= 10
         assert cfg.lr in LR_GRID
         assert cfg.weight_decay in WEIGHT_DECAY_GRID
@@ -285,26 +286,64 @@ def test_hyperconfig_fields_come_from_the_grids():
 
 @pytest.mark.parametrize("dim", [2, 3, 9])
 def test_hyperconfig_red_stays_within_the_dim(dim):
-    reds = {sample_hyperconfig(1, j, {"epochs": 5}, dim=dim).red
+    reds = {sample_hyperconfig(1, j, dim=dim, epochs=5).red
             for j in range(200)}
     assert reds == set(range(2, dim + 1))
 
 
+# (red, lr, weight_decay, aug_strength, seed) that sample_hyperconfig(0, j,
+# dim=dim, ...) draws: a change to the grids, the stream or the draw order
+# shows here first, and trained checkpoints depend on every one of them
+DRAWN_AT_SEED_0 = {
+    (8, 0): (7, 0.002, 0.001, 0.5, 7173136320669168471),
+    (8, 1): (8, 0.002, 0.001, 0.5, 5297704537149108062),
+    (8, 2): (7, 0.001, 0.05, 0.25, 8379698972371045661),
+    (32, 0): (5, 0.002, 0.001, 0.5, 7173136320669168471),
+    (32, 1): (6, 0.002, 0.01, 0.75, 13234324346471613960),
+    (32, 2): (7, 0.0005, 0.001, 0.5, 5290417933697629174),
+    (512, 0): (5, 0.002, 0.001, 0.5, 7173136320669168471),
+    (512, 1): (6, 0.002, 0.01, 0.75, 13234324346471613960),
+    (512, 2): (7, 0.0005, 0.001, 0.5, 5290417933697629174),
+}
+
+
+@pytest.mark.parametrize("dim,j", sorted(DRAWN_AT_SEED_0))
+def test_hyperconfig_draws_are_pinned(dim, j):
+    cfg = sample_hyperconfig(0, j, dim=dim, epochs=3)
+    assert (cfg.red, cfg.lr, cfg.weight_decay, cfg.aug_strength,
+            cfg.seed) == DRAWN_AT_SEED_0[dim, j]
+    assert cfg.epochs == 3
+
+
 def test_hyperconfig_override_pins_only_that_field():
-    base = sample_hyperconfig(9, 0, {"epochs": 5}, dim=32)
-    pinned = sample_hyperconfig(9, 0, {"epochs": 5, "lr": 1e-3}, dim=32)
+    base = sample_hyperconfig(9, 0, dim=32, epochs=5)
+    pinned = dataclasses.replace(base, lr=1e-3)
     assert pinned.lr == 1e-3
     assert pinned.red == base.red
     assert pinned.weight_decay == base.weight_decay
     assert pinned.aug_strength == base.aug_strength
     assert pinned.seed == base.seed
+    assert pinned.epochs == base.epochs
 
 
 def test_hyperconfig_requires_epochs_and_known_keys():
-    with pytest.raises(ValueError, match="epochs"):
+    with pytest.raises(TypeError, match="epochs"):
         sample_hyperconfig(0, 0, dim=32)
-    with pytest.raises(ValueError, match="unknown"):
-        sample_hyperconfig(0, 0, {"epochs": 5, "momentum": 0.9}, dim=32)
+    with pytest.raises(TypeError, match="momentum"):
+        dataclasses.replace(sample_hyperconfig(0, 0, dim=32, epochs=5),
+                            momentum=0.9)
+
+
+@pytest.mark.parametrize("field,value", [("red", 0), ("red", -2),
+                                         ("batch_size", 0),
+                                         ("batch_size", -5)])
+def test_hyperconfig_refuses_red_or_batch_size_below_one(field, value):
+    cfg = HyperConfig(red=4, lr=1e-3, weight_decay=1e-3, aug_strength=0.5,
+                      seed=3, epochs=2)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(cfg, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        HyperConfig(**{**dataclasses.asdict(cfg), field: value})
 
 
 # ---------------------------------------------------------------------- init
@@ -546,7 +585,7 @@ def test_trained_component_beats_prototype_baseline_at_full_ratio():
     sel = sample_few_shot(train, range(train.n), 16, seed=5)
     clean = train.unit_features(0)
     head = build_prototypes([clean[sel.indices[c]] for c in range(10)])
-    cfg = sample_hyperconfig(5, 0, {"epochs": 50}, dim=train.dim)
+    cfg = sample_hyperconfig(5, 0, dim=train.dim, epochs=50)
     params, _ = train_on_prototypes(train, sel, cfg, masked=True)
     sweep = ratio_sweep(params, head, id_test, grid=[1.0])
     assert sweep[1.0] > head_accuracy(head, id_test)

@@ -441,7 +441,7 @@ def test_train_on_the_selected_rows_writes_the_whole_set_bytes(tmp_path,
     head, prompts = heads.selection_prototypes(emb, selection)
     table = heads.leave_one_out_prototypes(prompts)
     for j in range(2):
-        cfg = adapter.sample_hyperconfig(5, j, {"epochs": 2}, dim=emb.dim)
+        cfg = adapter.sample_hyperconfig(5, j, dim=emb.dim, epochs=2)
         params, record = adapter.train_component(emb, selection, head, cfg,
                                                  table)
         assert (tmp_path / f"component_{j}.sada").read_bytes() == \
@@ -502,6 +502,36 @@ def test_train_override_is_recorded(tmp_path, data_dir):
         assert doc["hyper"]["epochs"] == 2
         assert doc["hyper"]["mask_strategy"] == "no-mask"  # 4-shot auto
         assert "wall_time" not in doc["record"]
+
+
+# one valid value per --override key, off every grid the key is drawn from
+PINS = {"red": "11", "lr": "3e-4", "weight_decay": "0.02",
+        "aug_strength": "0.3", "seed": "5", "batch_size": "16",
+        "train_r": "0.5"}
+
+
+def train_hyper(data_dir, out, *extra):
+    """Each component's trailer hyperparameters of a small train run."""
+    assert run("train", "--embeddings", data_dir / "train.sadp",
+               "--shots", "4", "--k", "2", "--epochs", "1", "--seed", "3",
+               "--out", out, *extra) == 0
+    return [load_checkpoint(out / f"component_{j}.sada")[2]["hyper"]
+            for j in range(2)]
+
+
+@pytest.fixture(scope="module")
+def unpinned_hyper(tmp_path_factory, data_dir):
+    return train_hyper(data_dir, tmp_path_factory.mktemp("unpinned") / "o")
+
+
+@pytest.mark.parametrize("key", sorted(cli._OVERRIDE_TYPES))
+def test_train_each_override_pins_only_its_field(tmp_path, data_dir,
+                                                 unpinned_hyper, key):
+    pinned = train_hyper(data_dir, tmp_path / "o",
+                         "--override", f"{key}={PINS[key]}")
+    for base, hyper in zip(unpinned_hyper, pinned):
+        assert hyper[key] == cli._OVERRIDE_TYPES[key](PINS[key]) != base[key]
+        assert {**hyper, key: None} == {**base, key: None}
 
 
 def test_train_bad_override_exits_1(tmp_path, data_dir):

@@ -124,7 +124,7 @@ def test_trained_soup_beats_its_r_zero_point():
     table = leave_one_out_prototypes(prompts)
     comps = []
     for j in range(8):
-        cfg = sample_hyperconfig(1, j, {"epochs": 50}, dim=train.dim)
+        cfg = sample_hyperconfig(1, j, dim=train.dim, epochs=50)
         params, _ = train_component(train, sel, head, cfg, table)
         comps.append(params)
     sweep = ratio_sweep(Soup(comps), head, id_test, grid=DEFAULT_GRID)
