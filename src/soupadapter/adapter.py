@@ -30,7 +30,7 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch, prefixed)
 from .heads import ClassifierHead, check_compatible
-from .numerics import (DEGENERATE_NORM, OptimState, adamw_step,
+from .numerics import (CHUNK_VALUES, DEGENERATE_NORM, OptimState, adamw_step,
                        cross_entropy_label_smoothing_batch, gelu, gelu_grad,
                        normal_cdf, normalize_rows, row_norms)
 from .rng import below, stream, uniform
@@ -290,7 +290,10 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     Each epoch shuffles the rows with the stream (seed, "shuffle",
     epoch). Multi-view sets then pick views from (seed, "aug", epoch);
     single-view sets add Gaussian noise with sigma = 0.02 * aug_strength
-    from that stream and re-normalize, in the noise block's own array.
+    from that stream and re-normalize, in the noise block's own array,
+    gathering the clean rows CHUNK_VALUES values at a time; the previous
+    epoch's array is freed first, so one epoch's features are held at a
+    time.
     """
     check_compatible(head, [("training", emb)])
     started = time.perf_counter()
@@ -300,8 +303,12 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
         raise ShapeMismatch(f"masked table has shape {masked_table.shape}, "
                             f"expected {(n_train, emb.dim)}")
     labels = emb.labels[rows]
-    sel_views = np.stack([emb.unit_features(v, indices=rows)
-                          for v in range(emb.views)], axis=1)
+    if emb.views > 1:
+        sel_views = np.stack([emb.unit_features(v, indices=rows)
+                              for v in range(emb.views)], axis=1)
+    else:  # one view needs no stacked copy
+        sel_views = emb.unit_features(0, indices=rows)[:, np.newaxis]
+    chunk = max(1, CHUNK_VALUES // emb.dim)  # rows of one gather
 
     params = init_adapter(emb.dim, cfg.red, cfg.seed)
     param_dict = params.as_dict()
@@ -321,7 +328,9 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                 x_epoch = aug.normal_array(n_train * emb.dim) \
                     .reshape(n_train, emb.dim)
                 x_epoch *= sigma
-                x_epoch += sel_views[order, 0]
+                for lo in range(0, n_train, chunk):
+                    x_epoch[lo:lo + chunk] += sel_views[order[lo:lo + chunk],
+                                                        0]
                 with prefixed(f"component seed {cfg.seed}: noisy "
                               f"features at epoch {epoch}"):
                     normalize_rows(x_epoch, out=x_epoch)
@@ -342,6 +351,7 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
                 adamw_step(param_dict, grads, state)
                 loss_sum += batch_loss
             trace.append(loss_sum / n_train)
+            del x_epoch  # before the next epoch's noise block is drawn
     for name, arr in param_dict.items():
         if not finite_in_float32(arr):
             raise NumericalError(

@@ -330,16 +330,17 @@ def cmd_soup(args) -> int:
     if len(set(scales)) > 1:
         print(f"warning: components carry different logit scales {scales}; "
               f"using {scales[0]}", file=sys.stderr)
-    merged = soup_mod.reparameterize(ensemble)
     meta = {"kind": "merged", "k": ensemble.k, "source_sha256": checksums}
 
-    # verify the bytes about to be written (the 32-bit round-trip path)
-    blob = adapter_mod.checkpoint_bytes(merged, scales[0], meta)
+    # verify the bytes about to be written (the 32-bit round-trip path);
+    # the float64 merged adapter is freed once they exist
+    blob = adapter_mod.checkpoint_bytes(soup_mod.reparameterize(ensemble),
+                                        scales[0], meta)
     reloaded, _, _ = adapter_mod.parse_checkpoint(blob)
     worst = soup_mod.verify_equivalence(ensemble, args.trials,
                                         args.tolerance, merged=reloaded)
     dataio.atomic_write(args.out, (blob,), "checkpoint")
-    print(f"wrote {args.out} (K={ensemble.k}, H={merged.hidden}, "
+    print(f"wrote {args.out} (K={ensemble.k}, H={reloaded.hidden}, "
           f"worst deviation {worst:.3e} over {args.trials} probes)")
     return 0
 
@@ -359,11 +360,7 @@ def cmd_eval(args) -> int:
                                  f"split; rows could not tell them apart")
             ood_sets[stem], _ = files.enter_context(_open_with_manifest(path))
 
-        adapter = (adapter_mod.load_checkpoint(args.adapter)[0]
-                   if args.adapter else None)
-        components = (soup_mod.load_soup(component_paths)[0].components
-                      if component_paths else [])
-        if adapter is None and not components:
+        if not args.adapter and not component_paths:
             raise UsageError("need --adapter and/or --components to evaluate")
         knn = None
         if args.knn_bank:
@@ -373,8 +370,14 @@ def cmd_eval(args) -> int:
                                          temperature=args.knn_t))
 
         try:
-            report = evalkit.robustness_report(adapter, components, head,
-                                               id_set, ood_sets, grid, knn)
+            # passed in, not kept: robustness_report frees the float64
+            # adapter and components once they are folded
+            report = evalkit.robustness_report(
+                adapter_mod.load_checkpoint(args.adapter)[0]
+                if args.adapter else None,
+                soup_mod.load_soup(component_paths)[0].components
+                if component_paths else [],
+                head, id_set, ood_sets, grid, knn)
         except SoupMismatch as exc:
             exc.args = (f"{args.adapter} is not the soup of --components: "
                         f"{exc}",)

@@ -12,14 +12,18 @@ into the adapter's output layer once (W W2 and W b2) gives
 Q = exp(s) (gelu(X W1^T + b1) (W W2)^T + W b2), so A is never formed. A
 merged W1 stacks the components' rows, so one hidden layer serves the soup
 (every column) and component j (its slice). Each set is scored in one pass
-over blocks of dataio.BLOCK_ROWS rows: every block computes X, P and the
-hidden layer once, then counts each model's hits at every r in turn. A set
+over blocks of dataio.BLOCK_ROWS rows: every block computes X and P once,
+then runs over its numerics.row_spans, each span computing the hidden
+layer once and then counting each model's hits at every r in turn. A set
 is an EmbeddingSet or an open dataio.ContainerReader, whose blocks are
-read from the file (and norm-checked) as they are scored, so memory is
-bounded by the block, not by the set; the r = 0 row is the bare-head count
-itself and so reproduces its decisions exactly. KNN votes are counted per
-set after the model sweeps, with the folded layers gone; that pass reads
-the bank and then each set's blocks again.
+read from the file (and norm-checked) as they are scored. So memory is
+bounded by one block of X and P plus about numerics.PRODUCT_VALUES values
+of hidden layer and residual logits, whatever the set's size or the
+merged width; the r = 0 row is the bare-head count itself and so
+reproduces its decisions exactly. The float64 adapter and components are
+read only to fold them, and the folded layers only by the sweeps: KNN
+votes are counted per set after the sweeps, with both gone, and that pass
+reads the bank and then each set's blocks again.
 
 CSV layout: header "model,split,r,accuracy", one row per cell, '.' decimal
 separator, '\n' line endings. JSON mirrors the report fields and includes
@@ -42,7 +46,7 @@ from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
 from .errors import CorruptLength, IoFailure, ShapeMismatch, SoupMismatch
 from .heads import (ClassifierHead, KnnConfig, check_compatible, head_logits,
                     knn_logits_batch)
-from .numerics import normalize_rows
+from .numerics import normalize_rows, row_spans, span_buffer
 from .soup import Soup, reparameterize
 
 DEFAULT_GRID = tuple(round(0.1 * i, 12) for i in range(11))
@@ -104,25 +108,35 @@ def _sweep_set(layer, models, head: ClassifierHead, emb,
                grid) -> tuple[int, int, np.ndarray]:
     """Row count, bare-head hits and, per model (one folded output of
     _fold), its hits at each r of the grid on one set; ``layer`` is the
-    (W1, b1) whose hidden layer every model reads its columns from. Every
-    block builds its hidden layer in one buffer, so a set allocates it
-    once, not once a block."""
+    (W1, b1) whose hidden layer every model reads its columns from. Each
+    block's bare-head logits are one product; its hidden layer and
+    residual logits run over the block's numerics.row_spans, so they hold
+    about numerics.PRODUCT_VALUES values whatever the merged width. Every
+    span builds its hidden layer in one buffer, so a set allocates it
+    once, not once a span."""
     n = bare = 0
     hits = np.zeros((len(models), len(grid)), dtype=np.int64)
-    buf = np.empty((dataio.BLOCK_ROWS, layer[0].shape[0])) if models \
-        else None
+    zero = [r == 0.0 for r in grid]
+    if models:
+        width = max(layer[0].shape[0], head.n_classes)
+        buf = span_buffer(min(emb.n, dataio.BLOCK_ROWS), width)
     for _, feats, labels in _blocks(emb):
         n += labels.size
         p = head_logits(head, feats)
         bare_block = int(np.count_nonzero(np.argmax(p, axis=1) == labels))
         bare += bare_block
-        if models:
-            hidden = hidden_layer(*layer, feats, out=buf[:len(feats)])
-        for m, output in enumerate(models):
-            q = _residual_logits(output, hidden, head.scale)
-            for i, r in enumerate(grid):
-                hits[m, i] += bare_block if r == 0.0 else np.count_nonzero(
-                    np.argmax(p + r * q, axis=1) == labels)
+        hits[:, zero] += bare_block  # the r = 0 cells are the bare head's
+        if not models:
+            continue
+        for lo, hi in row_spans(len(feats), width):
+            hidden = hidden_layer(*layer, feats[lo:hi], out=buf[
+                :(hi - lo) * layer[0].shape[0]].reshape(hi - lo, -1))
+            for m, output in enumerate(models):
+                q = _residual_logits(output, hidden, head.scale)
+                for i, r in enumerate(grid):
+                    if not zero[i]:
+                        hits[m, i] += np.count_nonzero(np.argmax(
+                            p[lo:hi] + r * q, axis=1) == labels[lo:hi])
     return n, bare, hits
 
 
@@ -131,11 +145,11 @@ def _cells(grid, hits, n: int) -> dict[float, float]:
     return {float(r): int(h) / n for r, h in zip(grid, hits)}
 
 
-def _score_models(adapter, components, head: ClassifierHead, sets, grid):
-    """Model names and, per set, _sweep_set's counts. The first layer is
-    the adapter's own (W1, b1) where there is an adapter, else the
-    components' row-stack. The folded outputs live only here, so they are
-    released before any KNN pass."""
+def _fold_models(adapter, components, head: ClassifierHead):
+    """Model names, the first layer (W1, b1) and, per model, its folded
+    output of _fold. The first layer is the adapter's own where there is
+    an adapter, else the components' row-stack; nothing else of the
+    float64 adapter or components is kept."""
     names, models, layer = [], [], None
     if adapter is not None:
         names, models = ["soup"], _fold([adapter], head)
@@ -152,8 +166,7 @@ def _score_models(adapter, components, head: ClassifierHead, sets, grid):
             raise SoupMismatch("W1/b1 are not the components' row-stack")
         names += [f"component_{j}" for j in range(len(components))]
         models += outputs
-    return names, {split: _sweep_set(layer, models, head, emb, grid)
-                   for split, emb in sets.items()}
+    return names, layer, models
 
 
 def ratio_sweep(model, head: ClassifierHead, emb: EmbeddingSet,
@@ -203,7 +216,11 @@ def robustness_report(adapter, components, head: ClassifierHead,
     the bare head's accuracy bit for bit. The "id" and "ood" baselines
     hold the bare head under "head" and, if ``knn`` is a (bank, KnnConfig),
     KNN voting under "knn", scored per set with knn_accuracy after the
-    model sweeps.
+    model sweeps. The adapter and components are read only to fold them
+    and to check the row-stack, so a caller that does not keep them, as
+    eval does not, has their float64 weights freed before any set is
+    scored (from CPython 3.11 on, whose calls move their arguments into
+    the called frame).
     """
     if {"id", "ood"} & set(ood_sets):
         raise ValueError("an OOD set may not be named 'id' or 'ood'")
@@ -211,12 +228,16 @@ def robustness_report(adapter, components, head: ClassifierHead,
     check_compatible(head, [*sets.items(),
                             *([("knn bank", knn[0])] if knn else [])])
     grid = [float(r) for r in grid]
-    names, scored = _score_models(adapter, components, head, sets, grid)
+    names, layer, models = _fold_models(adapter, components, head)
+    k = len(components)
+    del adapter, components  # their folded layers are all the sweeps read
+    scored = {split: _sweep_set(layer, models, head, emb, grid)
+              for split, emb in sets.items()}
+    del layer, models  # before the KNN pass
     table = {name: {split: _cells(grid, hits[m], n)
                     for split, (n, _, hits) in scored.items()}
              for m, name in enumerate(names)}
-    if components:
-        k = len(components)
+    if k:
         table["component_mean"] = {
             split: _cells(grid, hits[-k:].sum(axis=0), k * n)
             for split, (n, _, hits) in scored.items()}
@@ -234,8 +255,8 @@ def robustness_report(adapter, components, head: ClassifierHead,
             per_split["ood"] = {
                 key: float(np.mean([per_split[s][key] for s in ood_sets]))
                 for key in per_split["id"]}
-    if components:
-        per_comp = [table[f"component_{j}"] for j in range(len(components))]
+    if k:
+        per_comp = [table[f"component_{j}"] for j in range(k)]
         for name, reduce in (("min", min), ("max", max)):
             table[f"component_{name}"] = {
                 split: {r: float(reduce([c[split][r] for c in per_comp]))

@@ -26,7 +26,8 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
                      check_unit_norms, read_bytes, unpack_header)
 from .errors import (ClassSetMismatch, CorruptLength, DegenerateVector,
                      EmptyBank, EmptyClass, NumericalError, prefixed)
-from .numerics import CHUNK_VALUES, DEGENERATE_NORM, normalize_rows
+from .numerics import (CHUNK_VALUES, DEGENERATE_NORM, normalize_rows,
+                       row_spans)
 
 HEAD_MAGIC = b"SHED"
 HEAD_VERSION = 1
@@ -123,20 +124,26 @@ def leave_one_out_prototypes(prompts) -> np.ndarray:
     prompts that is selection.flat() order, the masked_table
     adapter.train_component takes. A single-prompt class keeps its
     unmasked row with a warning, since leaving its only prompt out would
-    erase the class entirely. Returns a float64 (total prompts, D) array.
+    erase the class entirely. Returns a float64 (total prompts, D) array,
+    filled row by row.
     """
-    rows = []
+    classes = []
     for c, cls_prompts in enumerate(prompts):
         cls_prompts = np.atleast_2d(np.asarray(cls_prompts, dtype=np.float64))
         if cls_prompts.size == 0:
             raise EmptyClass(f"class {c} has no prompt embeddings")
-        n = cls_prompts.shape[0]
-        if n == 1:
+        if cls_prompts.shape[0] == 1:
             warnings.warn(f"class {c} has a single prompt; keeping it unmasked",
                           RuntimeWarning, stacklevel=2)
-        rows.extend(_prototype_row(cls_prompts, skip=s if n > 1 else -1)
-                    for s in range(n))
-    return np.stack(rows)
+        classes.append(cls_prompts)
+    table = np.empty((sum(map(len, classes)), classes[0].shape[1]))
+    row = 0
+    for cls_prompts in classes:
+        n = cls_prompts.shape[0]
+        for s in range(n):
+            table[row] = _prototype_row(cls_prompts, skip=s if n > 1 else -1)
+            row += 1
+    return table
 
 
 def selection_prototypes(emb: EmbeddingSet, selection: FewShotSelection):
@@ -185,13 +192,16 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
     Neighbors are ranked by cosine similarity (features are unit vectors,
     so the dot product), ties broken toward the lower bank index; each
     neighbor adds exp(similarity / T) to its class logit, in rank order.
-    k is clamped to the bank size. The rows are scored dataio.BLOCK_ROWS
-    at a time, so memory for similarities stays O(BLOCK_ROWS x bank).
+    k is clamped to the bank size. The rows are taken dataio.BLOCK_ROWS
+    at a time, and each block's similarities are one product per
+    numerics.row_spans span, about numerics.PRODUCT_VALUES values, so
+    memory for them stays O(PRODUCT_VALUES) whatever the bank size; a
+    span has one row only where the block has one. Each span's neighbors
+    are selected over row sub-blocks of about CHUNK_VALUES similarities.
     Neighbors come out in the order of a stable per-row argsort, and each
     weight is math.exp of one selected similarity, so the votes equal a
-    row-by-row scan of the same similarities bit for bit. Each block's
-    neighbors are selected over row sub-blocks of about CHUNK_VALUES
-    similarities. A weight that overflows float64 raises NumericalError.
+    row-by-row scan of the same similarities bit for bit. A weight that
+    overflows float64 raises NumericalError.
     """
     bank_features = np.asarray(bank_features, dtype=np.float64)
     bank_labels = np.asarray(bank_labels, dtype=np.int64)
@@ -201,27 +211,30 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
         num_classes = int(bank_labels.max()) + 1
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     k = min(cfg.k, bank_features.shape[0])
-    sub = max(1, CHUNK_VALUES // bank_features.shape[0])
+    bank = bank_features.shape[0]
+    sub = max(1, CHUNK_VALUES // bank)
     out = np.zeros((xs.shape[0], num_classes), dtype=np.float64)
     rows = dataio.BLOCK_ROWS
     for start in range(0, xs.shape[0], rows):
-        sims = xs[start:start + rows] @ bank_features.T
-        top = np.concatenate([_nearest(sims[lo:lo + sub], k)
-                              for lo in range(0, sims.shape[0], sub)])
-        scaled = np.take_along_axis(sims, top, axis=1) / cfg.temperature
-        del sims  # before the next block's product
-        try:
-            weights = np.fromiter(map(math.exp, scaled.ravel().tolist()),
-                                  dtype=np.float64, count=scaled.size)
-        except OverflowError:
-            raise NumericalError(
-                f"KNN weight exp(similarity / T) overflows at temperature "
-                f"{cfg.temperature:g}") from None
-        weights = weights.reshape(scaled.shape)
-        block = out[start:start + rows]
-        at = np.arange(block.shape[0])
-        for rank in range(k):
-            block[at, bank_labels[top[:, rank]]] += weights[:, rank]
+        block = xs[start:start + rows]
+        for lo, hi in row_spans(len(block), bank):
+            sims = block[lo:hi] @ bank_features.T
+            top = np.concatenate([_nearest(sims[a:a + sub], k)
+                                  for a in range(0, hi - lo, sub)])
+            scaled = np.take_along_axis(sims, top, axis=1) / cfg.temperature
+            del sims  # before the votes' Python floats are made
+            try:
+                weights = np.fromiter(map(math.exp, scaled.ravel().tolist()),
+                                      dtype=np.float64, count=scaled.size)
+            except OverflowError:
+                raise NumericalError(
+                    f"KNN weight exp(similarity / T) overflows at "
+                    f"temperature {cfg.temperature:g}") from None
+            weights = weights.reshape(scaled.shape)
+            votes = out[start + lo:start + hi]
+            at = np.arange(hi - lo)
+            for rank in range(k):
+                votes[at, bank_labels[top[:, rank]]] += weights[:, rank]
     return out
 
 

@@ -204,14 +204,16 @@ class Stream:
     def unit_vectors(self, count: int, dim: int) -> np.ndarray:
         """``count`` uniform points on the unit sphere, as rows.
 
-        All rows come from one normal_array draw; a row whose norm is
-        degenerate is redrawn with unit_vector after the block.
+        All rows come from one normal_array draw, divided by their norms
+        in place; a row whose norm is degenerate is redrawn with
+        unit_vector after the block.
         """
         g = self.normal_array(count * dim).reshape(count, dim)
         norms = np.linalg.norm(g, axis=1)
         for i in np.flatnonzero(norms < DEGENERATE_NORM):
             g[i], norms[i] = self.unit_vector(dim), 1.0
-        return g / norms[:, np.newaxis]
+        g /= norms[:, np.newaxis]
+        return g
 
 
 def stream(base_seed: int, tag: str, index: int = 0) -> Stream:

@@ -13,6 +13,7 @@ point accuracy, which verify_equivalence checks on random probes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes
 from .errors import (DimensionMismatch, EquivalenceViolation, ShapeMismatch,
                      prefixed)
+from .numerics import row_spans
 from .rng import stream
 
 
@@ -84,11 +86,15 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
 
     Returns the worst absolute deviation over `trials` random unit inputs;
     raises EquivalenceViolation, with the probe's index among all trials,
-    if it exceeds the tolerance. The probes are drawn and scored
-    dataio.BLOCK_ROWS at a time, one block after another from the same
-    stream, so memory does not grow with `trials`. Passing a pre-built
-    (for example, serialized and reloaded) merged adapter checks that
-    artifact instead of a freshly merged one.
+    if it exceeds the tolerance. The probes are drawn dataio.BLOCK_ROWS at
+    a time, one block after another from the same stream, and each block
+    is scored over its numerics.row_spans for the wider of the merged
+    hidden layer and D. So memory is one block of probes plus about
+    numerics.PRODUCT_VALUES values per forward pass, whatever `trials` or
+    the merged width, and a probe is scored alone only where its block
+    has one row. Passing a pre-built (for example, serialized and
+    reloaded) merged adapter checks that artifact instead of a freshly
+    merged one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -97,17 +103,16 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     if merged.dim != soup.dim:
         raise DimensionMismatch("merged adapter dimension differs from soup")
     rng = stream(seed, "equiv")
-    maxima, where = [], []  # each block's worst deviation and probe
+    worst, worst_idx = -math.inf, 0  # as one argmax over every probe
     rows = dataio.BLOCK_ROWS
     for start in range(0, trials, rows):
         probes = rng.unit_vectors(min(rows, trials - start), soup.dim)
-        deviation = np.abs(adapter_forward(merged, probes)
-                           - soup_forward(soup, probes)).max(axis=1)
-        i = int(np.argmax(deviation))
-        maxima.append(deviation[i])
-        where.append(start + i)
-    block = int(np.argmax(maxima))  # as one argmax over every probe
-    worst, worst_idx = float(maxima[block]), where[block]
+        for lo, hi in row_spans(len(probes), max(merged.hidden, soup.dim)):
+            deviation = np.abs(adapter_forward(merged, probes[lo:hi])
+                               - soup_forward(soup, probes[lo:hi])).max(axis=1)
+            i = int(np.argmax(deviation))
+            if not (math.isnan(worst) or deviation[i] <= worst):
+                worst, worst_idx = float(deviation[i]), start + lo + i
     if not worst <= tolerance:  # a NaN deviation fails too
         raise EquivalenceViolation(worst, worst_idx)
     return worst

@@ -2,15 +2,20 @@
 
 None of these runs in the package: each is either the plain form of
 something the package computes another way (the two-exp cross entropy,
-the per-sample few-shot walk), or a measuring tool of the tests
-(finite differences, softmax, top-1 accuracy of a logit matrix).
+the per-sample few-shot walk, KNN votes and verify's worst deviation with
+one product per row block), or a measuring tool of the tests (finite
+differences, softmax, top-1 accuracy of a logit matrix).
 """
+
+import math
 
 import numpy as np
 
-from soupadapter.dataio import FewShotSelection
+from soupadapter.adapter import adapter_forward
+from soupadapter.dataio import BLOCK_ROWS, FewShotSelection
 from soupadapter.errors import InsufficientShots
 from soupadapter.rng import Stream, derive_seed, stream
+from soupadapter.soup import soup_forward
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -111,3 +116,34 @@ def finite_difference_check(loss_and_grad, params: dict[str, np.ndarray], *,
         an = grads[key].reshape(-1)[i]
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), floor))
     return worst
+
+
+# ----------------------------------------------- one product per row block
+
+def knn_votes_by_block(bank, labels, xs, cfg, num_classes):
+    """KNN votes with each dataio.BLOCK_ROWS block of queries taking its
+    similarities from one matrix product: per row, one stable argsort and
+    one math.exp per neighbor, added in rank order."""
+    k = min(cfg.k, bank.shape[0])
+    out = np.zeros((xs.shape[0], num_classes))
+    for start in range(0, xs.shape[0], BLOCK_ROWS):
+        sims = xs[start:start + BLOCK_ROWS] @ bank.T
+        for b, row in enumerate(sims):
+            for j in np.argsort(-row, kind="stable")[:k]:
+                out[start + b, labels[j]] += math.exp(row[j] / cfg.temperature)
+    return out
+
+
+def worst_deviation_by_block(soup, merged, trials, seed):
+    """verify_equivalence's worst deviation and its probe index, with each
+    dataio.BLOCK_ROWS block of probes, drawn from the same stream, scored
+    by one forward pass of each side."""
+    rng = stream(seed, "equiv")
+    deviation = np.concatenate([
+        np.abs(adapter_forward(merged, probes)
+               - soup_forward(soup, probes)).max(axis=1)
+        for probes in (rng.unit_vectors(min(BLOCK_ROWS, trials - start),
+                                        soup.dim)
+                       for start in range(0, trials, BLOCK_ROWS))])
+    i = int(np.argmax(deviation))
+    return float(deviation[i]), i

@@ -22,6 +22,7 @@ from soupadapter.errors import (BadMagic, ClassSetMismatch, CorruptLength,
 from soupadapter.evalkit import head_accuracy, ratio_sweep
 from soupadapter.heads import (ClassifierHead, build_prototypes,
                                leave_one_out_prototypes, selection_prototypes)
+from soupadapter.numerics import CHUNK_VALUES
 from soupadapter.rng import stream
 
 
@@ -405,6 +406,26 @@ def test_training_is_bit_deterministic():
     for k in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(p1.as_dict()[k], p2.as_dict()[k])
     assert r1.loss_trace == r2.loss_trace
+
+
+def test_train_component_holds_one_epoch_beside_its_clean_rows(
+        working_peak):
+    # beyond its inputs, a single-view set's training holds the float64
+    # clean rows it gathers once, one epoch's noisy features (the previous
+    # epoch's are freed before the next noise block is drawn; the clean
+    # rows are added and the norms squared a chunk at a time) and the
+    # step's small arrays
+    c, d, shots = 16, 128, 128
+    feats = unit_rows(30, c * shots, d)
+    emb = EmbeddingSet(features=feats[:, None, :],
+                       labels=np.arange(c * shots) % c, n_classes=c)
+    sel = sample_few_shot(emb, range(emb.n), shots, seed=30)
+    head = ClassifierHead(weights=unit_rows(31, c, d))
+    cfg = HyperConfig(red=8, lr=1e-3, weight_decay=1e-2, aug_strength=1.0,
+                      seed=32, epochs=3)
+    epoch = c * shots * d * 8
+    extra = working_peak(lambda: train_component(emb, sel, head, cfg))
+    assert extra < 2 * epoch + 4 * 8 * CHUNK_VALUES, (extra, epoch)
 
 
 def checkpoint_digest(params, record, head):

@@ -1,7 +1,11 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
 from oracles import accuracy
+from soupadapter import evalkit, numerics
 from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  sample_hyperconfig, train_component)
 from soupadapter.dataio import (BLOCK_ROWS, EmbeddingSet, generate_synthetic,
@@ -476,3 +480,73 @@ def test_report_memory_does_not_grow_with_the_set(traced_peak):
         peaks.append(traced_peak(lambda: robustness_report(
             adapter, components, head, emb, {}, knn=(bank, KnnConfig()))))
     assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+SPAN = 40  # rows of one span in the test below
+
+
+@pytest.mark.parametrize("rows", [SPAN + 1, 2 * SPAN + 1, BLOCK_ROWS + 1])
+def test_report_spans_keep_the_block_products_decisions(monkeypatch, rows):
+    # each count leaves a lone last row: see
+    # test_heads.py::test_knn_spans_keep_the_block_products_bits
+    d, c = 64, 8
+    components = [random_params(70 + j, d, 32, scale=0.2) for j in range(3)]
+    adapter = reparameterize(Soup(components))
+    head = ClassifierHead(weights=unit_rows(73, c, d))
+    bank = EmbeddingSet(features=unit_rows(74, 96, d)[:, None, :],
+                        labels=np.arange(96) % c, n_classes=c)
+    emb = EmbeddingSet(features=unit_rows(75, rows, d)[:, None, :],
+                       labels=np.arange(rows) % c, n_classes=c)
+
+    def report(span_rows):
+        # the merged hidden layer and the KNN bank are both 96 wide
+        monkeypatch.setattr(numerics, "PRODUCT_VALUES", span_rows * 96)
+        return robustness_report(adapter, components, head, emb,
+                                 {"x": emb}, knn=(bank, KnnConfig()))
+    assert report(SPAN) == report(BLOCK_ROWS)  # one product per block
+
+
+def test_report_memory_does_not_grow_with_the_merged_width(working_peak):
+    d, c, h, n = 256, 10, 128, BLOCK_ROWS + 100
+    head = ClassifierHead(weights=unit_rows(83, c, d))
+    emb = EmbeddingSet(features=unit_rows(84, n, d)[:, None, :],
+                       labels=np.arange(n) % c, n_classes=c)
+    bank = EmbeddingSet(features=unit_rows(85, 160, d)[:, None, :],
+                        labels=np.arange(160) % c, n_classes=c)
+    extra = []
+    for k in (3, 12):
+        components = [random_params(86 + j, d, h, scale=0.2)
+                      for j in range(k)]
+        adapter = reparameterize(Soup(components))
+        extra.append(working_peak(lambda: robustness_report(
+            adapter, components, head, emb, {}, knn=(bank, KnnConfig()))))
+    # of what it holds, only the folded output layers grow with the
+    # width: C x H a component, and C x (the sum of the H) for the soup
+    assert extra[1] <= extra[0] + 2 * 9 * c * h * 8 + 64 * 1024, extra
+    # one block of features and its bare-head logits, a span of hidden
+    # layer and residual logits, and the bank
+    assert max(extra) < 8 * (BLOCK_ROWS * (d + c) + 2 * numerics.PRODUCT_VALUES
+                             + 160 * d + 4 * numerics.CHUNK_VALUES), extra
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="older interpreters "
+                    "keep call arguments on the caller's stack")
+def test_report_frees_the_models_it_is_handed_before_scoring(
+        monkeypatch, block_bench):
+    id_test, head, _ = block_bench
+    soup = Soup([random_params(100 + j, 32, 4) for j in range(3)])
+    handed = {"adapter": reparameterize(soup), "components": soup.components}
+    refs = [weakref.ref(p) for p in (handed["adapter"], *soup.components)]
+    del soup
+    alive = []
+    sweep = evalkit._sweep_set
+
+    def counting_sweep(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return sweep(*args)
+    monkeypatch.setattr(evalkit, "_sweep_set", counting_sweep)
+    # handed over as eval hands them over: as call arguments it keeps no
+    # name for
+    robustness_report(handed.pop("adapter"), handed.pop("components"), head,
+                      id_test, {})
+    assert alive == [0]

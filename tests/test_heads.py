@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from soupadapter import heads
+from oracles import knn_votes_by_block
+from soupadapter import heads, numerics
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
                                 EmptyClass, NormViolation, NumericalError)
 from soupadapter.dataio import BLOCK_ROWS, generate_synthetic, sample_few_shot
@@ -306,6 +307,39 @@ def test_knn_batch_across_a_block_boundary():
     # dot products can round one ulp apart from the matrix product's
     assert np.allclose(got, want, rtol=1e-12, atol=0)
     assert np.array_equal(got[:BLOCK_ROWS], want[:BLOCK_ROWS])
+
+
+SPAN = 40  # query rows of one span in the tests below
+
+
+@pytest.mark.parametrize("rows", [SPAN + 1, 2 * SPAN + 1, BLOCK_ROWS + 1])
+def test_knn_spans_keep_the_block_products_bits(monkeypatch, rows):
+    # each count leaves a lone last row, in the block's last span or, at
+    # BLOCK_ROWS + 1, as a block of its own: a one-row product takes
+    # BLAS's matrix-vector kernel, whose dot products can round apart from
+    # a matrix product's, so only the one-row block may score a row alone
+    bank = unit_rows(47, 96, 64)
+    labels = np.arange(96) % 8
+    xs = unit_rows(48, rows, 64)
+    cfg = KnnConfig(k=10, temperature=0.1)
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", SPAN * bank.shape[0])
+    assert np.array_equal(knn_logits_batch(bank, labels, xs, cfg, 8),
+                          knn_votes_by_block(bank, labels, xs, cfg, 8))
+
+
+def test_knn_memory_does_not_grow_with_the_bank(working_peak):
+    xs = unit_rows(49, 256, 16)
+    cfg = KnnConfig(k=10)
+    extra = []  # beyond the bank and the returned logits
+    for n in (2000, 16000):
+        bank = unit_rows(50, n, 16)
+        labels = np.arange(n) % 5
+        extra.append(working_peak(lambda: knn_logits_batch(
+            bank, labels, xs, cfg, 5)))
+    assert extra[1] <= extra[0] + 64 * 1024, extra
+    # one span of similarities and one selection chunk, with room to spare
+    assert max(extra) < 8 * (numerics.PRODUCT_VALUES
+                             + 4 * numerics.CHUNK_VALUES), extra
 
 
 def test_knn_weight_overflow_is_a_numerical_error():

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import (cross_entropy_two_exp, finite_difference_check,
                      softmax)
 from soupadapter import numerics
+from soupadapter.dataio import BLOCK_ROWS
 from soupadapter.errors import DegenerateVector, ShapeMismatch
 from soupadapter.numerics import (OptimState, adamw_step,
                                   cross_entropy_label_smoothing_batch, erf,
                                   gelu, gelu_grad, normal_cdf, normalize_rows,
-                                  single_blas_thread)
+                                  row_spans, single_blas_thread)
 from soupadapter.rng import stream
 
 
@@ -154,6 +155,26 @@ def test_gelu_grad_matches_finite_differences():
     assert np.allclose(gelu_grad(xs), fd, atol=1e-8)
 
 
+# -------------------------------------------------------------- row spans
+
+@pytest.mark.parametrize("width", [1, 100, 2000, numerics.PRODUCT_VALUES,
+                                   3 * numerics.PRODUCT_VALUES])
+def test_row_spans_cover_the_rows_and_add_no_one_row_span(width):
+    step = max(2, numerics.PRODUCT_VALUES // width)
+    for rows in {*range(0, 12), step - 1, step, step + 1, 2 * step + 1,
+                 BLOCK_ROWS, BLOCK_ROWS + 1}:
+        spans = row_spans(rows, width)
+        assert [lo for lo, _ in spans] == list(range(0, rows, step))[
+            :len(spans)]
+        assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        assert spans[-1][1] == rows if rows else spans == []
+        sizes = [hi - lo for lo, hi in spans]
+        assert all(size == step for size in sizes[:-1])
+        # the last span is the rest, with a lone last row folded in
+        assert sizes[-1:] in ([], [1]) if rows <= 1 \
+            else 2 <= sizes[-1] <= step + 1
+
+
 # --------------------------------------------------------------- normalize
 
 def test_normalize_rows_345():
@@ -179,6 +200,18 @@ def test_normalize_rows_in_place_keeps_the_bits_and_the_check():
     m[4] = 0.0
     with pytest.raises(DegenerateVector, match="row 4 has norm below 1e-12"):
         normalize_rows(m, out=m)
+
+
+def test_normalize_rows_squares_one_chunk_of_rows_at_a_time(working_peak):
+    d = 64
+    rows = 8 * numerics.CHUNK_VALUES // d + 3  # eight chunks and a tail
+    m = stream(4, "norm").normal_array(rows * d).reshape(rows, d)
+    want = m / np.sqrt(np.sum(m ** 2, axis=-1))[:, np.newaxis]
+    assert np.array_equal(normalize_rows(m).view(np.uint64),
+                          want.view(np.uint64))
+    # in place it holds the norms and one chunk of squares, not m ** 2
+    assert working_peak(lambda: normalize_rows(m, out=m)) \
+        < 2 * 8 * numerics.CHUNK_VALUES
 
 
 @pytest.mark.parametrize("big", [1.4e154, 1e308, math.inf, math.nan])

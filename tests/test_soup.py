@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import worst_deviation_by_block
+from soupadapter import numerics
 from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  init_adapter, save_checkpoint)
+from soupadapter.dataio import BLOCK_ROWS
 from soupadapter.errors import DimensionMismatch, EquivalenceViolation
 from soupadapter.rng import Stream, stream
 from soupadapter.soup import (Soup, load_soup, reparameterize, soup_forward,
@@ -216,6 +219,48 @@ def test_verify_equivalence_memory_does_not_grow_with_the_trials(
         peaks.append(traced_peak(lambda: verify_equivalence(
             s, blocks * 1024, 1e-4, merged=merged)))
     assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+SPAN = 40  # probes of one span in the test below
+
+
+# each seed puts the worst probe on the lone last row that its trial count
+# leaves in the block's last span; see
+# test_heads.py::test_knn_spans_keep_the_block_products_bits
+@pytest.mark.parametrize("trials, seed", [(SPAN + 1, 27), (2 * SPAN + 1, 5),
+                                          (BLOCK_ROWS + 1, 0)])
+def test_verify_spans_keep_the_block_products_bits(monkeypatch, trials,
+                                                   seed):
+    s = Soup([random_params(60 + j, 64, 32) for j in range(3)])
+    exact = reparameterize(s)
+    # rounded to float32, as soup verifies it, so the deviations are well
+    # above the products' own rounding
+    merged = AdapterParams(*(a.astype(np.float32) for a in (
+        exact.W1, exact.b1, exact.W2, exact.b2)))
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", SPAN * 96)  # 3 x 32
+    worst, where = worst_deviation_by_block(s, merged, trials, seed)
+    if trials < BLOCK_ROWS:
+        assert where == trials - 1
+    assert verify_equivalence(s, trials, 1.0, merged=merged,
+                              seed=seed) == worst
+    with pytest.raises(EquivalenceViolation) as info:
+        verify_equivalence(s, trials, 0.0, merged=merged, seed=seed)
+    assert (info.value.worst, info.value.input_index) == (worst, where)
+
+
+def test_verify_equivalence_memory_does_not_grow_with_the_merged_width(
+        working_peak):
+    d = 256
+    extra = []
+    for k in (3, 12):
+        s = Soup([random_params(90 + j, d, 128) for j in range(k)])
+        merged = reparameterize(s)
+        extra.append(working_peak(lambda: verify_equivalence(
+            s, BLOCK_ROWS, 1e-4, merged=merged)))
+    assert extra[1] <= extra[0] + 64 * 1024, extra
+    # one block of probes and a few spans of forward passes
+    assert max(extra) < 8 * (BLOCK_ROWS * d + 4 * numerics.PRODUCT_VALUES), \
+        extra
 
 
 def test_verify_equivalence_validates_trials():
