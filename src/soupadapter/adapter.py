@@ -166,7 +166,7 @@ def blend(x: np.ndarray, a: np.ndarray, r: float) -> np.ndarray:
 
 def adapter_backward(params: AdapterParams, x: np.ndarray,
                      head: ClassifierHead, target, eps: float, r: float,
-                     masked_rows: np.ndarray | None = None):
+                     masked_rows: np.ndarray | None = None, out=None):
     """Label-smoothed CE of the blended head logits and its exact gradients.
 
     x is one unit vector or rows of them, target an int or one class per
@@ -175,6 +175,9 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
     through the head logits, the normalization f = u / |u| (Jacobian
     (I - f f^T) / |u|) and the two-layer MLP; the head itself is frozen.
     Returns (sum of per-sample losses, gradients of the batch-mean loss).
+    The gradients are written into ``out``, if given: a dict of
+    C-contiguous float64 arrays shaped like params.as_dict(), which is
+    then returned, so a training loop can reuse one set for every step.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != params.dim:
@@ -201,9 +204,12 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
         masked_rows = np.atleast_2d(masked_rows)
         logits[b, targets] = escale * np.einsum("bd,bd->b", f, masked_rows)
     losses, dlogits = cross_entropy_label_smoothing_batch(logits, targets, eps)
+    if out is None:
+        out = {k: np.empty_like(v) for k, v in params.as_dict().items()}
     if r == 0.0:
-        return float(losses.sum()), {k: np.zeros_like(v)
-                                     for k, v in params.as_dict().items()}
+        for grad in out.values():
+            grad.fill(0.0)
+        return float(losses.sum()), out
     g = dlogits / n_batch  # gradient of the batch-mean loss
     df = escale * (g @ head_w)
     if masked_rows is not None:
@@ -212,9 +218,11 @@ def adapter_backward(params: AdapterParams, x: np.ndarray,
     du = (df - f * np.sum(f * df, axis=1, keepdims=True)) / norms[:, np.newaxis]
     da = r * du
     dz = gelu_grad(z, cdf) * (da @ params.W2)
-    grads = {"W1": dz.T @ xs, "b1": dz.sum(axis=0),
-             "W2": da.T @ hidden, "b2": da.sum(axis=0)}
-    return float(losses.sum()), grads
+    np.matmul(dz.T, xs, out=out["W1"])
+    dz.sum(axis=0, out=out["b1"])
+    np.matmul(da.T, hidden, out=out["W2"])
+    da.sum(axis=0, out=out["b2"])
+    return float(losses.sum()), out
 
 
 # ------------------------------------------------------------ configuration
@@ -255,20 +263,19 @@ def init_adapter(dim: int, red: int, seed: int) -> AdapterParams:
 
 # ------------------------------------------------------------------ training
 
-def _view_epoch(sel_views: np.ndarray, order: np.ndarray,
-                aug_strength: float, rng) -> np.ndarray:
-    """Multi-view training features for one epoch, in shuffled order.
+def _view_picks(n: int, views: int, aug_strength: float, rng) -> np.ndarray:
+    """The view each of an epoch's n shuffled samples trains on.
 
     Each sample takes a random non-canonical view with probability
     0.5 * aug_strength and the clean view 0 otherwise: per sample, one
-    uniform double and, if it picks, 1 + a draw below v - 1, walked in bulk.
+    uniform double and, if it picks, 1 + a draw below views - 1, walked in
+    bulk.
     """
-    v = sel_views.shape[1]
-    draw = rng.walk(2 * order.size).__next__  # under 2 per sample
+    draw = rng.walk(2 * n).__next__  # under 2 per sample
     threshold = 0.5 * aug_strength
-    picks = [1 + below(draw, v - 1) if uniform(draw()) < threshold else 0
-             for _ in range(order.size)]
-    return sel_views[order, picks]
+    return np.array([1 + below(draw, views - 1)
+                     if uniform(draw()) < threshold else 0
+                     for _ in range(n)], dtype=np.int64)
 
 
 def train_component(emb: EmbeddingSet, selection: FewShotSelection,
@@ -290,68 +297,73 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     Each epoch shuffles the rows with the stream (seed, "shuffle",
     epoch). Multi-view sets then pick views from (seed, "aug", epoch);
     single-view sets add Gaussian noise with sigma = 0.02 * aug_strength
-    from that stream and re-normalize, in the noise block's own array,
-    gathering the clean rows CHUNK_VALUES values at a time; the previous
-    epoch's array is freed first, so one epoch's features are held at a
-    time.
+    from that stream, values i D .. (i + 1) D - 1 of its normal_array
+    (n_train D) for the epoch's row i, and re-normalize.
+
+    Beside its inputs, a component holds the selected rows' float64 unit
+    features (n_train x views x D, filled view by view), each parameter
+    four times (itself, its gradient and its two AdamW moments, all
+    allocated once, with AdamW's two work arrays of CHUNK_VALUES values),
+    and one span of the epoch's features: whole batches, about
+    CHUNK_VALUES values, which are gathered, noised and normalized just
+    before their steps.
     """
     check_compatible(head, [("training", emb)])
     started = time.perf_counter()
     rows = np.asarray(selection.flat(), dtype=np.int64)
-    n_train = rows.size
-    if masked_table is not None and masked_table.shape != (n_train, emb.dim):
+    n_train, dim = rows.size, emb.dim
+    if masked_table is not None and masked_table.shape != (n_train, dim):
         raise ShapeMismatch(f"masked table has shape {masked_table.shape}, "
-                            f"expected {(n_train, emb.dim)}")
+                            f"expected {(n_train, dim)}")
     labels = emb.labels[rows]
-    if emb.views > 1:
-        sel_views = np.stack([emb.unit_features(v, indices=rows)
-                              for v in range(emb.views)], axis=1)
-    else:  # one view needs no stacked copy
-        sel_views = emb.unit_features(0, indices=rows)[:, np.newaxis]
-    chunk = max(1, CHUNK_VALUES // emb.dim)  # rows of one gather
+    sel_rows = np.empty((n_train, emb.views, dim))
+    for v in range(emb.views):
+        emb.unit_features(v, indices=rows, out=sel_rows[:, v])
+    span = cfg.batch_size * max(1, CHUNK_VALUES // (cfg.batch_size * dim))
 
-    params = init_adapter(emb.dim, cfg.red, cfg.seed)
+    params = init_adapter(dim, cfg.red, cfg.seed)
     param_dict = params.as_dict()
+    grads = {k: np.empty_like(p) for k, p in param_dict.items()}
     state = OptimState.init(param_dict, lr=cfg.lr,
                             weight_decay=cfg.weight_decay)
     trace: list[float] = []
     sigma = FEATURE_NOISE_SCALE * cfg.aug_strength
+    noisy = emb.views == 1 and sigma != 0.0
     # diverging steps overflow on the way; the finiteness checks below,
     # not numpy warnings, report it
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             order = stream(cfg.seed, "shuffle", epoch).permutation(n_train)
             aug = stream(cfg.seed, "aug", epoch)
-            if emb.views > 1:
-                x_epoch = _view_epoch(sel_views, order, cfg.aug_strength, aug)
-            elif sigma:  # the fresh noise block becomes the epoch
-                x_epoch = aug.normal_array(n_train * emb.dim) \
-                    .reshape(n_train, emb.dim)
-                x_epoch *= sigma
-                for lo in range(0, n_train, chunk):
-                    x_epoch[lo:lo + chunk] += sel_views[order[lo:lo + chunk],
-                                                        0]
-                with prefixed(f"component seed {cfg.seed}: noisy "
-                              f"features at epoch {epoch}"):
-                    normalize_rows(x_epoch, out=x_epoch)
-            else:
-                x_epoch = sel_views[order, 0]
+            picks = _view_picks(n_train, emb.views, cfg.aug_strength, aug) \
+                if emb.views > 1 else np.zeros(n_train, dtype=np.int64)
             loss_sum = 0.0
-            for step, start in enumerate(range(0, n_train, cfg.batch_size)):
-                stop = min(start + cfg.batch_size, n_train)
-                batch = order[start:stop]
-                batch_loss, grads = adapter_backward(
-                    params, x_epoch[start:stop], head, labels[batch],
-                    LABEL_SMOOTHING, cfg.train_r,
-                    None if masked_table is None else masked_table[batch])
-                if not math.isfinite(batch_loss):
-                    raise NumericalError(
-                        f"component seed {cfg.seed}: loss is {batch_loss} "
-                        f"at epoch {epoch} step {step}")
-                adamw_step(param_dict, grads, state)
-                loss_sum += batch_loss
+            for lo in range(0, n_train, span):
+                hi = min(lo + span, n_train)
+                x_span = sel_rows[order[lo:hi], picks[lo:hi]]
+                if noisy:
+                    noise = aug.normal_span(n_train * dim, lo * dim, hi * dim)
+                    noise *= sigma
+                    x_span += noise.reshape(x_span.shape)
+                    with prefixed(f"component seed {cfg.seed}: noisy "
+                                  f"features at epoch {epoch}"):
+                        normalize_rows(x_span, out=x_span, first_row=lo)
+                for start in range(lo, hi, cfg.batch_size):
+                    stop = min(start + cfg.batch_size, hi)
+                    step = start // cfg.batch_size
+                    batch = order[start:stop]
+                    batch_loss, _ = adapter_backward(
+                        params, x_span[start - lo:stop - lo], head,
+                        labels[batch], LABEL_SMOOTHING, cfg.train_r,
+                        None if masked_table is None else masked_table[batch],
+                        out=grads)
+                    if not math.isfinite(batch_loss):
+                        raise NumericalError(
+                            f"component seed {cfg.seed}: loss is "
+                            f"{batch_loss} at epoch {epoch} step {step}")
+                    adamw_step(param_dict, grads, state)
+                    loss_sum += batch_loss
             trace.append(loss_sum / n_train)
-            del x_epoch  # before the next epoch's noise block is drawn
     for name, arr in param_dict.items():
         if not finite_in_float32(arr):
             raise NumericalError(

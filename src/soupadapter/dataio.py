@@ -105,12 +105,23 @@ class EmbeddingSet:
         for start in range(0, self.n, rows):
             yield start, self.features[start:start + rows]
 
-    def unit_features(self, view: int = 0, indices=None) -> np.ndarray:
-        """Float64 features of one view, re-normalized to exact unit norm."""
-        feats = self.features[:, view, :] if indices is None \
-            else self.features[np.asarray(indices, dtype=np.int64), view, :]
-        feats = feats.astype(np.float64)
-        return normalize_rows(feats, out=feats)
+    def unit_features(self, view: int = 0, indices=None,
+                      out=None) -> np.ndarray:
+        """Float64 features of one view, of the samples at ``indices`` or
+        of all, re-normalized to exact unit norm. ``out``, if given,
+        receives them: a float64 array of the result's shape, which may
+        be a strided view such as one view's rows of a larger array. The
+        rows are gathered CHUNK_VALUES values at a time, so nothing of the
+        result's size is allocated beside it."""
+        feats = self.features[:, view, :]
+        idx = np.arange(self.n) if indices is None \
+            else np.asarray(indices, dtype=np.int64)
+        if out is None:
+            out = np.empty((idx.size, self.dim))
+        step = max(1, CHUNK_VALUES // self.dim)
+        for lo in range(0, idx.size, step):
+            out[lo:lo + step] = feats[idx[lo:lo + step]]
+        return normalize_rows(out, out=out)
 
 
 @dataclass

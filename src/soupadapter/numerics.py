@@ -231,14 +231,15 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(m, dtype=np.float64) ** 2, axis=-1))
 
 
-def normalize_rows(m: np.ndarray, out=None) -> np.ndarray:
+def normalize_rows(m: np.ndarray, out=None, first_row: int = 0) -> np.ndarray:
     """Scale each row to unit Euclidean norm; ``out``, if given, receives
     the rows and may be m itself.
 
     Raises DegenerateVector if any row norm falls below DEGENERATE_NORM,
     or is not finite: a NaN, or a squared sum that overflows float64 (an
     entry from about 1.3e154 on), which would otherwise give a zero or
-    NaN row.
+    NaN row. The message numbers m's rows from ``first_row``, so rows
+    taken from a larger block can be named by their place in it.
     """
     m = np.asarray(m, dtype=np.float64)
     rows = m.reshape(-1, m.shape[-1])
@@ -249,12 +250,12 @@ def normalize_rows(m: np.ndarray, out=None) -> np.ndarray:
             flat[lo:lo + step] = row_norms(rows[lo:lo + step])
     norms = flat.reshape(m.shape[:-1])
     if np.any(flat < DEGENERATE_NORM):
-        raise DegenerateVector(f"row {int(np.argmin(flat))} has norm below "
-                               f"{DEGENERATE_NORM:g}")
+        raise DegenerateVector(f"row {first_row + int(np.argmin(flat))} "
+                               f"has norm below {DEGENERATE_NORM:g}")
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
-        raise DegenerateVector(f"row {bad[0]} has norm {flat[bad[0]]}, "
-                               f"not finite in float64")
+        raise DegenerateVector(f"row {first_row + int(bad[0])} has norm "
+                               f"{flat[bad[0]]}, not finite in float64")
     return np.divide(m, norms[..., np.newaxis], out=out)
 
 
@@ -290,7 +291,8 @@ def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,
 
 @dataclass
 class OptimState:
-    """AdamW accumulators for a dict of named parameter arrays.
+    """AdamW accumulators for a dict of named parameter arrays, and the two
+    work arrays of CHUNK_VALUES values at most that adamw_step computes in.
 
     The state is owned by exactly one training run; adamw_step mutates the
     parameter arrays and the accumulators in place.
@@ -300,6 +302,7 @@ class OptimState:
     v: dict[str, np.ndarray]
     lr: float
     weight_decay: float
+    work: tuple[np.ndarray, np.ndarray]
     step: int = 0
 
     @classmethod
@@ -307,7 +310,10 @@ class OptimState:
              weight_decay: float) -> "OptimState":
         m = {k: np.zeros_like(p, dtype=np.float64) for k, p in params.items()}
         v = {k: np.zeros_like(p, dtype=np.float64) for k, p in params.items()}
-        return cls(m=m, v=v, lr=lr, weight_decay=weight_decay)
+        size = min(CHUNK_VALUES, max((p.size for p in params.values()),
+                                     default=0))
+        return cls(m=m, v=v, lr=lr, weight_decay=weight_decay,
+                   work=(np.empty(size), np.empty(size)))
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -315,8 +321,12 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One AdamW update with decoupled weight decay and bias correction.
 
     Parameters are first scaled by (1 - lr * weight_decay), then moved by
-    the bias-corrected Adam step with the fixed ADAM_BETA1, ADAM_BETA2 and
-    ADAM_EPSILON. Arrays are updated in place.
+    the bias-corrected Adam step lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON. Parameters and
+    accumulators are updated in place, CHUNK_VALUES values at a time in
+    the state's work arrays, so a step allocates nothing of their size;
+    every value takes the operations of the whole-array expression, in
+    its order.
     """
     if set(params) != set(grads):
         raise ShapeMismatch(f"parameter/gradient keys differ: "
@@ -324,20 +334,36 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     for k, p in params.items():
         if p.shape != grads[k].shape or p.shape != state.m[k].shape:
             raise ShapeMismatch(f"shape mismatch for '{k}'")
+        if not p.flags.c_contiguous:
+            raise ShapeMismatch(f"'{k}' is not C-contiguous, so it cannot "
+                                f"be updated in place chunk by chunk")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    decay = 1.0 - state.lr * state.weight_decay
+    work1, work2 = state.work
     for k, p in params.items():
-        g = grads[k]
-        if state.weight_decay != 0.0:
-            p *= 1.0 - state.lr * state.weight_decay
-        state.m[k] *= ADAM_BETA1
-        state.m[k] += (1.0 - ADAM_BETA1) * g
-        state.v[k] *= ADAM_BETA2
-        state.v[k] += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (state.m[k] / bc1) / (np.sqrt(state.v[k] / bc2)
-                                              + ADAM_EPSILON)
+        flat_p, flat_g = p.reshape(-1), grads[k].reshape(-1)
+        flat_m, flat_v = state.m[k].reshape(-1), state.v[k].reshape(-1)
+        for lo in range(0, p.size, CHUNK_VALUES):
+            hi = lo + CHUNK_VALUES
+            pc, g = flat_p[lo:hi], flat_g[lo:hi]
+            m, v = flat_m[lo:hi], flat_v[lo:hi]
+            a, b = work1[:pc.size], work2[:pc.size]
+            if state.weight_decay != 0.0:
+                pc *= decay
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= state.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPSILON
+            pc -= np.divide(a, b, out=a)
     return params, state
 
 

@@ -7,7 +7,7 @@ Independent streams are derived from a base seed, a short purpose tag, and
 an integer index via :func:`derive_seed`, so adding a consumer never shifts
 the draws of an existing one. All arithmetic is mod 2**64, so the integer
 outputs are identical on every platform. The float draws built from them
-are not promised to be: ``normal_array`` takes numpy's ``log``, ``cos`` and
+are not promised to be: ``normal_span`` takes numpy's ``log``, ``cos`` and
 ``sin``, whose last bit may depend on the CPU and the numpy build.
 
 Bulk draws compute the outputs they need as one numpy block and walk it as
@@ -36,7 +36,7 @@ _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
 
 _WALK_BLOCK = 1 << 12   # most outputs one Stream.walk refill computes
-_PAIR_BLOCK = 1 << 13   # Box-Muller pairs normal_array makes at a time
+_PAIR_BLOCK = 1 << 13   # Box-Muller pairs normal_span makes at a time
 
 
 def mix64(z: int) -> int:
@@ -163,35 +163,47 @@ class Stream:
     # ------------------------------------------------------------- gaussians
 
     def normal_array(self, n: int) -> np.ndarray:
-        """Standard normals via the trigonometric Box-Muller transform.
+        """n standard normals; normal_span(n, 0, n), and the counter moves
+        past the 2 ceil(n / 2) outputs they take."""
+        out = self.normal_span(n, 0, n)
+        self._count += 2 * ((n + 1) // 2)
+        return out
 
-        Of the 2m = 2 ceil(n / 2) outputs drawn, pair i takes its radius
-        from output i and its angle from output m + i. The pairs are made
-        _PAIR_BLOCK at a time in place, with the same operations as one
-        whole-array pass, so the values do not depend on the blocking.
+    def normal_span(self, n: int, lo: int, hi: int) -> np.ndarray:
+        """Values lo .. hi - 1 of the n standard normals that
+        normal_array(n) would return next; the counter does not move.
+
+        Trigonometric Box-Muller: of the 2m = 2 ceil(n / 2) outputs
+        normal_array(n) takes, pair i takes its radius from output i and
+        its angle from output m + i, and gives values 2i and 2i + 1. The
+        pairs that cover the span are made _PAIR_BLOCK at a time in
+        place, with the same operations as one whole-array pass, so the
+        values depend neither on the blocking nor on the span.
         """
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"span {lo}..{hi} is not within 0..{n}")
         m = (n + 1) // 2
-        start = self._count
-        self._count += 2 * m
-        out = np.empty(2 * m, dtype=np.float64)
-        for lo in range(0, m, _PAIR_BLOCK):
-            hi = min(lo + _PAIR_BLOCK, m)
+        first, last = lo // 2, (hi + 1) // 2
+        out = np.empty(2 * (last - first), dtype=np.float64)
+        for p in range(first, last, _PAIR_BLOCK):
+            q = min(p + _PAIR_BLOCK, last)
             # u1 in (0, 1] so log() is finite; u2 in [0, 1)
-            rad = (self._outputs(start + lo, hi - lo)
+            rad = (self._outputs(self._count + p, q - p)
                    >> np.uint64(11)).astype(np.float64)
             rad += 1.0
             rad *= _INV_2_53
             np.log(rad, out=rad)
             rad *= -2.0
             np.sqrt(rad, out=rad)
-            ang = (self._outputs(start + m + lo, hi - lo)
+            ang = (self._outputs(self._count + m + p, q - p)
                    >> np.uint64(11)).astype(np.float64)
             ang *= _INV_2_53
             ang *= _TWO_PI
-            np.multiply(rad, np.cos(ang), out=out[2 * lo:2 * hi:2])
+            lo_out, hi_out = 2 * (p - first), 2 * (q - first)
+            np.multiply(rad, np.cos(ang), out=out[lo_out:hi_out:2])
             np.multiply(rad, np.sin(ang, out=ang),
-                        out=out[2 * lo + 1:2 * hi:2])
-        return out[:n]
+                        out=out[lo_out + 1:hi_out:2])
+        return out[lo - 2 * first:hi - 2 * first]
 
     def unit_vector(self, dim: int) -> np.ndarray:
         """Uniform point on the unit sphere in R^dim."""

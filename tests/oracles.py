@@ -3,8 +3,9 @@
 None of these runs in the package: each is either the plain form of
 something the package computes another way (the two-exp cross entropy,
 the per-sample few-shot walk, KNN votes and verify's worst deviation with
-one product per row block), or a measuring tool of the tests (finite
-differences, softmax, top-1 accuracy of a logit matrix).
+one product per row block, AdamW as one whole-array expression per
+parameter), or a measuring tool of the tests (finite differences,
+softmax, top-1 accuracy of a logit matrix).
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from soupadapter.adapter import adapter_forward
 from soupadapter.dataio import BLOCK_ROWS, FewShotSelection
 from soupadapter.errors import InsufficientShots
+from soupadapter.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 from soupadapter.rng import Stream, derive_seed, stream
 from soupadapter.soup import soup_forward
 
@@ -147,3 +149,22 @@ def worst_deviation_by_block(soup, merged, trials, seed):
                        for start in range(0, trials, BLOCK_ROWS))])
     i = int(np.argmax(deviation))
     return float(deviation[i]), i
+
+
+# --------------------------------------------------- whole-array AdamW step
+
+def adamw_step_whole(params, grads, m, v, step, lr, weight_decay):
+    """numerics.adamw_step as one whole-array expression per parameter,
+    with its temporaries of the parameter's size; params, m and v are
+    updated in place. step is the step being taken (1 for the first)."""
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    for k, p in params.items():
+        g = grads[k]
+        if weight_decay != 0.0:
+            p *= 1.0 - lr * weight_decay
+        m[k] *= ADAM_BETA1
+        m[k] += (1.0 - ADAM_BETA1) * g
+        v[k] *= ADAM_BETA2
+        v[k] += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPSILON)

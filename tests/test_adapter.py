@@ -428,6 +428,55 @@ def test_train_component_holds_one_epoch_beside_its_clean_rows(
     assert extra < 2 * epoch + 4 * 8 * CHUNK_VALUES, (extra, epoch)
 
 
+@pytest.mark.parametrize("views", [1, 3])
+def test_train_component_holds_its_rows_one_span_and_its_state(
+        views, working_peak):
+    # beyond its inputs, training holds the float64 rows it gathers once,
+    # filled view by view (no list of views, no stacked copy), one span of
+    # features (whole batches, about CHUNK_VALUES values: 256 rows here),
+    # the gradients, AdamW moments and work arrays, and a few chunks; no
+    # epoch of features
+    c, d, shots = 16, 128, 128
+    feats = np.stack([unit_rows(30 + v, c * shots, d) for v in range(views)],
+                     axis=1)
+    emb = EmbeddingSet(features=feats, labels=np.arange(c * shots) % c,
+                       n_classes=c)
+    sel = sample_few_shot(emb, range(emb.n), shots, seed=30)
+    head = ClassifierHead(weights=unit_rows(31, c, d))
+    cfg = HyperConfig(red=8, lr=1e-3, weight_decay=1e-2, aug_strength=1.0,
+                      seed=32, epochs=3)
+    rows = c * shots * views * d * 8
+    span = 256 * d * 8
+    hidden = d // cfg.red
+    state = 4 * 8 * (2 * d * hidden + hidden + d)
+    extra = working_peak(lambda: train_component(emb, sel, head, cfg))
+    assert extra < rows + span + state + 5 * 8 * CHUNK_VALUES, (extra, rows)
+
+
+def test_noisy_features_errors_name_the_row_of_the_epoch(monkeypatch):
+    # 256 rows at D = 512 are four spans of 64 rows; a non-finite noise
+    # value in row 135, in the third span, is reported as row 135
+    train, _, _ = generate_synthetic(8, 512, 32, 0.3, 0.3, seed=5)
+    sel = sample_few_shot(train, range(train.n), 32, seed=5)
+    head, _ = selection_prototypes(train, sel)
+    bad = 135 * 512 + 7
+    span = rng.Stream.normal_span
+
+    def poisoned(self, n, lo, hi):
+        out = span(self, n, lo, hi)
+        if lo <= bad < hi:
+            out[bad - lo] = np.inf
+        return out
+
+    monkeypatch.setattr(rng.Stream, "normal_span", poisoned)
+    cfg = HyperConfig(red=8, lr=1e-3, weight_decay=1e-2, aug_strength=0.5,
+                      seed=3, epochs=1)
+    with pytest.raises(DegenerateVector) as err:
+        train_component(train, sel, head, cfg)
+    assert str(err.value) == ("component seed 3: noisy features at epoch 0: "
+                              "row 135 has norm inf, not finite in float64")
+
+
 def checkpoint_digest(params, record, head):
     """sha256 of the checkpoint train writes for this component."""
     return hashlib.sha256(checkpoint_bytes(
@@ -452,23 +501,36 @@ def test_masked_single_view_checkpoint_bytes_are_pinned():
 
 def test_train_component_draws_its_noise_on_the_calling_thread(
         monkeypatch):
-    # 512 selected rows at D = 512 make a noise block of 2^18 values: even
-    # blocks that large are drawn in line, one per epoch
+    # 512 selected rows at D = 512 make an epoch's noise 2^18 values: it is
+    # drawn in line, span by span, and each epoch's spans tile it once, in
+    # order, from that epoch's stream
     train, _, _ = generate_synthetic(64, 512, 8, 0.3, 0.3, seed=4)
     sel = sample_few_shot(train, range(train.n), 8, seed=4)
     head, _ = selection_prototypes(train, sel)
-    threads = []
-    draw = rng.Stream.normal_array
+    draws = []
+    span = rng.Stream.normal_span
 
-    def recording(self, n):
-        threads.append((threading.get_ident(), n))
-        return draw(self, n)
+    def recording(self, n, lo, hi):
+        draws.append((threading.get_ident(), self._seed, n, lo, hi))
+        return span(self, n, lo, hi)
 
-    monkeypatch.setattr(rng.Stream, "normal_array", recording)
+    monkeypatch.setattr(rng.Stream, "normal_span", recording)
     cfg = HyperConfig(red=8, lr=1e-3, weight_decay=1e-2, aug_strength=0.5,
                       seed=3, epochs=2)
     train_component(train, sel, head, cfg)
-    assert threads == [(threading.get_ident(), 1 << 18)] * 2
+    n = 1 << 18
+    assert {d[0] for d in draws} == {threading.get_ident()}
+    assert {d[2] for d in draws} == {n}
+    seeds = [rng.derive_seed(3, "aug", epoch) for epoch in range(2)]
+    epochs = [[(lo, hi) for _, s, _, lo, hi in draws if s == seed]
+              for seed in seeds]
+    # every draw is one epoch's, and the epochs do not interleave
+    assert [d[1] for d in draws] == [seed for seed, ends in zip(seeds, epochs)
+                                     for _ in ends]
+    for ends in epochs:
+        assert len(ends) > 1
+        assert [lo for lo, _ in ends] == [0, *(hi for _, hi in ends[:-1])]
+        assert ends[-1][1] == n
 
 
 def test_three_view_imported_head_checkpoint_bytes_are_pinned():

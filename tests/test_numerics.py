@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (cross_entropy_two_exp, finite_difference_check,
-                     softmax)
+from oracles import (adamw_step_whole, cross_entropy_two_exp,
+                     finite_difference_check, softmax)
 from soupadapter import numerics
 from soupadapter.dataio import BLOCK_ROWS
 from soupadapter.errors import DegenerateVector, ShapeMismatch
@@ -414,6 +414,57 @@ def test_adamw_shape_mismatch():
         adamw_step(params, {"w": np.zeros(4)}, state)
     with pytest.raises(ShapeMismatch):
         adamw_step(params, {"v": np.zeros(3)}, state)
+
+
+# 1 - 0.9 ** t rounds to 1.0 from t = 356 on, and the steps from 348 take
+# bias corrections within a few ulps of it
+@pytest.mark.parametrize("size", [1, numerics.CHUNK_VALUES - 1,
+                                  numerics.CHUNK_VALUES,
+                                  numerics.CHUNK_VALUES + 1,
+                                  2 * numerics.CHUNK_VALUES + 3])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-2])
+@pytest.mark.parametrize("first_step", [0, 347, 354, 400])
+def test_adamw_chunks_are_bit_equal_to_the_whole_array_step(
+        size, weight_decay, first_step):
+    rng = stream(size, "adamw chunks", first_step)
+    params = {"w": rng.normal_array(size).reshape(-1, 1),
+              "b": rng.normal_array(3)}
+    state = OptimState.init(params, lr=2e-3, weight_decay=weight_decay)
+    for k in params:
+        state.m[k][...] = rng.normal_array(params[k].size) \
+            .reshape(params[k].shape) * 1e-2
+        state.v[k][...] = rng.random_array(params[k].size) \
+            .reshape(params[k].shape) * 1e-4
+    state.step = first_step
+    whole = {k: p.copy() for k, p in params.items()}
+    m = {k: a.copy() for k, a in state.m.items()}
+    v = {k: a.copy() for k, a in state.v.items()}
+    for t in range(first_step + 1, first_step + 4):
+        grads = {k: rng.normal_array(p.size).reshape(p.shape)
+                 for k, p in params.items()}
+        adamw_step(params, grads, state)
+        adamw_step_whole(whole, grads, m, v, t, 2e-3, weight_decay)
+        for k in params:
+            assert np.array_equal(params[k], whole[k]), (k, t)
+            assert np.array_equal(state.m[k], m[k]), (k, t)
+            assert np.array_equal(state.v[k], v[k]), (k, t)
+    assert state.step == first_step + 3
+
+
+def test_adamw_step_allocates_under_two_chunks(working_peak):
+    params = {"w": stream(2, "adamw memory").normal_array(1 << 18)}
+    grads = {"w": stream(3, "adamw memory").normal_array(1 << 18)}
+    state = OptimState.init(params, lr=1e-3, weight_decay=1e-2)
+    adamw_step(params, grads, state)  # the step's allocations are its own
+    assert working_peak(lambda: adamw_step(params, grads, state)) \
+        < 2 * 8 * numerics.CHUNK_VALUES
+
+
+def test_adamw_refuses_a_parameter_it_cannot_update_in_place():
+    params = {"w": np.zeros((4, 3)).T}
+    state = OptimState.init(params, lr=0.1, weight_decay=0.0)
+    with pytest.raises(ShapeMismatch, match="C-contiguous"):
+        adamw_step(params, {"w": np.ones((3, 4))}, state)
 
 
 # ---------------------------------------------------------- gradient check

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soupadapter import rng as rng_mod
 from soupadapter.rng import (_PAIR_BLOCK, MASK64, Stream, below, derive_seed,
@@ -177,6 +177,49 @@ def test_normal_array_blocks_do_not_change_the_values():
     bulk, whole = Stream(11), Stream(11)
     assert np.array_equal(bulk.normal_array(n), whole_normal_array(whole, n))
     assert bulk._count == whole._count
+
+
+@_BULK
+@given(_SEEDS, st.integers(0, 40), st.sampled_from([1, 2, 3, 7, 511, 1023]),
+       st.integers(1, 25))
+@example(seed=5, rows=40, d=1023, span_rows=9)  # 9207..18414 holds 2^14
+def test_normal_spans_of_rows_tile_normal_array(seed, rows, d, span_rows):
+    # rows lo .. hi of an (rows, d) draw are values lo d .. hi d: with d odd,
+    # span ends fall inside pairs, and 40 rows of 1023 cross _PAIR_BLOCK
+    n = rows * d
+    spans = Stream(seed)
+    tiles = [spans.normal_span(n, lo * d, min(lo + span_rows, rows) * d)
+             for lo in range(0, rows, span_rows)]
+    whole = Stream(seed).normal_array(n)
+    assert np.array_equal(np.concatenate([np.empty(0), *tiles]), whole)
+    assert spans._count == 0
+
+
+_BLOCK_EDGES = [2 * _PAIR_BLOCK + e for e in (-3, -2, -1, 0, 1, 2)]
+
+
+@_BULK
+@given(_SEEDS, st.data())
+def test_normal_span_is_that_slice_of_normal_array(seed, data):
+    n = data.draw(st.one_of(_SIZES, st.integers(2 * _PAIR_BLOCK,
+                                                 5 * _PAIR_BLOCK + 1)))
+    ends = st.one_of(st.integers(0, n),
+                     st.sampled_from([e for e in _BLOCK_EDGES if e <= n]
+                                     or [0]))
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    drawn = Stream(seed)
+    drawn.next_u64()  # the span starts at the counter, wherever it stands
+    span = drawn.normal_span(n, lo, hi)
+    assert drawn._count == 1
+    whole = Stream(seed)
+    whole.next_u64()
+    assert np.array_equal(span, whole.normal_array(n)[lo:hi])
+
+
+def test_normal_span_refuses_a_span_outside_the_draw():
+    for lo, hi in ((-1, 2), (3, 2), (0, 6)):
+        with pytest.raises(ValueError, match="span"):
+            Stream(1).normal_span(5, lo, hi)
 
 
 @_BULK
