@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import (EmbeddingSet, FewShotSelection, atomic_write, read_bytes,
-                     unpack_header)
+from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
+                     json_object, read_bytes, unpack_header)
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch, prefixed)
 from .heads import ClassifierHead, check_compatible
@@ -436,13 +436,7 @@ def parse_checkpoint(blob: bytes):
     if len(blob) != off + trailer_len:
         raise CorruptLength(f"expected {off + trailer_len} bytes, "
                             f"found {len(blob)}")
-    try:
-        meta = json.loads(blob[off:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptLength(f"checkpoint trailer is not valid JSON: {exc}") \
-            from exc
-    if not isinstance(meta, dict):
-        raise CorruptLength("checkpoint trailer is not a JSON object")
+    meta = json_object(blob[off:], "checkpoint trailer")
     params = AdapterParams(W1=arrays[0].reshape(hidden, dim), b1=arrays[1],
                            W2=arrays[2].reshape(dim, hidden), b2=arrays[3])
     return params, scale, meta

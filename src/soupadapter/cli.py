@@ -348,20 +348,19 @@ def cmd_soup(args) -> int:
 def cmd_eval(args) -> int:
     grid = parse_grid(args.grid)
     component_paths = _distinct_components(args.components or [])
+    if not args.adapter and not component_paths:
+        raise UsageError("need --adapter and/or --components to evaluate")
+    stems = [Path(path).stem for path in args.ood or []]
+    for i, stem in enumerate(stems):
+        if stem in ("id", "ood", *stems[:i]):
+            raise UsageError(f"--ood stem {stem!r} repeats a report "
+                             f"split; rows could not tell them apart")
     head = heads.import_head(args.head)
     # every set stays open and is read block by block while it is scored
     with contextlib.ExitStack() as files:
         id_set, _ = files.enter_context(_open_with_manifest(args.embeddings))
-        ood_sets = {}
-        for path in args.ood or []:
-            stem = Path(path).stem
-            if stem in ("id", "ood", *ood_sets):
-                raise UsageError(f"--ood stem {stem!r} repeats a report "
-                                 f"split; rows could not tell them apart")
-            ood_sets[stem], _ = files.enter_context(_open_with_manifest(path))
-
-        if not args.adapter and not component_paths:
-            raise UsageError("need --adapter and/or --components to evaluate")
+        ood_sets = {stem: files.enter_context(_open_with_manifest(path))[0]
+                    for stem, path in zip(stems, args.ood or [])}
         knn = None
         if args.knn_bank:
             bank, _ = files.enter_context(_open_with_manifest(args.knn_bank))
@@ -477,4 +476,6 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # a string from a file may not encode (a lone surrogate is valid JSON)
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())

@@ -21,12 +21,13 @@ ContainerReader is the one parser of the container format. Opening one
 checks the header, the file length and the labels; its features are then
 read a block of samples at a time, and each block's norms are checked as
 it arrives. read_container gathers every sample, or the ones it is given,
-from those blocks into the returned array. Each format error of a file
-starts with its path.
+from those blocks into the returned array.
 
-Every other artifact of the package is read by read_bytes, and every
-artifact is written by atomic_write, so a reader never sees a half-written
-file.
+Every other artifact is read by read_bytes, every artifact is written by
+atomic_write (so a reader never sees a half-written file), and a read's
+OSError becomes IoFailure in _reading alone. json_object alone parses the
+JSON documents: manifest, checkpoint trailer and report. Each reader's
+format error starts with the file's path.
 """
 
 from __future__ import annotations
@@ -191,14 +192,32 @@ def check_unit_norms(rows: np.ndarray, where: str, first: int = 0):
                                 f"within {NORM_TOLERANCE:g}")
 
 
-def read_bytes(path, what: str, size: int = -1) -> bytes:
-    """The whole file at path, or its first ``size`` bytes; an OSError
-    becomes IoFailure naming it."""
+@contextlib.contextmanager
+def _reading(what: str):
+    """An OSError of the block becomes IoFailure: cannot read ``what``."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read(size)
+        yield
     except OSError as exc:
         raise IoFailure(f"cannot read {what}: {exc}") from exc
+
+
+def read_bytes(path, what: str, size: int = -1) -> bytes:
+    """The whole file at path, or its first ``size`` bytes."""
+    with _reading(what), open(path, "rb") as fh:
+        return fh.read(size)
+
+
+def json_object(blob: bytes, what: str) -> dict:
+    """The JSON object that blob holds as UTF-8; all else is CorruptLength:
+    bad UTF-8 or JSON, an integer past Python's digit limit (ValueErrors),
+    nesting past the recursion limit, or a top level that is no object."""
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CorruptLength(f"{what} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptLength(f"{what} is not a JSON object")
+    return doc
 
 
 def atomic_write(path, parts, what: str):
@@ -268,8 +287,7 @@ class ContainerReader:
     Opening reads and checks the header, the file length and the labels.
     ``blocks`` then reads the features in file order with readinto, and
     checks each block's norms as it arrives: the first vector that is not
-    unit-norm raises NormViolation naming its sample and view. Every
-    format error starts with the file's path.
+    unit-norm raises NormViolation naming its sample and view.
     Like an EmbeddingSet it has n, views, dim, n_classes, labels and
     blocks, so sampling and scoring take either. Use it as a context
     manager, or close it.
@@ -277,10 +295,8 @@ class ContainerReader:
 
     def __init__(self, path):
         self.path = path
-        try:
+        with _reading("container"):
             self._fh = open(path, "rb")
-        except OSError as exc:
-            raise IoFailure(f"cannot read container: {exc}") from exc
         try:
             with prefixed(path):
                 self._read_head()
@@ -289,11 +305,9 @@ class ContainerReader:
             raise
 
     def _read_head(self):
-        try:
+        with _reading("container"):
             head = self._fh.read(_HEADER.size)
             size = os.fstat(self._fh.fileno()).st_size
-        except OSError as exc:
-            raise IoFailure(f"cannot read container: {exc}") from exc
         d, n, v, c = unpack_header(head, _HEADER, CONTAINER_MAGIC,
                                    CONTAINER_VERSION, "container")
         expect = _HEADER.size + 4 * n + 4 * n * v * d
@@ -307,10 +321,8 @@ class ContainerReader:
 
     def _read_into(self, arr: np.ndarray) -> np.ndarray:
         """Fill the C-contiguous arr with the file's next arr.nbytes bytes."""
-        try:
+        with _reading("container"):
             got = self._fh.readinto(arr)
-        except OSError as exc:
-            raise IoFailure(f"cannot read container: {exc}") from exc
         if got != arr.nbytes:  # the file shrank after its length was checked
             raise CorruptLength(f"container ended {arr.nbytes - got} "
                                 f"bytes early")
@@ -324,10 +336,8 @@ class ContainerReader:
         time."""
         n, v, d = self.n, self.views, self.dim
         buf = np.empty((min(rows, n), v, d), dtype="<f4")
-        try:
+        with _reading("container"):
             self._fh.seek(_HEADER.size + 4 * n)
-        except OSError as exc:
-            raise IoFailure(f"cannot read container: {exc}") from exc
         for start in range(0, n, rows):
             with prefixed(self.path):
                 block = self._read_into(buf[:n - start])
@@ -388,20 +398,18 @@ def _is_list_of(value, kind) -> bool:
 
 
 def read_manifest(path) -> Manifest:
-    try:
-        doc = json.loads(read_bytes(path, "manifest").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptLength(f"manifest {path} is not UTF-8 JSON: {exc}") \
-            from exc
-    if not (isinstance(doc, dict) and isinstance(doc.get("dataset"), str)
-            and _is_list_of(doc.get("classes"), str)
-            and isinstance(doc.get("splits"), dict)
-            and all(_is_list_of(idx, int) for idx in doc["splits"].values())
-            and isinstance(doc.get("model", ""), str)):
-        raise CorruptLength(
-            f"manifest {path} needs a string 'dataset', a list of strings "
-            f"'classes', an object of index lists 'splits' and an optional "
-            f"string 'model'")
+    blob = read_bytes(path, "manifest")
+    with prefixed(path):
+        doc = json_object(blob, "manifest")
+        if not (isinstance(doc.get("dataset"), str)
+                and _is_list_of(doc.get("classes"), str)
+                and isinstance(doc.get("splits"), dict)
+                and all(_is_list_of(i, int) for i in doc["splits"].values())
+                and isinstance(doc.get("model", ""), str)):
+            raise CorruptLength(
+                "manifest needs a string 'dataset', a list of strings "
+                "'classes', an object of index lists 'splits' and an "
+                "optional string 'model'")
     return Manifest(dataset=doc["dataset"], classes=doc["classes"],
                     splits=doc["splits"], model=doc.get("model", ""))
 

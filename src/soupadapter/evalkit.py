@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +42,7 @@ import numpy as np
 from . import dataio
 from .adapter import hidden_layer
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
-from .errors import CorruptLength, IoFailure, ShapeMismatch, SoupMismatch
+from .errors import CorruptLength, ShapeMismatch, SoupMismatch, prefixed
 from .heads import (ClassifierHead, KnnConfig, check_compatible, head_logits,
                     knn_logits_batch)
 from .numerics import normalize_rows, row_spans, span_buffer
@@ -298,25 +297,25 @@ def write_report(report: EvalReport, path, format: str):
 
 
 def read_report(path, format: str) -> EvalReport:
-    """Read a report written by write_report. A row or document that does
-    not parse is CorruptLength naming the file."""
+    """Read write_report's file; a format error starts with its path."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown report format {format!r}")
     blob = read_bytes(path, "report")
-    try:
-        text = blob.decode("utf-8")
-        if format == "csv":
-            reader = csv.reader(io.StringIO(text, newline=""))
-            header = next(reader, None)
-            if header != ["model", "split", "r", "accuracy"]:
-                raise IoFailure(f"unexpected CSV header: {header}")
-            return EvalReport(rows=[SweepRow(m, s, float(r), float(a))
-                                    for m, s, r, a in reader])
-        doc = json.loads(text)
-        rows = [SweepRow(d["model"], d["split"], float(d["r"]),
-                         float(d["accuracy"])) for d in doc["rows"]]
-        return EvalReport(rows=rows, baselines={
-            split: dict(entries)
-            for split, entries in doc.get("baselines", {}).items()})
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise CorruptLength(f"malformed report {path}: {exc!r}") from exc
+    with prefixed(path):
+        try:
+            if format == "csv":
+                reader = csv.reader(io.StringIO(blob.decode(), newline=""))
+                header = next(reader, None)
+                if header != ["model", "split", "r", "accuracy"]:
+                    raise CorruptLength(f"unexpected CSV header: {header}")
+                return EvalReport(rows=[SweepRow(m, s, float(r), float(a))
+                                        for m, s, r, a in reader])
+            doc = dataio.json_object(blob, "report")
+            rows = [SweepRow(d["model"], d["split"], float(d["r"]),
+                             float(d["accuracy"])) for d in doc["rows"]]
+            return EvalReport(rows=rows, baselines={
+                split: dict(entries)
+                for split, entries in doc.get("baselines", {}).items()})
+        except (KeyError, ValueError, TypeError, AttributeError,
+                OverflowError, csv.Error) as exc:
+            raise CorruptLength(f"malformed report: {exc!r}") from exc

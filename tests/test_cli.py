@@ -748,6 +748,26 @@ def test_eval_without_models_exits_1(tmp_path, data_dir, train_dir):
                "--out", tmp_path / "x") == 1
 
 
+@pytest.mark.parametrize("model,ood", [
+    (None, []),
+    ("--adapter", ["id.sadp"]),
+    ("--components", ["a/ood.sadp"]),
+    ("--components", ["a/t.sadp", "b/t.sadp"]),
+], ids=["no-model", "ood-stem-id", "ood-stem-ood", "repeated-ood-stem"])
+def test_eval_usage_errors_come_before_any_file_is_read(tmp_path, capsys,
+                                                        model, ood):
+    missing = tmp_path / "missing"  # no file below it exists
+    argv = ["eval", "--embeddings", missing / "id_test.sadp",
+            "--head", missing / "head.shed", "--out", tmp_path / "x"]
+    if model:
+        argv += [model, missing / "m.sada"]
+    if ood:
+        argv += ["--ood", *(missing / name for name in ood)]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", [
     "1:0:-1",
     "0:1:1e-320",     # the point count overflows to inf
@@ -999,7 +1019,18 @@ def test_soup_failing_verification_leaves_existing_out_untouched(
     assert list(tmp_path.iterdir()) == [out]
 
 
-@pytest.mark.parametrize("case", ["missing-classes", "not-utf8"])
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# manifests that parse nowhere: past the parser's depth limit, and a split
+# index past Python's 4300-digit limit on int conversion
+CRAFTED_MANIFESTS = {
+    "nested-100000": '{"dataset": "d", "splits": ' + DEEP_JSON + "}",
+    "index-5000-digits": '{"dataset": "d", "classes": [], "splits": '
+                         '{"train": [' + "1" * 5000 + "]}}",
+}
+
+
+@pytest.mark.parametrize("case", ["missing-classes", "not-utf8",
+                                  *CRAFTED_MANIFESTS])
 def test_bad_manifest_exits_2(tmp_path, data_dir, capsys, case):
     container = tmp_path / "train.sadp"
     container.write_bytes((data_dir / "train.sadp").read_bytes())
@@ -1008,11 +1039,77 @@ def test_bad_manifest_exits_2(tmp_path, data_dir, capsys, case):
         doc = json.loads((data_dir / "train.sadp.json").read_text())
         del doc["classes"]
         manifest.write_text(json.dumps(doc))
-    else:
+    elif case == "not-utf8":
         manifest.write_bytes(b'{"dataset": "\xff"}')
+    else:
+        manifest.write_text(CRAFTED_MANIFESTS[case])
     assert run("info", "--embeddings", container) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "manifest" in err
+    assert err.startswith(f"data error: {manifest}: manifest")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_MANIFESTS))
+def test_train_on_a_crafted_manifest_exits_2_naming_it(tmp_path, data_dir,
+                                                       capsys, case):
+    container = tmp_path / "train.sadp"
+    container.write_bytes((data_dir / "train.sadp").read_bytes())
+    (tmp_path / "train.sadp.json").write_text(CRAFTED_MANIFESTS[case])
+    assert run("train", "--embeddings", container, "--shots", "2",
+               "--k", "1", "--epochs", "1", "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {container}.json: manifest is not "
+                          f"UTF-8 JSON: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def with_trailer(path, trailer: str) -> bytes:
+    """The checkpoint at path with ``trailer`` as its JSON trailer."""
+    params, scale, _ = load_checkpoint(path)
+    blob = adapter.checkpoint_bytes(params, scale, {})
+    return blob[:-6] + struct.pack("<I", len(trailer)) + trailer.encode()
+
+
+@pytest.mark.parametrize("command", ["info", "soup", "eval"])
+def test_checkpoint_with_a_deep_trailer_exits_2_naming_it(
+        tmp_path, data_dir, train_dir, capsys, command):
+    bad = tmp_path / "deep.sada"
+    bad.write_bytes(with_trailer(train_dir / "component_0.sada",
+                                 '{"kind": ' + DEEP_JSON + "}"))
+    argv = {"info": ["info", "--embeddings", bad],
+            "soup": ["soup", "--components", bad,
+                     "--out", tmp_path / "m.sada"],
+            "eval": _eval_argv(data_dir, train_dir, tmp_path / "r",
+                               comps=[bad])}[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: checkpoint trailer is not "
+                          f"UTF-8 JSON: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.sada"]
+
+
+@pytest.mark.parametrize("where", ["manifest", "trailer"])
+def test_info_escapes_a_file_string_stdout_cannot_encode(
+        tmp_path, data_dir, train_dir, monkeypatch, where):
+    """A lone surrogate is valid JSON; a UTF-8 stdout cannot encode it."""
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+    if where == "manifest":
+        path = tmp_path / "train.sadp"
+        path.write_bytes((data_dir / "train.sadp").read_bytes())
+        doc = json.loads((data_dir / "train.sadp.json").read_text())
+        (tmp_path / "train.sadp.json").write_text(
+            json.dumps({**doc, "dataset": "\ud800"}))
+    else:
+        path = tmp_path / "c.sada"
+        params, scale, _ = load_checkpoint(train_dir / "component_0.sada")
+        adapter.save_checkpoint(path, params, scale, {"kind": "\ud800"})
+    done = python_process("-m", "soupadapter", "info", "--embeddings", path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    key = "dataset" if where == "manifest" else "kind"
+    assert f"{key}: \\ud800\n" in done.stdout
 
 
 def test_eval_head_with_nan_scale_exits_2(tmp_path, data_dir, train_dir,

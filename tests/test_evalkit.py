@@ -450,7 +450,18 @@ def test_json_round_trip(tmp_path):
     ("json", '{"rows": [{"model": "soup", "split": "id", "r": "half", '
              '"accuracy": 0.5}]}'),
     ("csv", "model,split,r,accuracy\nsoup,id,0.0\n"),
-], ids=["json-missing-key", "json-non-numeric-r", "csv-three-fields"])
+    ("csv", "model,split,r\nsoup,id,0.0\n"),
+    ("csv", "model,split,r,accuracy\n" + "s" * 200_000 + ",id,0.0,0.5\n"),
+    ("json", '{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    ("json", '{"rows": [{"model": "soup", "split": "id", "r": 0.0, '
+             '"accuracy": ' + "1" * 400 + "}]}"),
+    ("json", '{"rows": [{"model": "soup", "split": "id", "r": 0.0, '
+             '"accuracy": ' + "1" * 5000 + "}]}"),
+    ("json", "[]"),
+], ids=["json-missing-key", "json-non-numeric-r", "csv-three-fields",
+        "csv-bad-header", "csv-field-past-the-limit", "json-nested-100000",
+        "json-accuracy-past-float", "json-accuracy-5000-digits",
+        "json-not-an-object"])
 def test_malformed_report_is_corrupt_length(tmp_path, format, text):
     path = tmp_path / f"r.{format}"
     path.write_text(text)

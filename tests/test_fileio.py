@@ -1,10 +1,12 @@
-"""The shared file boundary: mutated binary files and interrupted writes.
+"""The shared file boundary: mutated files and interrupted writes.
 
-Every reader must either load a mutated file or raise a DataError subclass;
+Every reader must either load a mutated binary file or JSON document or
+raise a DataError subclass, whose message starts with the file's path;
 every writer must leave the previous file intact when a write fails.
 """
 
 import errno
+import json
 import math
 import re
 import struct
@@ -19,7 +21,7 @@ from soupadapter.dataio import (EmbeddingSet, Manifest, read_container,
                                 write_container, write_manifest)
 from soupadapter.errors import (DataError, IoFailure, NormViolation,
                                 NumericalError)
-from soupadapter.evalkit import EvalReport, SweepRow, write_report
+from soupadapter.evalkit import EvalReport, SweepRow, read_report, write_report
 from soupadapter.heads import ClassifierHead, export_head, import_head
 from soupadapter.rng import stream
 
@@ -125,6 +127,124 @@ def test_fuzzed_headers_load_or_raise_data_error(tmp_path, valid, name,
                                      layout.unpack_from(blob, 8))]
     load_or_data_error(tmp_path, name, blob[:8] + layout.pack(*fields)
                        + blob[8 + layout.size:])
+
+
+# ------------------------------------------------------------ JSON documents
+
+SLOT = "<a drawn value>"
+
+
+def with_trailer(trailer: bytes) -> bytes:
+    """A valid checkpoint's bytes with ``trailer`` as its JSON trailer."""
+    blob = adapter.checkpoint_bytes(small_params(), 1.5, {})
+    return blob[:-6] + struct.pack("<I", len(trailer)) + trailer
+
+
+# name: (documents holding SLOT once, the first valid with SLOT = 2;
+#        the file's bytes from a document's; its reader)
+JSON_DOCS = {
+    "manifest": (
+        [{"dataset": "d", "classes": ["a", "b", "c"], "model": "m",
+          "splits": {"train": [0, 1, SLOT]}},
+         {"dataset": SLOT, "classes": ["a", "b", "c"], "splits": {}},
+         {"dataset": "d", "classes": ["a", "b", "c"], "splits": {},
+          "x": SLOT}],
+        lambda doc: doc,
+        lambda p: dataio.read_manifest(p).validate_against(small_set())),
+    "trailer": (
+        [{"kind": "t", "record": {"loss_trace": [0.5, SLOT]}},
+         {"kind": SLOT}, {"hyper": {"red": SLOT, "lr": 0.1}}],
+        with_trailer, load_checkpoint),
+    "report": (
+        [{"rows": [{"model": "soup", "split": "id", "r": 0.5,
+                    "accuracy": SLOT}], "baselines": {"id": {"knn": 0.5}}},
+         {"rows": [], "baselines": {"id": {"knn": SLOT}}},
+         {"rows": [{"model": "soup", "split": "id", "r": SLOT,
+                    "accuracy": 0.5}]}],
+        lambda doc: doc, lambda p: read_report(p, "json")),
+}
+
+
+def json_text(name: str, at: int, value: str) -> bytes:
+    """Document ``at`` of ``name`` with the raw JSON ``value`` in its
+    slot, spliced as text so that no encoder limits its depth."""
+    return json.dumps(JSON_DOCS[name][0][at]).replace(
+        json.dumps(SLOT), value).encode("utf-8")
+
+
+def load_json_or_data_error(tmp_path, name, doc):
+    _, wrap, read = JSON_DOCS[name]
+    path = tmp_path / f"mutant.{name}"
+    path.write_bytes(wrap(doc))
+    try:
+        read(path)
+    except DataError:
+        pass
+
+
+# nestings around the parser's depth limit and far past it, and integers
+# either side of Python's 4300-digit limit on int conversion
+_DEEP = st.builds(
+    lambda depth, brackets: (brackets[0] * depth + brackets[1]
+                             + brackets[2] * depth),
+    st.one_of(st.integers(1, 1500), st.integers(1, 100_000)),
+    st.sampled_from([("[", "", "]"), ('{"a":', "0", "}")]))
+_LONG = st.builds(lambda sign, digits: sign + "7" * digits,
+                  st.sampled_from(["", "-"]),
+                  st.one_of(st.integers(1, 5000), st.integers(1, 10_000)))
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DOCS))
+def test_json_documents_load_unmutated(tmp_path, name):
+    _, wrap, read = JSON_DOCS[name]
+    path = tmp_path / f"valid.{name}"
+    path.write_bytes(wrap(json_text(name, 0, "2")))
+    read(path)
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DOCS))
+@FUZZ
+@given(data=st.data())
+def test_truncated_json_documents_load_or_raise_data_error(tmp_path, name,
+                                                           data):
+    doc = json_text(name, 0, "2")
+    load_json_or_data_error(tmp_path, name,
+                            doc[:data.draw(st.integers(0, len(doc) - 1))])
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DOCS))
+@FUZZ
+@given(data=st.data())
+def test_bit_flipped_json_documents_load_or_raise_data_error(tmp_path, name,
+                                                             data):
+    doc = bytearray(json_text(name, 0, "2"))
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(doc) - 1),
+                                  min_size=1, max_size=8)):
+        doc[bit // 8] ^= 1 << (bit % 8)
+    load_json_or_data_error(tmp_path, name, bytes(doc))
+
+
+@pytest.mark.parametrize("name", sorted(JSON_DOCS))
+@FUZZ
+@given(at=st.integers(0, 2), value=st.one_of(_DEEP, _LONG))
+def test_deep_or_long_json_values_load_or_raise_data_error(tmp_path, name,
+                                                           at, value):
+    load_json_or_data_error(tmp_path, name, json_text(name, at, value))
+
+
+# ------------------------------------------------------------ error messages
+
+@pytest.mark.parametrize("read", [
+    read_container, import_head, load_checkpoint, dataio.read_manifest,
+    lambda p: read_report(p, "json"), lambda p: read_report(p, "csv"),
+], ids=["container", "head", "checkpoint", "manifest", "report-json",
+        "report-csv"])
+def test_format_errors_start_with_the_path(tmp_path, read):
+    path = tmp_path / "malformed"
+    path.write_bytes(b"\x00 is no file of any format, and far too short")
+    with pytest.raises(DataError) as error:
+        read(path)
+    assert str(error.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("name", ["sadp", "shed"])
