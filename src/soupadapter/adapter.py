@@ -31,8 +31,8 @@ from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch, prefixed)
 from .heads import ClassifierHead, check_compatible
 from .numerics import (CHUNK_VALUES, DEGENERATE_NORM, OptimState, adamw_step,
-                       cross_entropy_label_smoothing_batch, gelu, gelu_grad,
-                       normal_cdf, normalize_rows, row_norms)
+                       check_norms, cross_entropy_label_smoothing_batch, gelu,
+                       gelu_grad, normal_cdf, normalize_rows, row_norms)
 from .rng import below, stream, uniform
 
 CHECKPOINT_MAGIC = b"SADA"
@@ -300,13 +300,14 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     from that stream, values i D .. (i + 1) D - 1 of its normal_array
     (n_train D) for the epoch's row i, and re-normalize.
 
-    Beside its inputs, a component holds the selected rows' float64 unit
-    features (n_train x views x D, filled view by view), each parameter
-    four times (itself, its gradient and its two AdamW moments, all
-    allocated once, with AdamW's two work arrays of CHUNK_VALUES values),
-    and one span of the epoch's features: whole batches, about
-    CHUNK_VALUES values, which are gathered, noised and normalized just
-    before their steps.
+    Beside its inputs, a component holds one float64 norm per training
+    row and view, taken once, each parameter four times (itself, its
+    gradient and its two AdamW moments, all allocated once, with AdamW's
+    two work arrays of CHUNK_VALUES values), and one span of the epoch's
+    features: whole batches, about CHUNK_VALUES values, which are
+    gathered from the float32 set and divided by their norms (the bits
+    of unit_features), then noised and normalized, just before their
+    steps. No float64 copy of the selection is made.
     """
     check_compatible(head, [("training", emb)])
     started = time.perf_counter()
@@ -316,9 +317,15 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
         raise ShapeMismatch(f"masked table has shape {masked_table.shape}, "
                             f"expected {(n_train, dim)}")
     labels = emb.labels[rows]
-    sel_rows = np.empty((n_train, emb.views, dim))
+    # every view's norm, taken as unit_features takes it, so a span's
+    # float32 rows divided by theirs are unit_features' float64 rows
+    norms = np.empty((n_train, emb.views))
+    step = max(1, CHUNK_VALUES // (emb.views * dim))
+    for lo in range(0, n_train, step):
+        norms[lo:lo + step] = row_norms(emb.features[rows[lo:lo + step]])
     for v in range(emb.views):
-        emb.unit_features(v, indices=rows, out=sel_rows[:, v])
+        with prefixed(f"component seed {cfg.seed}: training view {v}"):
+            check_norms(norms[:, v])
     span = cfg.batch_size * max(1, CHUNK_VALUES // (cfg.batch_size * dim))
 
     params = init_adapter(dim, cfg.red, cfg.seed)
@@ -340,7 +347,9 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
             loss_sum = 0.0
             for lo in range(0, n_train, span):
                 hi = min(lo + span, n_train)
-                x_span = sel_rows[order[lo:hi], picks[lo:hi]]
+                idx, views = order[lo:hi], picks[lo:hi]
+                x_span = np.divide(emb.features[rows[idx], views],
+                                   norms[idx, views][:, np.newaxis])
                 if noisy:
                     noise = aug.normal_span(n_train * dim, lo * dim, hi * dim)
                     noise *= sigma
@@ -397,24 +406,34 @@ def component_meta(record: TrainRecord) -> dict:
                        "loss_trace": list(record.loss_trace)}}
 
 
-def checkpoint_bytes(params: AdapterParams, scale: float, meta: dict) -> bytes:
+def checkpoint_bytes(params: AdapterParams, scale: float,
+                     meta: dict) -> bytearray:
     """A checkpoint file's bytes; meta lands in the JSON trailer (sorted keys).
 
-    Refuses (NumericalError) weights that are not finite in float32, which
-    parse_checkpoint would refuse, so no unreadable checkpoint is made.
+    The weights are cast to float32 straight into the one bytearray
+    returned, with no copy of them beside it. Refuses (NumericalError)
+    weights that are not finite in float32, which parse_checkpoint would
+    refuse, so no unreadable checkpoint is made.
     """
-    for name, arr in params.as_dict().items():
+    arrays = params.as_dict()
+    for name, arr in arrays.items():
         if not finite_in_float32(arr):
             raise NumericalError(f"checkpoint weights {name} are not finite "
                                  f"in float32")
     trailer = json.dumps(meta, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
-    return b"".join((
-        _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.dim,
-                     params.hidden, float(scale)),
-        *(arr.astype("<f4").tobytes()
-          for arr in (params.W1, params.b1, params.W2, params.b2)),
-        struct.pack("<I", len(trailer)), trailer))
+    off = _HEADER.size + 4 * sum(arr.size for arr in arrays.values())
+    blob = bytearray(off + 4 + len(trailer))
+    _HEADER.pack_into(blob, 0, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                      params.dim, params.hidden, float(scale))
+    struct.pack_into("<I", blob, off, len(trailer))
+    blob[off + 4:] = trailer
+    off = _HEADER.size
+    for arr in arrays.values():  # W1, b1, W2, b2
+        np.frombuffer(blob, dtype="<f4", count=arr.size,
+                      offset=off)[:] = arr.reshape(-1)
+        off += 4 * arr.size
+    return blob
 
 
 def parse_checkpoint(blob: bytes):

@@ -203,8 +203,17 @@ def cmd_info(args) -> int:
             fields.update(dataset=manifest.dataset, model=manifest.model,
                           splits=", ".join(sorted(manifest.splits)))
     for key, value in fields.items():
-        print(f"{key}: {value}")
+        print(_one_line(f"{key}: {value}"))
     return 0
+
+
+def _one_line(text: str) -> str:
+    """text with each unprintable character (a newline, a carriage
+    return, an escape, a lone surrogate) written as its Python escape, so
+    that a string from a file cannot start an output line of its own."""
+    return "".join(c if c.isprintable()
+                   else c.encode("unicode_escape").decode("ascii")
+                   for c in text)
 
 
 def cmd_synth(args) -> int:
@@ -281,9 +290,14 @@ def _train_into(out: Path, args, overrides: dict):
         for j in range(args.k)]
 
     def run(j):
+        """Component j as the checkpoint bytes it is written as (float32,
+        half its float64 weights), its hidden width and its record."""
         try:
-            return adapter_mod.train_component(emb, selection, head,
-                                               configs[j], masked_table)
+            params, record = adapter_mod.train_component(
+                emb, selection, head, configs[j], masked_table)
+            return (adapter_mod.checkpoint_bytes(
+                params, head.scale, adapter_mod.component_meta(record)),
+                params.hidden, record)
         except Exception as exc:  # collected so every failure gets listed
             return exc
 
@@ -314,31 +328,37 @@ def _train_into(out: Path, args, overrides: dict):
     dataio.write_container(bank, out / "fewshot.sadp")
     print(f"wrote {out / 'fewshot.sadp'} ({bank.n} samples)")
 
-    for j, (params, record) in enumerate(results):
+    for j, (blob, hidden, record) in enumerate(results):
         ckpt = out / f"component_{j}.sada"
-        adapter_mod.save_checkpoint(ckpt, params, head.scale,
-                                    adapter_mod.component_meta(record))
+        dataio.atomic_write(ckpt, (blob,), "checkpoint")
         loss = record.final_loss
-        print(f"wrote {ckpt} (H={params.hidden}, "
+        print(f"wrote {ckpt} (H={hidden}, "
               f"final loss {loss if loss is None else f'{loss:.4f}'}, "
               f"trained in {record.wall_time:.2f}s)")
 
 
 def cmd_soup(args) -> int:
     ensemble, scales, checksums = soup_mod.load_soup(
-        _distinct_components(args.components))
+        _distinct_components(args.components), digests=True)
     if len(set(scales)) > 1:
         print(f"warning: components carry different logit scales {scales}; "
               f"using {scales[0]}", file=sys.stderr)
     meta = {"kind": "merged", "k": ensemble.k, "source_sha256": checksums}
 
-    # verify the bytes about to be written (the 32-bit round-trip path);
-    # the float64 merged adapter is freed once they exist
+    # verify the bytes to be written (the 32-bit round-trip path), holding
+    # neither them nor the float64 merged adapter meanwhile: the reloaded
+    # adapter serializes back to them exactly, and their digest says so
     blob = adapter_mod.checkpoint_bytes(soup_mod.reparameterize(ensemble),
                                         scales[0], meta)
     reloaded, _, _ = adapter_mod.parse_checkpoint(blob)
+    verified = dataio.sha256_hex(blob)
+    del blob
     worst = soup_mod.verify_equivalence(ensemble, args.trials,
                                         args.tolerance, merged=reloaded)
+    blob = adapter_mod.checkpoint_bytes(reloaded, scales[0], meta)
+    if dataio.sha256_hex(blob) != verified:
+        raise NumericalError(f"{args.out} not written: the merged adapter "
+                             f"no longer serializes to the bytes verified")
     dataio.atomic_write(args.out, (blob,), "checkpoint")
     print(f"wrote {args.out} (K={ensemble.k}, H={reloaded.hidden}, "
           f"worst deviation {worst:.3e} over {args.trials} probes)")

@@ -25,9 +25,11 @@ from those blocks into the returned array.
 
 Every other artifact is read by read_bytes, every artifact is written by
 atomic_write (so a reader never sees a half-written file), and a read's
-OSError becomes IoFailure in _reading alone. json_object alone parses the
-JSON documents: manifest, checkpoint trailer and report. Each reader's
-format error starts with the file's path.
+OSError becomes IoFailure in _reading alone. Both readers open through
+_open_file, which refuses anything but a regular file before a read
+could block or run on without end. json_object alone parses the JSON
+documents: manifest, checkpoint trailer and report. Each reader's format
+error starts with the file's path.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -201,10 +204,35 @@ def _reading(what: str):
         raise IoFailure(f"cannot read {what}: {exc}") from exc
 
 
+def _open_file(path, what: str):
+    """The regular file at path, open for binary reads. Anything else (a
+    FIFO, a device, a directory) is IoFailure: a read of a FIFO waits for
+    a writer, and one of /dev/zero never ends. The open does not block,
+    so a FIFO is refused before any writer comes."""
+    with _reading(what):
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise IoFailure(f"cannot read {what}: {path} is not a "
+                                f"regular file")
+            return os.fdopen(fd, "rb")
+        except BaseException:
+            os.close(fd)
+            raise
+
+
 def read_bytes(path, what: str, size: int = -1) -> bytes:
     """The whole file at path, or its first ``size`` bytes."""
-    with _reading(what), open(path, "rb") as fh:
+    with _open_file(path, what) as fh, _reading(what):
         return fh.read(size)
+
+
+def sha256_hex(blob) -> str:
+    """The sha256 of blob, in hex. hashlib loads OpenSSL (about 3.6 MB),
+    so it is imported here, when a digest is taken, and only soup takes
+    one."""
+    import hashlib
+    return hashlib.sha256(blob).hexdigest()
 
 
 def json_object(blob: bytes, what: str) -> dict:
@@ -295,8 +323,7 @@ class ContainerReader:
 
     def __init__(self, path):
         self.path = path
-        with _reading("container"):
-            self._fh = open(path, "rb")
+        self._fh = _open_file(path, "container")
         try:
             with prefixed(path):
                 self._read_head()

@@ -231,15 +231,27 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(m, dtype=np.float64) ** 2, axis=-1))
 
 
-def normalize_rows(m: np.ndarray, out=None, first_row: int = 0) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; ``out``, if given, receives
-    the rows and may be m itself.
-
-    Raises DegenerateVector if any row norm falls below DEGENERATE_NORM,
+def check_norms(norms: np.ndarray, first_row: int = 0):
+    """Raise DegenerateVector if any row norm falls below DEGENERATE_NORM,
     or is not finite: a NaN, or a squared sum that overflows float64 (an
     entry from about 1.3e154 on), which would otherwise give a zero or
-    NaN row. The message numbers m's rows from ``first_row``, so rows
-    taken from a larger block can be named by their place in it.
+    NaN row. The message numbers the flattened norms from ``first_row``,
+    so rows taken from a larger block can be named by their place in it.
+    """
+    flat = norms.reshape(-1)
+    if np.any(flat < DEGENERATE_NORM):
+        raise DegenerateVector(f"row {first_row + int(np.argmin(flat))} "
+                               f"has norm below {DEGENERATE_NORM:g}")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise DegenerateVector(f"row {first_row + int(bad[0])} has norm "
+                               f"{flat[bad[0]]}, not finite in float64")
+
+
+def normalize_rows(m: np.ndarray, out=None, first_row: int = 0) -> np.ndarray:
+    """Scale each row to unit Euclidean norm; ``out``, if given, receives
+    the rows and may be m itself. The norms are refused as check_norms
+    refuses them, with m's rows numbered from ``first_row``.
     """
     m = np.asarray(m, dtype=np.float64)
     rows = m.reshape(-1, m.shape[-1])
@@ -248,15 +260,8 @@ def normalize_rows(m: np.ndarray, out=None, first_row: int = 0) -> np.ndarray:
     with np.errstate(over="ignore"):  # reported below
         for lo in range(0, len(rows), step):
             flat[lo:lo + step] = row_norms(rows[lo:lo + step])
-    norms = flat.reshape(m.shape[:-1])
-    if np.any(flat < DEGENERATE_NORM):
-        raise DegenerateVector(f"row {first_row + int(np.argmin(flat))} "
-                               f"has norm below {DEGENERATE_NORM:g}")
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise DegenerateVector(f"row {first_row + int(bad[0])} has norm "
-                               f"{flat[bad[0]]}, not finite in float64")
-    return np.divide(m, norms[..., np.newaxis], out=out)
+    check_norms(flat, first_row)
+    return np.divide(m, flat.reshape(m.shape[:-1])[..., np.newaxis], out=out)
 
 
 def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,

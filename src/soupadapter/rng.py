@@ -227,6 +227,31 @@ class Stream:
         g /= norms[:, np.newaxis]
         return g
 
+    def unit_vector_spans(self, count: int, dim: int, spans):
+        """(lo, rows lo .. hi - 1 of unit_vectors(count, dim)) for each
+        (lo, hi) of ``spans``, which must cover range(count) in order, so
+        that only one span of the rows is held at a time.
+
+        Each span takes its values with normal_span and divides them by
+        their norms; a row whose norm is degenerate is redrawn with
+        unit_vector from the outputs after the block's draw, in row
+        order. So the rows are unit_vectors' whatever the spans, and a
+        generator run to its end leaves the counter where unit_vectors
+        would.
+        """
+        n = count * dim
+        redraws = self._count + 2 * ((n + 1) // 2)  # past the block's draw
+        for lo, hi in spans:
+            g = self.normal_span(n, lo * dim, hi * dim).reshape(hi - lo, dim)
+            norms = np.linalg.norm(g, axis=1)
+            for i in np.flatnonzero(norms < DEGENERATE_NORM):
+                start, self._count = self._count, redraws
+                g[i], norms[i] = self.unit_vector(dim), 1.0
+                redraws, self._count = self._count, start
+            g /= norms[:, np.newaxis]
+            yield lo, g
+        self._count = redraws
+
 
 def stream(base_seed: int, tag: str, index: int = 0) -> Stream:
     """Convenience constructor for the stream (base_seed, tag, index)."""

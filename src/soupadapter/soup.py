@@ -12,7 +12,6 @@ point accuracy, which verify_equivalence checks on random probes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import dataio
 from .adapter import AdapterParams, adapter_forward, parse_checkpoint
-from .dataio import read_bytes
+from .dataio import read_bytes, sha256_hex
 from .errors import (DimensionMismatch, EquivalenceViolation, ShapeMismatch,
                      prefixed)
 from .numerics import row_spans
@@ -71,7 +70,8 @@ def reparameterize(soup: Soup) -> AdapterParams:
     k = soup.k
     w1 = np.vstack([c.W1 for c in soup.components])
     b1 = np.concatenate([c.b1 for c in soup.components])
-    w2 = np.hstack([c.W2 for c in soup.components]) / k
+    w2 = np.hstack([c.W2 for c in soup.components])
+    w2 /= k
     b2 = np.zeros(soup.dim)
     for c in soup.components:
         b2 += c.b2
@@ -86,15 +86,15 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
 
     Returns the worst absolute deviation over `trials` random unit inputs;
     raises EquivalenceViolation, with the probe's index among all trials,
-    if it exceeds the tolerance. The probes are drawn dataio.BLOCK_ROWS at
-    a time, one block after another from the same stream, and each block
-    is scored over its numerics.row_spans for the wider of the merged
-    hidden layer and D. So memory is one block of probes plus about
-    numerics.PRODUCT_VALUES values per forward pass, whatever `trials` or
-    the merged width, and a probe is scored alone only where its block
-    has one row. Passing a pre-built (for example, serialized and
-    reloaded) merged adapter checks that artifact instead of a freshly
-    merged one.
+    if it exceeds the tolerance. The probes are the rows of
+    Stream.unit_vectors blocks of dataio.BLOCK_ROWS, one block after
+    another from the same stream. Each block is drawn and scored over its
+    numerics.row_spans for the wider of the merged hidden layer and D, so
+    memory is one span of probes plus about numerics.PRODUCT_VALUES
+    values per forward pass, whatever `trials` or the merged width, and a
+    probe is scored alone only where its block has one row. Passing a
+    pre-built (for example, serialized and reloaded) merged adapter
+    checks that artifact instead of a freshly merged one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -104,12 +104,13 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
         raise DimensionMismatch("merged adapter dimension differs from soup")
     rng = stream(seed, "equiv")
     worst, worst_idx = -math.inf, 0  # as one argmax over every probe
-    rows = dataio.BLOCK_ROWS
-    for start in range(0, trials, rows):
-        probes = rng.unit_vectors(min(rows, trials - start), soup.dim)
-        for lo, hi in row_spans(len(probes), max(merged.hidden, soup.dim)):
-            deviation = np.abs(adapter_forward(merged, probes[lo:hi])
-                               - soup_forward(soup, probes[lo:hi])).max(axis=1)
+    width = max(merged.hidden, soup.dim)
+    for start in range(0, trials, dataio.BLOCK_ROWS):
+        count = min(dataio.BLOCK_ROWS, trials - start)
+        for lo, probes in rng.unit_vector_spans(count, soup.dim,
+                                                row_spans(count, width)):
+            deviation = np.abs(adapter_forward(merged, probes)
+                               - soup_forward(soup, probes)).max(axis=1)
             i = int(np.argmax(deviation))
             if not (math.isnan(worst) or deviation[i] <= worst):
                 worst, worst_idx = float(deviation[i]), start + lo + i
@@ -118,14 +119,16 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     return worst
 
 
-def load_soup(paths) -> tuple[Soup, list[float], list[str]]:
+def load_soup(paths, digests: bool = False
+              ) -> tuple[Soup, list[float], list[str]]:
     """Read each checkpoint once, in the given order.
 
-    Returns the soup, each component's logit scale and the sha256 of the
-    bytes each component was parsed from. Order only affects float
-    summation. A file that does not parse is named in the error.
+    Returns the soup, each component's logit scale and, if ``digests``,
+    the sha256 of the bytes each component was parsed from (else an empty
+    list). Order only affects float summation. A file that does not parse
+    is named in the error.
     """
-    components, scales, digests = [], [], []
+    components, scales, checksums = [], [], []
     for path in paths:
         blob = read_bytes(path, "checkpoint")
         with prefixed(path):
@@ -136,5 +139,6 @@ def load_soup(paths) -> tuple[Soup, list[float], list[str]]:
                 f"dim {components[0].dim}")
         components.append(params)
         scales.append(scale)
-        digests.append(hashlib.sha256(blob).hexdigest())
-    return Soup(components=components), scales, digests
+        if digests:
+            checksums.append(sha256_hex(blob))
+    return Soup(components=components), scales, checksums

@@ -410,11 +410,10 @@ def test_training_is_bit_deterministic():
 
 def test_train_component_holds_one_epoch_beside_its_clean_rows(
         working_peak):
-    # beyond its inputs, a single-view set's training holds the float64
-    # clean rows it gathers once, one epoch's noisy features (the previous
-    # epoch's are freed before the next noise block is drawn; the clean
-    # rows are added and the norms squared a chunk at a time) and the
-    # step's small arrays
+    # beyond its inputs, a single-view set's training holds no float64
+    # copy of its rows and less than one epoch's noisy features (the
+    # previous span's are freed before the next noise span is drawn; the
+    # norms are squared a chunk at a time) and the step's small arrays
     c, d, shots = 16, 128, 128
     feats = unit_rows(30, c * shots, d)
     emb = EmbeddingSet(features=feats[:, None, :],
@@ -425,17 +424,16 @@ def test_train_component_holds_one_epoch_beside_its_clean_rows(
                       seed=32, epochs=3)
     epoch = c * shots * d * 8
     extra = working_peak(lambda: train_component(emb, sel, head, cfg))
-    assert extra < 2 * epoch + 4 * 8 * CHUNK_VALUES, (extra, epoch)
+    assert extra < epoch + 4 * 8 * CHUNK_VALUES, (extra, epoch)
 
 
 @pytest.mark.parametrize("views", [1, 3])
 def test_train_component_holds_its_rows_one_span_and_its_state(
         views, working_peak):
-    # beyond its inputs, training holds the float64 rows it gathers once,
-    # filled view by view (no list of views, no stacked copy), one span of
-    # features (whole batches, about CHUNK_VALUES values: 256 rows here),
-    # the gradients, AdamW moments and work arrays, and a few chunks; no
-    # epoch of features
+    # beyond its inputs, training holds one norm per row and view, one
+    # span of features (whole batches, about CHUNK_VALUES values: 256 rows
+    # here), the gradients, AdamW moments and work arrays, and a few
+    # chunks; no float64 copy of its rows and no epoch of features
     c, d, shots = 16, 128, 128
     feats = np.stack([unit_rows(30 + v, c * shots, d) for v in range(views)],
                      axis=1)
@@ -450,7 +448,7 @@ def test_train_component_holds_its_rows_one_span_and_its_state(
     hidden = d // cfg.red
     state = 4 * 8 * (2 * d * hidden + hidden + d)
     extra = working_peak(lambda: train_component(emb, sel, head, cfg))
-    assert extra < rows + span + state + 5 * 8 * CHUNK_VALUES, (extra, rows)
+    assert extra < span + state + 5 * 8 * CHUNK_VALUES, (extra, rows)
 
 
 def test_noisy_features_errors_name_the_row_of_the_epoch(monkeypatch):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from soupadapter.cli import UsageError, main, parse_grid
 from soupadapter.dataio import read_container, sample_few_shot
 from soupadapter.errors import NormViolation
 from soupadapter.rng import stream
+from test_fileio import FUZZ
 
 
 def run(*argv):
@@ -317,15 +319,17 @@ def test_train_prints_each_component_wall_time(tmp_path, data_dir, capsys):
                          rf"\S+, trained in \d+\.\d\ds\)", out), out
 
 
-def python_process(*argv):
+def python_process(*argv, timeout=120, **options):
     """A fresh interpreter on this checkout's package, as a user runs it,
-    so everything it prints, warnings included, is captured."""
+    so everything it prints, warnings included, is captured; ``options``
+    go to subprocess.run."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout,
+                          **options)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -1019,6 +1023,56 @@ def test_soup_failing_verification_leaves_existing_out_untouched(
     assert list(tmp_path.iterdir()) == [out]
 
 
+@FUZZ
+@given(at=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+def test_soup_writes_only_the_bytes_it_verified(tmp_path, train_dir, at,
+                                                flip):
+    # soup verifies the reloaded merged adapter, then serializes it again
+    # and writes that only if it has the verified bytes' digest
+    out = tmp_path / "merged.sada"
+    serialized = []
+    serialize = adapter.checkpoint_bytes
+
+    def changing_the_second(*args):
+        blob = bytearray(serialize(*args))
+        serialized.append(blob)
+        if len(serialized) == 2:
+            blob[int(at * len(blob))] ^= flip
+        return blob
+
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adapter, "checkpoint_bytes", changing_the_second)
+        code = run("soup", "--components", *comps, "--trials", "50",
+                   "--out", out)
+    assert len(serialized) == 2
+    assert code == 3
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["train", "soup", "eval"])
+def test_only_soup_loads_openssl(tmp_path, data_dir, train_dir, stage):
+    # hashlib loads OpenSSL's _hashlib (about 3.6 MB); only soup digests
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    argv = {"train": ["train", "--embeddings", data_dir / "train.sadp",
+                      "--shots", "2", "--k", "2", "--epochs", "1",
+                      "--out", tmp_path / "run"],
+            "soup": ["soup", "--components", *comps,
+                     "--out", tmp_path / "merged.sada"],
+            "eval": ["eval", "--embeddings", data_dir / "id_test.sadp",
+                     "--head", train_dir / "head.shed",
+                     "--components", *comps,
+                     "--knn-bank", train_dir / "fewshot.sadp",
+                     "--out", tmp_path / "report"]}[stage]
+    done = python_process(
+        "-c", "import sys; from soupadapter.cli import main; "
+        "code = main(sys.argv[1:]); print('_hashlib' in sys.modules); "
+        "sys.exit(code)", *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(stage == "soup")
+
+
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 # manifests that parse nowhere: past the parser's depth limit, and a split
 # index past Python's 4300-digit limit on int conversion
@@ -1088,6 +1142,81 @@ def test_checkpoint_with_a_deep_trailer_exits_2_naming_it(
                           f"UTF-8 JSON: ")
     assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["deep.sada"]
+
+
+def capped_process(*argv):
+    """python_process with its address space capped at 1 GiB and a 30 s
+    timeout, so a read that never ends fails instead of filling memory,
+    and a read that blocks fails instead of hanging the suite."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return python_process(*argv, timeout=30, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("case", ["info-fifo", "train-fifo",
+                                  "manifest-fifo", "head-dev-zero"])
+def test_a_fifo_or_device_input_exits_2_naming_it(tmp_path, data_dir,
+                                                  case):
+    # a FIFO with no writer blocks a plain open, and /dev/zero never ends
+    fifo = tmp_path / "fifo.sadp"
+    os.mkfifo(fifo)
+    train = ["-m", "soupadapter", "train", "--shots", "2", "--k", "1",
+             "--epochs", "1", "--out", tmp_path / "run"]
+    if case == "info-fifo":
+        argv, named = ["-m", "soupadapter", "info", "--embeddings", fifo], fifo
+    elif case == "train-fifo":
+        argv, named = [*train, "--embeddings", fifo], fifo
+    elif case == "manifest-fifo":
+        container = tmp_path / "train.sadp"
+        container.write_bytes((data_dir / "train.sadp").read_bytes())
+        named = tmp_path / "train.sadp.json"
+        os.mkfifo(named)
+        argv = ["-m", "soupadapter", "info", "--embeddings", container]
+    else:
+        named = "/dev/zero"
+        argv = [*train, "--embeddings", data_dir / "train.sadp",
+                "--head", named]
+    done = capped_process(*argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("data error: cannot read ")
+    assert f"{named} is not a regular file" in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+FORGED = "x\nnorm-check: forged"
+
+
+@pytest.mark.parametrize("where", ["manifest", "trailer"])
+def test_info_prints_one_line_per_field(tmp_path, data_dir, train_dir,
+                                        capsys, where):
+    if where == "manifest":
+        path = tmp_path / "train.sadp"
+        path.write_bytes((data_dir / "train.sadp").read_bytes())
+        doc = json.loads((data_dir / "train.sadp.json").read_text())
+        (tmp_path / "train.sadp.json").write_text(json.dumps(
+            {**doc, "dataset": FORGED, "model": "m\r\x1b[2K\u2028",
+             "splits": {"a\nb": []}}))
+        want = ["dim", "samples", "views", "classes", "norm-check",
+                "dataset", "model", "splits"]
+    else:
+        path = tmp_path / "c.sada"
+        params, scale, _ = load_checkpoint(train_dir / "component_0.sada")
+        adapter.save_checkpoint(path, params, scale, {
+            "kind": FORGED, "a\nb": {"c\rd": "\x1b[2K"}})
+        want = ["format", "dim", "hidden", "scale", "a\\nb.c\\rd",
+                "kind"]
+    assert run("info", "--embeddings", path) == 0
+    out = capsys.readouterr().out
+    assert [line.split(": ")[0] for line in out.splitlines()] == want
+    assert out.count("\n") == len(want)
+    key = "dataset" if where == "manifest" else "kind"
+    assert f"{key}: x\\nnorm-check: forged\n" in out
+    if where == "manifest":
+        assert "model: m\\r\\x1b[2K\\u2028\n" in out
+        assert "splits: a\\nb\n" in out
+    else:
+        assert "a\\nb.c\\rd: \\x1b[2K\n" in out
 
 
 @pytest.mark.parametrize("where", ["manifest", "trailer"])

@@ -339,6 +339,34 @@ def test_checkpoint_writer_refuses_what_the_reader_refuses(tmp_path, name,
         load_checkpoint, adapter, "finite_in_float32", lambda arr: True)
 
 
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@FUZZ
+@given(dims=st.tuples(st.integers(1, 6), st.integers(1, 4)), data=st.data(),
+       scale=st.floats(allow_nan=False, allow_infinity=False),
+       meta=st.dictionaries(st.text(), _JSON_VALUE, max_size=5))
+def test_checkpoint_bytes_are_what_they_parse_back_to(dims, data, scale,
+                                                      meta):
+    # float32-exact weights round-trip through float64 unchanged, so a
+    # parsed checkpoint serializes to its own bytes; soup writes a merged
+    # adapter's bytes that way once they are verified
+    d, h = dims
+    f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    params = AdapterParams(*(
+        np.array(data.draw(st.lists(f32, min_size=math.prod(shape),
+                                    max_size=math.prod(shape))),
+                 dtype=np.float32).reshape(shape)
+        for shape in ((h, d), (h,), (d, h), (d,))))
+    blob = adapter.checkpoint_bytes(params, scale, meta)
+    assert adapter.checkpoint_bytes(*adapter.parse_checkpoint(blob)) == blob
+
+
 @pytest.mark.parametrize("write,error,message", [
     # each wrote a file that its reader then refused
     (lambda p: export_head(ClassifierHead([[2.0, 0.0], [0.0, 1.0]]), p),

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from soupadapter import rng as rng_mod
 from soupadapter.rng import (_PAIR_BLOCK, MASK64, Stream, below, derive_seed,
                              fnv1a64, mix64, stream, uniform)
+from test_fileio import FUZZ
 
 
 def test_scalar_and_vector_draws_agree():
@@ -253,3 +254,25 @@ def test_an_untaken_walk_draws_nothing():
     s = Stream(8)
     s.walk(10)
     assert s._count == 0 and s.next_u64() == Stream(8).next_u64()
+
+
+@FUZZ
+@given(_SEEDS, st.integers(0, 40), st.integers(1, 7), st.data())
+def test_unit_vector_spans_are_unit_vectors(seed, count, dim, data):
+    # the raised thresholds (0.5, and sqrt(dim) near the norms' median)
+    # make rows degenerate, so redraws, in row order after the block's
+    # draw, are part of most cases
+    threshold = data.draw(st.sampled_from([1e-12, 0.5, math.sqrt(dim)]))
+    cuts = data.draw(st.lists(st.integers(1, max(1, count - 1)),
+                              unique=True)) if count > 1 else []
+    ends = sorted(set(cuts)) + [count]
+    spans = list(zip([0, *ends[:-1]], ends))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng_mod, "DEGENERATE_NORM", threshold)
+        spanned, whole = Stream(seed), Stream(seed)
+        tiles = list(spanned.unit_vector_spans(count, dim, spans))
+        want = whole.unit_vectors(count, dim)
+    assert [lo for lo, _ in tiles] == [lo for lo, _ in spans]
+    assert np.array_equal(np.vstack([np.empty((0, dim)),
+                                     *(rows for _, rows in tiles)]), want)
+    assert spanned._count == whole._count

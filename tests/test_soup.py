@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -194,17 +196,21 @@ def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
     merged = reparameterize(s)
     merged.W2[0, 0] += 0.05
     deviation = probe_deviations(s, merged, [1024, 1024, 952])
-    sizes = []
-    draw = Stream.unit_vectors
+    draws = []
+    draw = Stream.unit_vector_spans
 
-    def recording(self, count, dim):
-        sizes.append(count)
-        return draw(self, count, dim)
+    def recording(self, count, dim, spans):
+        draws.append((count, list(spans)))
+        return draw(self, count, dim, spans)
 
-    monkeypatch.setattr(Stream, "unit_vectors", recording)
+    monkeypatch.setattr(Stream, "unit_vector_spans", recording)
     with pytest.raises(EquivalenceViolation) as info:
         verify_equivalence(s, trials=3000, tolerance=1e-10, merged=merged)
-    assert sizes == [1024, 1024, 952]
+    # each block's spans tile it in order
+    assert [count for count, _ in draws] == [1024, 1024, 952]
+    for count, spans in draws:
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == count
     assert info.value.worst == deviation.max()
     assert info.value.input_index == int(np.argmax(deviation)) >= 1024
     assert verify_equivalence(s, 3000, 1.0, merged=merged) == deviation.max()
@@ -263,6 +269,18 @@ def test_verify_equivalence_memory_does_not_grow_with_the_merged_width(
         extra
 
 
+def test_verify_equivalence_holds_one_span_of_probes(working_peak):
+    # D = 1024 is wider than the merged hidden layer, so a span is 256 of
+    # a block's 1024 probes; beside them verify holds a few forward spans
+    d = 1024
+    s = Soup([random_params(95 + j, d, 32) for j in range(3)])
+    merged = reparameterize(s)
+    span_rows = numerics.PRODUCT_VALUES // d
+    extra = working_peak(lambda: verify_equivalence(
+        s, 2 * BLOCK_ROWS, 1e-4, merged=merged))
+    assert extra < 8 * (span_rows * d + 4 * numerics.PRODUCT_VALUES), extra
+
+
 def test_verify_equivalence_validates_trials():
     with pytest.raises(ValueError):
         verify_equivalence(random_soup(25, 2, 8), trials=0, tolerance=1e-4)
@@ -289,3 +307,14 @@ def test_load_soup_mixed_dims_name_the_file(tmp_path):
     save_checkpoint(b, random_params(27, 12, 2), 1.0, {})
     with pytest.raises(DimensionMismatch, match="bad.sada"):
         load_soup([a, b])
+
+
+def test_load_soup_digests_only_when_asked(tmp_path):
+    paths = []
+    for j in range(2):
+        path = tmp_path / f"c{j}.sada"
+        save_checkpoint(path, random_params(30 + j, 8, 2), 1.0, {})
+        paths.append(path)
+    assert load_soup(paths)[2] == []
+    assert load_soup(paths, digests=True)[2] == [
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
