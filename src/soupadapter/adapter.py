@@ -30,7 +30,7 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
 from .errors import (CorruptLength, DegenerateVector, NumericalError,
                      RedTooLarge, ShapeMismatch, prefixed)
 from .heads import ClassifierHead, check_compatible
-from .numerics import (CHUNK_VALUES, DEGENERATE_NORM, OptimState, adamw_step,
+from .numerics import (DEGENERATE_NORM, OptimState, adamw_step, chunk_rows,
                        check_norms, cross_entropy_label_smoothing_batch, gelu,
                        gelu_grad, normal_cdf, normalize_rows, row_norms)
 from .rng import below, stream, uniform
@@ -301,13 +301,13 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     (n_train D) for the epoch's row i, and re-normalize.
 
     Beside its inputs, a component holds one float64 norm per training
-    row and view, taken once, each parameter four times (itself, its
-    gradient and its two AdamW moments, all allocated once, with AdamW's
-    two work arrays of CHUNK_VALUES values), and one span of the epoch's
-    features: whole batches, about CHUNK_VALUES values, which are
-    gathered from the float32 set and divided by their norms (the bits
-    of unit_features), then noised and normalized, just before their
-    steps. No float64 copy of the selection is made.
+    row and view, taken once (numerics.row_norms), each parameter four
+    times (itself, its gradient and its two AdamW moments, all allocated
+    once, with AdamW's two work arrays of one chunk), and one span of the
+    epoch's features: numerics.chunk_rows(batch_size D) whole batches,
+    gathered from the float32 set and divided by their norms (the bits of
+    unit_features), then noised and normalized, just before their steps.
+    No float64 copy of the selection is made.
     """
     check_compatible(head, [("training", emb)])
     started = time.perf_counter()
@@ -320,13 +320,13 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     # every view's norm, taken as unit_features takes it, so a span's
     # float32 rows divided by theirs are unit_features' float64 rows
     norms = np.empty((n_train, emb.views))
-    step = max(1, CHUNK_VALUES // (emb.views * dim))
+    step = chunk_rows(emb.views * dim)
     for lo in range(0, n_train, step):
         norms[lo:lo + step] = row_norms(emb.features[rows[lo:lo + step]])
     for v in range(emb.views):
         with prefixed(f"component seed {cfg.seed}: training view {v}"):
             check_norms(norms[:, v])
-    span = cfg.batch_size * max(1, CHUNK_VALUES // (cfg.batch_size * dim))
+    span = cfg.batch_size * chunk_rows(cfg.batch_size * dim)
 
     params = init_adapter(dim, cfg.red, cfg.seed)
     param_dict = params.as_dict()

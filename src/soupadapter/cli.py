@@ -87,7 +87,7 @@ def parse_grid(text: str) -> list[float]:
     if not all(map(math.isfinite, (start, end, step))):
         raise UsageError("grid bounds must be finite")
     if start == end:
-        grid = [round(start, 12)]
+        grid = [start]
     else:
         if step <= 0 or end < start:
             raise UsageError("grid needs end >= start and a positive step")
@@ -96,7 +96,8 @@ def parse_grid(text: str) -> list[float]:
             raise UsageError(f"grid {text!r} has more than "
                              f"{MAX_GRID_POINTS} points")
         count = math.floor(span) + 1
-        grid = [round(start + i * step, 12) for i in range(count)]
+        grid = [start + i * step for i in range(count)]
+    grid = [round(r, 12) + 0.0 for r in grid]  # + 0.0: no -0.0
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise UsageError("grid values must stay within [0, 1]")
     if any(a >= b for a, b in zip(grid, grid[1:])):

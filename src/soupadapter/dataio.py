@@ -14,14 +14,15 @@ Container format (binary, little-endian):
 Every view vector must be unit-norm within 1e-4 (32-bit storage slack);
 features are re-normalized in 64-bit when read back for computation.
 check_unit_norms is that rule for containers and head files, applied by
-their writers and readers alike. A manifest is a UTF-8 JSON file alongside
-the container with keys "dataset", "classes", "splits" and "model".
+their writers and readers alike to numerics.row_norms. A manifest is a
+UTF-8 JSON file beside the container with keys "dataset", "classes",
+"splits" and "model".
 
 ContainerReader is the one parser of the container format. Opening one
 checks the header, the file length and the labels; its features are then
 read a block of samples at a time, and each block's norms are checked as
 it arrives. read_container gathers every sample, or the ones it is given,
-from those blocks into the returned array.
+from those blocks (numerics.chunk_rows) into the returned array.
 
 Every other artifact is read by read_bytes, every artifact is written by
 atomic_write (so a reader never sees a half-written file), and a read's
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import (BadMagic, CorruptLength, InsufficientShots, IoFailure,
                      NonFiniteValue, NormViolation, VersionUnsupported,
                      prefixed)
-from .numerics import CHUNK_VALUES, normalize_rows
+from .numerics import chunk_rows, normalize_rows, row_norms
 from .rng import stream
 
 CONTAINER_MAGIC = b"SADP"
@@ -57,8 +58,8 @@ CONTAINER_VERSION = 1
 NORM_TOLERANCE = 1e-4
 
 # Samples per block wherever a set is streamed: the container reader's
-# blocks here (ContainerReader.read takes fewer where a block would pass
-# CHUNK_VALUES values), the query blocks that heads and evalkit score and
+# blocks here (ContainerReader.read takes numerics.chunk_rows(V D) samples
+# where that is fewer), the query blocks that heads and evalkit score and
 # the probe blocks of soup.verify_equivalence. Each reads it when it runs,
 # so eval reads and scores the same rows at once.
 BLOCK_ROWS = 1024
@@ -109,23 +110,15 @@ class EmbeddingSet:
         for start in range(0, self.n, rows):
             yield start, self.features[start:start + rows]
 
-    def unit_features(self, view: int = 0, indices=None,
-                      out=None) -> np.ndarray:
+    def unit_features(self, view: int = 0, indices=None) -> np.ndarray:
         """Float64 features of one view, of the samples at ``indices`` or
-        of all, re-normalized to exact unit norm. ``out``, if given,
-        receives them: a float64 array of the result's shape, which may
-        be a strided view such as one view's rows of a larger array. The
-        rows are gathered CHUNK_VALUES values at a time, so nothing of the
-        result's size is allocated beside it."""
+        of all, re-normalized to exact unit norm by numerics.normalize_rows
+        from the float32 rows, so beside the result only the float32
+        rows at ``indices`` are gathered."""
         feats = self.features[:, view, :]
-        idx = np.arange(self.n) if indices is None \
-            else np.asarray(indices, dtype=np.int64)
-        if out is None:
-            out = np.empty((idx.size, self.dim))
-        step = max(1, CHUNK_VALUES // self.dim)
-        for lo in range(0, idx.size, step):
-            out[lo:lo + step] = feats[idx[lo:lo + step]]
-        return normalize_rows(out, out=out)
+        if indices is not None:
+            feats = feats[np.asarray(indices, dtype=np.int64)]
+        return normalize_rows(feats)
 
 
 @dataclass
@@ -179,20 +172,15 @@ def check_unit_norms(rows: np.ndarray, where: str, first: int = 0):
     """Raise NormViolation unless every vector along the last axis has norm
     1 within NORM_TOLERANCE; ``where`` formats the first bad vector's index,
     counting rows[0] along the first axis as ``first`` (a block's offset in
-    its set). The norms are taken in float64 CHUNK_VALUES values at a
-    time."""
+    its set). The norms are numerics.row_norms', in float64."""
     rows = np.asarray(rows)
-    flat = rows.reshape(-1, rows.shape[-1])
-    step = max(1, CHUNK_VALUES // max(1, rows.shape[-1]))
-    for start in range(0, flat.shape[0], step):
-        norms = np.linalg.norm(flat[start:start + step].astype(np.float64),
-                               axis=-1)
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
-        if bad.size:
-            at, *rest = np.unravel_index(start + bad[0], rows.shape[:-1])
-            raise NormViolation(f"{where.format(first + at, *rest)} has "
-                                f"norm {norms[bad[0]]:.6f}, expected 1 "
-                                f"within {NORM_TOLERANCE:g}")
+    norms = row_norms(rows).reshape(-1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
+    if bad.size:
+        at, *rest = np.unravel_index(bad[0], rows.shape[:-1])
+        raise NormViolation(f"{where.format(first + at, *rest)} has "
+                            f"norm {norms[bad[0]]:.6f}, expected 1 "
+                            f"within {NORM_TOLERANCE:g}")
 
 
 @contextlib.contextmanager
@@ -374,7 +362,7 @@ class ContainerReader:
     def read(self, indices=None) -> EmbeddingSet:
         """Every sample, or the samples at ``indices`` in that order,
         gathered in one pass that checks every sample's norm, kept or not,
-        over blocks of at most BLOCK_ROWS samples and CHUNK_VALUES values."""
+        over blocks of min(BLOCK_ROWS, numerics.chunk_rows(V D)) samples."""
         idx = np.arange(self.n) if indices is None \
             else np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
@@ -382,8 +370,7 @@ class ContainerReader:
         order = np.argsort(idx, kind="stable")
         wanted = idx[order]
         feats = np.empty((idx.size, self.views, self.dim), dtype="<f4")
-        rows = min(BLOCK_ROWS,
-                   max(1, CHUNK_VALUES // (self.views * self.dim)))
+        rows = min(BLOCK_ROWS, chunk_rows(self.views * self.dim))
         for start, block in self.blocks(rows):
             lo, hi = np.searchsorted(wanted, (start, start + len(block)))
             feats[order[lo:hi]] = block[wanted[lo:hi] - start]

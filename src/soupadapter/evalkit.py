@@ -78,9 +78,7 @@ def _blocks(source):
     rows = dataio.BLOCK_ROWS
     buf = np.empty((min(rows, source.n), source.dim))
     for start, block in source.blocks(rows):
-        feats = buf[:len(block)]
-        feats[...] = block[:, 0, :]
-        yield (start, normalize_rows(feats, out=feats),
+        yield (start, normalize_rows(block[:, 0, :], out=buf[:len(block)]),
                source.labels[start:start + len(block)])
 
 

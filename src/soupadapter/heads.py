@@ -26,7 +26,7 @@ from .dataio import (EmbeddingSet, FewShotSelection, atomic_write,
                      check_unit_norms, read_bytes, unpack_header)
 from .errors import (ClassSetMismatch, CorruptLength, DegenerateVector,
                      EmptyBank, EmptyClass, NumericalError, prefixed)
-from .numerics import (CHUNK_VALUES, DEGENERATE_NORM, normalize_rows,
+from .numerics import (DEGENERATE_NORM, chunk_rows, normalize_rows,
                        row_spans)
 
 HEAD_MAGIC = b"SHED"
@@ -197,7 +197,7 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
     numerics.row_spans span, about numerics.PRODUCT_VALUES values, so
     memory for them stays O(PRODUCT_VALUES) whatever the bank size; a
     span has one row only where the block has one. Each span's neighbors
-    are selected over row sub-blocks of about CHUNK_VALUES similarities.
+    are selected over sub-blocks of numerics.chunk_rows(bank size) rows.
     Neighbors come out in the order of a stable per-row argsort, and each
     weight is math.exp of one selected similarity, so the votes equal a
     row-by-row scan of the same similarities bit for bit. A weight that
@@ -212,7 +212,7 @@ def knn_logits_batch(bank_features: np.ndarray, bank_labels: np.ndarray,
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     k = min(cfg.k, bank_features.shape[0])
     bank = bank_features.shape[0]
-    sub = max(1, CHUNK_VALUES // bank)
+    sub = chunk_rows(bank)
     out = np.zeros((xs.shape[0], num_classes), dtype=np.float64)
     rows = dataio.BLOCK_ROWS
     for start in range(0, xs.shape[0], rows):
@@ -263,6 +263,6 @@ def import_head(path) -> ClassifierHead:
         if len(blob) != expect:
             raise CorruptLength(f"expected {expect} bytes, found {len(blob)}")
         rows = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size) \
-            .reshape(c, d).astype(np.float64)
+            .reshape(c, d)
         check_unit_norms(rows, "head row {}")
     return ClassifierHead(weights=normalize_rows(rows), scale=scale)

@@ -19,8 +19,9 @@ so 1 - erfc rounds to 1 either way, and erf returns +-1. NaN passes through.
 values (256 KiB of float64), so each temporary of the polynomial pass is
 one chunk, whatever the input's size; an input that small is one chunk.
 The operations are elementwise, so the bits do not depend on the
-chunking. ``gelu`` and ``normalize_rows`` take an ``out=`` that may be the
-input itself; ``normalize_rows`` squares one chunk of rows at a time.
+chunking. A loop over rows takes ``chunk_rows(width)`` rows, one chunk, at
+a time; so does ``row_norms``, the package's one norm of a matrix's rows.
+``gelu`` and ``normalize_rows`` take an ``out=`` that may be the input.
 
 ``row_spans`` cuts a block of rows into the sub-blocks that a wide matrix
 product (KNN similarities, hidden layers, forward passes) runs over:
@@ -227,8 +228,22 @@ def span_buffer(rows: int, width: int) -> np.ndarray:
     return np.empty(min(rows, _span_step(width) + 1) * width)
 
 
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` values in one chunk, at least 1: a row loop's step."""
+    return max(1, CHUNK_VALUES // max(1, width))
+
+
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(m, dtype=np.float64) ** 2, axis=-1))
+    """np.sqrt(np.sum(m.astype(np.float64) ** 2, axis=-1)) bit for bit,
+    squared chunk_rows rows at a time; a float64 m is not copied."""
+    m = np.asarray(m)
+    rows = m.reshape(-1, m.shape[-1])
+    norms = np.empty(len(rows))
+    step = chunk_rows(rows.shape[1])
+    for lo in range(0, len(rows), step):
+        chunk = np.asarray(rows[lo:lo + step], dtype=np.float64)
+        np.sqrt(np.sum(chunk ** 2, axis=-1), out=norms[lo:lo + step])
+    return norms.reshape(m.shape[:-1])
 
 
 def check_norms(norms: np.ndarray, first_row: int = 0):
@@ -250,18 +265,15 @@ def check_norms(norms: np.ndarray, first_row: int = 0):
 
 def normalize_rows(m: np.ndarray, out=None, first_row: int = 0) -> np.ndarray:
     """Scale each row to unit Euclidean norm; ``out``, if given, receives
-    the rows and may be m itself. The norms are refused as check_norms
-    refuses them, with m's rows numbered from ``first_row``.
+    the rows and may be m itself. The norms are row_norms', refused as
+    check_norms refuses them, with m's rows numbered from ``first_row``.
+    A float32 m is divided as it is, with no float64 copy of it.
     """
-    m = np.asarray(m, dtype=np.float64)
-    rows = m.reshape(-1, m.shape[-1])
-    flat = np.empty(len(rows))
-    step = max(1, CHUNK_VALUES // max(1, rows.shape[1]))
+    m = np.asarray(m)
     with np.errstate(over="ignore"):  # reported below
-        for lo in range(0, len(rows), step):
-            flat[lo:lo + step] = row_norms(rows[lo:lo + step])
-    check_norms(flat, first_row)
-    return np.divide(m, flat.reshape(m.shape[:-1])[..., np.newaxis], out=out)
+        norms = row_norms(m)
+    check_norms(norms, first_row)
+    return np.divide(m, norms[..., np.newaxis], out=out)
 
 
 def cross_entropy_label_smoothing_batch(logits: np.ndarray, targets: np.ndarray,

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .numerics import DEGENERATE_NORM
+from .numerics import DEGENERATE_NORM, row_norms
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -221,7 +221,7 @@ class Stream:
         unit_vector after the block.
         """
         g = self.normal_array(count * dim).reshape(count, dim)
-        norms = np.linalg.norm(g, axis=1)
+        norms = row_norms(g)
         for i in np.flatnonzero(norms < DEGENERATE_NORM):
             g[i], norms[i] = self.unit_vector(dim), 1.0
         g /= norms[:, np.newaxis]
@@ -243,7 +243,7 @@ class Stream:
         redraws = self._count + 2 * ((n + 1) // 2)  # past the block's draw
         for lo, hi in spans:
             g = self.normal_span(n, lo * dim, hi * dim).reshape(hi - lo, dim)
-            norms = np.linalg.norm(g, axis=1)
+            norms = row_norms(g)
             for i in np.flatnonzero(norms < DEGENERATE_NORM):
                 start, self._count = self._count, redraws
                 g[i], norms[i] = self.unit_vector(dim), 1.0

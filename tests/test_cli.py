@@ -746,6 +746,22 @@ def test_eval_single_point_grid(tmp_path, data_dir, train_dir):
     assert all(row["r"] == 0.0 for row in doc["rows"])
 
 
+@pytest.mark.parametrize("grid", ["-0:-0:1", "-0:0:1", "-1e-13:0:1"])
+def test_a_grid_point_that_rounds_to_zero_is_reported_as_zero(
+        tmp_path, data_dir, train_dir, grid):
+    def reports(grid, stem):
+        out = tmp_path / stem
+        assert run("eval", "--embeddings", data_dir / "id_test.sadp",
+                   "--head", train_dir / "head.shed",
+                   "--components", train_dir / "component_0.sada",
+                   f"--grid={grid}", "--out", out) == 0
+        return [(tmp_path / f"{stem}.{ext}").read_bytes()
+                for ext in ("csv", "json")]
+
+    assert reports(grid, "signed") == reports("0:0:1", "zero")
+    assert [math.copysign(1.0, r) for r in parse_grid(grid)] == [1.0]
+
+
 def test_eval_without_models_exits_1(tmp_path, data_dir, train_dir):
     assert run("eval", "--embeddings", data_dir / "id_test.sadp",
                "--head", train_dir / "head.shed",

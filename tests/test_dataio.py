@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import sample_few_shot_loop
-from soupadapter import dataio
+from soupadapter import dataio, numerics
 from soupadapter.dataio import (ContainerReader, EmbeddingSet,
                                 FewShotSelection, Manifest,
                                 check_unit_norms, generate_synthetic,
@@ -131,7 +131,7 @@ def test_chunked_norm_check_names_the_first_bad_vector(monkeypatch,
                                                        first_bad):
     # 6 vectors of D = 4 per chunk: flat vectors 5 | 6 and 11 | 12 straddle
     # chunk boundaries
-    monkeypatch.setattr(dataio, "CHUNK_VALUES", 24)
+    monkeypatch.setattr(numerics, "CHUNK_VALUES", 24)
     feats = random_set(n=10, v=2, d=4).features
     flat = feats.reshape(-1, 4)
     flat[first_bad] *= 1.01
@@ -147,7 +147,7 @@ def test_container_read_and_write_hold_the_file_and_a_few_chunks(
         tmp_path, traced_peak):
     emb = random_set(n=2048, v=2, d=64)  # 1 MiB of features, 4 chunks
     path = tmp_path / "x.sadp"
-    chunk_bytes = 8 * dataio.CHUNK_VALUES
+    chunk_bytes = 8 * numerics.CHUNK_VALUES
     assert traced_peak(lambda: write_container(emb, path)) \
         < 3 * chunk_bytes < emb.features.nbytes
     size = path.stat().st_size

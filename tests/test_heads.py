@@ -290,7 +290,8 @@ def test_knn_batch_selects_over_sub_blocks_bit_for_bit(monkeypatch,
                                                        sub_block_rows):
     bank, labels, xs = duplicated_bank()
     # neighbors selected over sub-blocks of this many query rows
-    monkeypatch.setattr(heads, "CHUNK_VALUES", sub_block_rows * bank.shape[0])
+    monkeypatch.setattr(numerics, "CHUNK_VALUES",
+                        sub_block_rows * bank.shape[0])
     for k in (1, 3, 7, 36, 37):
         cfg = KnnConfig(k=k, temperature=0.1)
         assert np.array_equal(knn_logits_batch(bank, labels, xs, cfg, 4),

@@ -90,3 +90,62 @@ def test_only_cli_imports_concurrent_futures():
     # the component pool of train --jobs is the package's one executor
     assert {name for name, names in absolute_imports().items()
             if "concurrent.futures" in names} == {"cli"}
+
+
+def names_used(package: Path = PACKAGE) -> dict[str, set[str]]:
+    """{module: every name its code reads, imports or takes as an
+    attribute}; docstrings and comments do not count."""
+    graph = {}
+    for path in package.glob("*.py"):
+        graph[path.stem] = names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    return graph
+
+
+def norm_calls_with_axis(package: Path = PACKAGE) -> list[str]:
+    """"module:line" of each np.linalg.norm call that passes an axis, by
+    keyword or as its third argument."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "norm" \
+                    and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "linalg" \
+                    and (len(node.args) > 2
+                         or any(k.arg == "axis" for k in node.keywords)):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_the_name_scans_see_every_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""CHUNK_VALUES in a docstring."""\n'
+        "from .numerics import CHUNK_VALUES as c\n")
+    (tmp_path / "b.py").write_text(
+        "import numpy as np\nfrom . import numerics\n"
+        "n = numerics.PRODUCT_VALUES\n"
+        "x = np.linalg.norm(v)\ny = np.linalg.norm(v, None, 1)\n")
+    (tmp_path / "c.py").write_text(
+        "import numpy as np\nz = np.linalg.norm(w, axis=-1)  # CHUNK\n")
+    assert {m for m, names in names_used(tmp_path).items()
+            if {"CHUNK_VALUES", "PRODUCT_VALUES"} & names} == {"a", "b"}
+    assert norm_calls_with_axis(tmp_path) == ["b:5", "c:2"]
+
+
+def test_only_numerics_names_the_chunk_sizes():
+    # every other module takes its rows per chunk from numerics.chunk_rows
+    # and its product spans from numerics.row_spans
+    assert {m for m, names in names_used().items()
+            if {"CHUNK_VALUES", "PRODUCT_VALUES"} & names} == {"numerics"}
+
+
+def test_row_norms_are_taken_by_numerics_row_norms_alone():
+    assert norm_calls_with_axis() == []

@@ -13,8 +13,9 @@ from soupadapter.errors import DegenerateVector, ShapeMismatch
 from soupadapter.numerics import (OptimState, adamw_step,
                                   cross_entropy_label_smoothing_batch, erf,
                                   gelu, gelu_grad, normal_cdf, normalize_rows,
-                                  row_spans, single_blas_thread)
+                                  row_norms, row_spans, single_blas_thread)
 from soupadapter.rng import stream
+from test_fileio import FUZZ
 
 
 # -------------------------------------------------------------------- erf
@@ -229,6 +230,46 @@ def test_normalize_rows_refuses_a_norm_that_is_not_finite(big):
         normalize_rows(m, out=m)
     with pytest.raises(DegenerateVector, match=r"^row 0 has norm"):
         normalize_rows(m[2])
+
+
+@FUZZ
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       strided=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e20]),
+       with_out=st.booleans(), chunk=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32))
+def test_row_norms_and_normalize_rows_equal_the_whole_array_formula(
+        monkeypatch, dtype, shape, strided, scale, with_out, chunk, seed):
+    monkeypatch.setattr(numerics, "CHUNK_VALUES", chunk)
+    draw = stream(seed, "rows").normal_array
+    if strided:  # view 0's rows of an (N, V, D) block, as evalkit reads
+        n, d = shape[0], shape[-1]
+        x = (draw(n * 3 * d) * scale).reshape(n, 3, d).astype(dtype)[:, 0, :]
+    else:
+        x = (draw(math.prod(shape)) * scale).reshape(shape).astype(dtype)
+    want = np.sqrt(np.sum(x.astype(np.float64) ** 2, axis=-1))
+    assert _same_bits(row_norms(x), want)
+    out = np.empty(x.shape) if with_out else None
+    got = normalize_rows(x, out=out)
+    assert out is None or got is out
+    assert _same_bits(got, x.astype(np.float64) / want[..., np.newaxis])
+
+
+@pytest.mark.parametrize("views", [1, 3])
+def test_normalize_rows_reads_float32_rows_without_a_float64_copy(
+        working_peak, views):
+    rows, d = 4096, 64  # 1 MiB of float32, eight chunks of float64
+    block = stream(5, "rows").normal_array(rows * views * d) \
+        .reshape(rows, views, d).astype(np.float32)
+    x = block[:, 0, :]
+    want = x.astype(np.float64)
+    want /= np.sqrt(np.sum(want ** 2, axis=-1))[:, np.newaxis]
+    assert _same_bits(normalize_rows(x), want)
+    # beside its result it holds the norms, one chunk of squares and the
+    # divide's cast buffer, not a float64 copy of x
+    assert working_peak(lambda: normalize_rows(x)) < 8 * x.size
+    out = np.empty(x.shape)
+    assert working_peak(lambda: normalize_rows(x, out=out)) < 8 * x.size
 
 
 def test_normalize_rows_idempotent():
