@@ -306,8 +306,9 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
     once, with AdamW's two work arrays of one chunk), and one span of the
     epoch's features: numerics.chunk_rows(batch_size D) whole batches,
     gathered from the float32 set and divided by their norms (the bits of
-    unit_features), then noised and normalized, just before their steps.
-    No float64 copy of the selection is made.
+    unit_features), then noised and normalized, just before their steps;
+    every span is gathered and divided into the same two arrays. No
+    float64 copy of the selection is made.
     """
     check_compatible(head, [("training", emb)])
     started = time.perf_counter()
@@ -327,6 +328,11 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
         with prefixed(f"component seed {cfg.seed}: training view {v}"):
             check_norms(norms[:, v])
     span = cfg.batch_size * chunk_rows(cfg.batch_size * dim)
+    # each span is gathered and divided into these two, not fresh arrays
+    # that would fault their pages in again
+    flat_rows = emb.features.reshape(-1, dim)  # row i view v is i V + v
+    gathered = np.empty((min(span, n_train), dim), dtype=emb.features.dtype)
+    unit = np.empty(gathered.shape)
 
     params = init_adapter(dim, cfg.red, cfg.seed)
     param_dict = params.as_dict()
@@ -348,8 +354,13 @@ def train_component(emb: EmbeddingSet, selection: FewShotSelection,
             for lo in range(0, n_train, span):
                 hi = min(lo + span, n_train)
                 idx, views = order[lo:hi], picks[lo:hi]
-                x_span = np.divide(emb.features[rows[idx], views],
-                                   norms[idx, views][:, np.newaxis])
+                # rows indexed labels above, so every index is in range;
+                # take's default mode would copy through a buffer
+                np.take(flat_rows, rows[idx] * emb.views + views, axis=0,
+                        out=gathered[:hi - lo], mode="wrap")
+                x_span = np.divide(gathered[:hi - lo],
+                                   norms[idx, views][:, np.newaxis],
+                                   out=unit[:hi - lo])
                 if noisy:
                     noise = aug.normal_span(n_train * dim, lo * dim, hi * dim)
                     noise *= sigma

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import adapter as adapter_mod
-from . import dataio, evalkit, heads, numerics, soup as soup_mod
+from . import dataio, evalkit, heads, numerics, soup as soup_mod, workers
 from .errors import (DataError, IoFailure, NumericalError, SoupAdapterError,
                      SoupMismatch, prefixed)
 
@@ -151,13 +151,6 @@ def _distinct_components(paths) -> list:
                              f"give each file once")
         seen.add(key)
     return paths
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity set, else all of them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
@@ -302,18 +295,15 @@ def _train_into(out: Path, args, overrides: dict):
         except Exception as exc:  # collected so every failure gets listed
             return exc
 
-    # a step's products are too small to split: one BLAS thread each; more
-    # threads than components or usable cores only contend (8 on 2 cores
-    # trained paper512 about 3 times slower than 1)
-    jobs = min(args.jobs or args.k, args.k, _usable_cores())
-    with numerics.single_blas_thread():
-        # in process at 1 job: a worker's malloc arena adds 14 MB on paper512
-        if jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) \
-                    as pool:
-                results = list(pool.map(run, range(args.k)))
-        else:
-            results = [run(j) for j in range(args.k)]
+    # more threads than components or usable cores only contend (8 on 2
+    # cores trained paper512 about 3 times slower than 1)
+    jobs = min(args.jobs or args.k, args.k, workers.usable_cores())
+    # in process at 1 job: a worker's malloc arena adds 14 MB on paper512
+    if jobs > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, range(args.k)))
+    else:
+        results = [run(j) for j in range(args.k)]
     failures = [(j, r) for j, r in enumerate(results) if isinstance(r, Exception)]
     if failures:
         for j, exc in failures:
@@ -479,9 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit code. BLAS runs on one thread (see
+    numerics.single_blas_thread) whatever the caller's count, so the
+    bytes written do not depend on it."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with numerics.single_blas_thread():
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -301,9 +301,10 @@ class ContainerReader:
     """An open container file whose features are read in blocks of samples.
 
     Opening reads and checks the header, the file length and the labels.
-    ``blocks`` then reads the features in file order with readinto, and
-    checks each block's norms as it arrives: the first vector that is not
-    unit-norm raises NormViolation naming its sample and view.
+    ``blocks`` then reads the features in file order with os.preadv at
+    explicit offsets, and checks each block's norms as it arrives: the
+    first vector that is not unit-norm raises NormViolation naming its
+    sample and view.
     Like an EmbeddingSet it has n, views, dim, n_classes, labels and
     blocks, so sampling and scoring take either. Use it as a context
     manager, or close it.
@@ -321,23 +322,32 @@ class ContainerReader:
 
     def _read_head(self):
         with _reading("container"):
-            head = self._fh.read(_HEADER.size)
+            head = os.pread(self._fh.fileno(), _HEADER.size, 0)
             size = os.fstat(self._fh.fileno()).st_size
         d, n, v, c = unpack_header(head, _HEADER, CONTAINER_MAGIC,
                                    CONTAINER_VERSION, "container")
         expect = _HEADER.size + 4 * n + 4 * n * v * d
         if size != expect:
             raise CorruptLength(f"expected {expect} bytes, found {size}")
-        labels = self._read_into(np.empty(n, dtype="<u4"))
+        labels = self._read_into(np.empty(n, dtype="<u4"), _HEADER.size)
         if labels.max(initial=0) >= c:
             raise CorruptLength("label value out of range for class count")
         self.n, self.views, self.dim, self.n_classes = n, v, d, c
         self.labels = labels.astype(np.int64)
 
-    def _read_into(self, arr: np.ndarray) -> np.ndarray:
-        """Fill the C-contiguous arr with the file's next arr.nbytes bytes."""
+    def _read_into(self, arr: np.ndarray, offset: int) -> np.ndarray:
+        """Fill the C-contiguous arr with the file's arr.nbytes bytes from
+        ``offset`` on, read at that offset: no file position is used, so
+        passes in threads or forked processes do not move one another's."""
+        view = memoryview(arr).cast("B")
+        got = 0
         with _reading("container"):
-            got = self._fh.readinto(arr)
+            while got < len(view):
+                step = os.preadv(self._fh.fileno(), [view[got:]],
+                                 offset + got)
+                if step == 0:
+                    break
+                got += step
         if got != arr.nbytes:  # the file shrank after its length was checked
             raise CorruptLength(f"container ended {arr.nbytes - got} "
                                 f"bytes early")
@@ -347,15 +357,15 @@ class ContainerReader:
         """Yield (start, features of samples start, start + 1, ...) over
         the file, ``rows`` samples at a time, as norm-checked (rows, V, D)
         float32 blocks read into one buffer that the next block
-        overwrites. Blocks share the file position, so one pass runs at a
-        time."""
+        overwrites. Each block is read at its own offset, so passes over
+        one reader may interleave, and may run in forked processes."""
         n, v, d = self.n, self.views, self.dim
         buf = np.empty((min(rows, n), v, d), dtype="<f4")
-        with _reading("container"):
-            self._fh.seek(_HEADER.size + 4 * n)
+        first = _HEADER.size + 4 * n
         for start in range(0, n, rows):
             with prefixed(self.path):
-                block = self._read_into(buf[:n - start])
+                block = self._read_into(buf[:n - start],
+                                        first + 4 * start * v * d)
                 check_unit_norms(block, "sample {} view {}", start)
             yield start, block
 

@@ -36,9 +36,16 @@ package normalizes. AdamW runs with the fixed beta1 = 0.9, beta2 = 0.999 and
 epsilon = 1e-8; only the learning rate and weight decay vary.
 
 ``single_blas_thread`` caps the OpenBLAS that numpy loaded at one thread
-for a block of code, through ctypes: the products of a training step are
-too small for a second BLAS thread to save any wall time, and it doubles
-their CPU time.
+for a block of code, through ctypes; cli.main runs every subcommand in
+it. The products of a training step are too small for a second BLAS
+thread to save any wall time, and it doubles their CPU time; eval and
+soup's verify get more cores from forked one-thread workers instead
+(see workers). With one thread everywhere, no byte a stage writes
+depends on OPENBLAS_NUM_THREADS, though the last bits of a product whose
+output width is not a multiple of 8 depend on the thread split. The cap
+leaves running the helper threads OpenBLAS started when it loaded; only
+OPENBLAS_NUM_THREADS=1 set before numpy loads starts none (see
+__main__).
 """
 
 from __future__ import annotations
@@ -235,14 +242,17 @@ def chunk_rows(width: int) -> int:
 
 def row_norms(m: np.ndarray) -> np.ndarray:
     """np.sqrt(np.sum(m.astype(np.float64) ** 2, axis=-1)) bit for bit,
-    squared chunk_rows rows at a time; a float64 m is not copied."""
+    squared chunk_rows rows at a time into one float64 work array, so m
+    is not copied and a call allocates one chunk, not two a chunk."""
     m = np.asarray(m)
     rows = m.reshape(-1, m.shape[-1])
     norms = np.empty(len(rows))
     step = chunk_rows(rows.shape[1])
+    work = np.empty((min(step, len(rows)), rows.shape[1]))
     for lo in range(0, len(rows), step):
-        chunk = np.asarray(rows[lo:lo + step], dtype=np.float64)
-        np.sqrt(np.sum(chunk ** 2, axis=-1), out=norms[lo:lo + step])
+        chunk = rows[lo:lo + step]
+        squares = np.square(chunk, out=work[:len(chunk)], dtype=np.float64)
+        np.sqrt(np.sum(squares, axis=-1), out=norms[lo:lo + step])
     return norms.reshape(m.shape[:-1])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio
+from . import dataio, workers
 from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes, sha256_hex
 from .errors import (DimensionMismatch, EquivalenceViolation, ShapeMismatch,
@@ -92,7 +92,11 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     numerics.row_spans for the wider of the merged hidden layer and D, so
     memory is one span of probes plus about numerics.PRODUCT_VALUES
     values per forward pass, whatever `trials` or the merged width, and a
-    probe is scored alone only where its block has one row. Passing a
+    probe is scored alone only where its block has one row. The spans are
+    dealt to workers.deal's shares, so in a one-thread process (the
+    CLI's) they are scored in forked processes, one a usable core; every
+    process draws every probe, and the worst is taken over the spans in
+    order, so it and its index do not depend on the split. Passing a
     pre-built (for example, serialized and reloaded) merged adapter
     checks that artifact instead of a freshly merged one.
     """
@@ -102,18 +106,36 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
         merged = reparameterize(soup)
     if merged.dim != soup.dim:
         raise DimensionMismatch("merged adapter dimension differs from soup")
-    rng = stream(seed, "equiv")
-    worst, worst_idx = -math.inf, 0  # as one argmax over every probe
     width = max(merged.hidden, soup.dim)
-    for start in range(0, trials, dataio.BLOCK_ROWS):
-        count = min(dataio.BLOCK_ROWS, trials - start)
-        for lo, probes in rng.unit_vector_spans(count, soup.dim,
-                                                row_spans(count, width)):
-            deviation = np.abs(adapter_forward(merged, probes)
-                               - soup_forward(soup, probes)).max(axis=1)
-            i = int(np.argmax(deviation))
-            if not (math.isnan(worst) or deviation[i] <= worst):
-                worst, worst_idx = float(deviation[i]), start + lo + i
+    blocks = [(start, row_spans(min(dataio.BLOCK_ROWS, trials - start),
+                                width))
+              for start in range(0, trials, dataio.BLOCK_ROWS)]
+
+    def score(share):
+        """(ordinal, worst deviation, its probe's index) of each span whose
+        ordinal among all blocks' spans is in ``share``; every span is
+        drawn, so the stream is where one pass would have it."""
+        mine, found, ordinal = set(share), [], 0
+        rng = stream(seed, "equiv")
+        for start, spans in blocks:
+            for lo, probes in rng.unit_vector_spans(spans[-1][1], soup.dim,
+                                                    spans):
+                if ordinal in mine:
+                    deviation = np.abs(adapter_forward(merged, probes)
+                                       - soup_forward(soup, probes))
+                    deviation = deviation.max(axis=1)
+                    i = int(np.argmax(deviation))
+                    found.append((ordinal, float(deviation[i]),
+                                  start + lo + i))
+                ordinal += 1
+        return found
+
+    count = sum(len(spans) for _, spans in blocks)
+    worst, worst_idx = -math.inf, 0  # as one argmax over every probe
+    for _, deviation, index in sorted(
+            found for share in workers.deal(count, score) for found in share):
+        if not (math.isnan(worst) or deviation <= worst):
+            worst, worst_idx = deviation, index
     if not worst <= tolerance:  # a NaN deviation fails too
         raise EquivalenceViolation(worst, worst_idx)
     return worst

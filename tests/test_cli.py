@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soupadapter import adapter, cli, dataio, evalkit, heads, numerics
+from soupadapter import (adapter, cli, dataio, evalkit, heads, numerics,
+                         soup as soup_mod, workers)
 from soupadapter.adapter import adapter_forward, load_checkpoint
 from soupadapter.cli import UsageError, main, parse_grid
 from soupadapter.dataio import read_container, sample_few_shot
@@ -226,7 +227,8 @@ def copy_with_bad_row(src: Path, dst: Path, sample: int) -> str:
     dst.parent.mkdir(parents=True, exist_ok=True)
     dst.write_bytes(src.read_bytes()[:-len(body)] + body)
     manifest = Path(f"{src}.json")
-    Path(f"{dst}.json").write_bytes(manifest.read_bytes())
+    if manifest.exists():  # a KNN bank has none
+        Path(f"{dst}.json").write_bytes(manifest.read_bytes())
     with pytest.raises(NormViolation) as caught:
         read_container(dst)
     return str(caught.value)
@@ -319,12 +321,13 @@ def test_train_prints_each_component_wall_time(tmp_path, data_dir, capsys):
                          rf"\S+, trained in \d+\.\d\ds\)", out), out
 
 
-def python_process(*argv, timeout=120, **options):
+def python_process(*argv, timeout=120, environ=os.environ, **options):
     """A fresh interpreter on this checkout's package, as a user runs it,
-    so everything it prints, warnings included, is captured; ``options``
-    go to subprocess.run."""
+    so everything it prints, warnings included, is captured; ``environ``
+    is its environment but for PYTHONPATH, and ``options`` go to
+    subprocess.run."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
+    env = dict(environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, argv)], env=env,
@@ -354,28 +357,143 @@ def test_train_is_byte_deterministic(tmp_path, data_dir):
 
 @pytest.mark.skipif(numerics._openblas_threads() is None,
                     reason="numpy's OpenBLAS was not found: nothing to cap")
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("stage", [
+    pytest.param(("train", "1"), id="1"), pytest.param(("train", "2"), id="2"),
+    pytest.param(("soup",), id="soup"), pytest.param(("eval",), id="eval")])
 def test_train_runs_blas_on_one_thread_and_restores_the_count(
-        tmp_path, data_dir, monkeypatch, jobs):
+        tmp_path, data_dir, train_dir, monkeypatch, stage):
+    # train's components, soup's verify and eval's sweeps (in process
+    # here) run on one BLAS thread
     get_threads, set_threads = numerics._openblas_threads()
     seen = []
-    train = adapter.train_component
+    owner, name = {"train": (adapter, "train_component"),
+                   "soup": (soup_mod, "verify_equivalence"),
+                   "eval": (evalkit, "_sweep_set")}[stage[0]]
+    work = getattr(owner, name)
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         seen.append(get_threads())
-        return train(*args)
+        return work(*args, **kwargs)
 
-    monkeypatch.setattr(adapter, "train_component", recording)
+    monkeypatch.setattr(owner, name, recording)
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    argv = {"train": ["train", "--embeddings", data_dir / "train.sadp",
+                      "--shots", "2", "--k", "2", "--epochs", "1",
+                      "--jobs", stage[-1], "--out", tmp_path],
+            "soup": ["soup", "--components", *comps,
+                     "--out", tmp_path / "m.sada"],
+            "eval": ["eval", "--embeddings", data_dir / "id_test.sadp",
+                     "--ood", data_dir / "ood_test.sadp",
+                     "--head", train_dir / "head.shed",
+                     "--components", *comps, "--out", tmp_path / "r"]}
     before = get_threads()
     set_threads(3)  # a count the cap must give back, whatever the host
     try:
-        assert run("train", "--embeddings", data_dir / "train.sadp",
-                   "--shots", "2", "--k", "2", "--epochs", "1",
-                   "--jobs", jobs, "--out", tmp_path) == 0
-        assert seen == [1, 1]
+        assert run(*argv[stage[0]]) == 0
+        assert seen == {"train": [1, 1], "soup": [1],
+                        "eval": [1, 1]}[stage[0]]
         assert get_threads() == 3
     finally:
         set_threads(before)
+
+
+def test_importing_the_package_loads_no_numpy():
+    # so __main__ can pin BLAS before numpy loads
+    done = python_process(
+        "-c", "import soupadapter, sys; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_soup_and_eval_bytes_do_not_depend_on_the_blas_thread_count(
+        tmp_path, data_dir, train_dir):
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    seen = {}
+    for threads in (None, "1", "2"):
+        environ = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            environ["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / str(threads)
+        out.mkdir()
+        soup = python_process("-m", "soupadapter", "soup", "--components",
+                              *comps, "--out", out / "m.sada",
+                              environ=environ)
+        assert soup.returncode == 0, soup.stderr
+        done = python_process(
+            "-m", "soupadapter", "eval", "--embeddings",
+            data_dir / "id_test.sadp", "--ood", data_dir / "ood_test.sadp",
+            "--head", train_dir / "head.shed", "--adapter", out / "m.sada",
+            "--components", *comps, "--knn-bank", train_dir / "fewshot.sadp",
+            "--out", out / "r", environ=environ)
+        assert done.returncode == 0, done.stderr
+        seen[threads] = (
+            re.search(r"worst deviation (\S+) over", soup.stdout).group(1),
+            *((out / name).read_bytes()
+              for name in ("m.sada", "r.csv", "r.json")))
+    assert seen[None] == seen["1"] == seen["2"]
+
+
+# ------------------------------------------------------------ eval workers
+
+def eval_sets(tmp_path, data_dir, train_dir, ood, bank, out="r"):
+    """eval's argv over the ID set, ``ood`` and the KNN ``bank``, with
+    the soup of the three trained components."""
+    comps = [train_dir / f"component_{j}.sada" for j in range(3)]
+    merged = tmp_path / "m.sada"
+    if not merged.exists():
+        assert run("soup", "--components", *comps, "--out", merged) == 0
+    return ["eval", "--embeddings", data_dir / "id_test.sadp",
+            "--ood", *ood, "--head", train_dir / "head.shed",
+            "--adapter", merged, "--components", *comps,
+            "--knn-bank", bank, "--out", tmp_path / out]
+
+
+def test_eval_in_forked_workers_writes_the_in_process_report(
+        tmp_path, data_dir, train_dir, forking, monkeypatch):
+    ood = [data_dir / "ood_test.sadp", tmp_path / "second.sadp"]
+    (tmp_path / "second.sadp").write_bytes(ood[0].read_bytes())
+    argv = eval_sets(tmp_path, data_dir, train_dir, ood,
+                     train_dir / "fewshot.sadp", "forked")
+    soup_children = len(forking)
+    assert run(*argv) == 0
+    # 3 sets on 2 cores: the ID set and the second OOD set in process,
+    # the first in a child
+    assert len(forking) == soup_children + 1
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    assert run(*eval_sets(tmp_path, data_dir, train_dir, ood,
+                          train_dir / "fewshot.sadp", "alone")) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"forked{suffix}").read_bytes() \
+            == (tmp_path / f"alone{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("bad_bank", [False, True])
+def test_a_bad_vector_in_a_workers_set_exits_2_with_one_line(
+        tmp_path, data_dir, train_dir, forking, monkeypatch, capsys,
+        bad_bank):
+    # the OOD set goes to the child; its last block holds the bad vector.
+    # A bad bank too, which the parent reads after its own sweep, still
+    # loses to it: one process sweeps every set before it reads the bank
+    bad = tmp_path / "ood_bad.sadp"
+    message = copy_with_bad_row(data_dir / "ood_test.sadp", bad, 399)
+    bank = train_dir / "fewshot.sadp"
+    if bad_bank:
+        bank = tmp_path / "bank.sadp"
+        copy_with_bad_row(train_dir / "fewshot.sadp", bank, 0)
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 64)  # the last of 7 blocks
+    argv = eval_sets(tmp_path, data_dir, train_dir, [bad], bank)
+    soup_children = len(forking)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert len(forking) == soup_children + 1
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert message.startswith(f"{bad}: sample 399 view 0 ")
+    assert not list(tmp_path.glob("r.*"))
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 # the component pool is the one executor train makes: K = 3 on 2 cores

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -288,6 +289,67 @@ def test_reader_blocks_share_one_buffer_and_name_the_set_row(tmp_path):
             match=f"^{re.escape(str(path))}: sample 5 view 1 has norm"):
         for _ in reader.blocks(3):
             pass
+
+
+def test_interleaved_passes_over_one_reader_each_see_every_block(tmp_path):
+    emb = random_set(n=9, v=2, d=3)
+    path = tmp_path / "x.sadp"
+    write_container(emb, path)
+    with ContainerReader(path) as reader:
+        first, second = reader.blocks(2), reader.blocks(2)
+        seen = {id(first): [], id(second): []}
+        for _ in range(5):
+            for blocks in (first, second):
+                start, block = next(blocks)
+                seen[id(blocks)].append((start, block.tobytes()))
+    expected = [(start, emb.features[start:start + 2].tobytes())
+                for start in range(0, 9, 2)]
+    assert seen[id(first)] == seen[id(second)] == expected
+
+
+def test_a_forked_child_and_its_parent_read_one_reader_in_turn(tmp_path):
+    # the two processes share the open file; each reads a block, then
+    # hands the turn to the other, so every read falls between two of
+    # the other's; a block (8.8 kB) outgrows a buffered file's buffer
+    n = 12
+    emb = random_set(n=n, v=2, d=1100)
+    path = tmp_path / "x.sadp"
+    write_container(emb, path)
+    expected = [emb.features[i:i + 1].tobytes() for i in range(n)]
+    to_child, to_parent = os.pipe(), os.pipe()
+    with ContainerReader(path) as reader:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(to_child[1])
+                os.close(to_parent[0])
+                blocks = reader.blocks(1)
+                same = True
+                for i in range(n):
+                    os.read(to_child[0], 1)
+                    start, block = next(blocks)
+                    same &= (start, block.tobytes()) == (i, expected[i])
+                    os.write(to_parent[1], b".")
+                status = 0 if same else 3
+            finally:
+                os._exit(status)
+        os.close(to_child[0])  # so a read sees the end if the other dies
+        os.close(to_parent[1])
+        try:
+            blocks = reader.blocks(1)
+            seen = []
+            for i in range(n):
+                start, block = next(blocks)
+                seen.append((start, block.tobytes()))
+                os.write(to_child[1], b".")
+                assert os.read(to_parent[0], 1) == b"."
+        finally:
+            os.close(to_child[1])
+            os.close(to_parent[0])
+            _, status = os.waitpid(pid, 0)
+    assert seen == list(enumerate(expected))
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_missing_file_is_io_failure(tmp_path):

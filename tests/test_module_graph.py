@@ -6,7 +6,10 @@ run only when called and so hide a cycle from an import-time check.
 
 import ast
 import graphlib
+import importlib
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "soupadapter"
 
@@ -149,3 +152,63 @@ def test_only_numerics_names_the_chunk_sizes():
 
 def test_row_norms_are_taken_by_numerics_row_norms_alone():
     assert norm_calls_with_axis() == []
+
+
+def fork_calls(package: Path = PACKAGE) -> set[str]:
+    """Modules whose code calls os.fork."""
+    return {path.stem for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "fork"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os"}
+
+
+def test_the_fork_scan_sees_a_call_anywhere(tmp_path):
+    (tmp_path / "a.py").write_text("import os\ndef f():\n    os.fork()\n")
+    (tmp_path / "b.py").write_text('"""os.fork() in a docstring."""\n'
+                                   "import os\nhas = hasattr(os, 'fork')\n")
+    assert fork_calls(tmp_path) == {"a"}
+
+
+def test_only_workers_forks():
+    # one helper makes every child process, and reaps it
+    assert fork_calls() == {"workers"}
+
+
+# the package's names before they were resolved lazily, by module
+EXPORTED = {
+    "adapter": ["AdapterParams", "HyperConfig", "TrainRecord",
+                "adapter_backward", "adapter_forward", "blend",
+                "init_adapter", "load_checkpoint", "sample_hyperconfig",
+                "save_checkpoint", "train_component"],
+    "dataio": ["ContainerReader", "EmbeddingSet", "FewShotSelection",
+               "Manifest", "generate_synthetic", "read_container",
+               "read_manifest", "sample_few_shot", "write_container",
+               "write_manifest"],
+    "evalkit": ["EvalReport", "SweepRow", "component_average_report",
+                "knn_accuracy", "ratio_sweep", "read_report",
+                "robustness_report", "write_report"],
+    "heads": ["ClassifierHead", "KnnConfig", "build_prototypes",
+              "export_head", "head_logits", "import_head",
+              "knn_logits_batch", "leave_one_out_prototypes",
+              "selection_prototypes"],
+    "numerics": ["OptimState", "adamw_step",
+                 "cross_entropy_label_smoothing_batch", "gelu", "gelu_grad",
+                 "normalize_rows"],
+    "soup": ["Soup", "load_soup", "reparameterize", "soup_forward",
+             "verify_equivalence"],
+}
+
+
+def test_every_exported_name_resolves_to_its_modules_object():
+    package = importlib.import_module("soupadapter")
+    for module, names in EXPORTED.items():
+        owner = importlib.import_module(f"soupadapter.{module}")
+        for name in names:
+            assert getattr(package, name) is getattr(owner, name), name
+            assert name in dir(package)
+    assert package.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+        package.absent

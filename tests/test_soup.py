@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -214,6 +215,25 @@ def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
     assert info.value.worst == deviation.max()
     assert info.value.input_index == int(np.argmax(deviation)) >= 1024
     assert verify_equivalence(s, 3000, 1.0, merged=merged) == deviation.max()
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_verify_in_forked_workers_finds_the_one_process_worst(
+        monkeypatch, forking, cores):
+    # 3000 probes in spans of 40 rows: 76 spans, dealt to 2 or 3 processes
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", 40 * 36)
+    s = random_soup(27, 3, 12)
+    merged = reparameterize(s)
+    merged.W2[0, 0] += 0.05
+    deviation = probe_deviations(s, merged, [1024, 1024, 952])
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    with pytest.raises(EquivalenceViolation) as info:
+        verify_equivalence(s, trials=3000, tolerance=1e-10, merged=merged)
+    assert info.value.worst == deviation.max()
+    assert info.value.input_index == int(np.argmax(deviation)) >= 1024
+    assert verify_equivalence(s, 3000, 1.0, merged=merged) == deviation.max()
+    assert len(forking) == 2 * (cores - 1)
 
 
 def test_verify_equivalence_memory_does_not_grow_with_the_trials(
