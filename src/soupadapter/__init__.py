@@ -18,10 +18,10 @@ _EXPORTS = {
                 "adapter_backward", "adapter_forward", "blend",
                 "init_adapter", "load_checkpoint", "sample_hyperconfig",
                 "save_checkpoint", "train_component"),
-    "dataio": ("ContainerReader", "EmbeddingSet", "FewShotSelection",
-               "Manifest", "generate_synthetic", "read_container",
-               "read_manifest", "sample_few_shot", "write_container",
-               "write_manifest"),
+    "dataio": ("ContainerReader", "ContainerWriter", "EmbeddingSet",
+               "FewShotSelection", "Manifest", "generate_synthetic",
+               "read_container", "read_manifest", "sample_few_shot",
+               "write_container", "write_manifest"),
     "evalkit": ("EvalReport", "SweepRow", "component_average_report",
                 "knn_accuracy", "ratio_sweep", "read_report",
                 "robustness_report", "write_report"),

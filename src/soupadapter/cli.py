@@ -71,8 +71,9 @@ MAX_GRID_POINTS = 1001
 # --mask auto leaves each sample out of its class prototype from this many
 # shots per class up
 AUTO_MASK_SHOTS = 8
-# synth holds its three sets in memory at once; a set of this many float32
-# values (classes x per-class x dim) is 512 MiB, about 40 times paper512's.
+# synth writes three sets of at most this many float32 values (classes x
+# per-class x dim) each: a 512 MiB file, about 40 times paper512's. It
+# holds class blocks, not sets, so this bounds file size, not memory.
 MAX_SYNTH_VALUES = 1 << 27
 
 
@@ -215,21 +216,21 @@ def cmd_synth(args) -> int:
     if values > MAX_SYNTH_VALUES:
         raise UsageError(f"--classes x --per-class x --dim is {values} values "
                          f"per set; at most {MAX_SYNTH_VALUES} are allowed")
+    # (file stem, manifest split) of each set, in dataio.SYNTH_SETS' order
+    sets = (("train", "train"), ("id_test", "test"),
+            ("ood_test", "shift:rotation"))
     with _out_dir(args.out) as out:
-        train, id_test, ood_test = dataio.generate_synthetic(
-            args.classes, args.dim, args.per_class, args.shift_angle,
-            args.noise, args.seed)
+        paths = [out / f"{name}.sadp" for name, _ in sets]
+        dataio.write_synthetic(paths, args.classes, args.dim, args.per_class,
+                               args.shift_angle, args.noise, args.seed)
+        n = args.classes * args.per_class
         classes = [f"class_{c:03d}" for c in range(args.classes)]
-        for name, emb, split in (("train", train, "train"),
-                                 ("id_test", id_test, "test"),
-                                 ("ood_test", ood_test, "shift:rotation")):
-            path = out / f"{name}.sadp"
-            dataio.write_container(emb, path)
+        for (name, split), path in zip(sets, paths):
             manifest = dataio.Manifest(
                 dataset=f"synthetic-{name}", classes=classes,
-                splits={split: list(range(emb.n))}, model="synthetic")
+                splits={split: list(range(n))}, model="synthetic")
             dataio.write_manifest(manifest, dataio.manifest_path_for(path))
-            print(f"wrote {path} ({emb.n} samples)")
+            print(f"wrote {path} ({n} samples)")
     return 0
 
 

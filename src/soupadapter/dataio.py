@@ -23,14 +23,22 @@ checks the header, the file length and the labels; its features are then
 read a block of samples at a time, and each block's norms are checked as
 it arrives. read_container gathers every sample, or the ones it is given,
 from those blocks (numerics.chunk_rows) into the returned array.
+ContainerWriter is the one writer of the format, its mirror: it writes
+the header and the labels, then each norm-checked block of samples at
+its own offset, so blocks may come in any order and from forked
+processes, and it puts the file in place only when told every block is
+in. write_container is its one-block case, and write_synthetic deals
+the synthetic sets' class blocks to forked workers through it.
 
-Every other artifact is read by read_bytes, every artifact is written by
-atomic_write (so a reader never sees a half-written file), and a read's
-OSError becomes IoFailure in _reading alone. Both readers open through
-_open_file, which refuses anything but a regular file before a read
-could block or run on without end. json_object alone parses the JSON
-documents: manifest, checkpoint trailer and report. Each reader's format
-error starts with the file's path.
+Every other artifact is read by read_bytes and written by atomic_write.
+Both writers fill a temp file beside the artifact and replace the
+artifact with it, so a reader never sees a half-written file. A read's
+OSError becomes IoFailure in _reading alone, a write's in _writing.
+Both readers open through _open_file, which refuses anything but a
+regular file before a read could block or run on without end.
+json_object alone parses the JSON documents: manifest, checkpoint
+trailer and report. Each reader's format error starts with the file's
+path.
 """
 
 from __future__ import annotations
@@ -47,9 +55,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .errors import (BadMagic, CorruptLength, InsufficientShots, IoFailure,
-                     NonFiniteValue, NormViolation, VersionUnsupported,
-                     prefixed)
+                     NonFiniteValue, NormViolation, SoupAdapterError,
+                     VersionUnsupported, prefixed)
 from .numerics import chunk_rows, normalize_rows, row_norms
 from .rng import stream
 
@@ -236,21 +245,35 @@ def json_object(blob: bytes, what: str) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _writing(what: str, path):
+    """An OSError of the block becomes IoFailure: cannot write what path."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
+def _temp_path(path) -> str:
+    """The temp file beside path that a writer fills before it replaces
+    path: unique to this process and thread."""
+    return f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+
+
 def atomic_write(path, parts, what: str):
     """Replace the file at path with the bytes-like parts written in order,
     or leave it as it was.
 
-    The temp file beside path is unique to this process and thread; a plain
-    open gives it the usual umask mode. There is no fsync.
+    The temp file is _temp_path's; a plain open gives it the usual umask
+    mode. There is no fsync.
     """
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    tmp = _temp_path(path)
     try:
-        with open(tmp, "wb") as fh:
-            for part in parts:
-                fh.write(part)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+        with _writing(what, path):
+            with open(tmp, "wb") as fh:
+                for part in parts:
+                    fh.write(part)
+            os.replace(tmp, path)
     finally:
         with contextlib.suppress(OSError):  # already gone after the replace
             os.unlink(tmp)
@@ -285,16 +308,85 @@ def json_bytes(doc) -> bytes:
 
 # ----------------------------------------------------------------- container
 
+class ContainerWriter:
+    """A container file written a block of samples at a time, atomically.
+
+    Opening writes the header and the labels (each in [0, n_classes)) to
+    _temp_path's temp file. ``write`` then checks a block's norms as
+    ContainerReader.blocks checks them, and puts it at its own offset with
+    os.pwrite, so blocks may arrive in any order, and from forked
+    processes. ``commit``, once every block is in, replaces path with the
+    temp file; closing without a commit removes it. Use it as a context
+    manager. An OSError is IoFailure: cannot write container path.
+    """
+
+    def __init__(self, path, labels, views: int, dim: int, n_classes: int):
+        self.path = path
+        self._tmp = _temp_path(path)
+        self._shape = (len(labels), views, dim)
+        self._first = _HEADER.size + 4 * len(labels)
+        with _writing("container", path):
+            self._fd = os.open(self._tmp,
+                               os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            self._write_at(_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION,
+                                        dim, len(labels), views, n_classes), 0)
+            self._write_at(np.asarray(labels).astype("<u4", copy=False),
+                           _HEADER.size)
+        except BaseException:
+            self.close()
+            raise
+
+    def _write_at(self, data, offset: int):
+        """All of the C-contiguous bytes-like data, at ``offset``."""
+        view = memoryview(data).cast("B")
+        with _writing("container", self.path):
+            while view:  # a pwrite may write less than it is given
+                done = os.pwrite(self._fd, view, offset)
+                view, offset = view[done:], offset + done
+
+    def write(self, start: int, block):
+        """Samples start, start + 1, ... of the file: the (rows, V, D)
+        block as float32, whose first vector that is not unit-norm raises
+        NormViolation naming its sample (counted from start) and view."""
+        n, v, d = self._shape
+        block = np.ascontiguousarray(block, dtype="<f4")
+        if block.shape[1:] != (v, d) or not 0 <= start <= n - len(block):
+            raise ValueError(f"a block of shape {block.shape} at sample "
+                             f"{start} does not fit {self._shape}")
+        check_unit_norms(block, "sample {} view {}", start)
+        self._write_at(block, self._first + 4 * start * v * d)
+
+    def commit(self):
+        """Close the temp file and put it in place of path."""
+        fd, self._fd = self._fd, None
+        with _writing("container", self.path):
+            os.close(fd)
+            os.replace(self._tmp, self.path)
+
+    def close(self):
+        """Close the temp file, if open, and remove it unless committed."""
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            os.close(fd)
+        with contextlib.suppress(OSError):  # already gone after a commit
+            os.unlink(self._tmp)
+
+    def __enter__(self) -> "ContainerWriter":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
 def write_container(emb: EmbeddingSet, path):
-    """Write emb atomically; refuses (NormViolation) what read_container
-    would refuse, so no unreadable container is ever written."""
-    check_unit_norms(emb.features, "sample {} view {}")
-    n, v, d = emb.features.shape
-    atomic_write(path, (
-        _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, d, n, v,
-                     emb.n_classes),
-        emb.labels.astype("<u4"),
-        emb.features.astype("<f4", copy=False)), "container")
+    """Write emb atomically, as ContainerWriter's one block; refuses
+    (NormViolation) what read_container would refuse, so no unreadable
+    container is ever written."""
+    with ContainerWriter(path, emb.labels, emb.views, emb.dim,
+                         emb.n_classes) as writer:
+        writer.write(0, emb.features)
+        writer.commit()
 
 
 class ContainerReader:
@@ -478,42 +570,105 @@ def _rotate_toward(mean: np.ndarray, rng, angle: float) -> np.ndarray:
     return math.cos(angle) * mean + math.sin(angle) * w
 
 
-def _sample_class(mean: np.ndarray, count: int, noise: float, rng) -> np.ndarray:
-    if noise == 0.0:
-        return np.tile(mean, (count, 1))
-    pts = rng.normal_array(count * mean.size).reshape(count, mean.size)
-    with np.errstate(over="ignore"):  # normalize_rows refuses what overflows
-        pts *= noise  # mean + noise * g, built in g's own array
-    pts += mean
-    return normalize_rows(pts, out=pts)
+SYNTH_SETS = ("train", "id", "ood")
 
 
-def generate_synthetic(n_classes: int, dim: int, per_class: int,
-                       shift_angle: float, noise: float, seed: int):
-    """Seeded spherical-mixture benchmark: (train, id-test, ood-test).
+def synthetic_classes(n_classes: int, dim: int, per_class: int,
+                      shift_angle: float, noise: float, seed: int):
+    """draw(name, c): class c's (per_class, dim) float64 block of the
+    set ``name`` of SYNTH_SETS in the seeded spherical-mixture benchmark.
 
-    Class means are uniform on the sphere; samples are unit-normalized
-    mean + Gaussian noise. The out-of-distribution set rotates every class
-    mean by shift_angle (labels unchanged) before sampling, so shift_angle=0
-    makes the id and ood sets share the same distribution.
+    Class means are uniform on the sphere, drawn here; the "ood" set
+    rotates every class mean by shift_angle toward a seeded direction
+    (labels unchanged), so shift_angle=0 makes the id and ood sets share
+    the same distribution. A block is the unit-normalized mean + noise
+    times standard normals: class c of a set takes its normals from the
+    set's stream (seed, "synth.<name>") moved past the 2 ceil(per_class
+    dim / 2) outputs each earlier class takes (none at noise 0), so a
+    block does not depend on which other blocks were drawn, or where.
     """
     if dim < 2 or n_classes < 2:
         raise ValueError("need dim >= 2 and n_classes >= 2")
     mean_rng = stream(seed, "synth.means")
     means = np.stack([mean_rng.unit_vector(dim) for _ in range(n_classes)])
     shift_rng = stream(seed, "synth.shift")
-    shifted = np.stack([_rotate_toward(means[c], shift_rng, shift_angle)
-                        for c in range(n_classes)])
+    centers = {"train": means, "id": means, "ood": np.stack([
+        _rotate_toward(mean, shift_rng, shift_angle) for mean in means])}
+    values = per_class * dim
 
-    def build(name: str, centers: np.ndarray) -> EmbeddingSet:
+    def draw(name: str, c: int) -> np.ndarray:
+        mean = centers[name][c]
+        if noise == 0.0:
+            return np.tile(mean, (per_class, 1))
         rng = stream(seed, f"synth.{name}")
+        rng.advance(c * 2 * ((values + 1) // 2))
+        with prefixed(f"synthetic {name} set, class {c}"):
+            pts = rng.normal_array(values).reshape(per_class, dim)
+            with np.errstate(over="ignore"):  # normalize_rows refuses it
+                pts *= noise  # mean + noise * g, built in g's own array
+            pts += mean
+            return normalize_rows(pts, out=pts)
+    return draw
+
+
+def generate_synthetic(n_classes: int, dim: int, per_class: int,
+                       shift_angle: float, noise: float, seed: int):
+    """Seeded spherical-mixture benchmark: (train, id-test, ood-test).
+
+    The in-memory form of synthetic_classes' blocks (see there): each set
+    holds its classes' blocks in class order, as float32, and
+    write_synthetic writes the same bytes.
+    """
+    draw = synthetic_classes(n_classes, dim, per_class, shift_angle, noise,
+                             seed)
+
+    def build(name: str) -> EmbeddingSet:
         feats = np.empty((n_classes * per_class, 1, dim), dtype=np.float32)
         for c in range(n_classes):  # one float64 class block at a time
-            with prefixed(f"synthetic {name} set, class {c}"):
-                feats[c * per_class:(c + 1) * per_class, 0] = _sample_class(
-                    centers[c], per_class, noise, rng)
+            feats[c * per_class:(c + 1) * per_class, 0] = draw(name, c)
         labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
         return EmbeddingSet(features=feats, labels=labels,
                             n_classes=n_classes)
 
-    return build("train", means), build("id", means), build("ood", shifted)
+    return tuple(build(name) for name in SYNTH_SETS)
+
+
+def write_synthetic(paths, n_classes: int, dim: int, per_class: int,
+                    shift_angle: float, noise: float, seed: int):
+    """Write generate_synthetic's three sets as containers at the three
+    paths, one class block at a time, without holding a set.
+
+    The 3 C (set, class) items, in generate_synthetic's order, are dealt
+    to workers.deal's shares: min(3 C, usable cores) processes in a
+    one-thread process (the CLI's), else one. Each share draws its items
+    with synthetic_classes and writes each through its set's
+    ContainerWriter at the block's own offset, so no byte depends on the
+    split. A library error stops its share; the one raised is the one a
+    single process would have met first. The paths are replaced only once
+    every block of every set is in, and no temp file outlives the call.
+    """
+    draw = synthetic_classes(n_classes, dim, per_class, shift_angle, noise,
+                             seed)
+    labels = np.repeat(np.arange(n_classes, dtype="<u4"), per_class)
+    with contextlib.ExitStack() as files:
+        writers = [files.enter_context(ContainerWriter(
+            path, labels, 1, dim, n_classes)) for path in paths]
+        del labels
+
+        def share(items):
+            """None, or (item, error) of the first item that failed."""
+            for item in items:
+                s, c = divmod(item, n_classes)
+                try:
+                    writers[s].write(c * per_class,
+                                     draw(SYNTH_SETS[s], c)[:, np.newaxis])
+                except SoupAdapterError as exc:
+                    return item, exc
+            return None
+
+        failures = [failure for failure in workers.deal(
+            len(SYNTH_SETS) * n_classes, share) if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        for writer in writers:
+            writer.commit()

@@ -62,6 +62,10 @@ class InsufficientShots(DataError):
             f"class {class_index} has only {available} samples in the split"
         )
 
+    def __reduce__(self):  # its args too, which prefixed may have set
+        return type(self), (self.class_index, self.available), \
+            {**vars(self), "args": self.args}
+
 
 class EmptyClass(DataError):
     pass
@@ -109,3 +113,7 @@ class EquivalenceViolation(NumericalError):
             f"ensemble and merged adapter disagree by {worst:.3e} "
             f"on probe input {input_index}"
         )
+
+    def __reduce__(self):  # its args too, which prefixed may have set
+        return type(self), (self.worst, self.input_index), \
+            {**vars(self), "args": self.args}

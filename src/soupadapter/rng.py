@@ -114,6 +114,13 @@ class Stream:
         z += np.uint64(self._seed)
         return _mix64_np(z)
 
+    def advance(self, k: int):
+        """Move the counter past the next k outputs, as k next_u64 calls
+        would, without computing them."""
+        if k < 0:
+            raise ValueError("advance needs k >= 0")
+        self._count += k
+
     def next_u64_array(self, n: int) -> np.ndarray:
         out = self._outputs(self._count, n)
         self._count += n

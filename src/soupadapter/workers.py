@@ -18,9 +18,11 @@ OpenBLAS to one thread before numpy loads, so its process has one
 thread; a process that loaded OpenBLAS with more keeps its helper
 threads, and stays in process.
 
-An exception in a child reaches the caller with its class and message
-(its args), raised after every child has been reaped. The caller's own
-exception kills the children first. No child outlives ``deal``.
+An exception in a child reaches the caller pickled, so with its class,
+args and attributes (the errors whose __init__ takes other arguments
+rebuild through their own __reduce__), raised after every child has
+been reaped. The caller's own exception kills the children first. No
+child outlives ``deal``.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ def _one_thread() -> bool:
 
 def _child(score, share, pipe: int):
     """Run score(share) in a forked child, send ("ok", result) or
-    ("error", (class, args)) and exit; status 1 if nothing could be sent."""
+    ("error", exception) and exit; status 1 if nothing could be sent."""
     status = 1
     try:
         try:
             reply = ("ok", score(share))
         except BaseException as exc:  # sent to the parent, which raises it
-            reply = ("error", (type(exc), exc.args))
+            reply = ("error", exc)
         with os.fdopen(pipe, "wb") as out:
             pickle.dump(reply, out)
         status = 0
@@ -75,8 +77,7 @@ def _collect(pid: int, pipe: int):
                            f"{status}")
     kind, payload = pickle.loads(blob)  # bytes our own child wrote
     if kind == "error":
-        cls, args = payload
-        raise cls.__new__(cls, *args)  # its args, without its __init__
+        raise payload
     return payload
 
 

@@ -4,7 +4,8 @@ None of these runs in the package: each is either the plain form of
 something the package computes another way (the two-exp cross entropy,
 the per-sample few-shot walk, KNN votes and verify's worst deviation with
 one product per row block, AdamW as one whole-array expression per
-parameter), or a measuring tool of the tests (finite differences,
+parameter, synthetic sets drawn class after class from one stream per
+set), or a measuring tool of the tests (finite differences,
 softmax, top-1 accuracy of a logit matrix).
 """
 
@@ -13,9 +14,10 @@ import math
 import numpy as np
 
 from soupadapter.adapter import adapter_forward
-from soupadapter.dataio import BLOCK_ROWS, FewShotSelection
+from soupadapter.dataio import BLOCK_ROWS, FewShotSelection, _rotate_toward
 from soupadapter.errors import InsufficientShots
-from soupadapter.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+from soupadapter.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                                  normalize_rows)
 from soupadapter.rng import Stream, derive_seed, stream
 from soupadapter.soup import soup_forward
 
@@ -168,3 +170,27 @@ def adamw_step_whole(params, grads, m, v, step, lr, weight_decay):
         v[k] *= ADAM_BETA2
         v[k] += (1.0 - ADAM_BETA2) * g * g
         p -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPSILON)
+
+
+def synthetic_features_in_sequence(n_classes, dim, per_class, shift_angle,
+                                   noise, seed) -> list[np.ndarray]:
+    """The float32 features of the train, id and ood sets, each set's
+    classes drawn one after another from the set's one stream, with no
+    stream moved past a class it did not draw."""
+    mean_rng = stream(seed, "synth.means")
+    means = [mean_rng.unit_vector(dim) for _ in range(n_classes)]
+    shift_rng = stream(seed, "synth.shift")
+    shifted = [_rotate_toward(m, shift_rng, shift_angle) for m in means]
+    sets = []
+    for name, centers in (("train", means), ("id", means),
+                          ("ood", shifted)):
+        rng = stream(seed, f"synth.{name}")
+        blocks = []
+        for mean in centers:
+            if noise == 0.0:
+                blocks.append(np.tile(mean, (per_class, 1)))
+            else:
+                g = rng.normal_array(per_class * dim).reshape(per_class, dim)
+                blocks.append(normalize_rows(mean + noise * g))
+        sets.append(np.concatenate(blocks).astype(np.float32))
+    return sets

@@ -144,9 +144,9 @@ def test_synth_noise_that_overflows_the_norm_exits_3(tmp_path):
 def test_synth_refuses_sets_above_the_size_bound(tmp_path, capsys,
                                                  monkeypatch, shape):
     def never(*args):
-        raise AssertionError("generated a set above the bound")
+        raise AssertionError("drew a set above the bound")
 
-    monkeypatch.setattr(cli.dataio, "generate_synthetic", never)
+    monkeypatch.setattr(cli.dataio, "synthetic_classes", never)
     classes, dim, per_class = shape
     assert run("synth", "--out", tmp_path / "data", "--classes", classes,
                "--dim", dim, "--per-class", per_class) == 1
@@ -157,18 +157,19 @@ def test_synth_refuses_sets_above_the_size_bound(tmp_path, capsys,
 
 def test_synth_size_bound_admits_a_set_of_exactly_the_bound(tmp_path,
                                                             monkeypatch):
-    # the generator is stubbed, so no set of that size is ever made
+    # the generator is stubbed, so no block of that set is ever drawn
     class Reached(Exception):
         pass
 
     def stub(classes, dim, per_class, *args):
         raise Reached(classes * dim * per_class)
 
-    monkeypatch.setattr(cli.dataio, "generate_synthetic", stub)
+    monkeypatch.setattr(cli.dataio, "synthetic_classes", stub)
     with pytest.raises(Reached) as got:
         run("synth", "--out", tmp_path / "data", "--classes", "2",
             "--dim", "2", "--per-class", str(2**25))
     assert got.value.args == (cli.MAX_SYNTH_VALUES,) == (2**27,)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_is_byte_deterministic(tmp_path):
@@ -178,6 +179,95 @@ def test_synth_is_byte_deterministic(tmp_path):
     for name in ("train.sadp", "id_test.sadp", "ood_test.sadp",
                  "train.sadp.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+_SYNTH_SHAPES = {
+    "small32": ["--classes", "10", "--dim", "32", "--per-class", "100"],
+    "odd": ["--classes", "7", "--dim", "3", "--per-class", "5"],
+    "noise0": ["--classes", "5", "--dim", "8", "--per-class", "6",
+               "--noise", "0"],
+    "shift0": ["--classes", "5", "--dim", "8", "--per-class", "6",
+               "--shift-angle", "0"],
+}
+
+
+def _synth_outputs(out, argv, capsys) -> dict:
+    """{file name: bytes} of a synth run into out, and its stdout."""
+    assert run("synth", "--out", out, *argv) == 0
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    files["stdout"] = capsys.readouterr().out.replace(str(out), "OUT")
+    return files
+
+
+@pytest.mark.parametrize("seed", ["3", "7", "11"])
+@pytest.mark.parametrize("shape", sorted(_SYNTH_SHAPES))
+def test_forked_synth_writes_the_one_process_and_in_memory_bytes(
+        tmp_path, capsys, monkeypatch, forking, shape, seed):
+    argv = [*_SYNTH_SHAPES[shape], "--seed", seed]
+    forked = _synth_outputs(tmp_path / "forked", argv, capsys)
+    assert len(forking) == 1 and len(forked) == 7
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    assert _synth_outputs(tmp_path / "one", argv, capsys) == forked
+    args = cli.build_parser().parse_args(["synth", "--out", "-", *argv])
+    sets = dataio.generate_synthetic(args.classes, args.dim, args.per_class,
+                                     args.shift_angle, args.noise, args.seed)
+    for name, emb in zip(("train", "id_test", "ood_test"), sets):
+        dataio.write_container(emb, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == forked[f"{name}.sadp"]
+
+
+def test_synth_dealt_to_more_processes_than_cores_writes_the_same_bytes(
+        tmp_path, capsys, monkeypatch, forking):
+    # 6 processes on this host's cores write 30 blocks into 3 shared files
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)),
+                        raising=False)
+    argv = ["--classes", "10", "--dim", "16", "--per-class", "9",
+            "--seed", "2"]
+    forked = _synth_outputs(tmp_path / "forked", argv, capsys)
+    assert len(forking) == 5
+    for name, emb in zip(("train", "id_test", "ood_test"),
+                         dataio.generate_synthetic(10, 16, 9, 0.3, 0.3, 2)):
+        dataio.write_container(emb, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == forked[f"{name}.sadp"]
+
+
+def _doubled_blocks(monkeypatch, *items):
+    """synth draws the class blocks at (set, class) items doubled: rows of
+    norm 2, which the container writer refuses."""
+    synthetic_classes = dataio.synthetic_classes
+
+    def classes(*args):
+        draw = synthetic_classes(*args)
+
+        def doubled(name, c):
+            block = draw(name, c)
+            return 2 * block if (name, c) in items else block
+        return doubled
+    monkeypatch.setattr(dataio, "synthetic_classes", classes)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_forked_synth_names_the_failure_one_process_meets_first(
+        tmp_path, capsys, monkeypatch, forking, existing):
+    # of 12 items, share 1 (a child) draws item 7, class 3 of id, and
+    # share 0 (this process) item 8, class 0 of ood; each fails
+    _doubled_blocks(monkeypatch, ("id", 3), ("ood", 0))
+    argv = ["synth", "--classes", "4", "--dim", "3", "--per-class", "2",
+            "--seed", "5"]
+    outs = [tmp_path / "forked", tmp_path / "one"]
+    for out in outs if existing else []:
+        out.mkdir()
+    assert run(*argv, "--out", outs[0]) == 2
+    forked = capsys.readouterr()
+    assert len(forking) == 1
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    assert run(*argv, "--out", outs[1]) == 2
+    assert capsys.readouterr() == forked
+    assert forked.out == ""
+    assert forked.err == ("data error: sample 6 view 0 has norm 2.000000, "
+                          "expected 1 within 0.0001\n")
+    # no container, no temp file, and no directory synth made
+    assert sorted(tmp_path.rglob("*")) == (outs if existing else [])
 
 
 def test_info_reports_shape(data_dir, capsys):

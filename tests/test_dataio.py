@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sample_few_shot_loop
-from soupadapter import dataio, numerics
-from soupadapter.dataio import (ContainerReader, EmbeddingSet,
+from oracles import sample_few_shot_loop, synthetic_features_in_sequence
+from soupadapter import dataio, numerics, workers
+from soupadapter.dataio import (ContainerReader, ContainerWriter, EmbeddingSet,
                                 FewShotSelection, Manifest,
                                 check_unit_norms, generate_synthetic,
                                 manifest_path_for, read_container,
@@ -352,6 +352,48 @@ def test_a_forked_child_and_its_parent_read_one_reader_in_turn(tmp_path):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+def test_container_writer_takes_blocks_in_any_order_from_forked_processes(
+        tmp_path, forking):
+    emb = random_set(n=9, v=2, d=5)
+    write_container(emb, tmp_path / "whole.sadp")
+    path = tmp_path / "blocks.sadp"
+    with ContainerWriter(path, emb.labels, 2, 5, 3) as writer:
+        def share(items):  # share 1 (a child) writes first, last block first
+            for start in reversed(items):
+                writer.write(2 * start, emb.features[2 * start:2 * start + 2])
+        workers.deal(5, share)
+        assert not path.exists()  # until the commit
+        writer.commit()
+    assert len(forking) == 1
+    assert path.read_bytes() == (tmp_path / "whole.sadp").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.sadp",
+                                                          "whole.sadp"]
+
+
+def test_container_writer_names_a_bad_vector_by_its_place_in_the_set(
+        tmp_path):
+    emb = random_set(n=6, v=2, d=4)
+    emb.features[4, 1] *= 2
+    with pytest.raises(NormViolation, match="^sample 4 view 1 has norm 2"):
+        with ContainerWriter(tmp_path / "x.sadp", emb.labels, 2, 4,
+                             3) as writer:
+            writer.write(0, emb.features[:3])
+            writer.write(3, emb.features[3:])
+    assert list(tmp_path.iterdir()) == []  # no temp file, no container
+
+
+@pytest.mark.parametrize("start,rows,dim", [(-1, 2, 4), (5, 2, 4),
+                                            (0, 2, 3)])
+def test_container_writer_refuses_a_block_that_does_not_fit(tmp_path, start,
+                                                            rows, dim):
+    block = np.zeros((rows, 1, dim), dtype=np.float32)
+    block[:, 0, 0] = 1.0
+    with ContainerWriter(tmp_path / "x.sadp", np.zeros(6), 1, 4, 1) as writer:
+        with pytest.raises(ValueError, match="does not fit"):
+            writer.write(start, block)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_container(tmp_path / "absent.sadp")
@@ -503,6 +545,21 @@ def test_synthetic_deterministic():
         assert np.array_equal(x.labels, y.labels)
 
 
+@pytest.mark.parametrize("seed", [3, 7, 11])
+@pytest.mark.parametrize("shape", [
+    (10, 32, 20, 0.3, 0.3),   # small32's classes and dim
+    (7, 3, 5, 0.3, 0.3),      # an odd per-class x dim: 15 normals a class
+    (5, 8, 6, 0.3, 0.0),      # no noise: no draws
+    (5, 8, 6, 0.0, 0.3),      # no shift
+])
+def test_synthetic_blocks_are_the_sets_drawn_in_sequence(shape, seed):
+    # each class moves its set's stream past the classes before it
+    sets = generate_synthetic(*shape, seed=seed)
+    want = synthetic_features_in_sequence(*shape, seed=seed)
+    for emb, features in zip(sets, want):
+        assert emb.features[:, 0].tobytes() == features.tobytes()
+
+
 def test_synthetic_zero_noise_samples_equal_class_mean():
     train, id_test, _ = generate_synthetic(3, 6, 4, 0.0, 0.0, seed=2)
     for c in range(3):
@@ -537,11 +594,28 @@ def test_synthetic_prototype_accuracy_beats_chance():
 
 def test_synthetic_peaks_at_its_sets_and_one_class_block(traced_peak):
     classes, dim, per_class = 4, 64, 512
-    class_block = per_class * dim * 8  # float64, as _sample_class draws it
+    class_block = per_class * dim * 8  # float64, as synthetic_classes draws
     sets = 3 * classes * per_class * dim * 4
     # the class block, its norm temporary and the means
     assert traced_peak(lambda: generate_synthetic(
         classes, dim, per_class, 0.3, 0.2, seed=1)) < sets + 3 * class_block
+
+
+@pytest.mark.parametrize("classes", [2, 16])
+def test_written_synthetic_sets_hold_one_class_block_at_a_time(
+        tmp_path, working_peak, monkeypatch, classes):
+    # in one process, whatever the class count: the float64 block drawn
+    # and its float32 copy written, beside the class means (2 C D
+    # doubles, 16 KiB at 16 classes) and the call's own Python objects
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    dim, per_class = 64, 2048
+    block = per_class * dim * 8
+    paths = [tmp_path / f"{name}.sadp" for name in "abc"]
+    assert working_peak(lambda: dataio.write_synthetic(
+        paths, classes, dim, per_class, 0.3, 0.2, seed=1)) \
+        < block + block // 2 + 64 * 1024
+    assert [read_container(path).n for path in paths] \
+        == [classes * per_class] * 3
 
 
 def test_synthetic_rejects_tiny_problems():

@@ -8,6 +8,7 @@ every writer must leave the previous file intact when a write fails.
 import errno
 import json
 import math
+import os
 import re
 import struct
 
@@ -313,7 +314,7 @@ def test_container_writer_refuses_what_the_reader_refuses(tmp_path, at,
     emb.features.reshape(12, 5)[at] *= np.float32(scale)
     _writer_agrees_with_reader(tmp_path, lambda p: write_container(emb, p),
                                read_container, dataio, "check_unit_norms",
-                               lambda rows, where: None)
+                               lambda rows, where, first=0: None)
 
 
 @FUZZ
@@ -403,6 +404,15 @@ class _DiskFull:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+def _disk_full_pwrite(pwrite):
+    """os.pwrite as a full disk does it: half of what it is given, then
+    an error (ContainerWriter writes at offsets, not through open)."""
+    def write(fd, data, offset):
+        pwrite(fd, data[:len(data) // 2], offset)
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return write
+
+
 WRITERS = {
     **{name: write for name, (_, write, _) in FORMATS.items()},
     "manifest": lambda p: write_manifest(Manifest("d", ["a"], {}), p),
@@ -420,6 +430,7 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch,
     monkeypatch.setattr(dataio, "open",
                         lambda p, mode: _DiskFull(real_open(p, mode)),
                         raising=False)
+    monkeypatch.setattr(dataio.os, "pwrite", _disk_full_pwrite(os.pwrite))
     with pytest.raises(IoFailure, match="No space left"):
         WRITERS[name](path)
     assert path.read_bytes() == b"previous contents"

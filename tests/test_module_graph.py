@@ -154,13 +154,13 @@ def test_row_norms_are_taken_by_numerics_row_norms_alone():
     assert norm_calls_with_axis() == []
 
 
-def fork_calls(package: Path = PACKAGE) -> set[str]:
-    """Modules whose code calls os.fork."""
+def os_calls(name: str, package: Path = PACKAGE) -> set[str]:
+    """Modules whose code calls os.<name>."""
     return {path.stem for path in package.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fork"
+            and node.func.attr == name
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "os"}
 
@@ -169,12 +169,18 @@ def test_the_fork_scan_sees_a_call_anywhere(tmp_path):
     (tmp_path / "a.py").write_text("import os\ndef f():\n    os.fork()\n")
     (tmp_path / "b.py").write_text('"""os.fork() in a docstring."""\n'
                                    "import os\nhas = hasattr(os, 'fork')\n")
-    assert fork_calls(tmp_path) == {"a"}
+    assert os_calls("fork", tmp_path) == {"a"}
 
 
 def test_only_workers_forks():
     # one helper makes every child process, and reaps it
-    assert fork_calls() == {"workers"}
+    assert os_calls("fork") == {"workers"}
+
+
+def test_only_dataio_reads_and_writes_at_offsets():
+    # ContainerReader and ContainerWriter are the container's one reader
+    # and one writer; forked processes share the files they hold open
+    assert os_calls("preadv") == os_calls("pwrite") == {"dataio"}
 
 
 # the package's names before they were resolved lazily, by module

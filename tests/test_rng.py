@@ -276,3 +276,31 @@ def test_unit_vector_spans_are_unit_vectors(seed, count, dim, data):
     assert np.array_equal(np.vstack([np.empty((0, dim)),
                                      *(rows for _, rows in tiles)]), want)
     assert spanned._count == whole._count
+
+
+@_BULK
+@given(_SEEDS, st.integers(0, 3 * _PAIR_BLOCK), st.integers(0, 2000))
+def test_advance_is_k_next_u64_calls(seed, k, n):
+    # the outputs and normals drawn after the move are the scalar walk's
+    moved, walked = Stream(seed), Stream(seed)
+    moved.advance(k)
+    for _ in range(k):
+        walked.next_u64()
+    assert moved._count == walked._count == k
+    assert moved.next_u64() == walked.next_u64()
+    assert np.array_equal(moved.normal_array(n), walked.normal_array(n))
+    assert moved._count == walked._count
+
+
+def test_advance_past_a_normal_draw_lands_on_the_next_one():
+    # advance(2 ceil(n / 2)) skips what normal_array(n) takes, odd n too
+    for n in (5, 6):
+        drawn, skipped = Stream(3), Stream(3)
+        drawn.normal_array(n)
+        skipped.advance(2 * ((n + 1) // 2))
+        assert np.array_equal(drawn.normal_array(7), skipped.normal_array(7))
+
+
+def test_advance_refuses_a_negative_count():
+    with pytest.raises(ValueError):
+        Stream(1).advance(-1)

@@ -2,6 +2,7 @@
 that none outlives the call (the ``forking`` fixture of conftest)."""
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -10,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soupadapter import dataio, workers
-from soupadapter.errors import NormViolation
+from soupadapter import dataio, errors, workers
+from soupadapter.errors import NormViolation, prefixed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -117,3 +118,46 @@ def test_the_callers_own_error_kills_and_reaps_the_children(forking):
         os.close(read)
         os.close(write)
     assert len(forking) == 1
+
+
+def _library_errors():
+    """One instance of every exception class of errors, as raised, and
+    each again with a prefixed message, as prefixed leaves it."""
+    made = {errors.InsufficientShots: lambda: errors.InsufficientShots(3, 2),
+            errors.EquivalenceViolation:
+                lambda: errors.EquivalenceViolation(1.5e-3, 7)}
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == errors.__name__]
+    assert set(made) < set(classes)
+    for cls in classes:
+        plain = made.get(cls, lambda: cls(f"{cls.__name__} message"))()
+        wrapped = made.get(cls, lambda: cls(f"{cls.__name__} message"))()
+        with pytest.raises(cls), prefixed("set.sadp"):
+            raise wrapped
+        yield plain
+        yield wrapped
+
+
+def _same_error(got, want):
+    assert type(got) is type(want)
+    assert got.args == want.args
+    assert vars(got) == vars(want)
+
+
+@pytest.mark.parametrize("exc", _library_errors(), ids=repr)
+def test_every_library_error_survives_a_pickle(exc):
+    _same_error(pickle.loads(pickle.dumps(exc)), exc)
+
+
+def test_every_library_error_reaches_the_parent_whole(forking):
+    sent = list(_library_errors())
+    for exc in sent:
+        def score(share):
+            if share == [1]:
+                raise exc
+            return share
+        with pytest.raises(type(exc)) as caught:
+            workers.deal(2, score)
+        _same_error(caught.value, exc)
+    assert len(forking) == len(sent)
