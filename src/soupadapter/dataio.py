@@ -57,8 +57,8 @@ import numpy as np
 
 from . import workers
 from .errors import (BadMagic, CorruptLength, InsufficientShots, IoFailure,
-                     NonFiniteValue, NormViolation, SoupAdapterError,
-                     VersionUnsupported, prefixed)
+                     NonFiniteValue, NormViolation, VersionUnsupported,
+                     prefixed)
 from .numerics import chunk_rows, normalize_rows, row_norms
 from .rng import stream
 
@@ -643,9 +643,9 @@ def write_synthetic(paths, n_classes: int, dim: int, per_class: int,
     one-thread process (the CLI's), else one. Each share draws its items
     with synthetic_classes and writes each through its set's
     ContainerWriter at the block's own offset, so no byte depends on the
-    split. A library error stops its share; the one raised is the one a
-    single process would have met first. The paths are replaced only once
-    every block of every set is in, and no temp file outlives the call.
+    split, and the error raised is the one workers' failure rule names.
+    The paths are replaced only once every block of every set is in, and
+    no temp file outlives the call.
     """
     draw = synthetic_classes(n_classes, dim, per_class, shift_angle, noise,
                              seed)
@@ -655,20 +655,13 @@ def write_synthetic(paths, n_classes: int, dim: int, per_class: int,
             path, labels, 1, dim, n_classes)) for path in paths]
         del labels
 
-        def share(items):
-            """None, or (item, error) of the first item that failed."""
+        def blocks(items):
             for item in items:
                 s, c = divmod(item, n_classes)
-                try:
-                    writers[s].write(c * per_class,
-                                     draw(SYNTH_SETS[s], c)[:, np.newaxis])
-                except SoupAdapterError as exc:
-                    return item, exc
-            return None
+                writers[s].write(c * per_class,
+                                 draw(SYNTH_SETS[s], c)[:, np.newaxis])
+                yield
 
-        failures = [failure for failure in workers.deal(
-            len(SYNTH_SETS) * n_classes, share) if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+        workers.deal(len(SYNTH_SETS) * n_classes, blocks)
         for writer in writers:
             writer.commit()

@@ -25,15 +25,17 @@ read only to fold them, and the folded layers only by the sweeps: KNN
 votes are counted per set after the sweeps, with both gone, and that pass
 reads the bank and then each set's blocks again.
 
-robustness_report deals its sets (ID, then each OOD set, in order)
-round-robin to workers.deal's shares, min(sets, usable cores) of them in
-a one-thread process (the CLI's) and one elsewhere; every share but the
-first is scored in a forked child. A share sweeps its sets, frees the
-folded layers, then reads the bank and votes on its sets; a child sends
+robustness_report deals its items to workers.deal's shares: the sweep of
+each set (ID, then each OOD set, in order), then, with a KNN bank, the
+vote on each set in the same order. In a one-thread process (the CLI's)
+there are min(items, usable cores) shares, else one; every share but the
+first is scored in a forked child. A share sweeps its sets, then its
+first vote frees the folded layers and reads the bank; a child sends
 back only its hit counts and KNN accuracies, and the caller builds the
-rows in the one-process order, so no byte depends on the split. Each
-process holds what one process held: a block, its spans and the bank,
-beside the pages it shares with the caller from the fork.
+rows in the one-process order, so no byte depends on the split, and the
+error raised is the one workers' failure rule names. Each process holds
+what one process held: a block, its spans and the bank, beside the pages
+it shares with the caller from the fork.
 
 CSV layout: header "model,split,r,accuracy", one row per cell, '.' decimal
 separator, '\n' line endings. JSON mirrors the report fields and includes
@@ -52,8 +54,7 @@ import numpy as np
 from . import dataio, workers
 from .adapter import hidden_layer
 from .dataio import EmbeddingSet, atomic_write, json_bytes, read_bytes
-from .errors import (CorruptLength, ShapeMismatch, SoupAdapterError,
-                     SoupMismatch, prefixed)
+from .errors import CorruptLength, ShapeMismatch, SoupMismatch, prefixed
 from .heads import (ClassifierHead, KnnConfig, check_compatible, head_logits,
                     knn_logits_batch)
 from .numerics import normalize_rows, row_spans, span_buffer
@@ -206,36 +207,25 @@ def knn_accuracy(bank_features: np.ndarray, bank_labels: np.ndarray,
 
 
 def _score_share(folded: list, head: ClassifierHead, sets: list, grid,
-                 knn, share: list):
-    """The sets at the indices in ``share`` scored as robustness_report
-    scores them: ({index: _sweep_set's counts}, {index: knn_accuracy} if
-    ``knn``, None or (place, error)). ``folded`` is the [layer, models]
-    of _fold_models; it is emptied after the sweeps, so the folded
-    layers are freed before the KNN bank is read. A library error stops
-    the share and is returned with its place in the order one process
-    scores every set in: (0, i) sweeping set i, (1, 0) reading the bank,
-    (2, i) voting on set i."""
-    sweeps, knn_accs, place = {}, {}, None
-    try:
-        layer, models = folded
-        for i in share:
-            place = (0, i)
-            sweeps[i] = _sweep_set(layer, models, head, sets[i], grid)
-        del layer, models
-        folded.clear()  # before the KNN pass
-        if knn is not None:
-            place = (1, 0)
+                 knn, share):
+    """robustness_report's items at the indices in ``share``, in order:
+    item i < len(sets) is _sweep_set's counts on set i, item len(sets) + i
+    the KNN accuracy on set i. ``folded`` is the [layer, models] of
+    _fold_models; the first vote item empties it, so the folded layers
+    are freed before the KNN bank is read, once a process."""
+    bank_feats = None
+    for item in share:
+        if item < len(sets):
+            yield _sweep_set(*folded, head, sets[item], grid)
+            continue
+        if bank_feats is None:
+            folded.clear()
             bank, cfg = knn
             bank_feats = np.empty((bank.n, bank.dim))
             for start, feats, _ in _blocks(bank):
                 bank_feats[start:start + len(feats)] = feats
-            for i in share:
-                place = (2, i)
-                knn_accs[i] = knn_accuracy(bank_feats, bank.labels, cfg,
-                                           sets[i], head.n_classes)
-    except SoupAdapterError as exc:
-        return sweeps, knn_accs, (place, exc)
-    return sweeps, knn_accs, None
+        yield knn_accuracy(bank_feats, bank.labels, cfg,
+                           sets[item - len(sets)], head.n_classes)
 
 
 def robustness_report(adapter, components, head: ClassifierHead,
@@ -276,16 +266,9 @@ def robustness_report(adapter, components, head: ClassifierHead,
     k = len(components)
     del adapter, components  # their folded layers are all the sweeps read
     embs = list(sets.values())
-    results = workers.deal(len(embs), lambda share: _score_share(
-        folded, head, embs, grid, knn, share))
-    failures = [failure for *_, failure in results if failure is not None]
-    if failures:  # the one a single process would have met first
-        raise min(failures, key=lambda failure: failure[0])[1]
-    sweeps, knn_accs = {}, {}
-    for share_sweeps, share_knn, _ in results:
-        sweeps.update(share_sweeps)
-        knn_accs.update(share_knn)
-    scored = {split: sweeps[i] for i, split in enumerate(sets)}
+    results = workers.deal(len(embs) * (2 if knn else 1), lambda share:
+                           _score_share(folded, head, embs, grid, knn, share))
+    scored = dict(zip(sets, results))
     table = {name: {split: _cells(grid, hits[m], n)
                     for split, (n, _, hits) in scored.items()}
              for m, name in enumerate(names)}
@@ -294,9 +277,8 @@ def robustness_report(adapter, components, head: ClassifierHead,
             split: _cells(grid, hits[-k:].sum(axis=0), k * n)
             for split, (n, _, hits) in scored.items()}
     baselines = {split: {"head": b / n} for split, (n, b, _) in scored.items()}
-    for i, split in enumerate(sets):
-        if i in knn_accs:
-            baselines[split]["knn"] = knn_accs[i]
+    for split, acc in zip(sets, results[len(embs):]):
+        baselines[split]["knn"] = acc
     if ood_sets:  # baselines and every model share one {split: {key: acc}}
         for per_split in (baselines, *table.values()):
             per_split["ood"] = {

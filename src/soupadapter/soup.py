@@ -96,9 +96,10 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     dealt to workers.deal's shares, so in a one-thread process (the
     CLI's) they are scored in forked processes, one a usable core; every
     process draws every probe, and the worst is taken over the spans in
-    order, so it and its index do not depend on the split. Passing a
-    pre-built (for example, serialized and reloaded) merged adapter
-    checks that artifact instead of a freshly merged one.
+    order, so it and its index do not depend on the split, and an error
+    is the one workers' failure rule names. Passing a pre-built
+    (for example, serialized and reloaded) merged adapter checks that
+    artifact instead of a freshly merged one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -107,33 +108,31 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     if merged.dim != soup.dim:
         raise DimensionMismatch("merged adapter dimension differs from soup")
     width = max(merged.hidden, soup.dim)
-    blocks = [(start, row_spans(min(dataio.BLOCK_ROWS, trials - start),
-                                width))
-              for start in range(0, trials, dataio.BLOCK_ROWS)]
+    rows = dataio.BLOCK_ROWS
+    blocks = -(-trials // rows)
+    full = row_spans(min(rows, trials), width)  # all blocks but the last
+    last = row_spans(trials - (blocks - 1) * rows, width)
 
     def score(share):
-        """(ordinal, worst deviation, its probe's index) of each span whose
-        ordinal among all blocks' spans is in ``share``; every span is
-        drawn, so the stream is where one pass would have it."""
-        mine, found, ordinal = set(share), [], 0
-        rng = stream(seed, "equiv")
-        for start, spans in blocks:
+        """(worst deviation, its probe's index) of each span whose ordinal
+        among all blocks' spans is in ``share``; every span is drawn, so
+        the stream is where one pass would have it."""
+        rng, ordinal = stream(seed, "equiv"), 0
+        for b in range(blocks):
+            spans = full if b < blocks - 1 else last
             for lo, probes in rng.unit_vector_spans(spans[-1][1], soup.dim,
                                                     spans):
-                if ordinal in mine:
+                if ordinal in share:
                     deviation = np.abs(adapter_forward(merged, probes)
                                        - soup_forward(soup, probes))
                     deviation = deviation.max(axis=1)
                     i = int(np.argmax(deviation))
-                    found.append((ordinal, float(deviation[i]),
-                                  start + lo + i))
+                    yield float(deviation[i]), b * rows + lo + i
                 ordinal += 1
-        return found
 
-    count = sum(len(spans) for _, spans in blocks)
     worst, worst_idx = -math.inf, 0  # as one argmax over every probe
-    for _, deviation, index in sorted(
-            found for share in workers.deal(count, score) for found in share):
+    for deviation, index in workers.deal(
+            (blocks - 1) * len(full) + len(last), score):
         if not (math.isnan(worst) or deviation <= worst):
             worst, worst_idx = deviation, index
     if not worst <= tolerance:  # a NaN deviation fails too

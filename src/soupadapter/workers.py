@@ -1,14 +1,17 @@
 """Work dealt to forked worker processes, and the cores they may use.
 
-``deal(count, score)`` splits range(count) round-robin into
-min(count, usable_cores()) shares and returns [score(share) for each
-share], in share order. Share 0 runs in the calling process; every other
-share runs in a child made by ``os.fork``, which sends score's result
-back pickled through a pipe and exits with ``os._exit``, so it never
-returns into the caller's stack. A child is a copy of the caller, so
-score reads the caller's arrays and open files without sending them;
-a file must then be read at explicit offsets (os.preadv), since the
-processes share its position.
+``deal(count, run)`` is [f(i) for i in range(count)], raising what that
+loop raises, where run(share) is a generator that yields f(i) for each
+i of ``share``, a range, in order; what a process keeps across its items
+(a bank read once, a stream's position) lives in the generator's locals.
+range(count) is dealt round-robin to w = min(count, usable_cores())
+shares, share s holding s, s + w, s + 2 w, .... Share 0 runs in the
+calling process; every other share runs in a child made by ``os.fork``,
+which sends its results back pickled through a pipe and exits with
+``os._exit``, so it never returns into the caller's stack. A child is a
+copy of the caller, so run reads the caller's arrays and open files
+without sending them; a file must then be read at explicit offsets
+(os.preadv), since the processes share its position.
 
 A fork copies only the calling thread, and a lock that another thread
 held stays held in the child, so ``deal`` forks only where os.fork
@@ -18,11 +21,16 @@ OpenBLAS to one thread before numpy loads, so its process has one
 thread; a process that loaded OpenBLAS with more keeps its helper
 threads, and stays in process.
 
-An exception in a child reaches the caller pickled, so with its class,
-args and attributes (the errors whose __init__ takes other arguments
-rebuild through their own __reduce__), raised after every child has
-been reaped. The caller's own exception kills the children first. No
-child outlives ``deal``.
+The failure rule, kept here alone: an Exception at an index ends its
+share, and once every child is reaped ``deal`` raises the one of the
+lowest failing index, whichever share held it, so the one a single
+process would have met first. A child's exception arrives pickled, with
+its class, args and attributes (errors whose __init__ takes other
+arguments rebuild through their __reduce__). A BaseException that is
+not an Exception (KeyboardInterrupt) in the caller kills the children
+at once; from a child it is raised, like the RuntimeError of a child
+that died without a reply, once every child is reaped. No child
+outlives ``deal``.
 """
 
 from __future__ import annotations
@@ -48,15 +56,27 @@ def _one_thread() -> bool:
         return False
 
 
-def _child(score, share, pipe: int):
-    """Run score(share) in a forked child, send ("ok", result) or
-    ("error", exception) and exit; status 1 if nothing could be sent."""
+def _run(run, share: range):
+    """(the results of run(share), None), or (the results before the
+    index that raised an Exception, (that index, the exception))."""
+    results = []
+    try:
+        for result in run(share):
+            results.append(result)
+    except Exception as exc:
+        return results, (share[len(results)], exc)
+    return results, None
+
+
+def _child(run, share: range, pipe: int):
+    """Send _run's reply, or the BaseException that ended it, from a
+    forked child and exit; status 1 if nothing could be sent."""
     status = 1
     try:
         try:
-            reply = ("ok", score(share))
+            reply = _run(run, share)
         except BaseException as exc:  # sent to the parent, which raises it
-            reply = ("error", exc)
+            reply = exc
         with os.fdopen(pipe, "wb") as out:
             pickle.dump(reply, out)
         status = 0
@@ -75,20 +95,18 @@ def _collect(pid: int, pipe: int):
     if os.waitstatus_to_exitcode(status) != 0 or not blob:
         raise RuntimeError(f"worker process {pid} failed with wait status "
                            f"{status}")
-    kind, payload = pickle.loads(blob)  # bytes our own child wrote
-    if kind == "error":
-        raise payload
-    return payload
+    sent = pickle.loads(blob)  # bytes our own child wrote
+    if isinstance(sent, BaseException):
+        raise sent
+    return sent
 
 
-def deal(count: int, score) -> list:
-    """[score(share) for share in the shares of range(count)], each
-    share a list of indices, share s holding s, s + w, s + 2 w, ... of
-    w = min(count, usable_cores()) shares where this process may fork,
-    else one share of all; see the module docstring."""
-    width = min(count, usable_cores()) \
-        if hasattr(os, "fork") and _one_thread() else 1
-    shares = [list(range(s, count, width)) for s in range(width)]
+def deal(count: int, run) -> list:
+    """[f(i) for i in range(count)], where run(share) yields f(i) for
+    each i of its share; see the module docstring."""
+    forks = hasattr(os, "fork") and _one_thread()
+    width = min(count, usable_cores() if forks else 1)
+    shares = [range(s, count, width) for s in range(width)]
     children = []  # (pid, read end of its pipe)
     try:
         for share in shares[1:]:
@@ -96,26 +114,32 @@ def deal(count: int, score) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(score, share, write)  # exits, never returns
+                    _child(run, share, write)  # exits, never returns
             except BaseException:
                 os.close(read)
                 raise
             finally:
                 os.close(write)
             children.append((pid, read))
-        first = score(shares[0])
+        replies = [_run(run, share) for share in shares[:1]]  # [] if no item
     except BaseException:
         for pid, read in children:
             os.kill(pid, signal.SIGKILL)
             os.close(read)
             os.waitpid(pid, 0)
         raise
-    results, failure = [first], None
+    crash = None
     for pid, read in children:  # every child is reaped before a raise
         try:
-            results.append(_collect(pid, read))
+            replies.append(_collect(pid, read))
         except BaseException as exc:
-            failure = failure or exc
-    if failure is not None:
-        raise failure
+            crash = crash or exc
+    if crash is not None:
+        raise crash
+    failures = [failure for _, failure in replies if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * count
+    for s, (values, _) in enumerate(replies):
+        results[s::width] = values
     return results

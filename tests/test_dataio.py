@@ -361,6 +361,7 @@ def test_container_writer_takes_blocks_in_any_order_from_forked_processes(
         def share(items):  # share 1 (a child) writes first, last block first
             for start in reversed(items):
                 writer.write(2 * start, emb.features[2 * start:2 * start + 2])
+                yield
         workers.deal(5, share)
         assert not path.exists()  # until the commit
         writer.commit()

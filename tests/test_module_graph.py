@@ -183,6 +183,37 @@ def test_only_dataio_reads_and_writes_at_offsets():
     assert os_calls("preadv") == os_calls("pwrite") == {"dataio"}
 
 
+def modules_catching(name: str, package: Path = PACKAGE) -> set[str]:
+    """Modules with an except clause that names the exception class
+    ``name``, alone, in a tuple or as a module attribute."""
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and any(isinstance(n, ast.Name) and n.id == name
+                            or isinstance(n, ast.Attribute) and n.attr == name
+                            for n in ast.walk(node.type)):
+                found.add(path.stem)
+    return found
+
+
+def test_the_catch_scan_sees_every_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "try:\n    pass\nexcept (KeyError, E) as exc:\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "try:\n    pass\nexcept errors.E:\n    pass\n")
+    (tmp_path / "c.py").write_text(
+        '"""except E in a docstring."""\nclass E(Exception):\n    pass\n'
+        "try:\n    pass\nexcept Exception:\n    raise E\n")
+    assert modules_catching("E", tmp_path) == {"a", "b"}
+
+
+def test_only_cli_and_errors_catch_library_errors():
+    # cli maps them to exit codes and errors.prefixed names their file;
+    # which one a fan-out raises is workers.deal's rule, kept there alone
+    assert modules_catching("SoupAdapterError") == {"cli", "errors"}
+
+
 # the package's names before they were resolved lazily, by module
 EXPORTED = {
     "adapter": ["AdapterParams", "HyperConfig", "TrainRecord",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import worst_deviation_by_block
-from soupadapter import numerics
+from soupadapter import numerics, workers
 from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  init_adapter, save_checkpoint)
 from soupadapter.dataio import BLOCK_ROWS
@@ -245,6 +245,26 @@ def test_verify_equivalence_memory_does_not_grow_with_the_trials(
         peaks.append(traced_peak(lambda: verify_equivalence(
             s, blocks * 1024, 1e-4, merged=merged)))
     assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_verify_schedules_its_spans_without_listing_them(monkeypatch,
+                                                         working_peak):
+    # 10**8 trials are 97 657 blocks: nothing a block is kept before the
+    # first probe, and the spans are counted as the draws will run them
+    s = random_soup(28, 3, 32)
+    counts = []
+    monkeypatch.setattr(workers, "deal",
+                        lambda count, run: counts.append(count) or [])
+    assert working_peak(lambda: verify_equivalence(
+        s, 10 ** 8, 1e-4, seed=1)) < 1 << 20
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", 40 * 36)
+    width = max(reparameterize(s).hidden, s.dim)
+    for trials in (BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1):
+        verify_equivalence(s, trials, 1e-4)
+        assert counts.pop() == sum(  # the spans of every block, listed
+            len(numerics.row_spans(min(BLOCK_ROWS, trials - start), width))
+            for start in range(0, trials, BLOCK_ROWS)) > 1
+    assert counts == [-(-10 ** 8 // BLOCK_ROWS)]
 
 
 SPAN = 40  # probes of one span in the test below

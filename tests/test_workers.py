@@ -1,5 +1,6 @@
-"""workers.deal: round-robin shares, forked children, their errors, and
-that none outlives the call (the ``forking`` fixture of conftest)."""
+"""workers.deal: round-robin shares, forked children, the serial loop's
+results and failure, and that no child outlives the call (the
+``forking`` fixture of conftest)."""
 
 import os
 import pickle
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from soupadapter import dataio, errors, workers
 from soupadapter.errors import NormViolation, prefixed
@@ -17,18 +19,41 @@ from soupadapter.errors import NormViolation, prefixed
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _items(fail=None):
+    """A run for workers.deal whose item i is (i, its share, the pid that
+    computed it), and which raises fail(i) where that is not None."""
+    def run(share):
+        for i in share:
+            error = fail and fail(i)
+            if error is not None:
+                raise error
+            yield i, list(share), os.getpid()
+    return run
+
+
 def test_shares_are_dealt_round_robin_and_run_in_children(forking):
-    results = workers.deal(5, lambda share: (os.getpid(), share))
-    assert [share for _, share in results] == [[0, 2, 4], [1, 3]]
-    assert results[0][0] == os.getpid()
-    assert results[1][0] == forking[0] != os.getpid()
+    results = workers.deal(5, _items())
+    assert [i for i, _, _ in results] == [0, 1, 2, 3, 4]
+    assert [share for _, share, _ in results] \
+        == [[0, 2, 4], [1, 3], [0, 2, 4], [1, 3], [0, 2, 4]]
+    assert {pid for _, _, pid in results[0::2]} == {os.getpid()}
+    assert {pid for _, _, pid in results[1::2]} == {forking[0]}
+    assert forking[0] != os.getpid()
 
 
 def test_more_cores_than_items_forks_one_child_an_item(forking, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
-    assert workers.deal(3, lambda share: share) == [[0], [1], [2]]
+    assert [(i, share) for i, share, _ in workers.deal(3, _items())] \
+        == [(0, [0]), (1, [1]), (2, [2])]
     assert len(forking) == 2
+
+
+def test_no_items_is_an_empty_list_and_no_run(forking):
+    def run(share):
+        raise AssertionError("run is not called")
+    assert workers.deal(0, run) == []
+    assert forking == []
 
 
 @pytest.mark.parametrize("threads,cores", [(False, 2), (True, 1)])
@@ -37,8 +62,8 @@ def test_more_threads_or_one_core_scores_in_process(monkeypatch, threads,
     monkeypatch.setattr(workers, "_one_thread", lambda: threads)
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
-    assert workers.deal(3, lambda share: (os.getpid(), share)) \
-        == [(os.getpid(), [0, 1, 2])]
+    assert workers.deal(3, _items()) \
+        == [(i, [0, 1, 2], os.getpid()) for i in range(3)]
 
 
 def test_a_second_thread_counts():
@@ -76,48 +101,93 @@ def test_a_cli_process_runs_one_thread(tmp_path):
 
 def test_a_childs_library_error_reaches_the_parent_with_class_and_message(
         forking):
-    def score(share):
-        if share == [1]:
-            raise NormViolation("set.sadp: sample 3 view 0 has norm 2")
-        return share
     with pytest.raises(NormViolation,
                        match="^set.sadp: sample 3 view 0 has norm 2$"):
-        workers.deal(2, score)
+        workers.deal(2, _items(lambda i: NormViolation(
+            "set.sadp: sample 3 view 0 has norm 2") if i == 1 else None))
     assert len(forking) == 1
 
 
 def test_a_childs_other_error_reaches_the_parent_too(forking):
-    def score(share):
-        if share == [1]:
-            raise KeyError("missing")
-        return share
     with pytest.raises(KeyError, match="missing"):
-        workers.deal(2, score)
+        workers.deal(2, _items(lambda i: KeyError("missing") if i == 1
+                               else None))
 
 
 def test_a_child_that_dies_is_an_error(forking):
-    def score(share):
-        if share == [1]:
-            os._exit(7)
-        return share
+    def run(share):
+        for i in share:
+            if i == 1:
+                os._exit(7)
+            yield i
     with pytest.raises(RuntimeError, match="worker process"):
-        workers.deal(2, score)
+        workers.deal(2, run)
 
 
 def test_the_callers_own_error_kills_and_reaps_the_children(forking):
+    # a KeyboardInterrupt is no item's failure: the child is not waited for
     read, write = os.pipe()
 
-    def score(share):
-        if share == [1]:
+    def fail(i):
+        if i == 1:
             os.read(read, 1)  # would block for ever: only a kill ends it
-        raise NormViolation("first share")
+        return KeyboardInterrupt()
     try:
-        with pytest.raises(NormViolation, match="first share"):
-            workers.deal(2, score)
+        with pytest.raises(KeyboardInterrupt):
+            workers.deal(2, _items(fail))
     finally:
         os.close(read)
         os.close(write)
     assert len(forking) == 1
+
+
+def test_a_childs_lower_failing_index_wins_over_the_callers(forking):
+    # share 0 (this process) fails at index 2, share 1 (a child) at 1,
+    # as the serial loop would: index 1 fails first
+    with pytest.raises(ValueError, match="^1$"):
+        workers.deal(4, _items(lambda i: ValueError(str(i)) if i in (1, 2)
+                               else None))
+    assert len(forking) == 1
+
+
+def test_a_childs_keyboard_interrupt_wins_over_any_item_failure(forking):
+    def fail(i):
+        return ValueError(str(i)) if i == 0 else KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        workers.deal(2, _items(fail))
+    assert len(forking) == 1
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cores=st.integers(1, 4), count=st.integers(0, 12),
+       failing=st.sets(st.integers(0, 11)))
+def test_deal_is_the_serial_loop_whatever_fails_and_wherever(
+        forking, monkeypatch, cores, count, failing):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+    def f(i):
+        if i in failing:
+            raise ValueError(i)
+        return i * i
+
+    def run(share):
+        for i in share:
+            yield f(i)
+    forked = len(forking)
+    try:
+        serial = [f(i) for i in range(count)]
+    except ValueError as first:
+        with pytest.raises(ValueError) as caught:
+            workers.deal(count, run)
+        assert caught.value.args == first.args
+    else:
+        assert workers.deal(count, run) == serial
+    assert len(forking) - forked == max(0, min(count, cores) - 1)
+    for pid in forking[forked:]:
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pid, os.WNOHANG)
 
 
 def _library_errors():
@@ -153,11 +223,7 @@ def test_every_library_error_survives_a_pickle(exc):
 def test_every_library_error_reaches_the_parent_whole(forking):
     sent = list(_library_errors())
     for exc in sent:
-        def score(share):
-            if share == [1]:
-                raise exc
-            return share
         with pytest.raises(type(exc)) as caught:
-            workers.deal(2, score)
+            workers.deal(2, _items(lambda i: exc if i == 1 else None))
         _same_error(caught.value, exc)
     assert len(forking) == len(sent)
