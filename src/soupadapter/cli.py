@@ -337,21 +337,18 @@ def cmd_soup(args) -> int:
               f"using {scales[0]}", file=sys.stderr)
     meta = {"kind": "merged", "k": ensemble.k, "source_sha256": checksums}
 
-    # verify the bytes to be written (the 32-bit round-trip path), holding
-    # neither them nor the float64 merged adapter meanwhile: the reloaded
-    # adapter serializes back to them exactly, and their digest says so
-    blob = adapter_mod.checkpoint_bytes(soup_mod.reparameterize(ensemble),
-                                        scales[0], meta)
-    reloaded, _, _ = adapter_mod.parse_checkpoint(blob)
-    verified = dataio.sha256_hex(blob)
-    del blob
-    worst = soup_mod.verify_equivalence(ensemble, args.trials,
-                                        args.tolerance, merged=reloaded)
-    blob = adapter_mod.checkpoint_bytes(reloaded, scales[0], meta)
-    if dataio.sha256_hex(blob) != verified:
-        raise NumericalError(f"{args.out} not written: the merged adapter "
-                             f"no longer serializes to the bytes verified")
-    dataio.atomic_write(args.out, (blob,), "checkpoint")
+    # serialize the merged adapter once, into --out's temp file; verify the
+    # adapter parsed from those bytes (the 32-bit round trip), holding
+    # neither them nor the float64 merged adapter; commit them if it passes
+    with dataio.AtomicFile(args.out, "checkpoint") as out:
+        blob = adapter_mod.checkpoint_bytes(soup_mod.reparameterize(ensemble),
+                                            scales[0], meta)
+        out.write_at(blob, 0)
+        reloaded, _, _ = adapter_mod.parse_checkpoint(blob)
+        del blob
+        worst = soup_mod.verify_equivalence(ensemble, args.trials,
+                                            args.tolerance, merged=reloaded)
+        out.commit()
     print(f"wrote {args.out} (K={ensemble.k}, H={reloaded.hidden}, "
           f"worst deviation {worst:.3e} over {args.trials} probes)")
     return 0

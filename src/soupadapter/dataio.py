@@ -25,15 +25,15 @@ it arrives. read_container gathers every sample, or the ones it is given,
 from those blocks (numerics.chunk_rows) into the returned array.
 ContainerWriter is the one writer of the format, its mirror: it writes
 the header and the labels, then each norm-checked block of samples at
-its own offset, so blocks may come in any order and from forked
-processes, and it puts the file in place only when told every block is
-in. write_container is its one-block case, and write_synthetic deals
-the synthetic sets' class blocks to forked workers through it.
+its own offset, in any order and from forked processes. write_container
+is its one-block case, and write_synthetic deals the synthetic sets'
+class blocks to forked workers through it.
 
 Every other artifact is read by read_bytes and written by atomic_write.
-Both writers fill a temp file beside the artifact and replace the
-artifact with it, so a reader never sees a half-written file. A read's
-OSError becomes IoFailure in _reading alone, a write's in _writing.
+AtomicFile, the one temp-file writer under both writers and soup's
+merged adapter, replaces the artifact only on commit, so a reader never
+sees a half-written file. A read's OSError becomes IoFailure in _reading
+alone, a write's in _writing.
 Both readers open through _open_file, which refuses anything but a
 regular file before a read could block or run on without end.
 json_object alone parses the JSON documents: manifest, checkpoint
@@ -254,29 +254,63 @@ def _writing(what: str, path):
         raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
 
 
-def _temp_path(path) -> str:
-    """The temp file beside path that a writer fills before it replaces
-    path: unique to this process and thread."""
-    return f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+class AtomicFile:
+    """The file at path, filled at explicit offsets and put in place whole.
+
+    Its temp file beside path is unique to this process and thread, with
+    the usual umask mode and no fsync. ``write_at`` uses os.pwrite, so
+    writes may come in any order, and from forked processes. ``commit``
+    replaces path with it; closing without a commit removes it. Use it as
+    a context manager. An OSError is IoFailure: cannot write what path.
+    """
+
+    def __init__(self, path, what: str):
+        self.path, self.what = path, what
+        self._tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        with _writing(what, path):
+            self._fd = os.open(self._tmp,
+                               os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+
+    def write_at(self, data, offset: int) -> int:
+        """All of the C-contiguous bytes-like data, at ``offset``; the
+        offset after it."""
+        view = memoryview(data).cast("B")
+        with _writing(self.what, self.path):
+            while view:  # a pwrite may write less than it is given
+                done = os.pwrite(self._fd, view, offset)
+                view, offset = view[done:], offset + done
+        return offset
+
+    def commit(self):
+        """Close the temp file and put it in place of path."""
+        fd, self._fd = self._fd, None
+        with _writing(self.what, self.path):
+            os.close(fd)
+            os.replace(self._tmp, self.path)
+
+    def close(self):
+        """Close the temp file, if open, and remove it unless committed."""
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            os.close(fd)
+        with contextlib.suppress(OSError):  # already gone after a commit
+            os.unlink(self._tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 def atomic_write(path, parts, what: str):
     """Replace the file at path with the bytes-like parts written in order,
-    or leave it as it was.
-
-    The temp file is _temp_path's; a plain open gives it the usual umask
-    mode. There is no fsync.
-    """
-    tmp = _temp_path(path)
-    try:
-        with _writing(what, path):
-            with open(tmp, "wb") as fh:
-                for part in parts:
-                    fh.write(part)
-            os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):  # already gone after the replace
-            os.unlink(tmp)
+    through an AtomicFile, or leave it as it was."""
+    with AtomicFile(path, what) as out:
+        offset = 0
+        for part in parts:
+            offset = out.write_at(part, offset)
+        out.commit()
 
 
 def unpack_header(blob: bytes, header: struct.Struct, magic: bytes,
@@ -308,42 +342,28 @@ def json_bytes(doc) -> bytes:
 
 # ----------------------------------------------------------------- container
 
-class ContainerWriter:
+class ContainerWriter(AtomicFile):
     """A container file written a block of samples at a time, atomically.
 
-    Opening writes the header and the labels (each in [0, n_classes)) to
-    _temp_path's temp file. ``write`` then checks a block's norms as
-    ContainerReader.blocks checks them, and puts it at its own offset with
-    os.pwrite, so blocks may arrive in any order, and from forked
-    processes. ``commit``, once every block is in, replaces path with the
-    temp file; closing without a commit removes it. Use it as a context
-    manager. An OSError is IoFailure: cannot write container path.
+    An AtomicFile that opens with the header and the labels (each in
+    [0, n_classes)) written. ``write`` then checks a block's norms as
+    ContainerReader.blocks checks them, and puts it at its own offset, so
+    blocks may arrive in any order, and from forked processes. Commit
+    once every block is in.
     """
 
     def __init__(self, path, labels, views: int, dim: int, n_classes: int):
-        self.path = path
-        self._tmp = _temp_path(path)
+        super().__init__(path, "container")
         self._shape = (len(labels), views, dim)
         self._first = _HEADER.size + 4 * len(labels)
-        with _writing("container", path):
-            self._fd = os.open(self._tmp,
-                               os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            self._write_at(_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION,
-                                        dim, len(labels), views, n_classes), 0)
-            self._write_at(np.asarray(labels).astype("<u4", copy=False),
-                           _HEADER.size)
+            self.write_at(_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION,
+                                       dim, len(labels), views, n_classes), 0)
+            self.write_at(np.asarray(labels).astype("<u4", copy=False),
+                          _HEADER.size)
         except BaseException:
             self.close()
             raise
-
-    def _write_at(self, data, offset: int):
-        """All of the C-contiguous bytes-like data, at ``offset``."""
-        view = memoryview(data).cast("B")
-        with _writing("container", self.path):
-            while view:  # a pwrite may write less than it is given
-                done = os.pwrite(self._fd, view, offset)
-                view, offset = view[done:], offset + done
 
     def write(self, start: int, block):
         """Samples start, start + 1, ... of the file: the (rows, V, D)
@@ -355,28 +375,7 @@ class ContainerWriter:
             raise ValueError(f"a block of shape {block.shape} at sample "
                              f"{start} does not fit {self._shape}")
         check_unit_norms(block, "sample {} view {}", start)
-        self._write_at(block, self._first + 4 * start * v * d)
-
-    def commit(self):
-        """Close the temp file and put it in place of path."""
-        fd, self._fd = self._fd, None
-        with _writing("container", self.path):
-            os.close(fd)
-            os.replace(self._tmp, self.path)
-
-    def close(self):
-        """Close the temp file, if open, and remove it unless committed."""
-        if self._fd is not None:
-            fd, self._fd = self._fd, None
-            os.close(fd)
-        with contextlib.suppress(OSError):  # already gone after a commit
-            os.unlink(self._tmp)
-
-    def __enter__(self) -> "ContainerWriter":
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
+        self.write_at(block, self._first + 4 * start * v * d)
 
 
 def write_container(emb: EmbeddingSet, path):

@@ -38,14 +38,14 @@ epsilon = 1e-8; only the learning rate and weight decay vary.
 ``single_blas_thread`` caps the OpenBLAS that numpy loaded at one thread
 for a block of code, through ctypes; cli.main runs every subcommand in
 it. The products of a training step are too small for a second BLAS
-thread to save any wall time, and it doubles their CPU time; eval and
-soup's verify get more cores from forked one-thread workers instead
-(see workers). With one thread everywhere, no byte a stage writes
-depends on OPENBLAS_NUM_THREADS, though the last bits of a product whose
-output width is not a multiple of 8 depend on the thread split. The cap
-leaves running the helper threads OpenBLAS started when it loaded; only
-OPENBLAS_NUM_THREADS=1 set before numpy loads starts none (see
-__main__).
+thread to save any wall time, and it doubles their CPU time; synth's
+class blocks, soup's verify and eval's sets get more cores from forked
+one-thread workers instead (see workers). With one thread everywhere,
+no byte a stage writes depends on OPENBLAS_NUM_THREADS, though the last
+bits of a product whose output width is not a multiple of 8 depend on
+the thread split. The cap leaves running the helper threads OpenBLAS
+started when it loaded; only OPENBLAS_NUM_THREADS=1 set before numpy
+loads starts none (see __main__).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ point accuracy, which verify_equivalence checks on random probes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,11 +94,13 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     memory is one span of probes plus about numerics.PRODUCT_VALUES
     values per forward pass, whatever `trials` or the merged width, and a
     probe is scored alone only where its block has one row. The spans are
-    dealt to workers.deal's shares, so in a one-thread process (the
-    CLI's) they are scored in forked processes, one a usable core; every
-    process draws every probe, and the worst is taken over the spans in
-    order, so it and its index do not depend on the split, and an error
-    is the one workers' failure rule names. Passing a pre-built
+    cut into min(spans, usable cores) runs of consecutive spans, dealt to
+    workers.deal's shares, so in a one-thread process (the CLI's) they are
+    scored in forked processes, one a usable core, and each run sends
+    back only its worst. A process draws every probe up to its last run,
+    and a run and the caller take the worst by _worst's one rule, in
+    probe order, so it and its index do not depend on the split, and an
+    error is the one workers' failure rule names. Passing a pre-built
     (for example, serialized and reloaded) merged adapter checks that
     artifact instead of a freshly merged one.
     """
@@ -112,31 +115,51 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
     blocks = -(-trials // rows)
     full = row_spans(min(rows, trials), width)  # all blocks but the last
     last = row_spans(trials - (blocks - 1) * rows, width)
+    count = (blocks - 1) * len(full) + len(last)
+    runs = min(count, workers.usable_cores())
 
-    def score(share):
-        """(worst deviation, its probe's index) of each span whose ordinal
-        among all blocks' spans is in ``share``; every span is drawn, so
-        the stream is where one pass would have it."""
-        rng, ordinal = stream(seed, "equiv"), 0
+    def probe_spans():
+        """(index of the first probe, probes) of every span, in order."""
+        rng = stream(seed, "equiv")
         for b in range(blocks):
             spans = full if b < blocks - 1 else last
             for lo, probes in rng.unit_vector_spans(spans[-1][1], soup.dim,
                                                     spans):
-                if ordinal in share:
-                    deviation = np.abs(adapter_forward(merged, probes)
-                                       - soup_forward(soup, probes))
-                    deviation = deviation.max(axis=1)
-                    i = int(np.argmax(deviation))
-                    yield float(deviation[i]), b * rows + lo + i
-                ordinal += 1
+                yield b * rows + lo, probes
 
-    worst, worst_idx = -math.inf, 0  # as one argmax over every probe
-    for deviation, index in workers.deal(
-            (blocks - 1) * len(full) + len(last), score):
-        if not (math.isnan(worst) or deviation <= worst):
-            worst, worst_idx = deviation, index
+    def span_worst(first, probes):
+        deviation = np.abs(adapter_forward(merged, probes)
+                           - soup_forward(soup, probes)).max(axis=1)
+        i = int(np.argmax(deviation))
+        return float(deviation[i]), first + i
+
+    def score(share):
+        """The worst of each run in ``share``, run r being spans
+        r count // runs to (r + 1) count // runs; the spans before a run
+        are drawn too, so the stream is where one pass would have it."""
+        spans, done = probe_spans(), 0
+        for r in share:
+            lo, hi = r * count // runs, (r + 1) * count // runs
+            for _ in itertools.islice(spans, lo - done):  # other runs'
+                pass
+            yield _worst(itertools.starmap(span_worst,
+                                           itertools.islice(spans, hi - lo)))
+            done = hi
+
+    worst, worst_idx = _worst(workers.deal(runs, score))
     if not worst <= tolerance:  # a NaN deviation fails too
         raise EquivalenceViolation(worst, worst_idx)
+    return worst
+
+
+def _worst(pairs) -> tuple[float, int]:
+    """The (deviation, index) of pairs, given in probe order, that one
+    argmax over their probes picks: the first NaN, else the first
+    largest; (-inf, 0) for none."""
+    worst = (-math.inf, 0)
+    for pair in pairs:
+        if not (math.isnan(worst[0]) or pair[0] <= worst[0]):
+            worst = pair
     return worst
 
 

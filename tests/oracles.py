@@ -6,14 +6,15 @@ the per-sample few-shot walk, KNN votes and verify's worst deviation with
 one product per row block, AdamW as one whole-array expression per
 parameter, synthetic sets drawn class after class from one stream per
 set), or a measuring tool of the tests (finite differences,
-softmax, top-1 accuracy of a logit matrix).
+softmax, top-1 accuracy of a logit matrix). The input builders at the
+end make the seeded unit rows and adapter weights that many tests take.
 """
 
 import math
 
 import numpy as np
 
-from soupadapter.adapter import adapter_forward
+from soupadapter.adapter import AdapterParams, adapter_forward
 from soupadapter.dataio import BLOCK_ROWS, FewShotSelection, _rotate_toward
 from soupadapter.errors import InsufficientShots
 from soupadapter.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
@@ -194,3 +195,23 @@ def synthetic_features_in_sequence(n_classes, dim, per_class, shift_angle,
                 blocks.append(normalize_rows(mean + noise * g))
         sets.append(np.concatenate(blocks).astype(np.float32))
     return sets
+
+
+# ------------------------------------------------------------ input builders
+
+def unit_rows(seed, n, d, tag="rows"):
+    """n seeded rows of dimension d from the stream (seed, tag), each
+    scaled to unit norm."""
+    rows = stream(seed, tag).normal_array(n * d).reshape(n, d)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def random_params(seed, d, h, scale=0.4):
+    """Adapter weights of input dimension d and hidden width h from the
+    stream (seed, "params"): weights scaled by ``scale``, biases by 0.1."""
+    rng = stream(seed, "params")
+    return AdapterParams(
+        W1=rng.normal_array(h * d).reshape(h, d) * scale,
+        b1=rng.normal_array(h) * 0.1,
+        W2=rng.normal_array(d * h).reshape(d, h) * scale,
+        b2=rng.normal_array(d) * 0.1)

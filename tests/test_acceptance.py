@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import finite_difference_check
+from oracles import finite_difference_check, random_params, unit_rows
 from soupadapter.adapter import (adapter_backward,
                                  adapter_forward, blend, init_adapter,
                                  load_checkpoint, sample_hyperconfig,
@@ -25,24 +25,10 @@ from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
                                export_head, head_logits, import_head,
                                knn_logits_batch, leave_one_out_prototypes,
                                selection_prototypes)
-from soupadapter.rng import Stream, stream, uniform
+from soupadapter.rng import Stream, uniform
 from soupadapter.soup import Soup, reparameterize, soup_forward, verify_equivalence
 
 GRID = [float(r) for r in DEFAULT_GRID]
-
-
-def unit_rows(seed, n, d):
-    rows = stream(seed, "rows").normal_array(n * d).reshape(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def random_params(seed, d, h, scale=0.4):
-    rng = stream(seed, "params")
-    return AdapterParams(
-        W1=rng.normal_array(h * d).reshape(h, d) * scale,
-        b1=rng.normal_array(h) * 0.1,
-        W2=rng.normal_array(d * h).reshape(d, h) * scale,
-        b2=rng.normal_array(d) * 0.1)
 
 
 def test_criterion_1_reparameterization_equivalence(tmp_path):

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import finite_difference_check
+from oracles import finite_difference_check, random_params, unit_rows
 from soupadapter import rng
 from soupadapter.adapter import (AUG_STRENGTH_GRID, LR_GRID,
                                  WEIGHT_DECAY_GRID, AdapterParams,
@@ -24,20 +24,6 @@ from soupadapter.heads import (ClassifierHead, build_prototypes,
                                leave_one_out_prototypes, selection_prototypes)
 from soupadapter.numerics import CHUNK_VALUES
 from soupadapter.rng import stream
-
-
-def unit_rows(seed, n, d):
-    rows = stream(seed, "rows").normal_array(n * d).reshape(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def random_params(seed, d, h, scale=0.4):
-    rng = stream(seed, "params")
-    return AdapterParams(
-        W1=rng.normal_array(h * d).reshape(h, d) * scale,
-        b1=rng.normal_array(h) * 0.1,
-        W2=rng.normal_array(d * h).reshape(d, h) * scale,
-        b2=rng.normal_array(d) * 0.1)
 
 
 # ------------------------------------------------------------------- forward

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import accuracy
+from oracles import accuracy, random_params, unit_rows
 from soupadapter import evalkit, numerics
 from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  sample_hyperconfig, train_component)
@@ -23,20 +23,6 @@ from soupadapter.heads import (ClassifierHead, KnnConfig, build_prototypes,
 from soupadapter.numerics import gelu, row_norms
 from soupadapter.rng import stream
 from soupadapter.soup import Soup, reparameterize, soup_forward
-
-
-def unit_rows(seed, n, d):
-    rows = stream(seed, "rows").normal_array(n * d).reshape(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def random_params(seed, d, h, scale=0.4):
-    rng = stream(seed, "params")
-    return AdapterParams(
-        W1=rng.normal_array(h * d).reshape(h, d) * scale,
-        b1=rng.normal_array(h) * 0.1,
-        W2=rng.normal_array(d * h).reshape(d, h) * scale,
-        b2=rng.normal_array(d) * 0.1)
 
 
 def subset(emb, indices):

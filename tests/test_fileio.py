@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import unit_rows
 from soupadapter import adapter, dataio, heads
 from soupadapter.adapter import AdapterParams, load_checkpoint, save_checkpoint
 from soupadapter.dataio import (EmbeddingSet, Manifest, read_container,
@@ -32,19 +33,15 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def unit_rows(seed, n, d):
-    rows = stream(seed, "fileio").normal_array(n * d).reshape(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 def small_set() -> EmbeddingSet:
     return EmbeddingSet(
-        features=unit_rows(0, 6 * 2, 5).astype(np.float32).reshape(6, 2, 5),
+        features=unit_rows(0, 6 * 2, 5, "fileio").astype(
+            np.float32).reshape(6, 2, 5),
         labels=np.array([0, 1, 2, 0, 1, 2]), n_classes=3)
 
 
 def small_head() -> ClassifierHead:
-    return ClassifierHead(weights=unit_rows(1, 3, 5), scale=1.5)
+    return ClassifierHead(weights=unit_rows(1, 3, 5, "fileio"), scale=1.5)
 
 
 def small_params() -> AdapterParams:
@@ -387,26 +384,9 @@ def test_writers_refuse_before_any_file_exists(tmp_path, write, error,
 
 # ---------------------------------------------------------------- writers
 
-class _DiskFull:
-    """A file that takes half of what is written, then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[:len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def _disk_full_pwrite(pwrite):
     """os.pwrite as a full disk does it: half of what it is given, then
-    an error (ContainerWriter writes at offsets, not through open)."""
+    an error (every writer writes through dataio.AtomicFile.write_at)."""
     def write(fd, data, offset):
         pwrite(fd, data[:len(data) // 2], offset)
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -426,15 +406,23 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch,
                                                      name):
     path = tmp_path / f"artifact.{name}"
     path.write_bytes(b"previous contents")
-    real_open = open
-    monkeypatch.setattr(dataio, "open",
-                        lambda p, mode: _DiskFull(real_open(p, mode)),
-                        raising=False)
     monkeypatch.setattr(dataio.os, "pwrite", _disk_full_pwrite(os.pwrite))
     with pytest.raises(IoFailure, match="No space left"):
         WRITERS[name](path)
     assert path.read_bytes() == b"previous contents"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_puts_its_parts_in_order_through_short_writes(
+        tmp_path, monkeypatch):
+    # a pwrite may write less than it is given; the rest follows it
+    pwrite = os.pwrite
+    monkeypatch.setattr(dataio.os, "pwrite",
+                        lambda fd, data, offset: pwrite(fd, data[:3], offset))
+    parts = [b"header", np.arange(5, dtype="<u4"), b"", bytearray(b"tail")]
+    dataio.atomic_write(tmp_path / "out", parts, "test file")
+    assert (tmp_path / "out").read_bytes() == b"".join(map(bytes, parts))
+    assert list(tmp_path.iterdir()) == [tmp_path / "out"]
 
 
 def test_write_into_missing_directory_is_io_failure(tmp_path):

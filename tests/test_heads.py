@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import knn_votes_by_block
+from oracles import knn_votes_by_block, unit_rows
 from soupadapter import heads, numerics
 from soupadapter.errors import (BadMagic, DegenerateVector, EmptyBank,
                                 EmptyClass, NormViolation, NumericalError)
@@ -15,11 +15,6 @@ from soupadapter.heads import (DEFAULT_SCALE, KNN_T_MIN, ClassifierHead,
                                leave_one_out_prototypes, selection_prototypes)
 from soupadapter.numerics import normalize_rows
 from soupadapter.rng import stream
-
-
-def unit_rows(seed, n, d):
-    rows = stream(seed, "rows").normal_array(n * d).reshape(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------- prototypes

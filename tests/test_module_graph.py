@@ -154,15 +154,32 @@ def test_row_norms_are_taken_by_numerics_row_norms_alone():
     assert norm_calls_with_axis() == []
 
 
+def call_sites(callee: str, package: Path = PACKAGE) -> list[str]:
+    """"module:Class.function" (the module alone at its top level) of
+    each call of ``callee``: a bare name such as "open", the builtin
+    unless shadowed, or "os.<name>"."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) \
+                    and ast.unparse(child.func) == callee:
+                found.append(f"{module}:{'.'.join(scope)}" if scope
+                             else module)
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    return found
+
+
 def os_calls(name: str, package: Path = PACKAGE) -> set[str]:
     """Modules whose code calls os.<name>."""
-    return {path.stem for path in package.glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == name
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "os"}
+    return {site.split(":")[0] for site in call_sites(f"os.{name}", package)}
 
 
 def test_the_fork_scan_sees_a_call_anywhere(tmp_path):
@@ -178,9 +195,30 @@ def test_only_workers_forks():
 
 
 def test_only_dataio_reads_and_writes_at_offsets():
-    # ContainerReader and ContainerWriter are the container's one reader
-    # and one writer; forked processes share the files they hold open
+    # ContainerReader is the container's one reader, and AtomicFile the
+    # one writer of every artifact; forked processes share the files they
+    # hold open
     assert os_calls("preadv") == os_calls("pwrite") == {"dataio"}
+
+
+def test_the_call_site_scan_names_each_calls_scope(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\nos.replace(x, y)\nclass W:\n    def commit(self):\n"
+        "        os.replace(self.t, self.p)\n"
+        "        self.open()\n        os.open(p)\n")
+    (tmp_path / "b.py").write_text(
+        '"""open(p) in a docstring."""\ndef f(p):\n'
+        "    with open(p) as fh:\n        return fh\n")
+    assert call_sites("os.replace", tmp_path) == ["a", "a:W.commit"]
+    assert call_sites("open", tmp_path) == ["b:f"]
+
+
+def test_one_temp_file_writer_puts_every_artifact_in_place():
+    # every artifact is written through dataio.AtomicFile, whose commit
+    # is the one replace; no module writes or reads through the builtin
+    # open
+    assert call_sites("os.replace") == ["dataio:AtomicFile.commit"]
+    assert call_sites("open") == []
 
 
 def modules_catching(name: str, package: Path = PACKAGE) -> set[str]:

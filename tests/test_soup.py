@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from oracles import worst_deviation_by_block
-from soupadapter import numerics, workers
+import oracles
+from oracles import random_params, unit_rows, worst_deviation_by_block
+from soupadapter import dataio, numerics, workers
 from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  init_adapter, save_checkpoint)
 from soupadapter.dataio import BLOCK_ROWS
@@ -15,15 +16,6 @@ from soupadapter.soup import (Soup, load_soup, reparameterize, soup_forward,
                               verify_equivalence)
 
 
-def random_params(seed, d, h, scale=0.4):
-    rng = stream(seed, "params")
-    return AdapterParams(
-        W1=rng.normal_array(h * d).reshape(h, d) * scale,
-        b1=rng.normal_array(h) * 0.1,
-        W2=rng.normal_array(d * h).reshape(d, h) * scale,
-        b2=rng.normal_array(d) * 0.1)
-
-
 def random_soup(seed, k, d):
     rng = Stream(seed)
     comps = [random_params(seed * 100 + j, d, 1 + rng.randbelow(max(1, d // 2)))
@@ -31,16 +23,11 @@ def random_soup(seed, k, d):
     return Soup(components=comps)
 
 
-def unit_inputs(seed, n, d):
-    rows = stream(seed, "x").normal_array(n * d).reshape(n, d)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
 # ------------------------------------------------------------------- forward
 
 def test_single_component_soup_equals_the_component():
     p = random_params(1, 8, 3)
-    x = unit_inputs(2, 1, 8)[0]
+    x = unit_rows(2, 1, 8, "x")[0]
     assert np.allclose(soup_forward(Soup([p]), x), adapter_forward(p, x),
                        atol=1e-15)
 
@@ -48,20 +35,20 @@ def test_single_component_soup_equals_the_component():
 def test_opposite_components_cancel():
     p = random_params(3, 6, 2)
     neg = AdapterParams(W1=p.W1, b1=p.b1, W2=-p.W2, b2=-p.b2)
-    x = unit_inputs(4, 1, 6)[0]
+    x = unit_rows(4, 1, 6, "x")[0]
     assert np.array_equal(soup_forward(Soup([p, neg]), x), np.zeros(6))
 
 
 def test_soup_forward_matches_mean_of_forwards_oracle():
     s = random_soup(5, 3, 8)
-    x = unit_inputs(6, 1, 8)[0]
+    x = unit_rows(6, 1, 8, "x")[0]
     oracle = sum(adapter_forward(c, x) for c in s.components) / 3
     assert np.max(np.abs(soup_forward(s, x) - oracle)) < 1e-12
 
 
 def test_soup_forward_permutation_invariant():
     s = random_soup(7, 5, 10)
-    xs = unit_inputs(8, 20, 10)
+    xs = unit_rows(8, 20, 10, "x")
     shuffled = Soup(components=[s.components[i] for i in (3, 0, 4, 1, 2)])
     assert np.max(np.abs(soup_forward(s, xs) - soup_forward(shuffled, xs))) \
         < 1e-12
@@ -70,7 +57,7 @@ def test_soup_forward_permutation_invariant():
 def test_residual_scaling_commutes_with_averaging():
     # r * mean(a_j) and mean(r * a_j) are the same operation
     s = random_soup(9, 4, 6)
-    x = unit_inputs(10, 1, 6)[0]
+    x = unit_rows(10, 1, 6, "x")[0]
     r = 0.7
     mean_then_scale = r * soup_forward(s, x)
     scale_then_mean = sum(r * adapter_forward(c, x) for c in s.components) / s.k
@@ -112,7 +99,7 @@ def test_equivalence_on_random_soups():
     for seed, k, d in [(17, 8, 64), (18, 2, 16), (19, 4, 32)]:
         s = random_soup(seed, k, d)
         merged = reparameterize(s)
-        xs = unit_inputs(seed + 50, 1000, d)
+        xs = unit_rows(seed + 50, 1000, d, "x")
         dev = np.max(np.abs(adapter_forward(merged, xs) - soup_forward(s, xs)))
         assert dev <= 1e-10
 
@@ -120,7 +107,7 @@ def test_equivalence_on_random_soups():
 def test_permuted_load_order_equivalent_outputs():
     s = random_soup(20, 6, 16)
     perm = Soup(components=[s.components[i] for i in (5, 2, 0, 3, 1, 4)])
-    xs = unit_inputs(21, 200, 16)
+    xs = unit_rows(21, 200, 16, "x")
     a = adapter_forward(reparameterize(s), xs)
     b = adapter_forward(reparameterize(perm), xs)
     assert np.max(np.abs(a - b)) <= 1e-10
@@ -250,11 +237,13 @@ def test_verify_equivalence_memory_does_not_grow_with_the_trials(
 def test_verify_schedules_its_spans_without_listing_them(monkeypatch,
                                                          working_peak):
     # 10**8 trials are 97 657 blocks: nothing a block is kept before the
-    # first probe, and the spans are counted as the draws will run them
+    # first probe, and the spans are counted as the draws will run them;
+    # they are dealt as min(spans, usable cores) runs
     s = random_soup(28, 3, 32)
     counts = []
     monkeypatch.setattr(workers, "deal",
                         lambda count, run: counts.append(count) or [])
+    monkeypatch.setattr(workers, "usable_cores", lambda: 1000)
     assert working_peak(lambda: verify_equivalence(
         s, 10 ** 8, 1e-4, seed=1)) < 1 << 20
     monkeypatch.setattr(numerics, "PRODUCT_VALUES", 40 * 36)
@@ -264,7 +253,24 @@ def test_verify_schedules_its_spans_without_listing_them(monkeypatch,
         assert counts.pop() == sum(  # the spans of every block, listed
             len(numerics.row_spans(min(BLOCK_ROWS, trials - start), width))
             for start in range(0, trials, BLOCK_ROWS)) > 1
-    assert counts == [-(-10 ** 8 // BLOCK_ROWS)]
+    assert counts == [1000]
+
+
+def test_verify_memory_stays_flat_however_many_spans(monkeypatch,
+                                                     working_peak):
+    # 3000 probes in blocks of 2, one span each: 1500 spans scored in
+    # process, whose (deviation, index) pairs would take about 110 KiB if
+    # all were held at once; a run keeps only its worst
+    monkeypatch.setattr(workers, "_one_thread", lambda: False)
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(oracles, "BLOCK_ROWS", 2)
+    s = random_soup(29, 3, 8)
+    merged = reparameterize(s)
+    merged.W2[0, 0] += 0.05
+    found = []
+    assert working_peak(lambda: found.append(verify_equivalence(
+        s, 3000, 1.0, merged=merged))) < 16 * 1024
+    assert found == [oracles.worst_deviation_by_block(s, merged, 3000, 0)[0]]
 
 
 SPAN = 40  # probes of one span in the test below
