@@ -68,9 +68,10 @@ NORM_TOLERANCE = 1e-4
 
 # Samples per block wherever a set is streamed: the container reader's
 # blocks here (ContainerReader.read takes numerics.chunk_rows(V D) samples
-# where that is fewer), the query blocks that heads and evalkit score and
-# the probe blocks of soup.verify_equivalence. Each reads it when it runs,
-# so eval reads and scores the same rows at once.
+# where that is fewer) and the query blocks that heads and evalkit score.
+# Each reads it when it runs, so eval reads and scores the same rows at
+# once. soup.verify_equivalence does not read it: its probes are one draw
+# cut into row spans.
 BLOCK_ROWS = 1024
 
 _HEADER = struct.Struct("<4s5I")

@@ -2,7 +2,8 @@
 
 Two broad families matter to callers: format/content problems in data the
 user handed us (``DataError``) and numerical failures detected at runtime
-(``NumericalError``). The CLI maps these to exit codes 2 and 3.
+(``NumericalError``). The CLI maps these to exit codes 2 and 3, and
+any other library error, such as a ``WorkerFailure``, to 2.
 """
 
 import contextlib
@@ -10,6 +11,10 @@ import contextlib
 
 class SoupAdapterError(Exception):
     """Base class for all library errors."""
+
+
+class WorkerFailure(SoupAdapterError):
+    """A worker process could not be started, or ended without a reply."""
 
 
 @contextlib.contextmanager

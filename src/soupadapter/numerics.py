@@ -27,9 +27,11 @@ a time; so does ``row_norms``, the package's one norm of a matrix's rows.
 product (KNN similarities, hidden layers, forward passes) runs over:
 PRODUCT_VALUES outputs at a time, so the product's buffer does not grow
 with its width, and ``span_buffer`` holds any span's outputs, so a loop
-over spans fills one array. A span has one row only where the block has
-one: numpy sends a one-row ``matmul`` to another BLAS kernel, whose bits
-can differ from the batched product's.
+over spans fills one array. ``span_starts`` gives the spans' first rows
+as a range, for a schedule of more spans than a list should hold. A span
+has one row only where the block has one: numpy sends a one-row
+``matmul`` to another BLAS kernel, whose bits can differ from the
+batched product's.
 
 A vector with norm below DEGENERATE_NORM has no direction, wherever the
 package normalizes. AdamW runs with the fixed beta1 = 0.9, beta2 = 0.999 and
@@ -215,15 +217,20 @@ def _span_step(width: int) -> int:
     return max(2, PRODUCT_VALUES // max(1, width))
 
 
+def span_starts(rows: int, width: int) -> range:
+    """The first rows of row_spans(rows, width), as a range, so that any
+    number of spans costs nothing to schedule."""
+    step = _span_step(width)
+    lone = rows > 1 and (rows - 1) % step == 0  # a last span of one row
+    return range(0, rows - lone, step)
+
+
 def row_spans(rows: int, width: int) -> list[tuple[int, int]]:
     """(lo, hi) sub-blocks that cover range(rows) in order, each of about
     PRODUCT_VALUES // width rows and at least 2, for a product whose
     output rows are ``width`` wide. A last span of one row joins the span
     before it, so a span has one row only when ``rows`` is 1."""
-    step = _span_step(width)
-    starts = list(range(0, rows, step))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        starts.pop()
+    starts = span_starts(rows, width)
     return list(zip(starts, [*starts[1:], rows]))
 
 

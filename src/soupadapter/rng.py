@@ -15,6 +15,10 @@ Python ints (``Stream.walk``), so a draw with a data-dependent number of
 outputs, such as rejection sampling, still costs no Python-level mixing.
 They advance the counter by exactly the outputs they use, so every stream
 ends where the scalar draws (``next_u64``, ``randbelow``) would leave it.
+The span draws (``normal_span``, ``unit_vector_spans``) read parts of
+the next bulk draw at their place in it and leave the counter alone, so
+processes that share a stream can each draw their own spans, in any
+order, and together hold the one draw.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 
 import numpy as np
 
-from .numerics import DEGENERATE_NORM, row_norms
+from .numerics import DEGENERATE_NORM, normalize_rows
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -221,43 +225,27 @@ class Stream:
                 return g / norm
 
     def unit_vectors(self, count: int, dim: int) -> np.ndarray:
-        """``count`` uniform points on the unit sphere, as rows.
-
-        All rows come from one normal_array draw, divided by their norms
-        in place; a row whose norm is degenerate is redrawn with
-        unit_vector after the block.
+        """``count`` uniform points on the unit sphere, as rows: one
+        normal_array draw, each row divided by its norm in place by
+        normalize_rows, which refuses a degenerate row (DegenerateVector).
         """
         g = self.normal_array(count * dim).reshape(count, dim)
-        norms = row_norms(g)
-        for i in np.flatnonzero(norms < DEGENERATE_NORM):
-            g[i], norms[i] = self.unit_vector(dim), 1.0
-        g /= norms[:, np.newaxis]
-        return g
+        return normalize_rows(g, out=g)
 
     def unit_vector_spans(self, count: int, dim: int, spans):
         """(lo, rows lo .. hi - 1 of unit_vectors(count, dim)) for each
-        (lo, hi) of ``spans``, which must cover range(count) in order, so
-        that only one span of the rows is held at a time.
+        (lo, hi) of ``spans``, in any order; the counter does not move.
 
         Each span takes its values with normal_span and divides them by
-        their norms; a row whose norm is degenerate is redrawn with
-        unit_vector from the outputs after the block's draw, in row
-        order. So the rows are unit_vectors' whatever the spans, and a
-        generator run to its end leaves the counter where unit_vectors
-        would.
+        their norms with normalize_rows, so a span's rows are bit for bit
+        unit_vectors' and a degenerate row is refused, numbered among all
+        ``count`` rows. Only one span of the rows is held at a time, and a
+        process can draw the spans it needs and no others.
         """
         n = count * dim
-        redraws = self._count + 2 * ((n + 1) // 2)  # past the block's draw
         for lo, hi in spans:
             g = self.normal_span(n, lo * dim, hi * dim).reshape(hi - lo, dim)
-            norms = row_norms(g)
-            for i in np.flatnonzero(norms < DEGENERATE_NORM):
-                start, self._count = self._count, redraws
-                g[i], norms[i] = self.unit_vector(dim), 1.0
-                redraws, self._count = self._count, start
-            g /= norms[:, np.newaxis]
-            yield lo, g
-        self._count = redraws
+            yield lo, normalize_rows(g, out=g, first_row=lo)
 
 
 def stream(base_seed: int, tag: str, index: int = 0) -> Stream:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, workers
+from . import workers
 from .adapter import AdapterParams, adapter_forward, parse_checkpoint
 from .dataio import read_bytes, sha256_hex
 from .errors import (DimensionMismatch, EquivalenceViolation, ShapeMismatch,
                      prefixed)
-from .numerics import row_spans
+from .numerics import span_starts
 from .rng import stream
 
 
@@ -87,22 +87,23 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
 
     Returns the worst absolute deviation over `trials` random unit inputs;
     raises EquivalenceViolation, with the probe's index among all trials,
-    if it exceeds the tolerance. The probes are the rows of
-    Stream.unit_vectors blocks of dataio.BLOCK_ROWS, one block after
-    another from the same stream. Each block is drawn and scored over its
-    numerics.row_spans for the wider of the merged hidden layer and D, so
-    memory is one span of probes plus about numerics.PRODUCT_VALUES
-    values per forward pass, whatever `trials` or the merged width, and a
-    probe is scored alone only where its block has one row. The spans are
-    cut into min(spans, usable cores) runs of consecutive spans, dealt to
-    workers.deal's shares, so in a one-thread process (the CLI's) they are
-    scored in forked processes, one a usable core, and each run sends
-    back only its worst. A process draws every probe up to its last run,
-    and a run and the caller take the worst by _worst's one rule, in
-    probe order, so it and its index do not depend on the split, and an
-    error is the one workers' failure rule names. Passing a pre-built
-    (for example, serialized and reloaded) merged adapter checks that
-    artifact instead of a freshly merged one.
+    if it exceeds the tolerance. The probes are the rows of one
+    Stream.unit_vectors(trials, D) draw, cut into the numerics.row_spans
+    for the wider of the merged hidden layer and D; each span is drawn
+    (Stream.unit_vector_spans) and scored by itself, so memory is one span
+    of probes plus about numerics.PRODUCT_VALUES values per forward pass,
+    whatever `trials` or the merged width, and a probe is scored alone
+    only where there is one trial. A degenerate probe is refused with
+    DegenerateVector, naming it. The spans are cut into min(spans, usable
+    cores) runs of consecutive spans, dealt to workers.deal's shares, so
+    in a one-thread process (the CLI's) they are scored in forked
+    processes, one a usable core. A process draws only its own runs'
+    spans, and each run sends back only its worst; a run and the caller
+    take the worst by _worst's one rule, in probe order, so it and its
+    index do not depend on the split, and an error is the one workers'
+    failure rule names. Passing a pre-built (for example, serialized and
+    reloaded) merged adapter checks that artifact instead of a freshly
+    merged one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -110,22 +111,10 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
         merged = reparameterize(soup)
     if merged.dim != soup.dim:
         raise DimensionMismatch("merged adapter dimension differs from soup")
-    width = max(merged.hidden, soup.dim)
-    rows = dataio.BLOCK_ROWS
-    blocks = -(-trials // rows)
-    full = row_spans(min(rows, trials), width)  # all blocks but the last
-    last = row_spans(trials - (blocks - 1) * rows, width)
-    count = (blocks - 1) * len(full) + len(last)
+    starts = span_starts(trials, max(merged.hidden, soup.dim))
+    count = len(starts)
     runs = min(count, workers.usable_cores())
-
-    def probe_spans():
-        """(index of the first probe, probes) of every span, in order."""
-        rng = stream(seed, "equiv")
-        for b in range(blocks):
-            spans = full if b < blocks - 1 else last
-            for lo, probes in rng.unit_vector_spans(spans[-1][1], soup.dim,
-                                                    spans):
-                yield b * rows + lo, probes
+    rng = stream(seed, "equiv")
 
     def span_worst(first, probes):
         deviation = np.abs(adapter_forward(merged, probes)
@@ -135,16 +124,15 @@ def verify_equivalence(soup: Soup, trials: int, tolerance: float,
 
     def score(share):
         """The worst of each run in ``share``, run r being spans
-        r count // runs to (r + 1) count // runs; the spans before a run
-        are drawn too, so the stream is where one pass would have it."""
-        spans, done = probe_spans(), 0
+        r count // runs to (r + 1) count // runs."""
         for r in share:
             lo, hi = r * count // runs, (r + 1) * count // runs
-            for _ in itertools.islice(spans, lo - done):  # other runs'
-                pass
-            yield _worst(itertools.starmap(span_worst,
-                                           itertools.islice(spans, hi - lo)))
-            done = hi
+            spans = zip(starts[lo:hi],
+                        itertools.chain(starts[lo + 1:hi + 1], [trials]))
+            probes = rng.unit_vector_spans(trials, soup.dim, spans)
+            with prefixed("probe inputs"):  # what a degenerate row is
+                worst = _worst(itertools.starmap(span_worst, probes))
+            yield worst
 
     worst, worst_idx = _worst(workers.deal(runs, score))
     if not worst <= tolerance:  # a NaN deviation fails too

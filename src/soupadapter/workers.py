@@ -28,8 +28,10 @@ process would have met first. A child's exception arrives pickled, with
 its class, args and attributes (errors whose __init__ takes other
 arguments rebuild through their __reduce__). A BaseException that is
 not an Exception (KeyboardInterrupt) in the caller kills the children
-at once; from a child it is raised, like the RuntimeError of a child
-that died without a reply, once every child is reaped. No child
+at once; from a child it is raised, like the WorkerFailure of a child
+that died without a reply (killed for memory, say), once every child is
+reaped. An OSError of os.pipe or os.fork (EAGAIN, EMFILE) kills the
+children already forked and is raised as a WorkerFailure. No child
 outlives ``deal``.
 """
 
@@ -38,6 +40,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+
+from .errors import WorkerFailure
 
 
 def usable_cores() -> int:
@@ -92,9 +96,11 @@ def _collect(pid: int, pipe: int):
             blob = reply.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0 or not blob:
-        raise RuntimeError(f"worker process {pid} failed with wait status "
-                           f"{status}")
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not blob:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerFailure(f"worker process {pid} ended without a reply "
+                            f"({how})")
     sent = pickle.loads(blob)  # bytes our own child wrote
     if isinstance(sent, BaseException):
         raise sent
@@ -122,11 +128,14 @@ def deal(count: int, run) -> list:
                 os.close(write)
             children.append((pid, read))
         replies = [_run(run, share) for share in shares[:1]]  # [] if no item
-    except BaseException:
+    except BaseException as exc:
         for pid, read in children:
             os.kill(pid, signal.SIGKILL)
             os.close(read)
             os.waitpid(pid, 0)
+        if isinstance(exc, OSError):  # os.pipe or os.fork; _run keeps run's
+            raise WorkerFailure(f"cannot start a worker process: {exc}") \
+                from exc
         raise
     crash = None
     for pid, read in children:  # every child is reaped before a raise

@@ -2,12 +2,13 @@
 
 None of these runs in the package: each is either the plain form of
 something the package computes another way (the two-exp cross entropy,
-the per-sample few-shot walk, KNN votes and verify's worst deviation with
-one product per row block, AdamW as one whole-array expression per
-parameter, synthetic sets drawn class after class from one stream per
-set), or a measuring tool of the tests (finite differences,
-softmax, top-1 accuracy of a logit matrix). The input builders at the
-end make the seeded unit rows and adapter weights that many tests take.
+the per-sample few-shot walk, KNN votes with one product per row block,
+verify's worst deviation with one product for all its probes, AdamW as
+one whole-array expression per parameter, synthetic sets drawn class
+after class from one stream per set), or a measuring tool of the tests
+(finite differences, softmax, top-1 accuracy of a logit matrix). The
+input builders at the end make the seeded unit rows and adapter weights
+that many tests take.
 """
 
 import math
@@ -123,7 +124,7 @@ def finite_difference_check(loss_and_grad, params: dict[str, np.ndarray], *,
     return worst
 
 
-# ----------------------------------------------- one product per row block
+# ------------------------------------- one product per row block, or for all
 
 def knn_votes_by_block(bank, labels, xs, cfg, num_classes):
     """KNN votes with each dataio.BLOCK_ROWS block of queries taking its
@@ -139,17 +140,13 @@ def knn_votes_by_block(bank, labels, xs, cfg, num_classes):
     return out
 
 
-def worst_deviation_by_block(soup, merged, trials, seed):
-    """verify_equivalence's worst deviation and its probe index, with each
-    dataio.BLOCK_ROWS block of probes, drawn from the same stream, scored
-    by one forward pass of each side."""
-    rng = stream(seed, "equiv")
-    deviation = np.concatenate([
-        np.abs(adapter_forward(merged, probes)
-               - soup_forward(soup, probes)).max(axis=1)
-        for probes in (rng.unit_vectors(min(BLOCK_ROWS, trials - start),
-                                        soup.dim)
-                       for start in range(0, trials, BLOCK_ROWS))])
+def worst_deviation_in_one_pass(soup, merged, trials, seed):
+    """verify_equivalence's worst deviation and its probe index, with all
+    the probes drawn by one Stream.unit_vectors and scored by one forward
+    pass of each side."""
+    probes = stream(seed, "equiv").unit_vectors(trials, soup.dim)
+    deviation = np.abs(adapter_forward(merged, probes)
+                       - soup_forward(soup, probes)).max(axis=1)
     i = int(np.argmax(deviation))
     return float(deviation[i]), i
 

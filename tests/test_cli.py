@@ -585,6 +585,49 @@ def test_a_bad_vector_in_a_workers_set_exits_2_with_one_line(
     assert capsys.readouterr().err == f"data error: {message}\n"
 
 
+@pytest.mark.parametrize("failure", ["dies", "cannot fork"])
+def test_a_worker_that_dies_or_cannot_start_exits_2_with_one_line(
+        tmp_path, data_dir, train_dir, forking, monkeypatch, capsys,
+        failure):
+    # eval's 6 items on 3 cores: each child exits at once, as one killed
+    # for memory would, or the second fork fails (EAGAIN) and the first
+    # child is killed; every child is reaped (the fixture checks)
+    ood = [data_dir / "ood_test.sadp", tmp_path / "second.sadp"]
+    (tmp_path / "second.sadp").write_bytes(ood[0].read_bytes())
+    argv = eval_sets(tmp_path, data_dir, train_dir, ood,
+                     train_dir / "fewshot.sadp")
+    soup_children = len(forking)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    if failure == "dies":
+        parent, deal = os.getpid(), workers.deal
+
+        def dying(count, run):
+            def dies_in_a_child(share):
+                if os.getpid() != parent:
+                    os._exit(9)
+                yield from run(share)
+            return deal(count, dies_in_a_child)
+        monkeypatch.setattr(workers, "deal", dying)
+        message = r"worker process \d+ ended without a reply " \
+            r"\(exit status 9\)"
+    else:
+        fork = os.fork
+
+        def second_fails():
+            if len(forking) > soup_children:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(os, "fork", second_fails)
+        message = r"cannot start a worker process: \[Errno 11\] " \
+            r"Resource temporarily unavailable"
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert len(forking) == soup_children + (2 if failure == "dies" else 1)
+    assert not list(tmp_path.glob("r.*"))
+
+
 # the component pool is the one executor train makes: K = 3 on 2 cores
 # gives one of width 2, and one core trains in process, with none; an
 # explicit --jobs above both is held to the same width, and the pool

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from soupadapter import rng as rng_mod
+from soupadapter import numerics, rng as rng_mod
+from soupadapter.errors import DegenerateVector
+from soupadapter.numerics import row_norms
 from soupadapter.rng import (_PAIR_BLOCK, MASK64, Stream, below, derive_seed,
                              fnv1a64, mix64, stream, uniform)
 from test_fileio import FUZZ
@@ -88,18 +90,15 @@ def test_unit_vectors():
     assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
 
 
-def test_unit_vectors_redraw_a_degenerate_row():
+def test_unit_vectors_refuse_a_degenerate_row():
     class ZeroSecondRow(Stream):
         def normal_array(self, n):
             g = super().normal_array(n)
-            if n > 3:  # the (4, 3) block, not the redraw
-                g[3:6] = 0.0
+            g[3:6] = 0.0
             return g
 
-    vs = ZeroSecondRow(5).unit_vectors(4, 3)
-    assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
-    plain = Stream(5).unit_vectors(4, 3)
-    assert np.array_equal(vs[[0, 2, 3]], plain[[0, 2, 3]])
+    with pytest.raises(DegenerateVector, match="^row 1 has norm below"):
+        ZeroSecondRow(5).unit_vectors(4, 3)
 
 
 # ------------------------------------------- bulk draws against scalar code
@@ -260,22 +259,39 @@ def test_an_untaken_walk_draws_nothing():
 @given(_SEEDS, st.integers(0, 40), st.integers(1, 7), st.data())
 def test_unit_vector_spans_are_unit_vectors(seed, count, dim, data):
     # the raised thresholds (0.5, and sqrt(dim) near the norms' median)
-    # make rows degenerate, so redraws, in row order after the block's
-    # draw, are part of most cases
+    # make rows degenerate in most cases: unit_vectors names the one of
+    # least norm, and the spans, taken in any order, the one of least norm
+    # in the first span that holds one
     threshold = data.draw(st.sampled_from([1e-12, 0.5, math.sqrt(dim)]))
     cuts = data.draw(st.lists(st.integers(1, max(1, count - 1)),
                               unique=True)) if count > 1 else []
     ends = sorted(set(cuts)) + [count]
-    spans = list(zip([0, *ends[:-1]], ends))
+    spans = data.draw(st.permutations(list(zip([0, *ends[:-1]], ends))))
+    norms = row_norms(Stream(seed).normal_array(count * dim)
+                      .reshape(count, dim))
+    spanned, whole = Stream(seed), Stream(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rng_mod, "DEGENERATE_NORM", threshold)
-        spanned, whole = Stream(seed), Stream(seed)
-        tiles = list(spanned.unit_vector_spans(count, dim, spans))
-        want = whole.unit_vectors(count, dim)
+        patch.setattr(numerics, "DEGENERATE_NORM", threshold)
+        if np.all(norms >= threshold):
+            tiles = list(spanned.unit_vector_spans(count, dim, spans))
+            want = whole.unit_vectors(count, dim)
+        else:
+            with pytest.raises(DegenerateVector) as info:
+                list(spanned.unit_vector_spans(count, dim, spans))
+            lo, hi = next((lo, hi) for lo, hi in spans
+                          if np.any(norms[lo:hi] < threshold))
+            row = lo + int(np.argmin(norms[lo:hi]))
+            assert str(info.value) == f"row {row} has norm below " \
+                f"{threshold:g}"
+            with pytest.raises(DegenerateVector) as info:
+                whole.unit_vectors(count, dim)
+            assert str(info.value) == f"row {int(np.argmin(norms))} has " \
+                f"norm below {threshold:g}"
+            return
     assert [lo for lo, _ in tiles] == [lo for lo, _ in spans]
-    assert np.array_equal(np.vstack([np.empty((0, dim)),
-                                     *(rows for _, rows in tiles)]), want)
-    assert spanned._count == whole._count
+    for lo, rows in tiles:
+        assert np.array_equal(rows, want[lo:lo + len(rows)])
+    assert spanned._count == 0
 
 
 @_BULK

@@ -4,13 +4,13 @@ import os
 import numpy as np
 import pytest
 
-import oracles
-from oracles import random_params, unit_rows, worst_deviation_by_block
-from soupadapter import dataio, numerics, workers
+from oracles import random_params, unit_rows, worst_deviation_in_one_pass
+from soupadapter import numerics, workers
 from soupadapter.adapter import (AdapterParams, adapter_forward, blend,
                                  init_adapter, save_checkpoint)
 from soupadapter.dataio import BLOCK_ROWS
-from soupadapter.errors import DimensionMismatch, EquivalenceViolation
+from soupadapter.errors import (DegenerateVector, DimensionMismatch,
+                               EquivalenceViolation)
 from soupadapter.rng import Stream, stream
 from soupadapter.soup import (Soup, load_soup, reparameterize, soup_forward,
                               verify_equivalence)
@@ -179,26 +179,26 @@ def test_verify_equivalence_refuses_a_nan_deviation():
     assert info.value.input_index == first
 
 
-def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
+def test_verify_equivalence_draws_its_probes_as_one_draw(monkeypatch):
     s = random_soup(27, 3, 12)
     merged = reparameterize(s)
     merged.W2[0, 0] += 0.05
-    deviation = probe_deviations(s, merged, [1024, 1024, 952])
+    deviation = probe_deviations(s, merged, [3000])
     draws = []
     draw = Stream.unit_vector_spans
 
     def recording(self, count, dim, spans):
-        draws.append((count, list(spans)))
+        spans = list(spans)
+        draws.append((count, spans))
         return draw(self, count, dim, spans)
 
     monkeypatch.setattr(Stream, "unit_vector_spans", recording)
     with pytest.raises(EquivalenceViolation) as info:
         verify_equivalence(s, trials=3000, tolerance=1e-10, merged=merged)
-    # each block's spans tile it in order
-    assert [count for count, _ in draws] == [1024, 1024, 952]
-    for count, spans in draws:
-        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
-        assert spans[-1][1] == count
+    # the runs' spans, in run order, are the row_spans of the one draw
+    assert {count for count, _ in draws} == {3000}
+    assert [span for _, spans in draws for span in spans] \
+        == numerics.row_spans(3000, max(merged.hidden, s.dim))
     assert info.value.worst == deviation.max()
     assert info.value.input_index == int(np.argmax(deviation)) >= 1024
     assert verify_equivalence(s, 3000, 1.0, merged=merged) == deviation.max()
@@ -207,12 +207,12 @@ def test_verify_equivalence_draws_its_probes_in_blocks(monkeypatch):
 @pytest.mark.parametrize("cores", [2, 3])
 def test_verify_in_forked_workers_finds_the_one_process_worst(
         monkeypatch, forking, cores):
-    # 3000 probes in spans of 40 rows: 76 spans, dealt to 2 or 3 processes
+    # 3000 probes in spans of 120 rows: 25 spans, dealt to 2 or 3 processes
     monkeypatch.setattr(numerics, "PRODUCT_VALUES", 40 * 36)
     s = random_soup(27, 3, 12)
     merged = reparameterize(s)
     merged.W2[0, 0] += 0.05
-    deviation = probe_deviations(s, merged, [1024, 1024, 952])
+    deviation = probe_deviations(s, merged, [3000])
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
     with pytest.raises(EquivalenceViolation) as info:
@@ -227,18 +227,66 @@ def test_verify_equivalence_memory_does_not_grow_with_the_trials(
         traced_peak):
     s = random_soup(28, 3, 32)
     merged = reparameterize(s)
+    span = numerics.span_starts(1, max(merged.hidden, s.dim)).step
     peaks = []
-    for blocks in (2, 8):
+    for spans in (2, 8):
         peaks.append(traced_peak(lambda: verify_equivalence(
-            s, blocks * 1024, 1e-4, merged=merged)))
+            s, spans * span, 1e-4, merged=merged)))
     assert peaks[1] <= peaks[0] + 64 * 1024
+
+
+def test_verify_draws_each_probe_once_across_its_processes(
+        monkeypatch, forking, tmp_path):
+    # 1000 probes in spans of 40 rows, dealt to 2 or 3 processes: each
+    # process appends the rows of every span it draws to one shared file
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", 40 * 12)  # D = 12
+    s = random_soup(27, 3, 12)
+    log = os.open(tmp_path / "drawn", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    span = Stream.normal_span
+
+    def recording(self, n, lo, hi):
+        os.write(log, f"{lo // s.dim} {hi // s.dim}\n".encode())
+        return span(self, n, lo, hi)
+
+    monkeypatch.setattr(Stream, "normal_span", recording)
+    try:
+        for cores in (2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cores)), raising=False)
+            os.ftruncate(log, 0)
+            verify_equivalence(s, 1000, 1e-4)
+            drawn = sorted(tuple(map(int, line.split())) for line in
+                           (tmp_path / "drawn").read_text().splitlines())
+            assert [lo for lo, _ in drawn] == [0] + [hi for _, hi in
+                                                     drawn[:-1]]
+            assert drawn[-1][1] == 1000
+    finally:
+        os.close(log)
+    assert len(forking) == 1 + 2
+
+
+def test_verify_refuses_a_degenerate_probe_and_names_it(monkeypatch,
+                                                        forking):
+    # every norm is below the threshold: of 100 probes in spans of 40
+    # rows, run 0 (this process) fails at its first span, as would one
+    # process, and names that span's least row
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", 40 * 12)  # D = 12
+    monkeypatch.setattr(numerics, "DEGENERATE_NORM", 10.0)
+    s = random_soup(27, 3, 12)
+    norms = numerics.row_norms(stream(0, "equiv").normal_array(100 * 12)
+                               .reshape(100, 12))
+    with pytest.raises(DegenerateVector) as info:
+        verify_equivalence(s, 100, 1e-4)
+    assert str(info.value) == "probe inputs: row " \
+        f"{int(np.argmin(norms[:40]))} has norm below 10"
+    assert len(forking) == 1
 
 
 def test_verify_schedules_its_spans_without_listing_them(monkeypatch,
                                                          working_peak):
-    # 10**8 trials are 97 657 blocks: nothing a block is kept before the
-    # first probe, and the spans are counted as the draws will run them;
-    # they are dealt as min(spans, usable cores) runs
+    # 10**8 trials are thousands of spans: nothing a span is kept before
+    # the first probe, and the spans are counted as the draws will run
+    # them; they are dealt as min(spans, usable cores) runs
     s = random_soup(28, 3, 32)
     counts = []
     monkeypatch.setattr(workers, "deal",
@@ -250,37 +298,34 @@ def test_verify_schedules_its_spans_without_listing_them(monkeypatch,
     width = max(reparameterize(s).hidden, s.dim)
     for trials in (BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1):
         verify_equivalence(s, trials, 1e-4)
-        assert counts.pop() == sum(  # the spans of every block, listed
-            len(numerics.row_spans(min(BLOCK_ROWS, trials - start), width))
-            for start in range(0, trials, BLOCK_ROWS)) > 1
+        assert counts.pop() == len(numerics.row_spans(trials, width)) > 1
     assert counts == [1000]
 
 
 def test_verify_memory_stays_flat_however_many_spans(monkeypatch,
                                                      working_peak):
-    # 3000 probes in blocks of 2, one span each: 1500 spans scored in
-    # process, whose (deviation, index) pairs would take about 110 KiB if
-    # all were held at once; a run keeps only its worst
+    # 3000 probes in spans of 2 rows: 1500 spans scored in process, whose
+    # (deviation, index) pairs would take about 110 KiB if all were held
+    # at once; a run keeps only its worst
     monkeypatch.setattr(workers, "_one_thread", lambda: False)
-    monkeypatch.setattr(dataio, "BLOCK_ROWS", 2)
-    monkeypatch.setattr(oracles, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(numerics, "PRODUCT_VALUES", 1)
     s = random_soup(29, 3, 8)
     merged = reparameterize(s)
     merged.W2[0, 0] += 0.05
     found = []
     assert working_peak(lambda: found.append(verify_equivalence(
         s, 3000, 1.0, merged=merged))) < 16 * 1024
-    assert found == [oracles.worst_deviation_by_block(s, merged, 3000, 0)[0]]
+    assert found == [worst_deviation_in_one_pass(s, merged, 3000, 0)[0]]
 
 
 SPAN = 40  # probes of one span in the test below
 
 
 # each seed puts the worst probe on the lone last row that its trial count
-# leaves in the block's last span; see
+# leaves to join the last span; see
 # test_heads.py::test_knn_spans_keep_the_block_products_bits
 @pytest.mark.parametrize("trials, seed", [(SPAN + 1, 27), (2 * SPAN + 1, 5),
-                                          (BLOCK_ROWS + 1, 0)])
+                                          (26 * SPAN + 1, 2241)])
 def test_verify_spans_keep_the_block_products_bits(monkeypatch, trials,
                                                    seed):
     s = Soup([random_params(60 + j, 64, 32) for j in range(3)])
@@ -290,9 +335,8 @@ def test_verify_spans_keep_the_block_products_bits(monkeypatch, trials,
     merged = AdapterParams(*(a.astype(np.float32) for a in (
         exact.W1, exact.b1, exact.W2, exact.b2)))
     monkeypatch.setattr(numerics, "PRODUCT_VALUES", SPAN * 96)  # 3 x 32
-    worst, where = worst_deviation_by_block(s, merged, trials, seed)
-    if trials < BLOCK_ROWS:
-        assert where == trials - 1
+    worst, where = worst_deviation_in_one_pass(s, merged, trials, seed)
+    assert where == trials - 1
     assert verify_equivalence(s, trials, 1.0, merged=merged,
                               seed=seed) == worst
     with pytest.raises(EquivalenceViolation) as info:

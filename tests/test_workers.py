@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from soupadapter import dataio, errors, workers
-from soupadapter.errors import NormViolation, prefixed
+from soupadapter.errors import NormViolation, WorkerFailure, prefixed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -120,8 +120,28 @@ def test_a_child_that_dies_is_an_error(forking):
             if i == 1:
                 os._exit(7)
             yield i
-    with pytest.raises(RuntimeError, match="worker process"):
+    with pytest.raises(WorkerFailure, match=r"^worker process \d+ ended "
+                       r"without a reply \(exit status 7\)$"):
         workers.deal(2, run)
+
+
+def test_a_fork_that_fails_is_an_error_once_the_children_are_reaped(
+        forking, monkeypatch):
+    # on 3 cores the second fork fails: the first child is killed and
+    # reaped (the fixture checks) and the OSError becomes a library error
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    fork = os.fork
+
+    def second_fails():
+        if forking:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+    monkeypatch.setattr(os, "fork", second_fails)
+    with pytest.raises(WorkerFailure, match="^cannot start a worker process: "
+                       r"\[Errno 11\] Resource temporarily unavailable$"):
+        workers.deal(3, _items())
+    assert len(forking) == 1
 
 
 def test_the_callers_own_error_kills_and_reaps_the_children(forking):
